@@ -104,9 +104,10 @@ wait "${pcapd_pid}"
 # at an older BENCH_PR*.json for an explicit cross-PR comparison, or
 # disable with BENCH_GATE=off on a known-noisy runner. The default
 # filter is the allocation-sensitive hot path; BENCH_FILTER='.' sweeps
-# everything.
+# everything. SuiteParallel (the grouped full-matrix path) is recorded
+# in the artifact but stays out of the gate metric list.
 bench_artifact="${BENCH_ARTIFACT:-bench.txt}"
-bench_filter="${BENCH_FILTER:-FSCache|TableTrain|TableLookup|CacheFilter|RunApp(Materialized|Streaming)\$|FullSimulation|PCAPOnAccess\$|DecodeV[12]\$|DecodeV2(Parallel|Pushdown)\$|Fleet(1k|10k)\$|FleetReplay1k\$|PcapdSustained\$|Counters(Coalesced|Atomic|Mutex)\$}"
+bench_filter="${BENCH_FILTER:-FSCache|TableTrain|TableLookup|CacheFilter|RunApp(Materialized|Streaming)\$|FullSimulation|PCAPOnAccess\$|DecodeV[12]\$|DecodeV2(Parallel|Pushdown)\$|Fleet(1k|10k)\$|FleetReplay1k\$|PcapdSustained\$|Counters(Coalesced|Atomic|Mutex)\$|SuiteParallel\$}"
 echo "== go test -bench (hot path) -benchmem (artifact: ${bench_artifact})"
 if go test -run '^$' -bench "${bench_filter}" -benchmem -benchtime "${BENCH_TIME:-1s}" . >"${bench_artifact}" 2>&1; then
 	# PcaplintFull runs in its own process, appended to the artifact: it

@@ -1,14 +1,22 @@
 package experiments
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
+	"pcapsim/internal/core"
+	"pcapsim/internal/disk"
+	"pcapsim/internal/predictor"
 	"pcapsim/internal/sim"
+	"pcapsim/internal/trace"
+	"pcapsim/internal/workload"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files from this run's output")
@@ -116,36 +124,182 @@ func TestDifferentialDeterminism(t *testing.T) {
 	})
 }
 
-// TestRunMatrixSharedCells checks that concurrent warming and direct
-// driver access observe the same memoized result objects — the matrix
-// never computes a cell twice.
+// pullCounter counts, per application, the executions that simulation
+// passes pull from the suite's sources.
+type pullCounter struct {
+	mu sync.Mutex
+	n  map[string]int
+}
+
+type countedSource struct {
+	trace.Source
+	c *pullCounter
+}
+
+func (cs countedSource) NextExec() (string, int, bool) {
+	app, exec, ok := cs.Source.NextExec()
+	if ok {
+		cs.c.mu.Lock()
+		cs.c.n[app]++
+		cs.c.mu.Unlock()
+	}
+	return app, exec, ok
+}
+
+func (c *pullCounter) wrap(src trace.Source) trace.Source { return countedSource{src, c} }
+
+// TestRunMatrixSharedCells races RunMatrix against direct Suite.Run calls
+// on the main-suite and dev/* cells of nedit and mplayer. Every caller of
+// a cell must observe the same memoized result object, and each app's
+// group must pull — and so prepare — every execution exactly once:
+// direct calls wait for the group's shared pass instead of simulating
+// their cell again. -short (the race pass) trims it to Table 1's cells
+// plus the devices and to one worker count.
 func TestRunMatrixSharedCells(t *testing.T) {
+	exps, workerCounts := []string{"fig8", "devices"}, []int{2, 8}
+	if testing.Short() {
+		exps, workerCounts = []string{"table1", "devices"}, []int{8}
+	}
+	for _, workers := range workerCounts {
+		t.Run(fmt.Sprintf("parallel=%d", workers), func(t *testing.T) {
+			s, err := NewSuite(DefaultSeed, sim.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			pulls := &pullCounter{n: make(map[string]int)}
+			s.sourceHook = pulls.wrap
+
+			// The cells raced: (suite, app, policy) for the main suite's
+			// Base and every device's policies.
+			type cellCase struct {
+				suite *Suite
+				app   *workload.App
+				pol   sim.Policy
+			}
+			var cells []cellCase
+			for _, name := range []string{"nedit", "mplayer"} {
+				app, _ := workload.ByName(name)
+				cells = append(cells, cellCase{s, app, s.PolicyBase()})
+				for _, dev := range disk.Devices() {
+					ds, err := s.deviceSuite(dev)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, pol := range ds.devicePolicies() {
+						cells = append(cells, cellCase{ds, app, pol})
+					}
+				}
+			}
+
+			const callers = 2
+			got := make([]*sim.AppResult, len(cells)*callers)
+			var wg sync.WaitGroup
+			matrixDone := make(chan struct{})
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer close(matrixDone)
+				if err := s.RunMatrix(workers, exps...); err != nil {
+					t.Error(err)
+				}
+			}()
+			for i := range got {
+				c := cells[i/callers]
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					// Start once the matrix has registered the cell with
+					// its group: from there on, a direct call must never
+					// simulate.
+					key := "run/" + c.app.Name + "/" + c.pol.Name
+					for !c.suite.memo.has(key) {
+						select {
+						case <-matrixDone:
+							t.Errorf("RunMatrix never registered %s", key)
+							return
+						default:
+							runtime.Gosched()
+						}
+					}
+					res, err := c.suite.Run(c.app, c.pol)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					got[i] = res
+				}()
+			}
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+
+			for i, res := range got {
+				c := cells[i/callers]
+				again, err := c.suite.Run(c.app, c.pol)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res != again {
+					t.Errorf("%s under %s (caller %d): distinct result object", c.app.Name, c.pol.Name, i%callers)
+				}
+			}
+			for _, app := range s.Apps() {
+				if n := pulls.n[app.Name]; n != app.Executions {
+					t.Errorf("%s: passes pulled %d executions, want each of %d exactly once", app.Name, n, app.Executions)
+				}
+			}
+		})
+	}
+}
+
+// has reports whether key has a memo entry.
+func (c *memo) has(key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.m[key]
+	return ok
+}
+
+// TestGroupCellErrors checks that a failing cell fails only its own memo
+// entry: the rest of its group computes the same results as solo runs.
+func TestGroupCellErrors(t *testing.T) {
 	s, err := NewSuite(DefaultSeed, sim.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm one experiment's cells in parallel while racing direct Run
-	// calls for the same cells.
-	app := s.Apps()[4] // nedit: cheapest
-	var wg sync.WaitGroup
-	results := make([]*sim.AppResult, 8)
-	for i := range results {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, err := s.Run(app, s.PolicyTP())
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			results[i] = res
-		}()
+	app, _ := workload.ByName("nedit")
+	boom := s.PolicyPCAP(core.VariantBase)
+	boom.Name = "boom"
+	boom.RoundTrip = func(predictor.Factory) (predictor.Factory, error) { return nil, errors.New("boom") }
+	invalid := sim.Policy{Name: "invalid"}
+	good := []sim.Policy{s.PolicyTP(), s.PolicyPCAP(core.VariantBase)}
+
+	var l taskList
+	g := l.group(s, app)
+	for _, pol := range []sim.Policy{good[0], boom, invalid, good[1]} {
+		g.add(&s.memo, "run/"+app.Name+"/"+pol.Name, sim.Cell{Runner: s.runner, Policy: pol})
 	}
-	wg.Wait()
-	for i, r := range results {
-		if r != results[0] {
-			t.Errorf("caller %d got a distinct result object", i)
+	close(g.ready)
+	if err := l.runGroup(); err == nil || !strings.Contains(err.Error(), "under boom") {
+		t.Errorf("group error = %v, want the first failed cell's (boom)", err)
+	}
+	for _, pol := range []sim.Policy{boom, invalid} {
+		if _, err := s.Run(app, pol); err == nil || !strings.Contains(err.Error(), "nedit under "+pol.Name) {
+			t.Errorf("%s: err = %v, want the cell's own labelled error", pol.Name, err)
+		}
+	}
+	for _, pol := range good {
+		res, err := s.Run(app, pol)
+		if err != nil {
+			t.Fatalf("%s: %v", pol.Name, err)
+		}
+		want, err := sim.MustNewRunner(sim.DefaultConfig()).RunSource(s.SourceFor(app), pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprintf("%+v", res) != fmt.Sprintf("%+v", want) {
+			t.Errorf("%s: grouped result differs from a solo run:\n got %+v\nwant %+v", pol.Name, res, want)
 		}
 	}
 }

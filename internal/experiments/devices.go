@@ -36,6 +36,7 @@ func (s *Suite) deviceSuite(dev disk.Params) (*Suite, error) {
 			return nil, err
 		}
 		ds.scale = s.scale // sub-suites simulate the same scaled workload
+		ds.sourceHook = s.sourceHook
 		return ds, nil
 	})
 	if err != nil {

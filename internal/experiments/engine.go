@@ -3,8 +3,10 @@ package experiments
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"pcapsim/internal/core"
 	"pcapsim/internal/disk"
@@ -33,12 +35,29 @@ type memo struct {
 
 type memoEntry struct {
 	once sync.Once
+	fn   func() (any, error) // set by register: computes in place of do's fn
 	val  any
 	err  error
 }
 
-// do returns the memoized value for key, computing it with fn on first
-// use. fn runs exactly once per key even under concurrent callers.
+// register makes fn the computation of key unless key already has an
+// entry, and reports whether it did.
+func (c *memo) register(key string, fn func() (any, error)) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.m[key]; ok {
+		return false
+	}
+	if c.m == nil {
+		c.m = make(map[string]*memoEntry)
+	}
+	c.m[key] = &memoEntry{fn: fn}
+	return true
+}
+
+// do returns the memoized value for key, computing it on first use with
+// the registered computation, if any, else with fn. It runs exactly once
+// per key even under concurrent callers.
 func (c *memo) do(key string, fn func() (any, error)) (any, error) {
 	c.mu.Lock()
 	if c.m == nil {
@@ -50,7 +69,12 @@ func (c *memo) do(key string, fn func() (any, error)) (any, error) {
 		c.m[key] = e
 	}
 	c.mu.Unlock()
-	e.once.Do(func() { e.val, e.err = fn() })
+	e.once.Do(func() {
+		if e.fn != nil {
+			fn = e.fn
+		}
+		e.val, e.err = fn()
+	})
 	return e.val, e.err
 }
 
@@ -74,10 +98,13 @@ func ExperimentNames() []string {
 }
 
 // taskList accumulates tasks, deduplicating by name so experiments that
-// share cells (e.g. every figure's Base runs) enqueue them once.
+// share cells (e.g. every figure's Base runs) enqueue them once. Its
+// simulation cells are grouped per application (cellGroup).
 type taskList struct {
-	seen  map[string]bool
-	tasks []Task
+	seen   map[string]bool
+	tasks  []Task
+	groups []*cellGroup
+	sorted sync.Once
 }
 
 func (l *taskList) add(name string, run func() error) {
@@ -92,12 +119,98 @@ func (l *taskList) add(name string, run func() error) {
 }
 
 // addRun enqueues one simulation cell on suite target (the main suite or a
-// per-device sub-suite, disambiguated by prefix).
+// per-device sub-suite, disambiguated by prefix). Every run task runs
+// whichever group is next, so the first ones to execute compute whole
+// groups and the rest return at once.
 func (l *taskList) addRun(prefix string, target *Suite, app *workload.App, pol sim.Policy) {
-	l.add(prefix+"run/"+app.Name+"/"+pol.Name, func() error {
-		_, err := target.Run(app, pol)
-		return err
+	key := "run/" + app.Name + "/" + pol.Name
+	l.add(prefix+key, l.runGroup)
+	l.group(target, app).add(&target.memo, key, sim.Cell{Runner: target.runner, Policy: pol})
+}
+
+// cellGroup is one application's simulation cells from one task list:
+// main-suite, device sub-suite and multistate PCAP+lp cells alike share
+// the file-cache config, so one sim.RunCells pass computes them all
+// (DESIGN.md §8). Each cell keeps its own memo entry, whose registered
+// computation runs the group's pass, or waits for it.
+type cellGroup struct {
+	s       *Suite
+	app     *workload.App
+	cells   []sim.Cell
+	ios     int           // the app's pre-cache I/O count: the scheduling key
+	ready   chan struct{} // closed once the task list is complete
+	claimed atomic.Bool   // the pass has started
+	once    sync.Once
+	res     []*sim.AppResult
+	errs    []error
+}
+
+// add makes cell c the computation of key in memo m, unless the cell
+// already has an entry (computed, in flight, or in another group).
+func (g *cellGroup) add(m *memo, key string, c sim.Cell) {
+	i := len(g.cells)
+	if m.register(key, func() (any, error) { return g.result(i) }) {
+		g.cells = append(g.cells, c)
+	}
+}
+
+// result runs the group's pass, or waits for it, and returns cell i's
+// outcome.
+func (g *cellGroup) result(i int) (any, error) {
+	<-g.ready
+	g.claimed.Store(true)
+	g.once.Do(func() { g.res, g.errs = sim.RunCells(g.s.SourceFor(g.app), g.cells) })
+	if g.errs[i] != nil {
+		return nil, cellError(g.app, g.cells[i].Policy, g.errs[i])
+	}
+	return g.res[i], nil
+}
+
+// cellError labels a failed cell's error with its app and policy.
+func cellError(app *workload.App, pol sim.Policy, err error) error {
+	return fmt.Errorf("experiments: %s under %s: %w", app.Name, pol.Name, err)
+}
+
+// group returns the task list's group for app, creating it on first use.
+func (l *taskList) group(s *Suite, app *workload.App) *cellGroup {
+	for _, g := range l.groups {
+		if g.app == app {
+			return g
+		}
+	}
+	g := &cellGroup{s: s, app: app, ready: make(chan struct{})}
+	l.groups = append(l.groups, g)
+	return g
+}
+
+// runGroup is the body of every run task: it runs the pass of the largest
+// group nobody has started and returns its first failed cell's error, or
+// returns at once if every group has started. Size is the pre-cache I/O
+// count of the generated traces, so the longest pass starts first;
+// on-demand suites have no traces to count and keep registration order.
+func (l *taskList) runGroup() error {
+	l.sorted.Do(func() {
+		if l.groups[0].s.OnDemand() {
+			return
+		}
+		for _, g := range l.groups {
+			for _, tr := range g.s.Traces(g.app) {
+				g.ios += tr.IOCount()
+			}
+		}
+		sort.SliceStable(l.groups, func(i, j int) bool { return l.groups[i].ios > l.groups[j].ios })
 	})
+	for _, g := range l.groups {
+		if g.claimed.CompareAndSwap(false, true) {
+			for i := range g.cells {
+				if _, err := g.result(i); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	return nil
 }
 
 // Tasks returns the full evaluation matrix: every cell of every
@@ -113,6 +226,12 @@ func (s *Suite) TasksFor(exps ...string) ([]Task, error) {
 		known[e] = true
 	}
 	var l taskList
+	// Groups open once complete: a pass never sees its cells change.
+	defer func() {
+		for _, g := range l.groups {
+			close(g.ready)
+		}
+	}()
 	needsTraces := false
 	for _, e := range exps {
 		if !known[e] {
@@ -177,6 +296,13 @@ func (s *Suite) appendTasks(l *taskList, exp string) error {
 		grid(pols)
 	case "multistate":
 		grid([]sim.Policy{s.PolicyBase(), s.PolicyPCAP(core.VariantBase)})
+		lp, err := s.lowPowerRunner()
+		if err != nil {
+			return err
+		}
+		for _, app := range s.Apps() {
+			l.group(s, app).add(&s.memo, lowPowerKey(app), sim.Cell{Runner: lp, Policy: s.policyLowPower()})
+		}
 		perApp("multistate", func(app *workload.App) error {
 			_, err := s.multiStateRow(app)
 			return err

@@ -40,6 +40,18 @@ func (s *Suite) lowPowerRunner() (*sim.Runner, error) {
 	return v.(*sim.Runner), nil
 }
 
+// policyLowPower is PCAP with table reuse, run on lowPowerRunner.
+func (s *Suite) policyLowPower() sim.Policy {
+	return sim.Policy{
+		Name:       "PCAP+lp",
+		NewFactory: func() predictor.Factory { return core.MustNew(s.pcapConfig(core.VariantBase)) },
+		Reuse:      true,
+	}
+}
+
+// lowPowerKey is the memo key of app's PCAP+lp cell.
+func lowPowerKey(app *workload.App) string { return "multistate/cell/" + app.Name }
+
 // multiStateRow computes one application's row, memoized so matrix
 // workers and the driver share the simulation.
 func (s *Suite) multiStateRow(app *workload.App) (MultiStateRow, error) {
@@ -56,11 +68,7 @@ func (s *Suite) multiStateRow(app *workload.App) (MultiStateRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		multi, err := runner.RunSource(s.SourceFor(app), sim.Policy{
-			Name:       "PCAP+lp",
-			NewFactory: func() predictor.Factory { return core.MustNew(s.pcapConfig(core.VariantBase)) },
-			Reuse:      true,
-		})
+		multi, err := s.cell(lowPowerKey(app), runner, app, s.policyLowPower())
 		if err != nil {
 			return nil, err
 		}

@@ -6,7 +6,6 @@ package experiments
 
 import (
 	"bytes"
-	"fmt"
 
 	"pcapsim/internal/core"
 	"pcapsim/internal/ltree"
@@ -43,6 +42,8 @@ type Suite struct {
 	// memo memoizes every derived result: simulation cells, per-app
 	// experiment rows, and per-device sub-suites.
 	memo memo
+	// sourceHook, if set, wraps every SourceFor source (a test seam).
+	sourceHook func(trace.Source) trace.Source
 }
 
 // NewSuite returns a Suite over the given workload seed and simulator
@@ -99,7 +100,11 @@ func (s *Suite) Traces(app *workload.App) []*trace.Trace {
 // each source regenerates its executions as it is consumed. Every call
 // returns an independent iterator — sources are single-goroutine values.
 func (s *Suite) SourceFor(app *workload.App) trace.Source {
-	return trace.Scale(s.traces.Source(app, s.seed), s.scale)
+	src := trace.Scale(s.traces.Source(app, s.seed), s.scale)
+	if s.sourceHook != nil {
+		return s.sourceHook(src)
+	}
+	return src
 }
 
 // SetScale makes every policy run consume the workload scale times over
@@ -127,11 +132,18 @@ func (s *Suite) OnDemand() bool { return s.traces.OnDemand() }
 
 // Run simulates app under pol, memoized by (app, policy name). Concurrent
 // callers of the same cell block on one simulation and share its result.
+// A cell that TasksFor grouped is computed by its group's shared pass,
+// which Run starts or waits for (see cellGroup).
 func (s *Suite) Run(app *workload.App, pol sim.Policy) (*sim.AppResult, error) {
-	v, err := s.memo.do("run/"+app.Name+"/"+pol.Name, func() (any, error) {
-		res, err := s.runner.RunSource(s.SourceFor(app), pol)
+	return s.cell("run/"+app.Name+"/"+pol.Name, s.runner, app, pol)
+}
+
+// cell is Run on runner, memoized under key.
+func (s *Suite) cell(key string, runner *sim.Runner, app *workload.App, pol sim.Policy) (*sim.AppResult, error) {
+	v, err := s.memo.do(key, func() (any, error) {
+		res, err := runner.RunSource(s.SourceFor(app), pol)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s under %s: %w", app.Name, pol.Name, err)
+			return nil, cellError(app, pol, err)
 		}
 		return res, nil
 	})

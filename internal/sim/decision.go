@@ -51,19 +51,14 @@ type TraceOptions struct {
 }
 
 // RunSourceTraced is RunSource with decision tracing and counterfactual
-// replay. With a zero opt it is exactly RunSource — same results, same
-// floating-point accumulation order — and the %+v-identity of the two is
-// enforced by the differential tests in internal/experiments.
+// replay: the one-cell case of RunCells. With a zero opt it is RunSource.
 func (r *Runner) RunSourceTraced(src trace.Source, pol Policy, opt TraceOptions) (*AppResult, error) {
-	var tr *tracedRun
-	if opt.Sink != nil || opt.Flip != nil {
-		tr = &tracedRun{opt: opt}
-	}
-	return r.runSource(src, pol, tr)
+	res, errs := RunCells(src, []Cell{{Runner: r, Policy: pol, Trace: opt}})
+	return res[0], errs[0]
 }
 
 // tracedRun is the per-call state of a traced run: the options and the
-// running decision counter. It lives on the runSource frame, never in the
+// running decision counter. It belongs to one machine, never to the
 // pooled runState, so concurrent traced runs on one Runner are
 // independent.
 type tracedRun struct {

@@ -13,13 +13,13 @@ import (
 // A machine is one simulated user machine: a policy, its predictor state,
 // a pooled runState, and a cursor into a stream of executions. It is the
 // unit the fleet engine (internal/fleet) multiplexes over a shared virtual
-// clock, and RunSource/RunSourceTraced are thin drivers over it — the
-// single-machine run is exactly "step the machine until it has no next
-// event". The extraction preserves the original runSource/runExecution
-// operation order bit for bit: every float accumulation into the AppResult
-// happens at the same point in the same sequence, so results are
-// byte-identical to the pre-extraction simulator (enforced by the
-// experiments suite golden and the differential tests).
+// clock, and RunCells (runner.go) steps one machine per cell through each
+// shared execution, RunSource being its one-cell case. The extraction
+// preserves the original runSource/runExecution operation order bit for
+// bit: every float accumulation into the AppResult happens at the same
+// point in the same sequence, so results are byte-identical to the
+// pre-extraction simulator (enforced by the experiments suite golden and
+// the differential tests).
 //
 // Step protocol:
 //
@@ -117,16 +117,38 @@ func (m *machine) nextTime() (trace.Time, bool) {
 	return m.base + m.ex.accesses[m.i].Time, true
 }
 
-// pullExecution advances the source to its next execution, runs the
-// per-execution factory policy (fresh, reused, or round-tripped), prepares
-// the trace through the file cache, and opens the execution for stepping.
+// pullExecution pulls, prepares and opens the machine's next execution.
 // It returns false when the source is exhausted or an error occurred.
 func (m *machine) pullExecution() bool {
 	app, exec, ok := m.src.NextExec()
-	if !ok {
+	if !ok || !m.advance(app) {
 		m.done = true
 		return false
 	}
+	ex, err := m.load(app, exec)
+	if err != nil {
+		m.fail(err)
+		return false
+	}
+	m.openExecution(ex)
+	return true
+}
+
+// load drains execution (app, exec) from the source and prepares it
+// through the file cache in the machine's runState.
+func (m *machine) load(app string, exec int) (*execution, error) {
+	rs := m.rs
+	events := trace.Drain(m.src, rs.buf)
+	if !m.borrows {
+		rs.buf = events
+	}
+	rs.view.App, rs.view.Execution, rs.view.Events = app, exec, events
+	return rs.prepare(&rs.view, m.r.cfg.Cache)
+}
+
+// advance runs the factory policy (fresh, reused, or round-tripped)
+// ahead of execution app. A failed round trip fails the machine.
+func (m *machine) advance(app string) bool {
 	if m.execIdx == 0 {
 		m.res.App = app
 	}
@@ -141,20 +163,6 @@ func (m *machine) pullExecution() bool {
 		}
 		m.f = nf
 	}
-	rs := m.rs
-	events := trace.Drain(m.src, rs.buf)
-	if !m.borrows {
-		rs.buf = events
-	}
-	rs.view.App, rs.view.Execution, rs.view.Events = app, exec, events
-	ex, err := rs.prepare(&rs.view, m.r.cfg.Cache)
-	if err != nil {
-		m.fail(err)
-		return false
-	}
-	m.execIdx++
-	m.openExecution(ex)
-	m.res.Executions++
 	return true
 }
 
@@ -166,11 +174,13 @@ func (m *machine) fail(err error) {
 	m.done = true
 }
 
-// openExecution runs the per-execution accounting prologue: totals, the
-// FIFO busy-time schedule, the leading unmanaged idle, and the reset of
-// the per-pid predictor and decision working set.
+// openExecution makes ex the current execution and runs its accounting
+// prologue: totals, the FIFO busy-time schedule, the leading unmanaged
+// idle, and the reset of the per-pid predictor and decision working set.
 func (m *machine) openExecution(ex *execution) {
+	m.execIdx++
 	r, rs, res := m.r, m.rs, m.res
+	res.Executions++
 	d := &r.cfg.Disk
 	res.TotalIOs += ex.totalIOs
 	res.DiskAccesses += len(ex.accesses)

@@ -30,7 +30,8 @@ func (r *Runner) MachineEnergy(traces []*trace.Trace, pol Policy) (disk.EnergyBr
 	// layer directly with a capture hook — the same prepare/step path as
 	// RunApp, without mutating r (whose PeriodHook may be owned by a
 	// concurrent caller) and without hand-assembling a scratch Runner.
-	m, err := r.newMachine(trace.NewSliceSource(traces...), pol, nil)
+	src := trace.NewSliceSource(traces...)
+	m, err := r.newMachine(src, pol, nil)
 	if err != nil {
 		return disk.EnergyBreakdown{}, err
 	}
@@ -39,12 +40,7 @@ func (r *Runner) MachineEnergy(traces []*trace.Trace, pol Policy) (disk.EnergyBr
 			schedule = append(schedule, shutdownCmd{exec: p.Execution, at: p.At})
 		}
 	}
-	for {
-		if _, ok := m.nextTime(); !ok {
-			break
-		}
-		m.step()
-	}
+	drive(src, []*machine{m})
 	if _, err := m.finish(); err != nil {
 		return disk.EnergyBreakdown{}, err
 	}

@@ -8,6 +8,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -128,18 +129,20 @@ type PeriodRecord struct {
 
 // Runner executes policies over application traces.
 //
-// A Runner is safe for concurrent RunApp/RunSource calls: cfg is
-// immutable after construction and all per-run state lives in the
-// per-call execution and AppResult (the file cache is built inside
-// prepare, and traces are read only — events are copied by value into the
-// access stream). The parallel experiment engine
-// (internal/experiments.RunMatrix) relies on this. Sources themselves are
-// single-goroutine iterators: concurrent RunSource calls need distinct
-// Source values (over shared read-only traces is fine).
+// A Runner is safe for concurrent RunApp/RunSource/RunCells calls: cfg
+// is immutable after construction, and all per-run state — the file
+// cache, the prepared execution, the per-pid predictors and decisions —
+// lives in a pooled runState that exactly one run owns at a time (see
+// getState), plus the run's own AppResult. Traces are read only: events
+// are copied by value into the access stream. The parallel experiment
+// engine (internal/experiments.RunMatrix) relies on this. Sources
+// themselves are single-goroutine iterators: concurrent runs need
+// distinct Source values (over shared read-only traces is fine).
 // The one caveat is PeriodHook: it fires synchronously on the goroutine
-// calling RunApp, so a hook installed on a shared Runner must itself be
-// safe for concurrent use (set it before the first RunApp; the hook is a
-// serial debugging aid and the experiment engine never installs one).
+// running the simulation, so a hook installed on a shared Runner must
+// itself be safe for concurrent use (set it before the first run; the
+// hook is a serial debugging aid and the experiment engine never
+// installs one).
 type Runner struct {
 	cfg Config
 	// PeriodHook, if non-nil, receives a record for every evaluated
@@ -197,26 +200,89 @@ func (r *Runner) RunApp(traces []*trace.Trace, pol Policy) (*AppResult, error) {
 // per execution, including floating-point accumulation order, is shared
 // code.
 func (r *Runner) RunSource(src trace.Source, pol Policy) (*AppResult, error) {
-	return r.runSource(src, pol, nil)
+	return r.RunSourceTraced(src, pol, TraceOptions{})
 }
 
-// runSource is the shared body of RunSource and RunSourceTraced: a thin
-// driver over the stepable machine (machine.go) that advances it event by
-// event until the source is exhausted. tr is nil for plain runs; a traced
-// run threads it into every step so decision records and counterfactual
-// flips share the single simulation loop.
-func (r *Runner) runSource(src trace.Source, pol Policy, tr *tracedRun) (*AppResult, error) {
-	m, err := r.newMachine(src, pol, tr)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		if _, ok := m.nextTime(); !ok {
-			break
+// Cell is one simulation of a RunCells pass: a policy on a runner,
+// optionally traced (a zero Trace is a plain run).
+type Cell struct {
+	Runner *Runner
+	Policy Policy
+	Trace  TraceOptions
+}
+
+// CacheMismatchError rejects a RunCells cell whose runner's file cache
+// configuration differs from the first cell's, which the pass prepares
+// every execution with.
+type CacheMismatchError struct {
+	Cell      int
+	Want, Got fscache.Config
+}
+
+func (e *CacheMismatchError) Error() string {
+	return fmt.Sprintf("sim: cell %d: file cache config %+v differs from the pass's %+v", e.Cell, e.Got, e.Want)
+}
+
+// RunCells simulates every cell over the executions of src in one pass,
+// returning results and errors index-aligned with cells. It prepares each
+// execution once and steps every cell's machine through it in turn; cells
+// share nothing else, so each result is identical to a one-cell run's.
+// An invalid policy, a *CacheMismatchError or a failed RoundTrip fails
+// its cell alone; a source or prepare error fails every running cell
+// with the same wrapped error.
+func RunCells(src trace.Source, cells []Cell) ([]*AppResult, []error) {
+	res := make([]*AppResult, len(cells))
+	errs := make([]error, len(cells))
+	ms := make([]*machine, len(cells)) // nil for a rejected cell
+	for i, c := range cells {
+		if want := cells[0].Runner.cfg.Cache; c.Runner.cfg.Cache != want {
+			errs[i] = &CacheMismatchError{Cell: i, Want: want, Got: c.Runner.cfg.Cache}
+			continue
 		}
-		m.step()
+		var tr *tracedRun
+		if c.Trace.Sink != nil || c.Trace.Flip != nil {
+			tr = &tracedRun{opt: c.Trace}
+		}
+		ms[i], errs[i] = c.Runner.newMachine(src, c.Policy, tr)
 	}
-	return m.finish()
+	drive(src, ms)
+	for i, m := range ms {
+		if m != nil {
+			res[i], errs[i] = m.finish()
+		}
+	}
+	return res, errs
+}
+
+// drive pulls each execution of src once, prepares it in the first live
+// machine's runState and steps every live machine through it. Nil
+// machines are skipped. The caller finishes the machines, which surfaces
+// source errors.
+func drive(src trace.Source, ms []*machine) {
+	live := slices.DeleteFunc(slices.Clone(ms), func(m *machine) bool { return m == nil })
+	for len(live) > 0 {
+		app, exec, ok := src.NextExec()
+		if !ok {
+			return
+		}
+		live = slices.DeleteFunc(live, func(m *machine) bool { return !m.advance(app) })
+		if len(live) == 0 {
+			return
+		}
+		ex, err := live[0].load(app, exec)
+		if err != nil {
+			for _, m := range live {
+				m.fail(err)
+			}
+			return
+		}
+		for _, m := range live {
+			m.openExecution(ex)
+			for m.i < len(ex.accesses) {
+				m.step()
+			}
+		}
+	}
 }
 
 // decisionState is a process's standing decision: the absolute time at
