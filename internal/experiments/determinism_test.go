@@ -124,49 +124,59 @@ func TestDifferentialDeterminism(t *testing.T) {
 	})
 }
 
-// pullCounter counts, per application, the executions that simulation
-// passes pull from the suite's sources.
+// pullCounter counts, per application, the sources that simulation
+// passes open and the executions they pull.
 type pullCounter struct {
-	mu sync.Mutex
-	n  map[string]int
+	mu      sync.Mutex
+	sources map[string]int
+	pulls   map[string]int
 }
 
 type countedSource struct {
 	trace.Source
-	c *pullCounter
+	c       *pullCounter
+	started bool
 }
 
-func (cs countedSource) NextExec() (string, int, bool) {
+func (cs *countedSource) NextExec() (string, int, bool) {
 	app, exec, ok := cs.Source.NextExec()
 	if ok {
 		cs.c.mu.Lock()
-		cs.c.n[app]++
+		if !cs.started {
+			cs.c.sources[app]++
+		}
+		cs.c.pulls[app]++
 		cs.c.mu.Unlock()
+		cs.started = true
 	}
 	return app, exec, ok
 }
 
-func (c *pullCounter) wrap(src trace.Source) trace.Source { return countedSource{src, c} }
+func (c *pullCounter) wrap(src trace.Source) trace.Source { return &countedSource{Source: src, c: c} }
 
 // TestRunMatrixSharedCells races RunMatrix against direct Suite.Run calls
 // on the main-suite and dev/* cells of nedit and mplayer. Every caller of
-// a cell must observe the same memoized result object, and each app's
-// group must pull — and so prepare — every execution exactly once:
-// direct calls wait for the group's shared pass instead of simulating
-// their cell again. -short (the race pass) trims it to Table 1's cells
-// plus the devices and to one worker count.
+// a cell must observe the same memoized result object. At GOMAXPROCS
+// procs each app's cells split into procs passes, and each pass must
+// pull — and so prepare — every execution exactly once: direct calls
+// wait for their cell's pass instead of simulating it again. -short (the
+// race pass) trims it to Table 1's cells plus the devices and to one
+// worker count.
 func TestRunMatrixSharedCells(t *testing.T) {
 	exps, workerCounts := []string{"fig8", "devices"}, []int{2, 8}
 	if testing.Short() {
 		exps, workerCounts = []string{"table1", "devices"}, []int{8}
 	}
+	// Every app has more cells than procs, so each gets procs passes.
+	const procs = 3
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	for _, workers := range workerCounts {
 		t.Run(fmt.Sprintf("parallel=%d", workers), func(t *testing.T) {
 			s, err := NewSuite(DefaultSeed, sim.DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
-			pulls := &pullCounter{n: make(map[string]int)}
+			pulls := &pullCounter{sources: make(map[string]int), pulls: make(map[string]int)}
 			s.sourceHook = pulls.wrap
 
 			// The cells raced: (suite, app, policy) for the main suite's
@@ -209,7 +219,7 @@ func TestRunMatrixSharedCells(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					// Start once the matrix has registered the cell with
-					// its group: from there on, a direct call must never
+					// its pass: from there on, a direct call must never
 					// simulate.
 					key := "run/" + c.app.Name + "/" + c.pol.Name
 					for !c.suite.memo.has(key) {
@@ -245,62 +255,66 @@ func TestRunMatrixSharedCells(t *testing.T) {
 				}
 			}
 			for _, app := range s.Apps() {
-				if n := pulls.n[app.Name]; n != app.Executions {
-					t.Errorf("%s: passes pulled %d executions, want each of %d exactly once", app.Name, n, app.Executions)
+				if n := pulls.sources[app.Name]; n != procs {
+					t.Errorf("%s: %d sources opened, want one per pass (%d)", app.Name, n, procs)
+				}
+				if n := pulls.pulls[app.Name]; n != procs*app.Executions {
+					t.Errorf("%s: %d executions pulled, want each of %d once per pass (%d)", app.Name, n, app.Executions, procs*app.Executions)
 				}
 			}
 		})
 	}
 }
 
-// has reports whether key has a memo entry.
-func (c *memo) has(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.m[key]
-	return ok
-}
-
 // TestGroupCellErrors checks that a failing cell fails only its own memo
-// entry: the rest of its group computes the same results as solo runs.
+// entry and its own task, at any worker count: the rest of its passes
+// compute the same results as solo runs.
 func TestGroupCellErrors(t *testing.T) {
-	s, err := NewSuite(DefaultSeed, sim.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	app, _ := workload.ByName("nedit")
-	boom := s.PolicyPCAP(core.VariantBase)
-	boom.Name = "boom"
-	boom.RoundTrip = func(predictor.Factory) (predictor.Factory, error) { return nil, errors.New("boom") }
-	invalid := sim.Policy{Name: "invalid"}
-	good := []sim.Policy{s.PolicyTP(), s.PolicyPCAP(core.VariantBase)}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("parallel=%d", workers), func(t *testing.T) {
+			s, err := NewSuite(DefaultSeed, sim.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			app, _ := workload.ByName("nedit")
+			boom := s.PolicyPCAP(core.VariantBase)
+			boom.Name = "boom"
+			boom.RoundTrip = func(predictor.Factory) (predictor.Factory, error) { return nil, errors.New("boom") }
+			invalid := sim.Policy{Name: "invalid"}
+			good := []sim.Policy{s.PolicyTP(), s.PolicyPCAP(core.VariantBase)}
 
-	var l taskList
-	g := l.group(s, app)
-	for _, pol := range []sim.Policy{good[0], boom, invalid, good[1]} {
-		g.add(&s.memo, "run/"+app.Name+"/"+pol.Name, sim.Cell{Runner: s.runner, Policy: pol})
-	}
-	close(g.ready)
-	if err := l.runGroup(); err == nil || !strings.Contains(err.Error(), "under boom") {
-		t.Errorf("group error = %v, want the first failed cell's (boom)", err)
-	}
-	for _, pol := range []sim.Policy{boom, invalid} {
-		if _, err := s.Run(app, pol); err == nil || !strings.Contains(err.Error(), "nedit under "+pol.Name) {
-			t.Errorf("%s: err = %v, want the cell's own labelled error", pol.Name, err)
-		}
-	}
-	for _, pol := range good {
-		res, err := s.Run(app, pol)
-		if err != nil {
-			t.Fatalf("%s: %v", pol.Name, err)
-		}
-		want, err := sim.MustNewRunner(sim.DefaultConfig()).RunSource(s.SourceFor(app), pol)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fmt.Sprintf("%+v", res) != fmt.Sprintf("%+v", want) {
-			t.Errorf("%s: grouped result differs from a solo run:\n got %+v\nwant %+v", pol.Name, res, want)
-		}
+			// Two passes: {TP, boom} and {invalid, PCAP}.
+			var l taskList
+			for _, pol := range []sim.Policy{good[0], boom, invalid, good[1]} {
+				l.addRun("", s, app, pol)
+			}
+			l.split(2)
+			if len(l.passes) != 2 {
+				t.Fatalf("%d passes, want 2", len(l.passes))
+			}
+			err = RunTasks(l.tasks, workers)
+			if want := "experiments: task run/nedit/boom: experiments: nedit under boom:"; err == nil || !strings.HasPrefix(err.Error(), want) {
+				t.Errorf("RunTasks error = %v, want the first failed cell's own task (%s …)", err, want)
+			}
+			for _, pol := range []sim.Policy{boom, invalid} {
+				if _, err := s.Run(app, pol); err == nil || !strings.Contains(err.Error(), "nedit under "+pol.Name) {
+					t.Errorf("%s: err = %v, want the cell's own labelled error", pol.Name, err)
+				}
+			}
+			for _, pol := range good {
+				res, err := s.Run(app, pol)
+				if err != nil {
+					t.Fatalf("%s: %v", pol.Name, err)
+				}
+				want, err := sim.MustNewRunner(sim.DefaultConfig()).RunSource(s.SourceFor(app), pol)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fmt.Sprintf("%+v", res) != fmt.Sprintf("%+v", want) {
+					t.Errorf("%s: grouped result differs from a solo run:\n got %+v\nwant %+v", pol.Name, res, want)
+				}
+			}
+		})
 	}
 }
 

@@ -40,24 +40,30 @@ type memoEntry struct {
 	err  error
 }
 
-// register makes fn the computation of key unless key already has an
-// entry, and reports whether it did.
-func (c *memo) register(key string, fn func() (any, error)) bool {
+// has reports whether key has an entry.
+func (c *memo) has(key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.m[key]; ok {
-		return false
-	}
+	_, ok := c.m[key]
+	return ok
+}
+
+// register makes fn the computation of key unless key already has an
+// entry.
+func (c *memo) register(key string, fn func() (any, error)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.m == nil {
 		c.m = make(map[string]*memoEntry)
 	}
-	c.m[key] = &memoEntry{fn: fn}
-	return true
+	if _, ok := c.m[key]; !ok {
+		c.m[key] = &memoEntry{fn: fn}
+	}
 }
 
-// do returns the memoized value for key, computing it on first use with
-// the registered computation, if any, else with fn. It runs exactly once
-// per key even under concurrent callers.
+// do returns the memoized value for key, computing it with the registered
+// computation, else fn, on first use — exactly once even under concurrent
+// callers.
 func (c *memo) do(key string, fn func() (any, error)) (any, error) {
 	c.mu.Lock()
 	if c.m == nil {
@@ -98,72 +104,99 @@ func ExperimentNames() []string {
 }
 
 // taskList accumulates tasks, deduplicating by name so experiments that
-// share cells (e.g. every figure's Base runs) enqueue them once. Its
-// simulation cells are grouped per application (cellGroup).
+// share cells (e.g. every figure's Base runs) enqueue them once, and
+// collects the simulation cells for split.
 type taskList struct {
 	seen   map[string]bool
 	tasks  []Task
-	groups []*cellGroup
-	sorted sync.Once
+	cells  []listCell
+	passes []*cellPass
+	order  sync.Once
+	next   atomic.Int64 // index of the next pass to start
 }
 
-func (l *taskList) add(name string, run func() error) {
+// listCell is a simulation cell that suite s memoizes under key.
+type listCell struct {
+	s    *Suite
+	app  *workload.App
+	key  string
+	cell sim.Cell
+}
+
+// add enqueues a task unless one of that name exists, and reports
+// whether it did.
+func (l *taskList) add(name string, run func() error) bool {
 	if l.seen == nil {
 		l.seen = make(map[string]bool)
 	}
 	if l.seen[name] {
-		return
+		return false
 	}
 	l.seen[name] = true
 	l.tasks = append(l.tasks, Task{Name: name, run: run})
+	return true
 }
 
 // addRun enqueues one simulation cell on suite target (the main suite or a
-// per-device sub-suite, disambiguated by prefix). Every run task runs
-// whichever group is next, so the first ones to execute compute whole
-// groups and the rest return at once.
+// per-device sub-suite, disambiguated by prefix). The task runs passes
+// until none is left to start, then returns its own cell's result.
 func (l *taskList) addRun(prefix string, target *Suite, app *workload.App, pol sim.Policy) {
 	key := "run/" + app.Name + "/" + pol.Name
-	l.add(prefix+key, l.runGroup)
-	l.group(target, app).add(&target.memo, key, sim.Cell{Runner: target.runner, Policy: pol})
-}
-
-// cellGroup is one application's simulation cells from one task list:
-// main-suite, device sub-suite and multistate PCAP+lp cells alike share
-// the file-cache config, so one sim.RunCells pass computes them all
-// (DESIGN.md §8). Each cell keeps its own memo entry, whose registered
-// computation runs the group's pass, or waits for it.
-type cellGroup struct {
-	s       *Suite
-	app     *workload.App
-	cells   []sim.Cell
-	ios     int           // the app's pre-cache I/O count: the scheduling key
-	ready   chan struct{} // closed once the task list is complete
-	claimed atomic.Bool   // the pass has started
-	once    sync.Once
-	res     []*sim.AppResult
-	errs    []error
-}
-
-// add makes cell c the computation of key in memo m, unless the cell
-// already has an entry (computed, in flight, or in another group).
-func (g *cellGroup) add(m *memo, key string, c sim.Cell) {
-	i := len(g.cells)
-	if m.register(key, func() (any, error) { return g.result(i) }) {
-		g.cells = append(g.cells, c)
+	if l.add(prefix+key, func() error {
+		l.work()
+		_, err := target.Run(app, pol)
+		return err
+	}) {
+		l.cells = append(l.cells, listCell{target, app, key, sim.Cell{Runner: target.runner, Policy: pol}})
 	}
 }
 
-// result runs the group's pass, or waits for it, and returns cell i's
-// outcome.
-func (g *cellGroup) result(i int) (any, error) {
-	<-g.ready
-	g.claimed.Store(true)
-	g.once.Do(func() { g.res, g.errs = sim.RunCells(g.s.SourceFor(g.app), g.cells) })
-	if g.errs[i] != nil {
-		return nil, cellError(g.app, g.cells[i].Policy, g.errs[i])
+// split divides each application's cells that have no memo entry yet into
+// at most workers passes of consecutive cells, so one application's cells
+// can run side by side. Main-suite, dev/* and PCAP+lp cells share the
+// file-cache config, so a pass prepares each execution once for all its
+// cells (DESIGN.md §8). Each cell's memo entry takes its result from its
+// pass.
+func (l *taskList) split(workers int) {
+	for _, app := range workload.Apps() {
+		var cells []listCell
+		for _, c := range l.cells {
+			if c.app == app && !c.s.memo.has(c.key) {
+				cells = append(cells, c)
+			}
+		}
+		for j, k := 0, min(len(cells), workers); j < k; j++ {
+			part := cells[j*len(cells)/k : (j+1)*len(cells)/k]
+			p := &cellPass{s: part[0].s, app: app}
+			for _, c := range part {
+				p.cells = append(p.cells, c.cell)
+			}
+			for i, c := range part {
+				c.s.memo.register(c.key, func() (any, error) { return p.result(i) })
+			}
+			l.passes = append(l.passes, p)
+		}
 	}
-	return g.res[i], nil
+}
+
+// cellPass is one sim.RunCells pass over cells of app.
+type cellPass struct {
+	s     *Suite // whose SourceFor feeds the pass
+	app   *workload.App
+	ios   int // the app's pre-cache I/O count: the scheduling key
+	cells []sim.Cell
+	once  sync.Once
+	res   []*sim.AppResult
+	errs  []error
+}
+
+// result runs the pass, or waits for it, and returns cell i's outcome.
+func (p *cellPass) result(i int) (any, error) {
+	p.once.Do(func() { p.res, p.errs = sim.RunCells(p.s.SourceFor(p.app), p.cells) })
+	if p.errs[i] != nil {
+		return nil, cellError(p.app, p.cells[i].Policy, p.errs[i])
+	}
+	return p.res[i], nil
 }
 
 // cellError labels a failed cell's error with its app and policy.
@@ -171,46 +204,25 @@ func cellError(app *workload.App, pol sim.Policy, err error) error {
 	return fmt.Errorf("experiments: %s under %s: %w", app.Name, pol.Name, err)
 }
 
-// group returns the task list's group for app, creating it on first use.
-func (l *taskList) group(s *Suite, app *workload.App) *cellGroup {
-	for _, g := range l.groups {
-		if g.app == app {
-			return g
-		}
-	}
-	g := &cellGroup{s: s, app: app, ready: make(chan struct{})}
-	l.groups = append(l.groups, g)
-	return g
-}
-
-// runGroup is the body of every run task: it runs the pass of the largest
-// group nobody has started and returns its first failed cell's error, or
-// returns at once if every group has started. Size is the pre-cache I/O
-// count of the generated traces, so the longest pass starts first;
-// on-demand suites have no traces to count and keep registration order.
-func (l *taskList) runGroup() error {
-	l.sorted.Do(func() {
-		if l.groups[0].s.OnDemand() {
-			return
-		}
-		for _, g := range l.groups {
-			for _, tr := range g.s.Traces(g.app) {
-				g.ios += tr.IOCount()
+// work runs the passes nobody has started, largest application first,
+// until none is left; cell errors are left to the cells' own tasks. Size
+// is the pre-cache I/O count of the generated traces; on-demand suites
+// have no traces to count and keep registration order.
+func (l *taskList) work() {
+	l.order.Do(func() {
+		for _, p := range l.passes {
+			if p.s.OnDemand() {
+				return
+			}
+			for _, tr := range p.s.Traces(p.app) {
+				p.ios += tr.IOCount()
 			}
 		}
-		sort.SliceStable(l.groups, func(i, j int) bool { return l.groups[i].ios > l.groups[j].ios })
+		sort.SliceStable(l.passes, func(i, j int) bool { return l.passes[i].ios > l.passes[j].ios })
 	})
-	for _, g := range l.groups {
-		if g.claimed.CompareAndSwap(false, true) {
-			for i := range g.cells {
-				if _, err := g.result(i); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
+	for i := int(l.next.Add(1)) - 1; i < len(l.passes); i = int(l.next.Add(1)) - 1 {
+		_, _ = l.passes[i].result(0)
 	}
-	return nil
 }
 
 // Tasks returns the full evaluation matrix: every cell of every
@@ -226,12 +238,6 @@ func (s *Suite) TasksFor(exps ...string) ([]Task, error) {
 		known[e] = true
 	}
 	var l taskList
-	// Groups open once complete: a pass never sees its cells change.
-	defer func() {
-		for _, g := range l.groups {
-			close(g.ready)
-		}
-	}()
 	needsTraces := false
 	for _, e := range exps {
 		if !known[e] {
@@ -257,6 +263,8 @@ func (s *Suite) TasksFor(exps ...string) ([]Task, error) {
 			return nil, err
 		}
 	}
+	// No more passes than CPUs can run at once.
+	l.split(runtime.GOMAXPROCS(0))
 	return l.tasks, nil
 }
 
@@ -301,12 +309,14 @@ func (s *Suite) appendTasks(l *taskList, exp string) error {
 			return err
 		}
 		for _, app := range s.Apps() {
-			l.group(s, app).add(&s.memo, lowPowerKey(app), sim.Cell{Runner: lp, Policy: s.policyLowPower()})
+			app := app
+			if l.add("multistate/"+app.Name, func() error {
+				_, err := s.multiStateRow(app)
+				return err
+			}) {
+				l.cells = append(l.cells, listCell{s, app, lowPowerKey(app), sim.Cell{Runner: lp, Policy: s.policyLowPower()}})
+			}
 		}
-		perApp("multistate", func(app *workload.App) error {
-			_, err := s.multiStateRow(app)
-			return err
-		})
 	case "predictors":
 		grid(append([]sim.Policy{s.PolicyBase()}, s.predictorPolicies()...))
 	case "devices":

@@ -132,8 +132,8 @@ func (s *Suite) OnDemand() bool { return s.traces.OnDemand() }
 
 // Run simulates app under pol, memoized by (app, policy name). Concurrent
 // callers of the same cell block on one simulation and share its result.
-// A cell that TasksFor grouped is computed by its group's shared pass,
-// which Run starts or waits for (see cellGroup).
+// A cell in a TasksFor pass is computed by that pass, which Run starts or
+// waits for (see cellPass).
 func (s *Suite) Run(app *workload.App, pol sim.Policy) (*sim.AppResult, error) {
 	return s.cell("run/"+app.Name+"/"+pol.Name, s.runner, app, pol)
 }

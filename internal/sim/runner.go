@@ -129,20 +129,15 @@ type PeriodRecord struct {
 
 // Runner executes policies over application traces.
 //
-// A Runner is safe for concurrent RunApp/RunSource/RunCells calls: cfg
-// is immutable after construction, and all per-run state — the file
-// cache, the prepared execution, the per-pid predictors and decisions —
-// lives in a pooled runState that exactly one run owns at a time (see
-// getState), plus the run's own AppResult. Traces are read only: events
-// are copied by value into the access stream. The parallel experiment
-// engine (internal/experiments.RunMatrix) relies on this. Sources
-// themselves are single-goroutine iterators: concurrent runs need
-// distinct Source values (over shared read-only traces is fine).
-// The one caveat is PeriodHook: it fires synchronously on the goroutine
-// running the simulation, so a hook installed on a shared Runner must
-// itself be safe for concurrent use (set it before the first run; the
-// hook is a serial debugging aid and the experiment engine never
-// installs one).
+// A Runner is safe for concurrent runs: cfg is immutable after
+// construction, and all per-run state (file cache, prepared execution,
+// predictors) lives in a pooled runState that one run owns at a time
+// (see getState). Traces are read only. The parallel experiment engine
+// (internal/experiments.RunMatrix) relies on this. Sources are
+// single-goroutine iterators, so concurrent runs need distinct Sources.
+// PeriodHook fires on the goroutine running the simulation, so a hook on
+// a shared Runner must itself be safe for concurrent use (the experiment
+// engine never installs one).
 type Runner struct {
 	cfg Config
 	// PeriodHook, if non-nil, receives a record for every evaluated
@@ -212,8 +207,7 @@ type Cell struct {
 }
 
 // CacheMismatchError rejects a RunCells cell whose runner's file cache
-// configuration differs from the first cell's, which the pass prepares
-// every execution with.
+// configuration differs from the first cell's, which prepares the pass.
 type CacheMismatchError struct {
 	Cell      int
 	Want, Got fscache.Config
@@ -255,9 +249,8 @@ func RunCells(src trace.Source, cells []Cell) ([]*AppResult, []error) {
 }
 
 // drive pulls each execution of src once, prepares it in the first live
-// machine's runState and steps every live machine through it. Nil
-// machines are skipped. The caller finishes the machines, which surfaces
-// source errors.
+// machine's runState and steps every live (non-nil) machine through it.
+// The caller's finish surfaces source errors.
 func drive(src trace.Source, ms []*machine) {
 	live := slices.DeleteFunc(slices.Clone(ms), func(m *machine) bool { return m == nil })
 	for len(live) > 0 {
@@ -265,8 +258,7 @@ func drive(src trace.Source, ms []*machine) {
 		if !ok {
 			return
 		}
-		live = slices.DeleteFunc(live, func(m *machine) bool { return !m.advance(app) })
-		if len(live) == 0 {
+		if live = slices.DeleteFunc(live, func(m *machine) bool { return !m.advance(app) }); len(live) == 0 {
 			return
 		}
 		ex, err := live[0].load(app, exec)
