@@ -146,12 +146,13 @@ func (s *Server) worker() {
 
 // runJob executes one job inside a pooled context. The jobContext is
 // drawn from and returned to the pool here — never retained past the
-// job — and its stats shard is flushed before the context goes back, so
-// a parked context holds no uncommitted counter deltas.
+// job. The job's stats shard is flushed and its completion counted
+// before finish wakes the job's waiters, so a client that waited for the
+// job sees it in /stats, and a parked context holds no uncommitted
+// counter deltas.
 func (s *Server) runJob(job *Job) {
 	jc := s.ctxPool.Get().(*jobContext)
 	defer s.ctxPool.Put(jc)
-	defer jc.local.Flush()
 
 	if !job.start() {
 		return // canceled while queued
@@ -167,20 +168,19 @@ func (s *Server) runJob(job *Job) {
 	out, err := s.execute(ctx, job, jc)
 	cancel()
 
+	state, msg := StateDone, ""
 	switch {
 	case err == nil:
-		job.finish(StateDone, out, "")
-		s.counters.JobDone(false)
 	case errors.Is(err, context.Canceled):
-		job.finish(StateCanceled, "", "canceled: "+err.Error())
-		s.counters.JobDone(true)
+		state, out, msg = StateCanceled, "", "canceled: "+err.Error()
 	case errors.Is(err, context.DeadlineExceeded):
-		job.finish(StateFailed, "", fmt.Sprintf("timeout after %s: %v", timeout, err))
-		s.counters.JobDone(true)
+		state, out, msg = StateFailed, "", fmt.Sprintf("timeout after %s: %v", timeout, err)
 	default:
-		job.finish(StateFailed, "", err.Error())
-		s.counters.JobDone(true)
+		state, out, msg = StateFailed, "", err.Error()
 	}
+	jc.local.Flush()
+	s.counters.JobDone(err != nil)
+	job.finish(state, out, msg)
 }
 
 // suiteKey identifies a reusable experiment suite inside a jobContext.

@@ -566,3 +566,31 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Errorf("stats view: %+v", sv)
 	}
 }
+
+// TestStatsCountsWaitedJobs: a client that waited for its job with
+// ?wait=1 and then reads /stats must find the job counted — done, and
+// its events and executions committed — every time, not eventually.
+func TestStatsCountsWaitedJobs(t *testing.T) {
+	_, hs := newTestServer(t, Config{Workers: 2})
+	spec := JobSpec{Kind: KindEval, App: "nedit", Policies: []string{"base"}, Execs: 1}
+	var events, execs int64
+	for i := int64(1); i <= 200; i++ {
+		v := submitWait(t, hs.URL, spec)
+		events += v.Events
+		execs += v.Execs
+		resp, err := http.Get(hs.URL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sv statsView
+		err = json.NewDecoder(resp.Body).Decode(&sv)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sv.JobsDone != i || sv.Events != events || sv.Execs != execs {
+			t.Fatalf("after job %d: /stats reports %d done, %d events, %d execs; want %d, %d, %d",
+				i, sv.JobsDone, sv.Events, sv.Execs, i, events, execs)
+		}
+	}
+}
