@@ -876,8 +876,9 @@ func BenchmarkScalePeakStreaming10(b *testing.B)    { benchScalePeak(b, 10, true
 // fleetBenchConfig is the shared fleet benchmark setup: n machines, one
 // execution each, heterogeneous devices from the full catalog, the default
 // six-app mix, and arrivals at a constant rate (one machine every 30
-// virtual seconds), so the concurrently active set — sessions run tens of
-// virtual minutes — is a few dozen machines regardless of fleet size.
+// virtual seconds), so the concurrently active set the report's peak
+// concurrency counts — sessions run tens of virtual minutes — is a few
+// dozen machines regardless of fleet size.
 func fleetBenchConfig(b *testing.B, n int) fleet.Config {
 	b.Helper()
 	pf, err := experiments.FleetPolicy("pcap", sim.DefaultConfig())
@@ -893,7 +894,7 @@ func fleetBenchConfig(b *testing.B, n int) fleet.Config {
 	}
 }
 
-// benchFleet measures shared-clock fleet throughput (machines/s, events/s).
+// benchFleet measures fleet throughput (machines/s, events/s).
 func benchFleet(b *testing.B, n int) {
 	b.Helper()
 	cfg := fleetBenchConfig(b, n)
@@ -954,9 +955,9 @@ func BenchmarkFleetReplay1k(b *testing.B) {
 
 // benchFleetPeakHeap measures the peak live heap during a fleet run,
 // sampled by a GC-then-read goroutine — the number that demonstrates
-// O(active machines) memory: at a constant arrival rate it stays
-// near-flat from FleetPeakHeap1k to FleetPeakHeap10k while total work
-// grows 10x. It is separate from the throughput benchmarks because the
+// O(workers) simulation memory: it stays near-flat from FleetPeakHeap1k
+// to FleetPeakHeap10k while total work grows 10x, growing only by the
+// per-machine result summaries the fold keeps. It is separate from the throughput benchmarks because the
 // forced GCs distort timing.
 func benchFleetPeakHeap(b *testing.B, n int) {
 	b.Helper()

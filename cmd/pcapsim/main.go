@@ -13,10 +13,10 @@
 // Experiments: table1, table2, table3, fig6, fig7, fig8, fig9, fig10,
 // tpsweep, multistate, predictors, devices, prefetch, and "all".
 //
-// -fleet N simulates a fleet of N machines on a shared virtual clock
-// (internal/fleet) instead of the paper's per-app experiments: machines
-// draw heterogeneous devices from the disk catalog and per-execution
-// applications from the -mix weights ("app:weight,app:weight"; default
+// -fleet N simulates a fleet of N machines (internal/fleet), each
+// session run to completion through the simulator, instead of the
+// paper's per-app experiments: machines draw heterogeneous devices from
+// the disk catalog and per-execution applications from the -mix weights ("app:weight,app:weight"; default
 // all six apps equally), run sessions of -duration virtual time with
 // arrivals staggered across one session, and the run prints each
 // policy's aggregate fleet report plus a cross-policy comparison. The

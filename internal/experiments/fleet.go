@@ -13,7 +13,7 @@ import (
 // paper's single-machine figures; the fleet row asks what the same
 // policies do across a whole machine population — heterogeneous devices,
 // per-machine app mixes, staggered sessions — using internal/fleet's
-// shared-clock engine. It is rendered by the CLI's -fleet mode and is not
+// engine. It is rendered by the CLI's -fleet mode and is not
 // part of ExperimentNames: the golden suite output stays pinned to the
 // paper's figures.
 

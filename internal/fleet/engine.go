@@ -11,87 +11,29 @@ import (
 	"pcapsim/internal/trace"
 )
 
-// The shared-clock engine.
+// The engine.
 //
-// Machines are sharded across workers in contiguous ID ranges. Each worker
-// multiplexes its shard over a binary min-heap of global next-event times:
-// the shard's virtual clock is min(next arrival, heap minimum), machines
-// materialize state lazily when the clock reaches their arrival, advance
-// in batched steps while they hold the earliest scheduled event, and
-// retire — releasing their pooled runState and event buffer — the moment
-// their session drains. Live memory therefore tracks the number of
-// machines whose sessions overlap, not the fleet size or the event count.
+// Machines are sharded across workers in contiguous ID ranges. A worker
+// simulates its shard one machine at a time: each machine's whole session
+// is one Runner.RunSource call over its mixSource — the same drive loop
+// the experiment matrix and the daemon use — and the result lands at
+// results[id]. Machines never interact, so no machine's result depends on
+// when, or next to whom, it is simulated.
 //
-// Machines never interact, so the interleaving the heap picks cannot
-// change any machine's result; it exists to bound memory. Determinism
-// across worker counts comes from the fold: per-machine results land in a
-// fleet-indexed slice and are committed to the aggregate strictly in
-// machine-ID order, fixing every floating-point accumulation order.
-
-// live is one active machine's engine-side state.
-type live struct {
-	m *sim.Machine
-	// arrival offsets the machine's session-relative event times onto the
-	// fleet's shared clock.
-	arrival trace.Time
-}
-
-// heapItem schedules one machine's next event on the shared clock.
-type heapItem struct {
-	t  trace.Time // global time: arrival + session-relative next event
-	id int        // machine ID, the deterministic tie-break
-	lm *live
-}
-
-// eventHeap is a hand-rolled binary min-heap of scheduled machine events,
-// ordered by (time, machine ID).
-type eventHeap []heapItem
-
-func (h eventHeap) before(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].id < h[j].id
-}
-
-func (h *eventHeap) push(it heapItem) {
-	*h = append(*h, it)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !(*h).before(i, parent) {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) pop() heapItem {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	old[n] = heapItem{} // release the *live reference
-	*h = old[:n]
-	i := 0
-	for {
-		left, right := 2*i+1, 2*i+2
-		least := i
-		if left < n && old.before(left, least) {
-			least = left
-		}
-		if right < n && old.before(right, least) {
-			least = right
-		}
-		if least == i {
-			break
-		}
-		old[i], old[least] = old[least], old[i]
-		i = least
-	}
-	return top
-}
+// Within a shard, machines run grouped by device, in (Spec.Device, id)
+// order. A machine borrows its device runner's pooled runState and
+// returns it on completion; grouping hands that same state, with its
+// grown file cache and event buffers, straight to the next machine on
+// the same runner. Interleaving devices would cycle states through
+// several pools, where a GC can drop them and the next machine regrows
+// every buffer from scratch. Live simulation state is therefore one
+// runState per worker, whatever the fleet size or how many sessions
+// overlap on the fleet clock.
+//
+// Determinism across worker counts comes from the fold: per-machine
+// results land in a fleet-indexed slice and are committed to the
+// aggregate strictly in machine-ID order, fixing every floating-point
+// accumulation order.
 
 // Result is a fleet run's aggregate accounting. Every field is identical
 // — byte-for-byte under Render — for a given Config regardless of worker
@@ -117,7 +59,7 @@ type Result struct {
 	Wakeups  int64
 	WaitTime trace.Time
 	// MachineTime is the summed per-machine session length; SimTime is
-	// the fleet horizon (the latest session end on the shared clock).
+	// the fleet horizon (the latest arrival-plus-session end).
 	MachineTime trace.Time
 	SimTime     trace.Time
 	// PeakConcurrent is the maximum number of simultaneously active
@@ -194,116 +136,30 @@ func (f *Fleet) Run() (*Result, error) {
 	return f.fold(results), nil
 }
 
-// runShard advances the given machines over one shared-clock heap,
-// writing each machine's result into results[id]. The ids may arrive in
-// any order — the schedule is rebuilt from arrival times, so shard
-// composition, not ID insertion order, determines the advancement
-// sequence, and machine independence makes even that sequence
-// result-neutral.
+// runShard simulates the given machines one at a time, grouped by
+// device, writing each machine's result into results[id]. The order the
+// ids arrive in does not matter: the run order is (device, id).
 func (f *Fleet) runShard(ids []int, results []sim.AppResult) error {
-	type arrival struct {
-		at  trace.Time
-		id  int
-		dev int
+	type job struct{ dev, id int }
+	jobs := make([]job, len(ids))
+	for i, id := range ids {
+		jobs[i] = job{dev: f.Spec(id).Device, id: id}
 	}
-	arr := make([]arrival, 0, len(ids))
-	for _, id := range ids {
-		s := f.Spec(id)
-		arr = append(arr, arrival{at: s.Arrival, id: id, dev: s.Device})
-	}
-	sort.Slice(arr, func(i, j int) bool {
-		if arr[i].at != arr[j].at {
-			return arr[i].at < arr[j].at
+	sort.Slice(jobs, func(i, j int) bool {
+		if jobs[i].dev != jobs[j].dev {
+			return jobs[i].dev < jobs[j].dev
 		}
-		return arr[i].id < arr[j].id
+		return jobs[i].id < jobs[j].id
 	})
-
-	retire := func(id int, lm *live) error {
-		res, err := lm.m.Finish()
+	for _, j := range jobs {
+		res, err := f.runners[j.dev].RunSource(f.newMixSource(j.id), f.policies[j.dev])
 		if err != nil {
-			return fmt.Errorf("fleet: machine %d: %w", id, err)
+			return fmt.Errorf("fleet: machine %d: %w", j.id, err)
 		}
-		results[id] = *res
-		return nil
-	}
-
-	var h eventHeap
-	ai := 0
-	for ai < len(arr) || len(h) > 0 {
-		if f.cfg.Interrupt != nil {
-			if err := f.cfg.Interrupt(); err != nil {
-				return fmt.Errorf("fleet: interrupted: %w", err)
-			}
-		}
-		// Admit every machine whose arrival does not come after the next
-		// scheduled event: the shard clock is min(next arrival, heap min),
-		// and state materializes only when the clock reaches the arrival.
-		for ai < len(arr) && (len(h) == 0 || arr[ai].at <= h[0].t) {
-			a := arr[ai]
-			ai++
-			m, err := f.runners[a.dev].NewMachine(f.newMixSource(a.id), f.policies[a.dev])
-			if err != nil {
-				return fmt.Errorf("fleet: machine %d: %w", a.id, err)
-			}
-			lm := &live{m: m, arrival: a.at}
-			t, ok := m.NextTime()
-			if !ok {
-				if err := retire(a.id, lm); err != nil {
-					return err
-				}
-				continue
-			}
-			h.push(heapItem{t: a.at + t, id: a.id, lm: lm})
-		}
-		if len(h) == 0 {
-			continue
-		}
-		it := h.pop()
-		// Batched stepping: keep advancing this machine while it holds the
-		// earliest scheduled work, so runs of consecutive events on one
-		// machine cost no heap traffic. The batch is bounded only by
-		// limit, which is infClock for the last live machine, so the
-		// Interrupt hook is polled every interruptStride steps within a
-		// batch too — a tail machine must not outrun cancellation by
-		// more than a bounded slice of work.
-		limit := infClock
-		if len(h) > 0 {
-			limit = h[0].t
-		}
-		if ai < len(arr) && arr[ai].at < limit {
-			limit = arr[ai].at
-		}
-		for steps := 1; ; steps++ {
-			if steps%interruptStride == 0 && f.cfg.Interrupt != nil {
-				if err := f.cfg.Interrupt(); err != nil {
-					return fmt.Errorf("fleet: interrupted: %w", err)
-				}
-			}
-			it.lm.m.Step()
-			t, ok := it.lm.m.NextTime()
-			if !ok {
-				if err := retire(it.id, it.lm); err != nil {
-					return err
-				}
-				break
-			}
-			if gt := it.lm.arrival + t; gt > limit {
-				h.push(heapItem{t: gt, id: it.id, lm: it.lm})
-				break
-			}
-		}
+		results[j.id] = *res
 	}
 	return nil
 }
-
-// infClock is a sentinel beyond any event time.
-const infClock = trace.Time(1<<63 - 1)
-
-// interruptStride is how many steps a batch may advance one machine
-// between Interrupt polls. Large enough that the poll (an atomic load
-// for ctx.Err) vanishes against the step work, small enough that
-// cancellation latency stays in the microsecond range.
-const interruptStride = 4096
 
 // fold commits the per-machine results to the aggregate strictly in
 // machine-ID order — the single place the fleet's floating-point

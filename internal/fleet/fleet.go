@@ -1,32 +1,29 @@
-// Package fleet simulates a fleet of concurrent user machines on a shared
-// virtual clock.
+// Package fleet simulates a fleet of user machines with staggered
+// session arrivals.
 //
 // The single-machine simulator (internal/sim) answers "what does a policy
 // save on one machine's disk over one session". The fleet engine answers
 // the production-scale question: what do PCAP/TP/LT save across
 // thousands-to-millions of machines with heterogeneous disks, per-machine
-// application mixes, and staggered session arrivals. It is built directly
-// on the stepable sim.Machine extracted from the run loop: every machine
-// is one Machine, the engine multiplexes their next-event times over a
-// min-heap, and aggregate accounting is coalesced per machine and
-// committed in machine-ID order so the report is byte-identical at any
-// worker count.
+// application mixes, and staggered session arrivals. Every machine's
+// session is one Runner.RunSource call over a generated source, run to
+// completion on its shard's worker; aggregate accounting is coalesced
+// per machine and committed in machine-ID order so the report is
+// byte-identical at any worker count.
 //
 // Determinism contract: everything a machine does is a pure function of
 // (Config.Seed, machine ID) — its arrival time, its device, its workload
 // seed and its per-execution application picks all derive from one
-// splittable rng chain (see Spec). Worker count, shard assignment and heap
-// interleaving only change the order independent machines are advanced
-// in, never any machine's own event sequence, and the final fold walks
-// machine IDs in increasing order, fixing every floating-point
-// accumulation order.
+// splittable rng chain (see Spec). Worker count, shard assignment and run
+// order only change when independent machines are simulated, never any
+// machine's own event sequence, and the final fold walks machine IDs in
+// increasing order, fixing every floating-point accumulation order.
 //
-// Memory contract: live state is O(active machines), not O(events) and
-// not O(total machines beyond one small summary each). A machine
-// materializes its runState (borrowed from the per-device runner's
-// sync.Pool) only between its arrival and its retirement; its trace
-// events stream through one pooled per-machine buffer, one execution at a
-// time.
+// Memory contract: live simulation state is O(workers): each worker
+// holds one machine's runState (borrowed from the per-device runner's
+// sync.Pool) and one pooled event buffer at a time, whatever the fleet
+// size or session overlap. Beyond that the fleet keeps one result summary
+// per machine for the fold.
 package fleet
 
 import (
@@ -71,8 +68,10 @@ type Config struct {
 	Executions int
 	// Stagger is the arrival window: machine session arrivals are uniform
 	// in [0, Stagger). It defaults to Session — sessions ramp up over one
-	// session length — and only shapes how many machines are concurrently
-	// active (and therefore peak memory), never any machine's results.
+	// session length. Arrivals shape only the fleet horizon
+	// (Result.SimTime) and how many sessions overlap
+	// (Result.PeakConcurrent), never any machine's results or the
+	// engine's memory.
 	Stagger trace.Time
 	// Mix is the application mix; each machine draws an app per execution
 	// from these weights. Empty defaults to the paper's six applications,
@@ -110,12 +109,13 @@ type Config struct {
 	// calling goroutine. The pointed-to result is owned by the engine;
 	// copy it to retain it.
 	Observe func(id int, res *sim.AppResult)
-	// Interrupt, if non-nil, is polled by every shard between machine
-	// advances and at a fixed step stride inside long advancement
-	// batches; a non-nil return aborts the run with that error. Wire
+	// Interrupt, if non-nil, is polled before every execution a machine
+	// starts; a non-nil return ends that machine's session and aborts
+	// the run with an error wrapping it. Cancellation latency is
+	// therefore at most one execution's simulation per worker. Wire
 	// ctx.Err here to make a fleet run cancelable (the daemon's per-job
 	// timeouts and client disconnects). Interrupt must be safe for
-	// concurrent calls and cheap — it runs on the shard hot loop.
+	// concurrent calls.
 	Interrupt func() error
 }
 

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"sync"
 
 	"pcapsim/internal/rng"
@@ -9,8 +10,8 @@ import (
 
 // mixBufPool recycles per-machine event buffers across machine lifetimes:
 // a mixSource owns one buffer from its first NextExec to the call that
-// reports exhaustion, so a fleet's live buffer count tracks the number of
-// concurrently active machines, not the total machine count.
+// reports exhaustion, so a fleet's live buffer count is one per worker,
+// not one per machine.
 var mixBufPool sync.Pool // of *[]trace.Event
 
 // getMixBuf fetches a recycled (empty, capacity-preserving) buffer.
@@ -41,7 +42,9 @@ func putMixBuf(buf []trace.Event) {
 // re-drawn each execution from the machine's deterministic pick stream,
 // and the session is bounded by virtual time (Config.Session) or an
 // execution count (Config.Executions) instead of an app's recorded
-// executions.
+// executions. It is also the fleet's cancellation point: NextExec polls
+// Config.Interrupt before every execution and ends the session on the
+// first error, which Err reports.
 //
 // The per-app execution indices advance independently (the third mozilla
 // session a machine starts is mozilla execution 2 regardless of what ran
@@ -59,6 +62,7 @@ type mixSource struct {
 	elapsed trace.Time    // session clock: sum of finished execution durations
 	cur     []trace.Event // current execution's events (recycled buffer)
 	pos     int           // next event within cur
+	err     error         // first Interrupt error; ends the session
 }
 
 // newMixSource builds machine id's session source. The rng draw order is
@@ -85,10 +89,11 @@ func (s *mixSource) exhausted() bool {
 	return s.emitted > 0 && s.elapsed >= s.f.cfg.Session
 }
 
-// NextExec implements trace.Source: draw the next application, generate
-// its next execution into the recycled buffer, and advance the session
-// clock by the previous execution's duration — mirroring the simulator's
-// session clock, under which executions abut end-to-start.
+// NextExec implements trace.Source: poll Config.Interrupt, draw the next
+// application, generate its next execution into the recycled buffer, and
+// advance the session clock by the previous execution's duration —
+// mirroring the simulator's session clock, under which executions abut
+// end-to-start.
 func (s *mixSource) NextExec() (string, int, bool) {
 	if len(s.cur) > 0 {
 		// The duration the simulator charges an execution is its last
@@ -96,7 +101,12 @@ func (s *mixSource) NextExec() (string, int, bool) {
 		// sum of those.
 		s.elapsed += s.cur[len(s.cur)-1].Time
 	}
-	if s.exhausted() {
+	if s.err == nil && s.f.cfg.Interrupt != nil {
+		if err := s.f.cfg.Interrupt(); err != nil {
+			s.err = fmt.Errorf("fleet: interrupted: %w", err)
+		}
+	}
+	if s.err != nil || s.exhausted() {
 		if s.cur != nil {
 			putMixBuf(s.cur)
 			s.cur = nil
@@ -135,8 +145,9 @@ func (s *mixSource) ExecEvents() []trace.Event {
 	return events
 }
 
-// Err implements trace.Source; generation cannot fail.
-func (s *mixSource) Err() error { return nil }
+// Err implements trace.Source: generation cannot fail, so the only error
+// is an interrupt.
+func (s *mixSource) Err() error { return s.err }
 
 // Reset implements trace.Source, rewinding to the session start. Replays
 // are identical: the pick stream is re-derived from the machine's root rng
@@ -152,5 +163,6 @@ func (s *mixSource) Reset() error {
 	s.elapsed = 0
 	s.cur = s.cur[:0]
 	s.pos = 0
+	s.err = nil
 	return nil
 }

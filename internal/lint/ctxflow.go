@@ -315,8 +315,9 @@ func isCASLoop(info *types.Info, body *ast.BlockStmt) bool {
 
 // isWorklistLoop recognizes `for len(q) > 0 { ... q grows ... }`: the
 // condition reads len of a local variable that the body appends to,
-// pushes into via a pointer-receiver method, or passes by address. The
-// fleet shard's event-heap drain is the canonical instance.
+// pushes into via a pointer-receiver method, or passes by address. An
+// event-queue or breadth-first drain is the canonical instance (the
+// corpus's Drain).
 func isWorklistLoop(info *types.Info, st *ast.ForStmt) bool {
 	// Collect the locals whose len() the condition reads.
 	lenOf := make(map[types.Object]bool)

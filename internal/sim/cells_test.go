@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -116,10 +117,28 @@ func TestRunCellsCacheMismatch(t *testing.T) {
 	sameAsSolo(t, r, pol, res[0], errs[0], traces)
 }
 
+// cutSource ends its workload with an error after the first execution,
+// the way an interrupted fleet session does.
+type cutSource struct {
+	*trace.SliceSource
+	pulls int
+	err   error
+}
+
+func (s *cutSource) NextExec() (string, int, bool) {
+	if s.pulls++; s.pulls > 1 {
+		s.err = context.Canceled
+		return "", 0, false
+	}
+	return s.SliceSource.NextExec()
+}
+
+func (s *cutSource) Err() error { return s.err }
+
 // TestRunCellsReturnsStates checks that every machine's pooled runState
-// goes back to its runner on the success and every failure path: repeated
-// passes with failing cells must keep drawing recycled states rather than
-// allocating fresh ones.
+// goes back to its runner on the success and every failure path, a
+// source error included: repeated passes with failing cells must keep
+// drawing recycled states rather than allocating fresh ones.
 func TestRunCellsReturnsStates(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random")
@@ -136,8 +155,11 @@ func TestRunCellsReturnsStates(t *testing.T) {
 			{Runner: r, Policy: Policy{Name: "invalid"}},
 			{Runner: r, Policy: tpPolicy(10 * trace.Second)},
 		})
+		if _, err := r.RunSource(&cutSource{SliceSource: trace.NewSliceSource(traces...)}, basePolicy()); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cut source: err = %v, want context.Canceled", err)
+		}
 	}
-	// Three machines per pass; a leak on any path would allocate at
+	// Four machines per pass; a leak on any path would allocate at
 	// least one state per pass.
 	if fresh >= passes {
 		t.Errorf("%d fresh runStates over %d passes: states are not returned to the pool", fresh, passes)

@@ -8,36 +8,30 @@ import (
 	"pcapsim/internal/trace"
 )
 
-// The stepable per-machine state machine.
+// The per-machine state machine.
 //
-// A machine is one simulated user machine: a policy, its predictor state,
-// a pooled runState, and a cursor into a stream of executions. It is the
-// unit the fleet engine (internal/fleet) multiplexes over a shared virtual
-// clock, and RunCells (runner.go) steps one machine per cell through each
-// shared execution, RunSource being its one-cell case. The extraction
-// preserves the original runSource/runExecution operation order bit for
-// bit: every float accumulation into the AppResult happens at the same
-// point in the same sequence, so results are byte-identical to the
-// pre-extraction simulator (enforced by the experiments suite golden and
-// the differential tests).
+// A machine is one simulation's state: a policy, its predictor state, a
+// pooled runState, and the execution being stepped. drive (runner.go)
+// pulls each execution from the source once and steps every machine
+// through it; RunCells runs one machine per cell, RunSource being its
+// one-cell case, and the fleet engine (internal/fleet) runs each fleet
+// machine's session as one RunSource. The extraction preserves the
+// original runSource/runExecution operation order bit for bit: every
+// float accumulation into the AppResult happens at the same point in the
+// same sequence, so results are byte-identical to the pre-extraction
+// simulator (enforced by the experiments suite golden and the
+// differential tests).
 //
-// Step protocol:
-//
-//	m, err := r.newMachine(src, pol, tr)
-//	for { if _, ok := m.nextTime(); !ok { break }; m.step() }
-//	res, err := m.finish()
-//
-// nextTime returns the session time of the machine's next disk access —
-// the local virtual clock, where executions abut end-to-start (execution
-// k+1's time 0 is the session instant at which execution k ended). It
-// transparently pulls, prepares and opens executions from the source as
-// the current one drains; executions with no disk accesses are accounted
-// (pure idle) and skipped in the same call. step processes exactly one
+// Per execution, drive calls advance (the policy's factory step), load
+// on one machine (drain and prepare), then openExecution and step once
+// per access on each machine. openExecution runs the execution's
+// accounting prologue; an execution with no disk accesses is accounted
+// as pure idle there and has nothing to step. step processes exactly one
 // access: the per-process predictor update, the global combiner decision
 // for the period the access opens, its classification and its energy
 // accounting. finish validates the source, resolves StateEntries and
-// returns the pooled scratch state; it must be called exactly once, after
-// which the machine is dead.
+// returns the pooled scratch state; it must be called exactly once,
+// after which the machine is dead.
 type machine struct {
 	r   *Runner
 	src trace.Source
@@ -56,12 +50,10 @@ type machine struct {
 	borrows    bool
 	execIdx    int // number of executions pulled from the source
 
-	ex   *execution // current open execution, nil before the first pull
-	i    int        // next access index within ex
-	base trace.Time // session time at which the current execution began
+	ex *execution // current open execution, nil before the first pull
+	i  int        // next access index within ex
 
-	err  error
-	done bool // source exhausted or failed; no further pulls
+	err error
 }
 
 // newMachine validates the policy and assembles a machine over src. The
@@ -98,42 +90,6 @@ func (r *Runner) newMachine(src trace.Source, pol Policy, tr *tracedRun) (*machi
 	}, nil
 }
 
-// nextTime returns the session time of the machine's next access, pulling
-// and opening executions from the source as needed. ok=false means the
-// machine has no further events — the source is exhausted or failed (see
-// finish) — and step must not be called.
-func (m *machine) nextTime() (trace.Time, bool) {
-	for m.ex == nil || m.i >= len(m.ex.accesses) {
-		if m.ex != nil {
-			// The current execution is fully processed: advance the
-			// session clock past it. Executions abut end-to-start.
-			m.base += m.ex.end
-			m.ex = nil
-		}
-		if m.done || !m.pullExecution() {
-			return 0, false
-		}
-	}
-	return m.base + m.ex.accesses[m.i].Time, true
-}
-
-// pullExecution pulls, prepares and opens the machine's next execution.
-// It returns false when the source is exhausted or an error occurred.
-func (m *machine) pullExecution() bool {
-	app, exec, ok := m.src.NextExec()
-	if !ok || !m.advance(app) {
-		m.done = true
-		return false
-	}
-	ex, err := m.load(app, exec)
-	if err != nil {
-		m.fail(err)
-		return false
-	}
-	m.openExecution(ex)
-	return true
-}
-
 // load drains execution (app, exec) from the source and prepares it
 // through the file cache in the machine's runState.
 func (m *machine) load(app string, exec int) (*execution, error) {
@@ -166,12 +122,11 @@ func (m *machine) advance(app string) bool {
 	return true
 }
 
-// fail latches the machine's first error and stops further pulls.
+// fail latches the machine's first error.
 func (m *machine) fail(err error) {
 	if m.err == nil {
 		m.err = err
 	}
-	m.done = true
 }
 
 // openExecution makes ex the current execution and runs its accounting
@@ -196,8 +151,8 @@ func (m *machine) openExecution(ex *execution) {
 	m.i = 0
 
 	if len(ex.accesses) == 0 {
-		// A silent execution: the disk just idles. nextTime retires it
-		// immediately (there is nothing to step).
+		// A silent execution: the disk just idles; there is nothing to
+		// step.
 		r.accountIdle(res, 0, ex.end)
 		return
 	}
@@ -235,8 +190,8 @@ func (m *machine) openExecution(ex *execution) {
 // step processes the machine's next access: it feeds the access to its
 // process's predictor, merges the standing decisions through the global
 // combiner over the idle period the access opens, classifies the period
-// and charges its energy. Callers must have observed ok=true from
-// nextTime since the last step.
+// and charges its energy. The current execution must have an access
+// left to step.
 func (m *machine) step() {
 	r, rs, res, ex, f, pol, d := m.r, m.rs, m.res, m.ex, m.f, m.pol, &m.r.cfg.Disk
 	i := m.i
@@ -369,42 +324,3 @@ func (m *machine) release() {
 		m.ex = nil
 	}
 }
-
-// Machine is the exported stepable simulation of one machine's session: a
-// policy replayed over a stream of executions, advanced one disk access at
-// a time. It is the building block of the fleet engine (internal/fleet),
-// which orders many machines' next events on a shared virtual clock.
-//
-// A Machine is a single-goroutine value. Drive it with NextTime/Step until
-// NextTime reports ok=false, then call Finish exactly once; Finish returns
-// the aggregated result (or the first error) and recycles the machine's
-// pooled scratch state, after which the Machine is dead. Abandoning a
-// Machine without Finish leaks its runState from the runner's pool — it
-// is garbage collected, but the recycling benefit is lost.
-type Machine struct {
-	m *machine
-}
-
-// NewMachine returns a stepable Machine simulating src under pol. The
-// Machine borrows a pooled runState from the Runner; Finish returns it.
-func (r *Runner) NewMachine(src trace.Source, pol Policy) (*Machine, error) {
-	m, err := r.newMachine(src, pol, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &Machine{m: m}, nil
-}
-
-// NextTime returns the session-clock time of the machine's next disk
-// access. The session clock starts at 0 and runs across executions, which
-// abut end-to-start. ok=false means the session is over (or the source
-// failed — Finish reports which).
-func (fm *Machine) NextTime() (trace.Time, bool) { return fm.m.nextTime() }
-
-// Step processes the machine's next access. It must only be called after
-// NextTime reported ok=true.
-func (fm *Machine) Step() { fm.m.step() }
-
-// Finish completes the session and returns the aggregated result. It must
-// be called exactly once.
-func (fm *Machine) Finish() (*AppResult, error) { return fm.m.finish() }
