@@ -556,14 +556,8 @@ func benchmarkDecode(b *testing.B, encode func(io.Writer, *trace.Trace) error, o
 	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
-// BenchmarkDecodeV1 is the row-oriented v1 binary decoder; the baseline
-// BenchmarkDecodeV2 is measured against.
-func BenchmarkDecodeV1(b *testing.B) {
-	benchmarkDecode(b, trace.WriteBinary, func(r *bytes.Reader) trace.Source { return trace.NewDecoder(r) })
-}
-
-// BenchmarkDecodeV2 is the columnar v2 block decoder (batched decode into
-// a pooled frame).
+// BenchmarkDecodeV2 is the columnar v2 block decoder, draining each
+// execution a whole block at a time through AppendExec.
 func BenchmarkDecodeV2(b *testing.B) {
 	benchmarkDecode(b, trace.WriteColumnar, func(r *bytes.Reader) trace.Source { return trace.NewBlockSource(r) })
 }
@@ -672,27 +666,6 @@ func BenchmarkTraceGeneration(b *testing.B) {
 			b.Fatal("empty trace")
 		}
 	}
-}
-
-func BenchmarkBinaryCodec(b *testing.B) {
-	app, _ := workload.ByName("xemacs")
-	tr := app.Trace(experiments.DefaultSeed, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var buf writeCounter
-		if err := trace.WriteBinary(&buf, tr); err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(buf))
-	}
-}
-
-// writeCounter counts bytes without retaining them.
-type writeCounter int
-
-func (w *writeCounter) Write(p []byte) (int, error) {
-	*w += writeCounter(len(p))
-	return len(p), nil
 }
 
 func BenchmarkFullSimulation(b *testing.B) {

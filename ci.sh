@@ -108,7 +108,7 @@ wait "${pcapd_pid}"
 # FleetPeakHeap1k (the fleet's peak live heap, peak-heap-KB) are recorded
 # in the artifact but stay out of the gate metric list.
 bench_artifact="${BENCH_ARTIFACT:-bench.txt}"
-bench_filter="${BENCH_FILTER:-FSCache|TableTrain|TableLookup|CacheFilter|RunApp(Materialized|Streaming)\$|FullSimulation|PCAPOnAccess\$|DecodeV[12]\$|DecodeV2(Parallel|Pushdown)\$|Fleet(1k|10k)\$|FleetReplay1k\$|FleetPeakHeap1k\$|PcapdSustained\$|Counters(Coalesced|Atomic|Mutex)\$|SuiteParallel\$}"
+bench_filter="${BENCH_FILTER:-FSCache|TableTrain|TableLookup|CacheFilter|RunApp(Materialized|Streaming)\$|FullSimulation|PCAPOnAccess\$|DecodeV2\$|DecodeV2(Parallel|Pushdown)\$|Fleet(1k|10k)\$|FleetReplay1k\$|FleetPeakHeap1k\$|PcapdSustained\$|Counters(Coalesced|Atomic|Mutex)\$|SuiteParallel\$}"
 echo "== go test -bench (hot path) -benchmem (artifact: ${bench_artifact})"
 if go test -run '^$' -bench "${bench_filter}" -benchmem -benchtime "${BENCH_TIME:-1s}" . >"${bench_artifact}" 2>&1; then
 	# PcaplintFull runs in its own process, appended to the artifact: it

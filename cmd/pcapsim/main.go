@@ -34,8 +34,8 @@
 // tables and figures at any worker count. Wall-clock is reported on
 // stderr so stdout stays byte-comparable.
 //
-// -replay runs a recorded trace file (v1 binary, v2 columnar or text;
-// the format is sniffed from the leading bytes) through the simulator
+// -replay runs a recorded trace file (v2 columnar or text; the format
+// is sniffed from the leading bytes) through the simulator
 // under the -policies list instead of the generated workloads.
 //
 // For profiling the simulation hot path, -cpuprofile and -memprofile

@@ -5,16 +5,12 @@
 // recycled buffer and written through the streaming encoder, so peak
 // memory is one execution regardless of workload size.
 //
-// v2 files carry a seekable index footer by default (per-block offsets
-// and column statistics, enabling parallel decode with predicate
-// pushdown); -noindex omits it for strict byte-compatibility with
-// pre-footer consumers — though footer-bearing files remain readable by
-// them too.
+// v2 files carry a seekable index footer (per-block offsets and column
+// statistics, enabling parallel decode with predicate pushdown).
 //
 // Usage:
 //
-//	tracegen -app mozilla -out traces/            # all executions, v1 binary
-//	tracegen -app mozilla -format v2 -out traces/ # columnar v2 container
+//	tracegen -app mozilla -out traces/                # all executions, v2 columnar
 //	tracegen -app nedit -exec 3 -format text -out .   # one execution, text
 //	tracegen -app all -out traces/
 package main
@@ -36,9 +32,8 @@ func main() {
 		appFlag    = flag.String("app", "all", "application name or 'all'")
 		execFlag   = flag.Int("exec", -1, "single execution index (default: all)")
 		seedFlag   = flag.Uint64("seed", experiments.DefaultSeed, "workload seed")
-		formatFlag = flag.String("format", "binary", "output trace format: "+cliutil.TraceFormats)
+		formatFlag = flag.String("format", "v2", "output trace format: "+cliutil.TraceFormats)
 		outFlag    = flag.String("out", ".", "output directory")
-		noIndex    = flag.Bool("noindex", false, "omit the seekable index footer from v2 files")
 	)
 	flag.Parse()
 
@@ -52,7 +47,8 @@ func main() {
 		}
 		apps = []*workload.App{a}
 	}
-	if *formatFlag != "binary" && *formatFlag != "v2" && *formatFlag != "text" {
+	ext := map[string]string{"v2": "pct2", "text": "txt"}[*formatFlag]
+	if ext == "" {
 		fatal(cliutil.UnknownFormatError(*formatFlag, cliutil.TraceFormats))
 	}
 	if err := os.MkdirAll(*outFlag, 0o755); err != nil {
@@ -71,29 +67,21 @@ func main() {
 			}
 			// The stream's recycled buffer holds the execution; borrow it
 			// instead of copying.
-			events := src.ExecEvents()
+			view := &trace.Trace{App: app, Execution: exec, Events: src.ExecEvents()}
 			if *execFlag >= 0 && exec != *execFlag {
 				continue
 			}
-			ext := "pctr"
-			switch *formatFlag {
-			case "text":
-				ext = "txt"
-			case "v2":
-				ext = "pct2"
-			}
 			path := filepath.Join(*outFlag, fmt.Sprintf("%s-%03d.%s", app, exec, ext))
-			if err := writeTrace(path, app, exec, events, *formatFlag, !*noIndex); err != nil {
+			if err := writeTrace(path, view, *formatFlag); err != nil {
 				fatal(err)
 			}
-			view := trace.Trace{App: app, Execution: exec, Events: events}
 			fmt.Printf("%s: %d events, %d I/Os, %.1f s\n",
 				path, view.Len(), view.IOCount(), view.Duration().Seconds())
 		}
 	}
 }
 
-func writeTrace(path, app string, exec int, events []trace.Event, format string, index bool) (err error) {
+func writeTrace(path string, t *trace.Trace, format string) (err error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -105,52 +93,10 @@ func writeTrace(path, app string, exec int, events []trace.Event, format string,
 			err = cerr
 		}
 	}()
-	switch format {
-	case "text":
-		view := &trace.Trace{App: app, Execution: exec, Events: events}
-		if err := trace.WriteText(f, view); err != nil {
-			return err
-		}
-	case "v2":
-		enc, err := trace.NewBlockEncoder(f, app, exec, len(events))
-		if err != nil {
-			return err
-		}
-		var ib *trace.IndexBuilder
-		if index {
-			ib = trace.NewIndexBuilder()
-			if err := enc.SetIndex(ib); err != nil {
-				return err
-			}
-		}
-		for _, e := range events {
-			if err := enc.Write(e); err != nil {
-				return err
-			}
-		}
-		if err := enc.Close(); err != nil {
-			return err
-		}
-		if ib != nil {
-			if err := ib.WriteFooter(f); err != nil {
-				return err
-			}
-		}
-	default:
-		enc, err := trace.NewEncoder(f, app, exec, len(events))
-		if err != nil {
-			return err
-		}
-		for _, e := range events {
-			if err := enc.Write(e); err != nil {
-				return err
-			}
-		}
-		if err := enc.Close(); err != nil {
-			return err
-		}
+	if format == "text" {
+		return trace.WriteText(f, t)
 	}
-	return nil
+	return trace.WriteColumnarIndexed(f, t)
 }
 
 func fatal(err error) {

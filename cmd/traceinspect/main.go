@@ -7,10 +7,11 @@
 // concatenated across executions) inspect in constant memory. Files
 // holding several executions get one summary block per execution.
 //
-// The input format (v1 binary, v2 columnar or text) is auto-detected
-// from the leading magic bytes. For v2 columnar files, -blocks prints a
-// per-block report: events per block, encoded bytes per event, and the
-// per-column compression ratio against the raw struct-of-arrays size;
+// The input format (v2 columnar or text) is detected from the leading
+// magic bytes, as in pcapsim and pcapd. For v2 columnar files, -blocks
+// prints a per-block report: events per block, encoded bytes per event,
+// and the per-column compression ratio against the raw struct-of-arrays
+// size;
 // -index prints the seekable index footer (per-block offsets and column
 // statistics) after verifying its CRC and that every recorded offset
 // points at a real execution or block header.
@@ -22,8 +23,8 @@
 //
 // Usage:
 //
-//	traceinspect traces/mozilla-000.pctr
-//	traceinspect -head 25 -breakeven 5.43 traces/nedit-003.pctr
+//	traceinspect traces/mozilla-000.pct2
+//	traceinspect -head 25 -breakeven 5.43 traces/nedit-003.txt
 //	traceinspect -blocks traces/mozilla-000.pct2
 //	traceinspect -index traces/mozilla-000.pct2
 //	traceinspect -from 100s -to 300s -pid 1 -workers 4 traces/mozilla-000.pct2
@@ -44,7 +45,6 @@ func main() {
 	var (
 		headFlag      = flag.Int("head", 0, "print the first N events of each execution as text")
 		breakevenFlag = flag.Float64("breakeven", 5.43, "breakeven time in seconds for idle-period stats")
-		formatFlag    = flag.String("format", "auto", "input trace format: "+cliutil.TraceFormatsAuto)
 		blocksFlag    = flag.Bool("blocks", false, "print per-block stats (v2 columnar files only)")
 		indexFlag     = flag.Bool("index", false, "print and verify the index footer (v2 columnar files only)")
 		workersFlag   = flag.Int("workers", 0, "decode v2 blocks with N parallel workers (0 = sequential, -1 = one per CPU)")
@@ -55,19 +55,19 @@ func main() {
 	if flag.NArg() != 1 {
 		fatal(cliutil.MissingTraceError("traceinspect [flags] <trace-file>"))
 	}
-	f, err := cliutil.OpenTrace(flag.Arg(0))
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close() //pcaplint:ignore errcheck-lite file opened read-only; a close failure cannot lose data
-	if *indexFlag {
-		if err := inspectIndex(f); err != nil {
+	path := flag.Arg(0)
+	if *indexFlag || *blocksFlag {
+		f, err := cliutil.OpenTrace(path)
+		if err != nil {
 			fatal(err)
 		}
-		return
-	}
-	if *blocksFlag {
-		if err := inspectBlocks(f); err != nil {
+		defer f.Close() //pcaplint:ignore errcheck-lite file opened read-only; a close failure cannot lose data
+		if *indexFlag {
+			err = inspectIndex(f)
+		} else {
+			err = inspectBlocks(f)
+		}
+		if err != nil {
 			fatal(err)
 		}
 		return
@@ -76,11 +76,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	src, err := open(f, *formatFlag, *workersFlag, pred)
+	src, err := trace.OpenTraceFileOpts(path, trace.OpenOptions{Workers: *workersFlag, Pred: pred})
 	if err != nil {
-		fatal(err)
+		fatal(cliutil.TraceFileError(path, err))
 	}
-	src = trace.FilterEvents(src, pred)
 
 	execs := 0
 	for {
@@ -94,11 +93,13 @@ func main() {
 		execs++
 		inspect(src, app, exec, *headFlag, *breakevenFlag)
 	}
-	if err := src.Err(); err != nil {
-		fatal(err)
+	err = src.Err()
+	_ = src.Close() // read-only handle; the decode error is authoritative
+	if err != nil {
+		fatal(cliutil.TraceFileError(path, err))
 	}
 	if execs == 0 {
-		fatal(fmt.Errorf("%s: no executions found", flag.Arg(0)))
+		fatal(fmt.Errorf("%s: no executions found", path))
 	}
 }
 
@@ -192,54 +193,6 @@ func inspect(src trace.Source, app string, exec int, head int, breakeven float64
 	}
 }
 
-// open wraps the file in the right streaming decoder, sniffing the
-// leading magic bytes when the format is auto. v2 files honor the
-// worker count and push the predicate down to the block index.
-func open(f *os.File, format string, workers int, pred trace.Predicate) (trace.Source, error) {
-	if format == "auto" {
-		sniffed, err := sniffV2(f)
-		if err != nil {
-			return nil, err
-		}
-		if sniffed {
-			format = "v2"
-		}
-	}
-	switch format {
-	case "binary":
-		return trace.NewDecoder(f), nil
-	case "v2":
-		if workers != 0 {
-			ps := trace.NewParallelSource(f, workers)
-			ps.SetPredicate(pred)
-			return ps, nil
-		}
-		bs := trace.NewBlockSource(f)
-		bs.SetPredicate(pred)
-		return bs, nil
-	case "text":
-		return trace.NewTextDecoder(f), nil
-	case "auto":
-		return trace.NewSniffedSource(f)
-	default:
-		return nil, cliutil.UnknownFormatError(format, cliutil.TraceFormatsAuto)
-	}
-}
-
-// sniffV2 reports whether f starts with the v2 columnar magic, leaving
-// the file rewound.
-func sniffV2(f *os.File) (bool, error) {
-	var magic [4]byte
-	n, err := io.ReadFull(f, magic[:])
-	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		return false, err
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return false, err
-	}
-	return n == len(magic) && string(magic[:]) == "PCT2", nil
-}
-
 // inspectIndex prints the index footer after verifying it: ReadIndex
 // checks the CRC and the structural invariants, and every recorded
 // offset is checked to point at a real execution or block header.
@@ -286,16 +239,15 @@ func inspectIndex(f *os.File) error {
 	return nil
 }
 
-// inspectBlocks walks a v2 columnar file frame by frame and reports the
+// inspectBlocks walks a v2 columnar file block by block and reports the
 // container-level shape of each execution: per-block event counts and
 // encoded bytes per event, then per-column encoded sizes against the raw
 // struct-of-arrays sizes they decode into.
 func inspectBlocks(f *os.File) error {
-	src := trace.NewFrameSource(f)
-	d := src.Decoder()
+	d := trace.NewBlockDecoder(f)
 	execs := 0
 	for {
-		app, exec, ok := src.NextExec()
+		app, exec, ok := d.NextExec()
 		if !ok {
 			break
 		}
@@ -313,7 +265,7 @@ func inspectBlocks(f *os.File) error {
 			colRaw     [trace.NumColumns]int
 		)
 		for {
-			frame, ok := src.NextFrame()
+			block, ok := d.NextBlock()
 			if !ok {
 				break
 			}
@@ -323,14 +275,14 @@ func inspectBlocks(f *os.File) error {
 				st.Index, st.Events, st.IOs, st.Forks, total,
 				float64(total)/float64(st.Events))
 			blocks++
-			events += frame.Len()
+			events += len(block)
 			encoded += total
 			for i := 0; i < trace.NumColumns; i++ {
 				colEncoded[i] += st.ColBytes[i]
 				colRaw[i] += st.RawColBytes(i)
 			}
 		}
-		if err := src.Err(); err != nil {
+		if err := d.Err(); err != nil {
 			return err
 		}
 		if blocks == 0 {
@@ -347,7 +299,7 @@ func inspectBlocks(f *os.File) error {
 				colEncoded[i], colRaw[i], 100*float64(colEncoded[i])/float64(colRaw[i]))
 		}
 	}
-	if err := src.Err(); err != nil {
+	if err := d.Err(); err != nil {
 		return err
 	}
 	if execs == 0 {

@@ -20,14 +20,10 @@ import (
 
 // TraceFormats spells the writable on-disk trace formats, as used in
 // -format help text and unknown-format errors.
-const TraceFormats = "binary, v2 or text"
-
-// TraceFormatsAuto is TraceFormats plus the sniffing pseudo-format that
-// read-side commands accept.
-const TraceFormatsAuto = "binary, v2, text or auto"
+const TraceFormats = "v2 or text"
 
 // UnknownFormatError is the shared error for a -format value outside
-// the accepted set (pass TraceFormats or TraceFormatsAuto as want).
+// the accepted set (pass TraceFormats as want).
 func UnknownFormatError(format, want string) error {
 	return fmt.Errorf("unknown trace format %q (want %s)", format, want)
 }

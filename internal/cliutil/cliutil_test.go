@@ -77,7 +77,7 @@ func TestOpenTraceReadsExistingFile(t *testing.T) {
 }
 
 func TestUnknownFormatAndMissingTrace(t *testing.T) {
-	if got := UnknownFormatError("csv", TraceFormats).Error(); got != `unknown trace format "csv" (want binary, v2 or text)` {
+	if got := UnknownFormatError("csv", TraceFormats).Error(); got != `unknown trace format "csv" (want v2 or text)` {
 		t.Fatalf("UnknownFormatError = %q", got)
 	}
 	if got := MissingTraceError("x [flags] <trace-file>").Error(); !strings.Contains(got, "missing trace file argument") {

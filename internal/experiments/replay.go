@@ -9,8 +9,8 @@ import (
 	"pcapsim/internal/trace"
 )
 
-// Trace replay: run recorded trace files (any on-disk format — v1 binary,
-// v2 columnar or text) through the simulator under a chosen set of
+// Trace replay: run recorded trace files (either on-disk format — v2
+// columnar or text) through the simulator under a chosen set of
 // policies, without going through the synthetic workload generator. This
 // is the path external traces take into the simulator.
 
@@ -161,8 +161,8 @@ type ReplayOptions struct {
 	Pred trace.Predicate
 }
 
-// ReplayFile opens a trace file (v1 binary, v2 columnar or text — the
-// format is sniffed from the leading bytes) and replays it under the
+// ReplayFile opens a trace file (v2 columnar or text — the format is
+// sniffed from the leading bytes) and replays it under the
 // named policies; see ReplaySource.
 func (s *Suite) ReplayFile(path string, policies []string) (string, error) {
 	return s.ReplayFileOpts(path, policies, ReplayOptions{})

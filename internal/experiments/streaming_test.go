@@ -36,12 +36,13 @@ func suitePolicies(s *Suite) []sim.Policy {
 }
 
 // TestStreamingDifferential is the streaming pipeline's end-to-end
-// equivalence check: for every app × policy in the default suite, a
-// workload that is generated, encoded to the binary format, and decoded
-// back as a stream must simulate to a byte-identical result (rendered via
-// %+v) and a deeply equal AppResult versus the legacy materialized
-// RunApp path. Under -short (the CI race pass) the matrix is trimmed to
-// two apps and the structurally distinct policies.
+// equivalence check: for every app in the default suite, a workload that
+// is generated and encoded to the v2 format must decode back to exactly
+// the original executions, and for every policy the decoded stream must
+// simulate to a byte-identical result (rendered via %+v) and a deeply
+// equal AppResult versus the materialized RunApp path. Under -short (the
+// CI race pass) the matrix is trimmed to two apps and the structurally
+// distinct policies.
 func TestStreamingDifferential(t *testing.T) {
 	s := NewDefaultSuite()
 	runner, err := sim.NewRunner(s.Config())
@@ -65,13 +66,14 @@ func TestStreamingDifferential(t *testing.T) {
 	}
 	for _, app := range apps {
 		traces := s.Traces(app)
-		var encoded bytes.Buffer
-		for _, tr := range traces {
-			if err := trace.WriteBinary(&encoded, tr); err != nil {
-				t.Fatalf("%s: encode: %v", app.Name, err)
-			}
+		blob := encodeV2(t, traces)
+		decoded, err := trace.Collect(trace.NewBlockSource(bytes.NewReader(blob)))
+		if err != nil {
+			t.Fatalf("%s: decode: %v", app.Name, err)
 		}
-		blob := encoded.Bytes()
+		if !reflect.DeepEqual(decoded, traces) {
+			t.Fatalf("%s: v2 round trip diverges from the original executions", app.Name)
+		}
 		for _, pol := range pols {
 			pol := pol
 			t.Run(app.Name+"/"+pol.Name, func(t *testing.T) {
@@ -79,7 +81,7 @@ func TestStreamingDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("RunApp: %v", err)
 				}
-				got, err := runner.RunSource(trace.NewDecoder(bytes.NewReader(blob)), pol)
+				got, err := runner.RunSource(trace.NewBlockSource(bytes.NewReader(blob)), pol)
 				if err != nil {
 					t.Fatalf("RunSource: %v", err)
 				}
@@ -91,6 +93,48 @@ func TestStreamingDifferential(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// encodeV2 writes every execution to one v2 byte stream.
+func encodeV2(t *testing.T, traces []*trace.Trace) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	for _, tr := range traces {
+		if err := trace.WriteColumnar(&buf, tr); err != nil {
+			t.Fatalf("encode %s/%d: %v", tr.App, tr.Execution, err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestReplayFileMatchesRunApp closes the loop on the CLI replay path: a
+// v2 file written by the tracegen path and replayed through
+// Suite.ReplaySource yields the same table as replaying the in-memory
+// slice source.
+func TestReplayFileMatchesRunApp(t *testing.T) {
+	s, err := NewSuite(DefaultSeed, sim.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, _ := workload.ByName("nedit")
+	traces := s.Traces(app)
+	v2 := encodeV2(t, traces)
+
+	policies := []string{"base", "tp", "pcap", "ideal"}
+	fromFile, err := s.ReplaySource(trace.NewBlockSource(bytes.NewReader(v2)), policies)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromSlice, err := s.ReplaySource(trace.NewSliceSource(traces...), policies)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fromFile != fromSlice {
+		t.Errorf("replay over v2 bytes diverges from replay over the slice source:\n%s\nvs\n%s", fromFile, fromSlice)
+	}
+	if _, err := s.ReplaySource(trace.NewSliceSource(traces...), []string{"nope"}); err == nil {
+		t.Error("ReplaySource accepted an unknown policy name")
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // exactly the aliasing the arena/pool rewrite's determinism argument
 // forbids.
 //
-// v2 (this implementation) proves the Put obligation with a forward
+// The analysis proves the Put obligation with a forward
 // may-dataflow over the function's control-flow graph (cfg.go): the
 // tracked state is "a path exists on which Get has executed but the
 // value has not yet been Put or transferred". The Get binding generates
@@ -26,9 +26,10 @@ import (
 // the obligation may be outstanding is a leak — reported once per Get
 // site at the first (earliest) leaking return, or at the Get itself
 // when the leak is falling off the end of the body. Panic exits are
-// exempt. Unlike PR 5's structural scan (poolsafe_v1.go), the dataflow
-// follows goto, labeled break/continue, switch and select paths, so an
-// early error return reached through any of them is covered.
+// exempt. Unlike a structural walk over statements in source order, the
+// dataflow follows goto, labeled break/continue, switch and select
+// paths, so an early error return reached through any of them is
+// covered.
 //
 // Remaining approximations, all documented in DESIGN.md §17: aliasing
 // through a second variable is invisible (the analysis tracks the bound

@@ -69,7 +69,7 @@ func TestRunCellsSourceError(t *testing.T) {
 	r := mustRunner(t)
 	var buf bytes.Buffer
 	for _, tr := range threeExecs() {
-		if err := trace.WriteBinary(&buf, tr); err != nil {
+		if err := trace.WriteColumnar(&buf, tr); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -79,7 +79,7 @@ func TestRunCellsSourceError(t *testing.T) {
 		{Runner: r, Policy: boomPolicy()},
 		{Runner: r, Policy: tpPolicy(10 * trace.Second)},
 	}
-	res, errs := RunCells(trace.NewDecoder(bytes.NewReader(cut)), cells)
+	res, errs := RunCells(trace.NewBlockSource(bytes.NewReader(cut)), cells)
 	for _, i := range []int{0, 2} {
 		if res[i] != nil || !errors.Is(errs[i], trace.ErrBadFormat) || !strings.Contains(errs[i].Error(), "sim: reading trace source") {
 			t.Errorf("cell %d: res %v, err %v; want the wrapped source error", i, res[i], errs[i])

@@ -37,7 +37,7 @@ func TestRunSourceMatchesRunApp(t *testing.T) {
 	}
 }
 
-// TestRunSourceDecodedStream round-trips a workload through the binary
+// TestRunSourceDecodedStream round-trips a workload through the v2
 // codec and simulates the decoded stream, never materializing it.
 func TestRunSourceDecodedStream(t *testing.T) {
 	r := mustRunner(t)
@@ -45,7 +45,7 @@ func TestRunSourceDecodedStream(t *testing.T) {
 	traces := app.Traces(7)
 	var buf bytes.Buffer
 	for _, tr := range traces {
-		if err := trace.WriteBinary(&buf, tr); err != nil {
+		if err := trace.WriteColumnar(&buf, tr); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -54,7 +54,7 @@ func TestRunSourceDecodedStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.RunSource(trace.NewDecoder(bytes.NewReader(buf.Bytes())), pol)
+	got, err := r.RunSource(trace.NewBlockSource(bytes.NewReader(buf.Bytes())), pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +75,11 @@ func TestRunSourcePropagatesSourceError(t *testing.T) {
 	r := mustRunner(t)
 	tr := handTrace(0, 1, 2)
 	var buf bytes.Buffer
-	if err := trace.WriteBinary(&buf, tr); err != nil {
+	if err := trace.WriteColumnar(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	cut := buf.Bytes()[:buf.Len()-2]
-	_, err := r.RunSource(trace.NewDecoder(bytes.NewReader(cut)), basePolicy())
+	_, err := r.RunSource(trace.NewBlockSource(bytes.NewReader(cut)), basePolicy())
 	if err == nil {
 		t.Fatal("truncated stream should fail the run")
 	}

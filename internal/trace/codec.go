@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -10,348 +9,27 @@ import (
 	"strings"
 )
 
-// Binary trace format
-//
-//	magic  "PCTR" (4 bytes)
-//	version uint16 (little endian) = 1
-//	app     uvarint length + bytes
-//	exec    uvarint
-//	count   uvarint (number of events)
-//	events  delta-encoded records:
-//	    dt     uvarint (time delta in µs from previous event)
-//	    pid    uvarint
-//	    kind   byte
-//	    KindIO:   access byte, pc uvarint, fd varint, block varint, size varint
-//	    KindFork: child uvarint
-//	    KindExit: (nothing)
-//
-// Delta timing plus varints keeps multi-hundred-thousand-event traces
-// compact without pulling in any non-stdlib dependency.
-
-const (
-	binaryMagic   = "PCTR"
-	binaryVersion = 1
-)
-
-// ErrBadFormat is returned when decoding input that is not a valid binary
-// trace.
+// ErrBadFormat is returned when decoding input that is not a valid trace
+// in the decoder's format: every v2 and text decode error wraps it.
 var ErrBadFormat = errors.New("trace: bad format")
 
-// Encoder writes one execution in the binary trace format, one event per
-// Write call, so producers stream events straight to disk instead of
-// materializing a Trace first. The event count is part of the header and
-// must therefore be known up front; per-execution producers (the workload
-// builder, tracegen) know it from their reorder buffer. Output is
-// byte-identical to WriteBinary over the same events.
-type Encoder struct {
-	bw      *bufio.Writer
-	count   int
-	written int
-	prev    Time
+// maxErrorDetail caps the detail of a text parse error: a binary file
+// read as text can make one line, and so its quote, a megabyte long.
+const maxErrorDetail = 120
+
+// textLineError is a text-format parse error at a 1-based line number.
+func textLineError(line int, format string, args ...any) error {
+	detail := fmt.Sprintf(format, args...)
+	if len(detail) > maxErrorDetail {
+		detail = detail[:maxErrorDetail] + "..."
+	}
+	return fmt.Errorf("%w: line %d: %s", ErrBadFormat, line, detail)
 }
 
-// NewEncoder writes the binary header for an execution of count events
-// and returns an encoder for its event stream. I/O errors are sticky in
-// the buffered writer and surface at Close.
-func NewEncoder(w io.Writer, app string, exec int, count int) (*Encoder, error) {
-	if count < 0 {
-		return nil, fmt.Errorf("trace: negative event count %d", count)
-	}
-	if exec < 0 {
-		return nil, fmt.Errorf("trace: negative execution index %d", exec)
-	}
-	bw := bufio.NewWriter(w)
-	bw.WriteString(binaryMagic) //pcaplint:ignore errcheck-lite bufio errors are sticky and surface at Close's Flush
-	var v2 [2]byte
-	binary.LittleEndian.PutUint16(v2[:], binaryVersion)
-	bw.Write(v2[:]) //pcaplint:ignore errcheck-lite bufio errors are sticky and surface at Close's Flush
-	writeUvarint(bw, uint64(len(app)))
-	bw.WriteString(app) //pcaplint:ignore errcheck-lite bufio errors are sticky and surface at Close's Flush
-	writeUvarint(bw, uint64(exec))
-	writeUvarint(bw, uint64(count))
-	return &Encoder{bw: bw, count: count}, nil
-}
-
-// Write encodes the next event. Events must arrive in non-decreasing time
-// order and must not exceed the declared count.
-func (enc *Encoder) Write(e Event) error {
-	i := enc.written
-	if i >= enc.count {
-		return fmt.Errorf("trace: event %d exceeds declared count %d", i, enc.count)
-	}
-	if e.Time < enc.prev {
-		return fmt.Errorf("trace: event %d out of order; call SortStable before encoding", i)
-	}
-	writeUvarint(enc.bw, uint64(e.Time-enc.prev))
-	enc.prev = e.Time
-	writeUvarint(enc.bw, uint64(e.Pid))
-	enc.bw.WriteByte(byte(e.Kind)) //pcaplint:ignore errcheck-lite bufio errors are sticky and surface at Close's Flush
-	switch e.Kind {
-	case KindIO:
-		enc.bw.WriteByte(byte(e.Access)) //pcaplint:ignore errcheck-lite bufio errors are sticky and surface at Close's Flush
-		writeUvarint(enc.bw, uint64(e.PC))
-		writeVarint(enc.bw, int64(e.FD))
-		writeVarint(enc.bw, e.Block)
-		writeVarint(enc.bw, int64(e.Size))
-	case KindFork:
-		writeUvarint(enc.bw, uint64(e.Child))
-	case KindExit:
-	default:
-		return fmt.Errorf("trace: event %d has unknown kind %d", i, e.Kind)
-	}
-	enc.written++
-	return nil
-}
-
-// Close flushes the encoder, verifying every declared event was written.
-func (enc *Encoder) Close() error {
-	if enc.written != enc.count {
-		return fmt.Errorf("trace: wrote %d of %d declared events", enc.written, enc.count)
-	}
-	return enc.bw.Flush()
-}
-
-// WriteBinary encodes the trace to w in the binary trace format.
-func WriteBinary(w io.Writer, t *Trace) error {
-	enc, err := NewEncoder(w, t.App, t.Execution, len(t.Events))
-	if err != nil {
-		return err
-	}
-	for _, e := range t.Events {
-		if err := enc.Write(e); err != nil {
-			return err
-		}
-	}
-	return enc.Close()
-}
-
-// Decoder is a streaming reader of the binary trace format: a Source over
-// one or more consecutive binary traces (executions) on r, decoding one
-// event per Next call so multi-gigabyte files replay in constant memory.
-// Reset rewinds when r is an io.Seeker.
-type Decoder struct {
-	r     io.Reader
-	seek  io.Seeker
-	br    *bufio.Reader
-	err   error
-	ended bool // clean end of stream reached
-
-	app    string
-	exec   int
-	count  uint64 // events declared by the current execution's header
-	read   uint64 // events decoded from the current execution
-	inExec bool
-	prev   Time
-}
-
-// NewDecoder returns a streaming decoder over r. If r is also an
-// io.Seeker (os.File, bytes.Reader), the decoder supports Reset.
-func NewDecoder(r io.Reader) *Decoder {
-	seek, _ := r.(io.Seeker)
-	return &Decoder{r: r, seek: seek, br: bufio.NewReader(r)}
-}
-
-// Count returns the number of events the current execution's header
-// declared — the streaming counterpart of len(t.Events).
-func (d *Decoder) Count() uint64 { return d.count }
-
-// NextExec implements Source: it reads the next execution's header,
-// draining any undecoded events of the current one first. ok=false with a
-// nil Err means the stream ended cleanly at an execution boundary.
-func (d *Decoder) NextExec() (string, int, bool) {
-	if d.err != nil || d.ended {
-		return "", 0, false
-	}
-	for d.inExec { // discard the rest of the current execution
-		if _, ok := d.Next(); !ok {
-			if d.err != nil {
-				return "", 0, false
-			}
-		}
-	}
-	var magic [4]byte
-	if _, err := io.ReadFull(d.br, magic[:]); err != nil {
-		if err == io.EOF {
-			d.ended = true // clean boundary: no more executions
-		} else {
-			d.err = fmt.Errorf("%w: %v", ErrBadFormat, err)
-		}
-		return "", 0, false
-	}
-	if string(magic[:]) != binaryMagic {
-		d.err = fmt.Errorf("%w: bad magic %q", ErrBadFormat, magic[:])
-		return "", 0, false
-	}
-	var v2 [2]byte
-	if _, err := io.ReadFull(d.br, v2[:]); err != nil {
-		d.err = fmt.Errorf("%w: %v", ErrBadFormat, err)
-		return "", 0, false
-	}
-	if v := binary.LittleEndian.Uint16(v2[:]); v != binaryVersion {
-		d.err = fmt.Errorf("%w: unsupported version %d", ErrBadFormat, v)
-		return "", 0, false
-	}
-	nameLen, err := binary.ReadUvarint(d.br)
-	if err != nil {
-		d.err = fmt.Errorf("%w: %v", ErrBadFormat, err)
-		return "", 0, false
-	}
-	if nameLen > 1<<20 {
-		d.err = fmt.Errorf("%w: app name too long (%d)", ErrBadFormat, nameLen)
-		return "", 0, false
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(d.br, name); err != nil {
-		d.err = fmt.Errorf("%w: %v", ErrBadFormat, err)
-		return "", 0, false
-	}
-	exec, err := binary.ReadUvarint(d.br)
-	if err != nil {
-		d.err = fmt.Errorf("%w: %v", ErrBadFormat, err)
-		return "", 0, false
-	}
-	count, err := binary.ReadUvarint(d.br)
-	if err != nil {
-		d.err = fmt.Errorf("%w: %v", ErrBadFormat, err)
-		return "", 0, false
-	}
-	d.app = string(name)
-	d.exec = int(exec)
-	d.count = count
-	d.read = 0
-	d.prev = 0
-	d.inExec = count > 0
-	return d.app, d.exec, true
-}
-
-// Next implements Source: it decodes the next event of the current
-// execution.
-func (d *Decoder) Next() (Event, bool) {
-	if d.err != nil || !d.inExec {
-		return Event{}, false
-	}
-	i := d.read
-	fail := func(err error) (Event, bool) {
-		d.err = fmt.Errorf("%w: event %d: %v", ErrBadFormat, i, err)
-		d.inExec = false
-		return Event{}, false
-	}
-	dt, err := binary.ReadUvarint(d.br)
-	if err != nil {
-		return fail(err)
-	}
-	pid, err := binary.ReadUvarint(d.br)
-	if err != nil {
-		return fail(err)
-	}
-	kindByte, err := d.br.ReadByte()
-	if err != nil {
-		return fail(err)
-	}
-	e := Event{Time: d.prev + Time(dt), Pid: PID(pid), Kind: Kind(kindByte)}
-	d.prev = e.Time
-	switch e.Kind {
-	case KindIO:
-		accessByte, err := d.br.ReadByte()
-		if err != nil {
-			return fail(err)
-		}
-		e.Access = Access(accessByte)
-		pc, err := binary.ReadUvarint(d.br)
-		if err != nil {
-			return fail(err)
-		}
-		e.PC = PC(pc)
-		fd, err := binary.ReadVarint(d.br)
-		if err != nil {
-			return fail(err)
-		}
-		e.FD = FD(fd)
-		block, err := binary.ReadVarint(d.br)
-		if err != nil {
-			return fail(err)
-		}
-		e.Block = block
-		size, err := binary.ReadVarint(d.br)
-		if err != nil {
-			return fail(err)
-		}
-		e.Size = int32(size)
-	case KindFork:
-		child, err := binary.ReadUvarint(d.br)
-		if err != nil {
-			return fail(err)
-		}
-		e.Child = PID(child)
-	case KindExit:
-	default:
-		d.err = fmt.Errorf("%w: event %d has unknown kind %d", ErrBadFormat, i, kindByte)
-		d.inExec = false
-		return Event{}, false
-	}
-	d.read++
-	if d.read >= d.count {
-		d.inExec = false
-	}
-	return e, true
-}
-
-// Err implements Source.
-func (d *Decoder) Err() error { return d.err }
-
-// Reset implements Source, rewinding seekable inputs to the start.
-func (d *Decoder) Reset() error {
-	if d.seek == nil {
-		return fmt.Errorf("trace: decoder input is not seekable")
-	}
-	if _, err := d.seek.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	d.br.Reset(d.r)
-	d.err = nil
-	d.ended = false
-	d.inExec = false
-	d.count, d.read = 0, 0
-	return nil
-}
-
-// ReadBinary decodes a trace previously encoded with WriteBinary.
-func ReadBinary(r io.Reader) (*Trace, error) {
-	d := NewDecoder(r)
-	app, exec, ok := d.NextExec()
-	if !ok {
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, io.EOF)
-	}
-	t := &Trace{App: app, Execution: exec}
-	if count := d.Count(); count < 1<<20 {
-		t.Events = make([]Event, 0, count)
-	}
-	for {
-		e, ok := d.Next()
-		if !ok {
-			break
-		}
-		t.Events = append(t.Events, e)
-	}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-func writeUvarint(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n]) //pcaplint:ignore errcheck-lite bufio errors are sticky and surface at the encoder's Flush
-}
-
-func writeVarint(w *bufio.Writer, v int64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	w.Write(buf[:n]) //pcaplint:ignore errcheck-lite bufio errors are sticky and surface at the encoder's Flush
+// textScanError wraps a failure of the line scanner (a line over the
+// length limit, or a read error, which stays matchable with errors.Is).
+func textScanError(err error) error {
+	return fmt.Errorf("%w: %w", ErrBadFormat, err)
 }
 
 // WriteText encodes the trace in a line-oriented, human-readable format:
@@ -393,7 +71,7 @@ func ReadText(r io.Reader) (*Trace, error) {
 				t.App = fields[2]
 				exec, err := strconv.Atoi(fields[4])
 				if err != nil {
-					return nil, fmt.Errorf("trace: line %d: bad exec: %v", line, err)
+					return nil, textLineError(line, "bad exec: %v", err)
 				}
 				t.Execution = exec
 			}
@@ -401,12 +79,12 @@ func ReadText(r io.Reader) (*Trace, error) {
 		}
 		e, err := parseTextEvent(text)
 		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: %v", line, err)
+			return nil, textLineError(line, "%v", err)
 		}
 		t.Events = append(t.Events, e)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, textScanError(err)
 	}
 	return t, nil
 }
@@ -529,7 +207,7 @@ func (d *TextDecoder) scanLine() (e Event, kind int) {
 			if len(fields) >= 5 && fields[1] == "app" && fields[3] == "exec" {
 				exec, err := strconv.Atoi(fields[4])
 				if err != nil {
-					d.err = fmt.Errorf("trace: line %d: bad exec: %v", d.line, err)
+					d.err = textLineError(d.line, "bad exec: %v", err)
 					return Event{}, 2
 				}
 				d.nextApp, d.nextExec = fields[2], exec
@@ -540,13 +218,13 @@ func (d *TextDecoder) scanLine() (e Event, kind int) {
 		}
 		ev, err := parseTextEvent(text)
 		if err != nil {
-			d.err = fmt.Errorf("trace: line %d: %v", d.line, err)
+			d.err = textLineError(d.line, "%v", err)
 			return Event{}, 2
 		}
 		return ev, 0
 	}
 	if err := d.sc.Err(); err != nil && d.err == nil {
-		d.err = err
+		d.err = textScanError(err)
 	}
 	return Event{}, 2
 }

@@ -3,20 +3,35 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
+// readColumnar decodes a v2 stream holding exactly one execution.
+func readColumnar(data []byte) (*Trace, error) {
+	traces, err := Collect(NewBlockSource(bytes.NewReader(data)))
+	if err != nil {
+		return nil, err
+	}
+	if len(traces) != 1 {
+		return nil, fmt.Errorf("decoded %d executions, want 1", len(traces))
+	}
+	return traces[0], nil
+}
+
 func TestBinaryRoundTrip(t *testing.T) {
 	tr := testTrace()
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, tr); err != nil {
+	if err := WriteColumnar(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(&buf)
+	got, err := readColumnar(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,23 +42,56 @@ func TestBinaryRoundTrip(t *testing.T) {
 
 func TestBinaryRejectsOutOfOrder(t *testing.T) {
 	tr := &Trace{App: "x", Events: []Event{{Time: 10}, {Time: 5}}}
-	if err := WriteBinary(&bytes.Buffer{}, tr); err == nil {
+	if err := WriteColumnar(&bytes.Buffer{}, tr); err == nil {
 		t.Fatal("out-of-order trace encoded without error")
 	}
 }
 
 func TestBinaryBadInput(t *testing.T) {
 	cases := [][]byte{
-		nil,
 		[]byte("XXXX"),
-		[]byte("PCTR"),              // truncated after magic
-		[]byte("PCTR\x09\x00"),      // bad version
-		[]byte("PCTR\x01\x00\x05"),  // name length but no name
-		[]byte("PCTR\x01\x00\x00y"), // garbage after empty name
+		[]byte("PCTR\x01\x00\x00\x00\x00"), // the retired v1 magic
+		[]byte("PCT2"),                     // truncated after magic
+		[]byte("PCT2\x09\x00"),             // bad version
+		[]byte("PCT2\x01\x00\x05"),         // name length but no name
+		[]byte("PCT2\x01\x00\x00y"),        // truncated after the exec index
 	}
 	for i, in := range cases {
-		if _, err := ReadBinary(bytes.NewReader(in)); !errors.Is(err, ErrBadFormat) {
+		if _, err := readColumnar(in); !errors.Is(err, ErrBadFormat) {
 			t.Errorf("case %d: error %v, want ErrBadFormat", i, err)
+		}
+	}
+}
+
+// TestOpenTraceFileBadFormat: a retired v1 file sniffs as text, and it
+// and malformed text lines all fail with a typed ErrBadFormat whose
+// message stays short even when the offending line is long.
+func TestOpenTraceFileBadFormat(t *testing.T) {
+	// One v1 execution: magic, version 1, app "demo", exec 0, one exit
+	// event of pid 1 at time 9.
+	v1 := []byte("PCTR\x01\x00\x04demo\x00\x01\x09\x01\x02")
+	for name, data := range map[string][]byte{
+		"v1.pctr":  v1,
+		"bad.txt":  []byte("# app demo exec 0\n12 io 1 shred pc=0x1 fd=1 block=1 size=1\n"),
+		"time.txt": []byte("soon exit 1\n"),
+		"long.txt": bytes.Repeat([]byte("x"), 100_000),
+	} {
+		path := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fs, err := OpenTraceFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Collect(fs)
+		if cerr := fs.Close(); cerr != nil {
+			t.Fatal(cerr)
+		}
+		if !errors.Is(err, ErrBadFormat) {
+			t.Errorf("%s: error %v, want ErrBadFormat", name, err)
+		} else if len(err.Error()) > 200 {
+			t.Errorf("%s: error message is %d bytes long", name, len(err.Error()))
 		}
 	}
 }
@@ -79,8 +127,8 @@ func TestTextParseErrors(t *testing.T) {
 		"12 io notanumber read pc=1 fd=1 block=1 size=1",
 	}
 	for _, line := range bad {
-		if _, err := ReadText(strings.NewReader(line)); err == nil {
-			t.Errorf("line %q parsed without error", line)
+		if _, err := ReadText(strings.NewReader(line)); !errors.Is(err, ErrBadFormat) {
+			t.Errorf("line %q: error %v, want ErrBadFormat", line, err)
 		}
 	}
 }
@@ -124,19 +172,26 @@ func randomTrace(r *rand.Rand) *Trace {
 
 func TestQuickBinaryRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
-		tr := randomTrace(rand.New(rand.NewSource(seed)))
+		r := rand.New(rand.NewSource(seed))
+		tr := randomTrace(r)
 		var buf bytes.Buffer
-		if err := WriteBinary(&buf, tr); err != nil {
+		enc, err := NewBlockEncoder(&buf, tr.App, tr.Execution, len(tr.Events))
+		if err != nil || enc.SetBlockEvents(1+r.Intn(64)) != nil {
 			return false
 		}
-		got, err := ReadBinary(&buf)
+		for _, e := range tr.Events {
+			if enc.Write(e) != nil {
+				return false
+			}
+		}
+		if enc.Close() != nil {
+			return false
+		}
+		got, err := readColumnar(buf.Bytes())
 		if err != nil {
 			return false
 		}
-		if len(tr.Events) == 0 {
-			return len(got.Events) == 0 && got.App == tr.App
-		}
-		return reflect.DeepEqual(tr, got)
+		return tracesEqual(tr, got)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -165,8 +220,8 @@ func TestQuickTextRoundTrip(t *testing.T) {
 }
 
 func TestBinaryCompactness(t *testing.T) {
-	// Delta-encoded varints should beat a naive fixed-size encoding by a
-	// wide margin on realistic traces.
+	// Delta and run-length columns should beat the 40-byte in-memory
+	// event by a wide margin on a regular I/O stream.
 	tr := &Trace{App: "compact"}
 	var now Time
 	for i := 0; i < 10000; i++ {
@@ -177,11 +232,12 @@ func TestBinaryCompactness(t *testing.T) {
 		})
 	}
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, tr); err != nil {
+	if err := WriteColumnar(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	perEvent := float64(buf.Len()) / float64(len(tr.Events))
-	if perEvent > 20 {
-		t.Errorf("binary encoding too large: %.1f bytes/event", perEvent)
+	if perEvent > 8 {
+		t.Errorf("binary encoding too large: %.2f bytes/event", perEvent)
 	}
+	t.Logf("%.2f bytes/event", perEvent)
 }

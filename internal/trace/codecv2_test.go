@@ -112,27 +112,6 @@ func TestColumnarMultiExecution(t *testing.T) {
 	}
 }
 
-// TestColumnarMatchesV1 decodes the same trace through both codecs and
-// compares event-for-event.
-func TestColumnarMatchesV1(t *testing.T) {
-	orig := seedTraceV2()
-	var v1 bytes.Buffer
-	if err := WriteBinary(&v1, orig); err != nil {
-		t.Fatal(err)
-	}
-	fromV1, err := Collect(NewDecoder(bytes.NewReader(v1.Bytes())))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromV2, err := Collect(NewBlockSource(bytes.NewReader(encodeV2(t, orig, 16))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fromV1) != 1 || len(fromV2) != 1 || !tracesEqual(fromV1[0], fromV2[0]) {
-		t.Fatal("v1 and v2 decode disagree")
-	}
-}
-
 // TestColumnarEveryFlippedBitErrors corrupts the encoding one byte at a
 // time: every flip must surface as a decode error (CRCs cover both header
 // regions and all column payloads), and flips inside block regions must
@@ -234,7 +213,7 @@ func TestBlockEncoderSetBlockEventsAfterWrite(t *testing.T) {
 	}
 }
 
-// TestBlockDecoderFrames drives the frame-level interface directly and
+// TestBlockDecoderFrames drives the block-level interface directly and
 // checks the per-block stats.
 func TestBlockDecoderFrames(t *testing.T) {
 	orig := seedTraceV2()
@@ -250,7 +229,7 @@ func TestBlockDecoderFrames(t *testing.T) {
 	events := 0
 	blocks := 0
 	for {
-		f, ok := d.NextFrame()
+		block, ok := d.NextBlock()
 		if !ok {
 			break
 		}
@@ -258,8 +237,8 @@ func TestBlockDecoderFrames(t *testing.T) {
 		if st.Index != blocks {
 			t.Fatalf("block index %d, want %d", st.Index, blocks)
 		}
-		if st.Events != f.Len() {
-			t.Fatalf("stats events %d != frame len %d", st.Events, f.Len())
+		if st.Events != len(block) {
+			t.Fatalf("stats events %d != block len %d", st.Events, len(block))
 		}
 		sum := 0
 		for _, c := range st.ColBytes {
@@ -268,8 +247,8 @@ func TestBlockDecoderFrames(t *testing.T) {
 		if sum != st.PayloadBytes {
 			t.Fatalf("column bytes sum %d != payload %d", sum, st.PayloadBytes)
 		}
-		for i := 0; i < f.Len(); i++ {
-			if got, want := f.Event(i), orig.Events[events]; got != want {
+		for _, got := range block {
+			if want := orig.Events[events]; got != want {
 				t.Fatalf("event %d: got %+v, want %+v", events, got, want)
 			}
 			events++
@@ -309,11 +288,11 @@ func TestBlockSourceReset(t *testing.T) {
 }
 
 // TestBlockSourceSteadyStateAllocs: after a warmup pass, replaying the
-// stream through Reset must not allocate — the frame, its columns, the
-// payload buffer and the app-name string are all recycled.
+// stream through Reset must not allocate — the decoded-block buffer, the
+// payload buffer and the app-name string are all kept across Reset.
 func TestBlockSourceSteadyStateAllocs(t *testing.T) {
 	if raceDetectorEnabled {
-		t.Skip("race instrumentation allocates and sync.Pool sheds items under it; the non-race pass enforces the count")
+		t.Skip("race instrumentation allocates; the non-race pass enforces the count")
 	}
 	orig := seedTraceV2()
 	src := NewBlockSource(bytes.NewReader(encodeV2(t, orig, 16)))
@@ -336,30 +315,26 @@ func TestBlockSourceSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	drain() // warmup: frame and scratch reach their high-water marks
+	drain() // warmup: the block and scratch buffers reach their high-water marks
 	avg := testing.AllocsPerRun(50, drain)
-	// The frame transits the package pool between streams; a GC emptying
-	// the pool mid-run can charge the occasional re-allocation, so allow
-	// a small fraction rather than exactly zero.
 	if avg > 0.5 {
 		t.Fatalf("steady-state decode allocates %.2f allocs per pass, want 0", avg)
 	}
 }
 
+// TestSniffedSource: the opener picks the v2 decoder for "PCT2" input
+// and the text decoder for anything else.
 func TestSniffedSource(t *testing.T) {
 	orig := seedTraceV2()
-	var v1, v2, txt bytes.Buffer
-	if err := WriteBinary(&v1, orig); err != nil {
-		t.Fatal(err)
-	}
+	var v2, txt bytes.Buffer
 	if err := WriteColumnar(&v2, orig); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteText(&txt, orig); err != nil {
 		t.Fatal(err)
 	}
-	for name, data := range map[string][]byte{"v1": v1.Bytes(), "v2": v2.Bytes(), "text": txt.Bytes()} {
-		src, err := NewSniffedSource(bytes.NewReader(data))
+	for name, data := range map[string][]byte{"v2": v2.Bytes(), "text": txt.Bytes()} {
+		src, err := newSourceOpts(bytes.NewReader(data), OpenOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 )
 
@@ -57,24 +58,25 @@ func traceFromBytes(data []byte) *Trace {
 	return t
 }
 
-// FuzzCodecRoundTrip fuzzes the binary trace codec from both ends:
+// FuzzCodecRoundTrip fuzzes the text trace codec from both ends:
 //
-//  1. the decoder must never panic on arbitrary (corrupt) input, and
-//     anything it does accept must re-encode and re-decode to the same
-//     trace;
+//  1. the decoders must never panic on arbitrary input — retired v1
+//     "PCTR" files and other binary bytes sniff as text — every error
+//     they report must wrap ErrBadFormat, and anything ReadText accepts
+//     must re-encode and re-decode to the same trace;
 //  2. a structurally valid trace derived from the input must survive
 //     encode → decode unchanged (decode(encode(t)) == t).
 func FuzzCodecRoundTrip(f *testing.F) {
 	// Seed corpus: a real encoded trace, truncations and corruptions of
-	// it, plus raw structured-input seeds. testdata/fuzz/FuzzCodecRoundTrip
-	// commits additional generated seeds.
+	// it, a retired v1 execution, plus raw structured-input seeds.
+	// testdata/fuzz/FuzzCodecRoundTrip commits additional seeds.
 	valid := encodedSeedTrace(f)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte{})
-	f.Add([]byte("PCTR"))
-	f.Add([]byte("PCTR\x01\x00"))
-	f.Add([]byte("XXXX\x01\x00\x04name"))
+	f.Add([]byte("PCTR\x01\x00\x04seed\x02\x01\x09\x01\x02"))
+	f.Add([]byte("# app seed exec two\n"))
+	f.Add([]byte("12 io 1 read pc=0x1 fd=1 block=1\n"))
 	corrupt := append([]byte(nil), valid...)
 	for i := 10; i < len(corrupt); i += 7 {
 		corrupt[i] ^= 0x55
@@ -84,13 +86,17 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// (1) Decoder safety on arbitrary bytes.
-		if tr, err := ReadBinary(bytes.NewReader(data)); err == nil {
+		// (1) Decoder safety and typed errors on arbitrary bytes.
+		tr, err := ReadText(bytes.NewReader(data))
+		if err != nil && !errors.Is(err, ErrBadFormat) {
+			t.Fatalf("ReadText error %v does not wrap ErrBadFormat", err)
+		}
+		if err == nil {
 			var buf bytes.Buffer
-			if err := WriteBinary(&buf, tr); err != nil {
+			if err := WriteText(&buf, tr); err != nil {
 				t.Fatalf("re-encoding a decoded trace failed: %v", err)
 			}
-			tr2, err := ReadBinary(&buf)
+			tr2, err := ReadText(&buf)
 			if err != nil {
 				t.Fatalf("re-decoding failed: %v", err)
 			}
@@ -98,14 +104,17 @@ func FuzzCodecRoundTrip(f *testing.F) {
 				t.Fatal("decode(encode(decode(data))) != decode(data)")
 			}
 		}
+		if _, err := Collect(NewTextDecoder(bytes.NewReader(data))); err != nil && !errors.Is(err, ErrBadFormat) {
+			t.Fatalf("TextDecoder error %v does not wrap ErrBadFormat", err)
+		}
 
 		// (2) Round trip of a derived valid trace.
 		orig := traceFromBytes(data)
 		var buf bytes.Buffer
-		if err := WriteBinary(&buf, orig); err != nil {
+		if err := WriteText(&buf, orig); err != nil {
 			t.Fatalf("encoding a valid derived trace failed: %v", err)
 		}
-		got, err := ReadBinary(&buf)
+		got, err := ReadText(&buf)
 		if err != nil {
 			t.Fatalf("decoding a just-encoded trace failed: %v", err)
 		}
@@ -116,7 +125,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 }
 
 // encodedSeedTrace builds a small representative trace and returns its
-// binary encoding.
+// text encoding.
 func encodedSeedTrace(f *testing.F) []byte {
 	f.Helper()
 	t := &Trace{App: "seed", Execution: 2, Events: []Event{
@@ -127,7 +136,7 @@ func encodedSeedTrace(f *testing.F) []byte {
 		{Time: 12000, Pid: 2, Kind: KindExit},
 	}}
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, t); err != nil {
+	if err := WriteText(&buf, t); err != nil {
 		f.Fatal(err)
 	}
 	return buf.Bytes()

@@ -29,10 +29,10 @@ func encodeColumnarFuzz(t *testing.T, tr *Trace, blockEvents int) []byte {
 	return buf.Bytes()
 }
 
-// collectBatched is Collect over the ExecAppender drain path — the fused
-// decode that writes events straight into the destination buffer. The
-// fuzz harness runs it differentially against the per-event Next path:
-// the two decode implementations must accept and reject exactly the same
+// collectBatched is Collect over the ExecAppender drain path, which
+// decodes straight into the destination buffer. The fuzz harness runs it
+// differentially against the per-event Next path over NextBlock's
+// borrowed buffer: the two paths must accept and reject exactly the same
 // inputs and produce identical events.
 func collectBatched(data []byte) ([]*Trace, error) {
 	src := NewBlockSource(bytes.NewReader(data))

@@ -5,38 +5,15 @@ import (
 	"os"
 )
 
-// Format sniffing: every tool accepts v1 binary, v2 columnar and text
-// traces interchangeably by looking at the leading magic bytes.
-
-// NewSniffedSource returns a streaming Source over r, selecting the
-// decoder from the leading four bytes: "PCTR" is the v1 binary format,
-// "PCT2" the v2 columnar format, anything else the text format. The
-// reader is rewound to the start before the decoder is built.
-func NewSniffedSource(r io.ReadSeeker) (Source, error) {
-	var magic [4]byte
-	n, err := io.ReadFull(r, magic[:])
-	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		return nil, err
-	}
-	if _, err := r.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	switch {
-	case n == len(magic) && string(magic[:]) == binaryMagic:
-		return NewDecoder(r), nil
-	case n == len(magic) && string(magic[:]) == blockFileMagic:
-		return NewBlockSource(r), nil
-	default:
-		return NewTextDecoder(r), nil
-	}
-}
+// Format sniffing: every tool accepts v2 columnar and text traces
+// interchangeably by looking at the leading magic bytes.
 
 // OpenOptions tune OpenTraceFileOpts.
 type OpenOptions struct {
 	// Workers > 0 selects the parallel decode pipeline (ParallelSource)
-	// for v2 columnar files, with that many decode workers; other
-	// formats fall back to their sequential decoders. Workers < 0
-	// selects the pipeline with GOMAXPROCS workers.
+	// for v2 columnar files, with that many decode workers; text files
+	// fall back to the sequential text decoder. Workers < 0 selects the
+	// pipeline with GOMAXPROCS workers.
 	Workers int
 	// Pred restricts the stream to matching events. On v2 files with an
 	// index footer, non-matching blocks are skipped without being read
@@ -65,8 +42,8 @@ func (fs *FileSource) Close() error {
 func (fs *FileSource) Name() string { return fs.f.Name() }
 
 // OpenTraceFile opens path and returns a streaming, resettable Source
-// over it, sniffing the format (v1 binary, v2 columnar or text) from the
-// file's first bytes. The caller owns the Close.
+// over it, sniffing the format (v2 columnar or text) from the file's
+// first bytes. The caller owns the Close.
 func OpenTraceFile(path string) (*FileSource, error) {
 	return OpenTraceFileOpts(path, OpenOptions{})
 }
@@ -89,10 +66,11 @@ func OpenTraceFileOpts(path string, opts OpenOptions) (*FileSource, error) {
 	return &FileSource{Source: FilterEvents(src, opts.Pred), inner: src, f: f}, nil
 }
 
-// newSourceOpts sniffs r and builds the decoder opts ask for: the
-// parallel pipeline and/or pushdown on v2 streams, the plain sniffed
-// decoder otherwise. The returned source is unfiltered — callers
-// compose FilterEvents for exact predicate semantics.
+// newSourceOpts sniffs r's leading four bytes and builds the decoder
+// opts ask for: "PCT2" selects v2 (the parallel pipeline and/or
+// pushdown), anything else the text format. The reader is rewound to the
+// start first. The returned source is unfiltered — callers compose
+// FilterEvents for exact predicate semantics.
 func newSourceOpts(r io.ReadSeeker, opts OpenOptions) (Source, error) {
 	var magic [4]byte
 	n, err := io.ReadFull(r, magic[:])
@@ -102,15 +80,15 @@ func newSourceOpts(r io.ReadSeeker, opts OpenOptions) (Source, error) {
 	if _, err := r.Seek(0, io.SeekStart); err != nil {
 		return nil, err
 	}
-	if n == len(magic) && string(magic[:]) == blockFileMagic {
-		if opts.Workers != 0 {
-			ps := NewParallelSource(r, opts.Workers)
-			ps.SetPredicate(opts.Pred)
-			return ps, nil
-		}
-		bs := NewBlockSource(r)
-		bs.SetPredicate(opts.Pred)
-		return bs, nil
+	if n < len(magic) || string(magic[:]) != blockFileMagic {
+		return NewTextDecoder(r), nil
 	}
-	return NewSniffedSource(r)
+	if opts.Workers != 0 {
+		ps := NewParallelSource(r, opts.Workers)
+		ps.SetPredicate(opts.Pred)
+		return ps, nil
+	}
+	bs := NewBlockSource(r)
+	bs.SetPredicate(opts.Pred)
+	return bs, nil
 }

@@ -47,8 +47,8 @@ type ExecSlicer interface {
 }
 
 // ExecAppender is the batch counterpart of ExecSlicer for sources that
-// decode into reusable internal state rather than holding a lendable
-// slice (BlockSource over its pooled frame). AppendExec appends the
+// decode block by block rather than holding a whole execution's slice
+// (BlockSource, ParallelSource). AppendExec appends the
 // remaining events of the current execution to buf and exhausts the
 // execution; the returned slice is caller-owned. Drain prefers it over
 // the event-at-a-time Next loop.

@@ -251,11 +251,11 @@ func TestDecoderStreamsConcatenatedTraces(t *testing.T) {
 	traces := []*Trace{mkTrace("moz", 0, 4), mkTrace("moz", 1, 0), mkTrace("ned", 7, 2)}
 	var buf bytes.Buffer
 	for _, tr := range traces {
-		if err := WriteBinary(&buf, tr); err != nil {
+		if err := WriteColumnar(&buf, tr); err != nil {
 			t.Fatal(err)
 		}
 	}
-	d := NewDecoder(bytes.NewReader(buf.Bytes()))
+	d := NewBlockSource(bytes.NewReader(buf.Bytes()))
 	got := collectSource(t, d)
 	if len(got) != 3 {
 		t.Fatalf("decoded %d executions, want 3", len(got))
@@ -284,11 +284,11 @@ func TestDecoderStreamsConcatenatedTraces(t *testing.T) {
 func TestDecoderTruncatedStream(t *testing.T) {
 	tr := mkTrace("a", 0, 10)
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, tr); err != nil {
+	if err := WriteColumnar(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	cut := buf.Bytes()[:buf.Len()-3]
-	d := NewDecoder(bytes.NewReader(cut))
+	d := NewBlockSource(bytes.NewReader(cut))
 	if _, _, ok := d.NextExec(); !ok {
 		t.Fatal("NextExec should succeed on an intact header")
 	}
@@ -311,7 +311,7 @@ func TestDecoderTruncatedStream(t *testing.T) {
 }
 
 func TestDecoderEmptyInputCleanEnd(t *testing.T) {
-	d := NewDecoder(bytes.NewReader(nil))
+	d := NewBlockSource(bytes.NewReader(nil))
 	if _, _, ok := d.NextExec(); ok {
 		t.Fatal("NextExec on empty input should report exhaustion")
 	}
@@ -323,11 +323,11 @@ func TestDecoderEmptyInputCleanEnd(t *testing.T) {
 func TestDecoderSkipsUndrainedExecution(t *testing.T) {
 	var buf bytes.Buffer
 	for _, tr := range []*Trace{mkTrace("a", 0, 5), mkTrace("b", 1, 2)} {
-		if err := WriteBinary(&buf, tr); err != nil {
+		if err := WriteColumnar(&buf, tr); err != nil {
 			t.Fatal(err)
 		}
 	}
-	d := NewDecoder(bytes.NewReader(buf.Bytes()))
+	d := NewBlockSource(bytes.NewReader(buf.Bytes()))
 	if _, _, ok := d.NextExec(); !ok {
 		t.Fatal("first NextExec failed")
 	}
@@ -352,36 +352,9 @@ func collectEvents(src Source) []Event {
 	}
 }
 
-func TestEncoderMatchesWriteBinary(t *testing.T) {
-	tr := mkTrace("mozilla", 3, 50)
-	tr.Events = append(tr.Events, Event{Time: 60 * Millisecond, Pid: 1, Kind: KindFork, Child: 2})
-	tr.Events = append(tr.Events, Event{Time: 61 * Millisecond, Pid: 2, Kind: KindExit})
-
-	var direct bytes.Buffer
-	if err := WriteBinary(&direct, tr); err != nil {
-		t.Fatal(err)
-	}
-	var streamed bytes.Buffer
-	enc, err := NewEncoder(&streamed, tr.App, tr.Execution, len(tr.Events))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range tr.Events {
-		if err := enc.Write(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := enc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(direct.Bytes(), streamed.Bytes()) {
-		t.Error("streaming encoder output differs from WriteBinary")
-	}
-}
-
 func TestEncoderCountEnforced(t *testing.T) {
 	var buf bytes.Buffer
-	enc, err := NewEncoder(&buf, "a", 0, 2)
+	enc, err := NewBlockEncoder(&buf, "a", 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +364,7 @@ func TestEncoderCountEnforced(t *testing.T) {
 	if err := enc.Close(); err == nil {
 		t.Error("Close with missing events should fail")
 	}
-	enc2, _ := NewEncoder(&buf, "a", 0, 0)
+	enc2, _ := NewBlockEncoder(&buf, "a", 0, 0)
 	if err := enc2.Write(Event{Kind: KindExit, Pid: 1}); err == nil {
 		t.Error("Write past the declared count should fail")
 	}
