@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"pcapsim/internal/sim"
@@ -77,13 +78,22 @@ func TestCounterfactualDifferential(t *testing.T) {
 	}
 }
 
-// decisionGoldenPath holds the committed decision trace of the first
-// xemacs execution under PCAP at the default seed.
-const decisionGoldenPath = "testdata/xemacs-pcap.pcd"
+// decisionGoldens are the committed decision traces of xemacs under PCAP
+// at the default seed, one record per line. The first holds each
+// execution's first access alone, so every period is terminal; the
+// second holds the whole first execution, so it pins shutdowns, waits and
+// the three prices of every period.
+var decisionGoldens = []struct {
+	path  string
+	limit func(trace.Source) trace.Source
+}{
+	{"testdata/xemacs-pcap.decisions", func(s trace.Source) trace.Source { return trace.Limit(s, 1) }},
+	{"testdata/xemacs-pcap-exec0.decisions", func(s trace.Source) trace.Source { return trace.LimitExecs(s, 1) }},
+}
 
-// goldenDecisionRun records the fixed-seed decision stream the golden
-// file pins: xemacs execution 0, PCAP, default configuration.
-func goldenDecisionRun(t *testing.T) []trace.DecisionRecord {
+// goldenDecisionRun records the fixed-seed decision stream of xemacs
+// under PCAP, default configuration, over the source limit carves out.
+func goldenDecisionRun(t *testing.T, limit func(trace.Source) trace.Source) []trace.DecisionRecord {
 	t.Helper()
 	s := NewDefaultSuite()
 	runner, err := sim.NewRunner(s.Config())
@@ -104,78 +114,52 @@ func goldenDecisionRun(t *testing.T) []trace.DecisionRecord {
 		t.Fatal("pcap policy missing")
 	}
 	var log trace.DecisionLog
-	src := trace.Limit(trace.NewSliceSource(s.Traces(app)...), 1)
+	src := limit(trace.NewSliceSource(s.Traces(app)...))
 	if _, err := runner.RunSourceTraced(src, pol, sim.TraceOptions{Sink: &log}); err != nil {
 		t.Fatal(err)
 	}
 	return log.Records
 }
 
-// TestDecisionTraceGolden pins the decision-trace codec's on-disk bytes:
-// the fixed-seed run must encode to exactly the committed file, the file
-// must decode field-for-field to the live records, and — mirroring the v2
-// block contract — any single-bit corruption of the file must surface as
-// a decode error. Refresh with -update after an intentional format or
-// simulator change.
-func TestDecisionTraceGolden(t *testing.T) {
-	recs := goldenDecisionRun(t)
-	if len(recs) == 0 {
-		t.Fatal("golden run produced no decisions")
+// formatDecisions renders records one per line with every field; floats
+// use the shortest representation that parses back to the same bits.
+func formatDecisions(recs []trace.DecisionRecord) []byte {
+	var b bytes.Buffer
+	b.WriteString("# index exec pid pc flags source start end at wait flip_wait energy_j energy_delta flip_delta\n")
+	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	for _, r := range recs {
+		fmt.Fprintf(&b, "%d %d %d %d %d %d %d %d %d %d %d %s %s %s\n",
+			r.Index, r.Exec, r.Pid, r.PC, r.Flags, r.Source,
+			int64(r.Start), int64(r.End), int64(r.At), int64(r.Wait), int64(r.FlipWait),
+			g(r.EnergyJ), g(r.EnergyDelta), g(r.FlipDelta))
 	}
-	var buf bytes.Buffer
-	if err := trace.WriteDecisions(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	if *updateGolden {
-		if err := os.WriteFile(decisionGoldenPath, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s (%d records, %d bytes)", decisionGoldenPath, len(recs), buf.Len())
-		return
-	}
-	want, err := os.ReadFile(decisionGoldenPath)
-	if err != nil {
-		t.Fatalf("%v (run with -update to regenerate)", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("decision trace encoding changed: %d bytes vs committed %d (run with -update after an intentional change)",
-			buf.Len(), len(want))
-	}
-	decoded, err := trace.ReadDecisions(bytes.NewReader(want))
-	if err != nil {
-		t.Fatalf("decoding committed golden: %v", err)
-	}
-	if !reflect.DeepEqual(decoded, recs) {
-		t.Fatal("decoded golden records differ field-for-field from the live run")
-	}
+	return b.Bytes()
 }
 
-// TestDecisionTraceGoldenBitFlips corrupts the committed golden file one
-// bit at a time; every mutation must fail decoding, never silently alter
-// records. The file is a few KB, so the sweep covers every bit. Skipped
-// under -short (the race pass) — the contract is format-level, already
-// enforced per-encoding by the trace package's own bit-flip test.
-func TestDecisionTraceGoldenBitFlips(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bit sweep over the golden file; covered by the long pass")
-	}
-	want, err := os.ReadFile(decisionGoldenPath)
-	if err != nil {
-		t.Fatalf("%v (run with -update to regenerate)", err)
-	}
-	orig, err := trace.ReadDecisions(bytes.NewReader(want))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < len(want)*8; i++ {
-		mut := append([]byte(nil), want...)
-		mut[i/8] ^= 1 << (i % 8)
-		got, err := trace.ReadDecisions(bytes.NewReader(mut))
-		if err == nil {
-			if reflect.DeepEqual(got, orig) {
-				t.Fatalf("bit flip at %d decoded to the original records", i)
+// TestDecisionTraceGolden pins every field of the fixed-seed decision
+// streams, bit for bit: pricing, flags and identities. Refresh with
+// -update after an intentional simulator change.
+func TestDecisionTraceGolden(t *testing.T) {
+	for _, g := range decisionGoldens {
+		recs := goldenDecisionRun(t, g.limit)
+		if len(recs) == 0 {
+			t.Fatalf("%s: golden run produced no decisions", g.path)
+		}
+		got := formatDecisions(recs)
+		if *updateGolden {
+			if err := os.WriteFile(g.path, got, 0o644); err != nil {
+				t.Fatal(err)
 			}
-			t.Fatalf("bit flip at %d decoded cleanly (%d records)", i, len(got))
+			t.Logf("wrote %s (%d records, %d bytes)", g.path, len(recs), len(got))
+			continue
+		}
+		want, err := os.ReadFile(g.path)
+		if err != nil {
+			t.Fatalf("%v (run with -update to regenerate)", err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: decision trace changed (run with -update after an intentional change)\n%s",
+				g.path, diffPosition(string(want), string(got)))
 		}
 	}
 }
