@@ -793,34 +793,41 @@ func BenchmarkRunAppStreaming(b *testing.B) {
 	}
 }
 
+// heapPeak is a decision sink that samples the live heap every 128th
+// period (a GC before each sample leaves only reachable memory).
+type heapPeak struct {
+	periods int
+	peak    uint64
+}
+
+func (h *heapPeak) Record(trace.DecisionRecord) {
+	h.periods++
+	if h.periods%128 != 1 {
+		return
+	}
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	if ms.HeapAlloc > h.peak {
+		h.peak = ms.HeapAlloc
+	}
+}
+
 // benchScalePeak measures the peak live heap while simulating an
-// N×-scaled workload, sampled via the runner's period hook (a GC before
-// each sample leaves only reachable memory). Materialized runs pin the
-// whole scaled workload; streaming runs hold one execution — so the
+// N×-scaled workload, sampled by a heapPeak sink. Materialized runs pin
+// the whole scaled workload; streaming runs hold one execution — so the
 // streaming peak stays flat as the scale grows.
 func benchScalePeak(b *testing.B, scale int, streaming bool) {
 	b.Helper()
 	app, _ := workload.ByName("nedit")
 	for i := 0; i < b.N; i++ {
 		runner := sim.MustNewRunner(sim.DefaultConfig())
-		var peak uint64
-		period := 0
-		runner.PeriodHook = func(sim.PeriodRecord) {
-			period++
-			if period%128 != 1 {
-				return
-			}
-			runtime.GC()
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			if ms.HeapAlloc > peak {
-				peak = ms.HeapAlloc
-			}
-		}
+		var h heapPeak
+		opt := sim.TraceOptions{Sink: &h}
 		pol := pcapPolicy(core.DefaultConfig(core.VariantBase))
 		src := trace.Scale(app.Stream(experiments.DefaultSeed), scale)
 		if streaming {
-			if _, err := runner.RunSource(src, pol); err != nil {
+			if _, err := runner.RunSourceTraced(src, pol, opt); err != nil {
 				b.Fatal(err)
 			}
 		} else {
@@ -828,13 +835,13 @@ func benchScalePeak(b *testing.B, scale int, streaming bool) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := runner.RunApp(traces, pol); err != nil {
+			if _, err := runner.RunSourceTraced(trace.NewSliceSource(traces...), pol, opt); err != nil {
 				b.Fatal(err)
 			}
 			runtime.KeepAlive(traces)
 		}
 		if i == b.N-1 {
-			b.ReportMetric(float64(peak)/1024, "peak-heap-KB")
+			b.ReportMetric(float64(h.peak)/1024, "peak-heap-KB")
 		}
 	}
 }

@@ -60,9 +60,10 @@ type Result struct {
 	Supported bool `json:"supported"`
 }
 
-// Run executes the spec: candidate run with decision tracing, baseline
-// run, metric evaluation, attribution ranking, and — if requested — the
-// counterfactual flip replay. The spec must be valid (Parse validates).
+// Run executes the spec: candidate run with decision tracing and baseline
+// run in one pass, metric evaluation, attribution ranking, and — if
+// requested — the counterfactual flip replay. The spec must be valid
+// (Parse validates).
 func Run(spec *Spec) (*Result, error) {
 	cfg := sim.DefaultConfig()
 	if spec.Device != "" {
@@ -94,15 +95,20 @@ func Run(spec *Spec) (*Result, error) {
 		return nil, fmt.Errorf("hypothesis: unknown baseline policy %q", spec.Baseline)
 	}
 
+	// Candidate and baseline share one pass: each execution is prepared
+	// once and both cells step over it.
 	var log trace.DecisionLog
-	cand, err := runner.RunSourceTraced(suite.SourceFor(app), candPol, sim.TraceOptions{Sink: &log})
-	if err != nil {
-		return nil, fmt.Errorf("hypothesis: candidate run: %w", err)
+	results, errs := sim.RunCells(suite.SourceFor(app), []sim.Cell{
+		{Runner: runner, Policy: candPol, Trace: sim.TraceOptions{Sink: &log}},
+		{Runner: runner, Policy: basePol},
+	})
+	if errs[0] != nil {
+		return nil, fmt.Errorf("hypothesis: candidate run: %w", errs[0])
 	}
-	base, err := runner.RunSource(suite.SourceFor(app), basePol)
-	if err != nil {
-		return nil, fmt.Errorf("hypothesis: baseline run: %w", err)
+	if errs[1] != nil {
+		return nil, fmt.Errorf("hypothesis: baseline run: %w", errs[1])
 	}
+	cand, base := results[0], results[1]
 
 	res := &Result{
 		Spec:      spec,

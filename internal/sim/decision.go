@@ -20,10 +20,10 @@ import (
 // in full.
 
 // DecisionSink receives one record per evaluated global idle period, in
-// run order, synchronously on the simulating goroutine. Implementations
-// must not retain the record beyond Record (it is a value; retaining is
-// safe but copying into growing storage is the intended pattern).
-// *trace.DecisionEncoder and *trace.DecisionLog both implement it.
+// run order, synchronously on the simulating goroutine; it is the
+// simulator's one per-period callback. The record is a value, so a sink
+// may keep it. *trace.DecisionLog collects records in memory. A sink
+// shared by concurrent runs must itself be safe for concurrent use.
 type DecisionSink interface {
 	Record(trace.DecisionRecord)
 }
@@ -66,37 +66,6 @@ type tracedRun struct {
 	next int64 // next decision index
 }
 
-// periodOutcome mirrors accountPeriod's energy and latency model without
-// touching an AppResult: the non-busy energy (J) the period is charged
-// under the given decision, the user-visible spin-up wait, and whether a
-// power cycle is performed. accountPeriod stays the accounting authority;
-// this recomputation exists so traced runs can price the decision as
-// made, the keep-spinning alternative, and the flipped alternative
-// without perturbing the result's accumulation order.
-func (r *Runner) periodOutcome(svcEnd, T1, s trace.Time, shutdown bool, src predictor.Source) (energyJ float64, wait trace.Time, cycled bool) {
-	d := &r.cfg.Disk
-	idleStart := svcEnd
-	if idleStart > T1 {
-		return 0, 0, false
-	}
-	preShutdownPower := d.IdlePower
-	if r.cfg.LowPowerWaitWindow && src == predictor.SourcePrimary && d.LowPowerIdlePower > 0 {
-		preShutdownPower = d.LowPowerIdlePower
-	}
-	if !shutdown || s >= T1 {
-		return (T1 - idleStart).Seconds() * d.IdlePower, 0, false
-	}
-	if s < idleStart {
-		s = idleStart
-	}
-	energyJ = (s-idleStart).Seconds()*preShutdownPower + (T1-s).Seconds()*d.StandbyPower + d.CycleEnergy()
-	wait = d.SpinUpTime
-	if pending := s + d.ShutdownTime - T1; pending > 0 {
-		wait += pending
-	}
-	return energyJ, wait, true
-}
-
 // decide applies the counterfactual flip (if any) to one evaluated period
 // and emits its decision record. It is called once per period from
 // runExecution, with the decision exactly as the global combiner produced
@@ -117,15 +86,23 @@ func (tr *tracedRun) decide(r *Runner, ex *execution, a trace.Event, svcEnd, T0,
 		}
 	}
 	if tr.opt.Sink != nil {
-		actualE, actualW, _ := r.periodOutcome(svcEnd, T1, s, found, src)
-		spinE, _, _ := r.periodOutcome(svcEnd, T1, 0, false, predictor.SourceNone)
+		// Each outcome is priced as accountPeriod would charge it.
+		price := func(s trace.Time, shutdown bool, src predictor.Source) (float64, trace.Time) {
+			idleJ, wait, cycled := r.periodCost(svcEnd, T1, s, shutdown, src)
+			if cycled {
+				idleJ += r.cfg.Disk.CycleEnergy()
+			}
+			return idleJ, wait
+		}
+		actualE, actualW := price(s, found, src)
+		spinE, _ := price(0, false, predictor.SourceNone)
 		var flipS trace.Time
 		var flipSrc predictor.Source
 		flipFound := !found
 		if flipFound {
 			flipS, flipSrc = T0, predictor.SourceBackup
 		}
-		flipE, flipW, _ := r.periodOutcome(svcEnd, T1, flipS, flipFound, flipSrc)
+		flipE, flipW := price(flipS, flipFound, flipSrc)
 
 		rec := trace.DecisionRecord{
 			Index:       k,

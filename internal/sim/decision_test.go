@@ -140,38 +140,6 @@ func TestFlipMatchesAttribution(t *testing.T) {
 	}
 }
 
-// TestFlipRoundTripsThroughCodec: a recorded decision stream survives the
-// on-disk codec between the record and replay phases — the workflow the
-// hypothesis harness uses.
-func TestFlipRoundTripsThroughCodec(t *testing.T) {
-	r := mustRunner(t)
-	tr := handTrace(0, 30, 42, 49, 51)
-	pol := tpPolicy(10 * trace.Second)
-
-	var buf bytes.Buffer
-	enc, err := trace.NewDecisionEncoder(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.RunSourceTraced(trace.NewSliceSource(tr), pol, TraceOptions{Sink: enc}); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := trace.ReadDecisions(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var log trace.DecisionLog
-	if _, err := r.RunSourceTraced(trace.NewSliceSource(tr), pol, TraceOptions{Sink: &log}); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(recs, log.Records) {
-		t.Fatal("decoded decision stream differs from an in-memory re-recording")
-	}
-}
-
 // TestDecisionRecordingDisabledAllocs: the traced entry point with zero
 // options must not add a single allocation over the plain path — disabled
 // recording is free. With a warmed sink it may add exactly the tracedRun

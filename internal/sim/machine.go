@@ -39,11 +39,6 @@ type machine struct {
 	tr  *tracedRun
 	rs  *runState
 	res *AppResult
-	// hook receives a record per evaluated global idle period. It is
-	// captured from Runner.PeriodHook at construction (the documented
-	// contract: install hooks before the first run) so the machine layer
-	// never reads runner state mid-run.
-	hook func(PeriodRecord)
 
 	newFactory func() predictor.Factory
 	f          predictor.Factory
@@ -84,7 +79,6 @@ func (r *Runner) newMachine(src trace.Source, pol Policy, tr *tracedRun) (*machi
 			Policy:       pol.Name,
 			StateEntries: -1,
 		},
-		hook:       r.PeriodHook,
 		newFactory: newFactory,
 		borrows:    borrows,
 	}, nil
@@ -153,7 +147,7 @@ func (m *machine) openExecution(ex *execution) {
 	if len(ex.accesses) == 0 {
 		// A silent execution: the disk just idles; there is nothing to
 		// step.
-		r.accountIdle(res, 0, ex.end)
+		r.accountPeriod(res, 0, ex.end, 0, false, ex.end >= d.Breakeven, predictor.SourceNone)
 		return
 	}
 
@@ -176,7 +170,8 @@ func (m *machine) openExecution(ex *execution) {
 	}
 
 	// Leading idle before the first access: the disk spins unmanaged.
-	r.accountIdle(res, 0, ex.accesses[0].Time)
+	first := ex.accesses[0].Time
+	r.accountPeriod(res, 0, first, 0, false, first >= d.Breakeven, predictor.SourceNone)
 
 	if rs.preds == nil {
 		rs.preds = make(map[trace.PID]predictor.Process)
@@ -267,25 +262,15 @@ func (m *machine) step() {
 	var s trace.Time
 	var src predictor.Source
 	var found bool
-	var decider trace.PID
 	if pol.GlobalOracle {
 		if long {
 			s, src, found = T0, predictor.SourcePrimary, true
-			decider = a.Pid
 		}
 	} else {
-		s, src, found, decider = r.combine(ex, dec, rs.decided, T0, T1)
+		s, src, found = r.combine(ex, dec, rs.decided, T0, T1)
 	}
 	if m.tr != nil {
 		s, src, found = m.tr.decide(r, ex, a, serviceEnd[i], T0, T1, s, src, found, terminal, long)
-	}
-	if m.hook != nil && !terminal {
-		m.hook(PeriodRecord{
-			Execution: ex.index,
-			Start:     T0, End: T1,
-			LastPid: a.Pid, LastPC: a.PC,
-			Shutdown: found, At: s, Source: src, DeciderPid: decider,
-		})
 	}
 
 	if !terminal {

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"slices"
+
 	"pcapsim/internal/disk"
 	"pcapsim/internal/trace"
 )
@@ -17,33 +19,17 @@ import (
 
 // MachineEnergy replays the given execution traces through disk.Machine
 // under the policy's *recorded* shutdown decisions and returns the total
-// energy breakdown. It runs the regular simulation first (to obtain the
-// shutdown schedule via the PeriodHook) and then drives the state machine
-// with that schedule.
+// energy breakdown. It runs the regular simulation first, recording its
+// decisions, and then drives the state machine with the shutdown
+// schedule of the non-terminal periods.
 func (r *Runner) MachineEnergy(traces []*trace.Trace, pol Policy) (disk.EnergyBreakdown, error) {
-	type shutdownCmd struct {
-		exec int
-		at   trace.Time
-	}
-	var schedule []shutdownCmd
-	// Capture the shutdown schedule by driving the extracted machine
-	// layer directly with a capture hook — the same prepare/step path as
-	// RunApp, without mutating r (whose PeriodHook may be owned by a
-	// concurrent caller) and without hand-assembling a scratch Runner.
-	src := trace.NewSliceSource(traces...)
-	m, err := r.newMachine(src, pol, nil)
-	if err != nil {
+	var log trace.DecisionLog
+	if _, err := r.RunSourceTraced(trace.NewSliceSource(traces...), pol, TraceOptions{Sink: &log}); err != nil {
 		return disk.EnergyBreakdown{}, err
 	}
-	m.hook = func(p PeriodRecord) {
-		if p.Shutdown {
-			schedule = append(schedule, shutdownCmd{exec: p.Execution, at: p.At})
-		}
-	}
-	drive(src, []*machine{m})
-	if _, err := m.finish(); err != nil {
-		return disk.EnergyBreakdown{}, err
-	}
+	schedule := slices.DeleteFunc(log.Records, func(rec trace.DecisionRecord) bool {
+		return !rec.Shutdown() || rec.Terminal()
+	})
 
 	var total disk.EnergyBreakdown
 	si := 0 // schedule cursor
@@ -78,8 +64,8 @@ func (r *Runner) MachineEnergy(traces []*trace.Trace, pol Policy) (disk.EnergyBr
 				next = ex.accesses[i+1].Time
 			}
 			m.SetPeriodClass(next-a.Time >= r.cfg.Disk.Breakeven)
-			for si < len(schedule) && schedule[si].exec == tr.Execution && schedule[si].at < next {
-				if err := m.Shutdown(clamp(schedule[si].at)); err != nil {
+			for si < len(schedule) && int(schedule[si].Exec) == tr.Execution && schedule[si].At < next {
+				if err := m.Shutdown(clamp(schedule[si].At)); err != nil {
 					return disk.EnergyBreakdown{}, err
 				}
 				si++
@@ -87,7 +73,7 @@ func (r *Runner) MachineEnergy(traces []*trace.Trace, pol Policy) (disk.EnergyBr
 		}
 		// Drop any leftover commands of this execution (stamped at or
 		// after the final event).
-		for si < len(schedule) && schedule[si].exec == tr.Execution {
+		for si < len(schedule) && int(schedule[si].Exec) == tr.Execution {
 			si++
 		}
 		end := ex.end

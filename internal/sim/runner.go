@@ -108,25 +108,6 @@ type AppResult struct {
 	Cache fscache.Stats
 }
 
-// PeriodRecord describes one evaluated global idle period; see
-// Runner.PeriodHook.
-type PeriodRecord struct {
-	// Execution is the execution index within the run.
-	Execution int
-	// Start and End delimit the period (arrival to arrival).
-	Start, End trace.Time
-	// LastPid / LastPC identify the access leading into the period.
-	LastPid trace.PID
-	LastPC  trace.PC
-	// Shutdown reports whether a shutdown occurred, at time At, decided
-	// by a process whose decision came from Source.
-	Shutdown bool
-	At       trace.Time
-	Source   predictor.Source
-	// DeciderPid is the process whose decision set the shutdown time.
-	DeciderPid trace.PID
-}
-
 // Runner executes policies over application traces.
 //
 // A Runner is safe for concurrent runs: cfg is immutable after
@@ -135,14 +116,8 @@ type PeriodRecord struct {
 // (see getState). Traces are read only. The parallel experiment engine
 // (internal/experiments.RunMatrix) relies on this. Sources are
 // single-goroutine iterators, so concurrent runs need distinct Sources.
-// PeriodHook fires on the goroutine running the simulation, so a hook on
-// a shared Runner must itself be safe for concurrent use (the experiment
-// engine never installs one).
 type Runner struct {
 	cfg Config
-	// PeriodHook, if non-nil, receives a record for every evaluated
-	// global idle period — a debugging and testing aid.
-	PeriodHook func(PeriodRecord)
 	// statePool recycles per-run scratch state (file cache arena, event
 	// buffers, per-pid maps) across RunSource calls, so repeated runs on
 	// one Runner allocate only what a single run's high-water mark needs.
@@ -289,7 +264,7 @@ type decisionState struct {
 // performed I/O is ready. Processes exiting during the window stop
 // constraining it from their exit on. The returned source belongs to the
 // process that made the last (latest-ready) decision.
-func (r *Runner) combine(ex *execution, dec map[trace.PID]decisionState, decided []trace.PID, T0, T1 trace.Time) (trace.Time, predictor.Source, bool, trace.PID) {
+func (r *Runner) combine(ex *execution, dec map[trace.PID]decisionState, decided []trace.PID, T0, T1 trace.Time) (trace.Time, predictor.Source, bool) {
 	// Exit events strictly inside the window split it into segments with
 	// a fixed constraint set each.
 	eidx := sort.Search(len(ex.exits), func(i int) bool { return ex.exits[i].Time > T0 })
@@ -301,7 +276,6 @@ func (r *Runner) combine(ex *execution, dec map[trace.PID]decisionState, decided
 		}
 		ready := trace.Time(math.MinInt64)
 		src := predictor.SourceBackup
-		var decider trace.PID
 		blocked := false
 		any := false
 		for _, pid := range decided {
@@ -318,23 +292,22 @@ func (r *Runner) combine(ex *execution, dec map[trace.PID]decisionState, decided
 			if st.ready >= ready {
 				ready = st.ready
 				src = st.source
-				decider = pid
 			}
 		}
 		if !any {
 			// Every process that ever accessed the disk has exited: shut
 			// down as soon as the segment starts.
-			return segStart, predictor.SourceBackup, true, 0
+			return segStart, predictor.SourceBackup, true
 		}
 		if !blocked && ready < segEnd {
 			s := ready
 			if s < segStart {
 				s = segStart
 			}
-			return s, src, true, decider
+			return s, src, true
 		}
 		if segEnd == T1 {
-			return 0, predictor.SourceNone, false, 0
+			return 0, predictor.SourceNone, false
 		}
 		segStart = segEnd
 		eidx++
@@ -375,32 +348,21 @@ func classify(c *Counts, gap trace.Time, d predictor.Decision, breakeven trace.T
 	}
 }
 
-// accountIdle charges unmanaged spinning idle time for [from, to).
-func (r *Runner) accountIdle(res *AppResult, from, to trace.Time) {
-	if to <= from {
-		return
-	}
-	gap := to - from
-	j := gap.Seconds() * r.cfg.Disk.IdlePower
-	if gap >= r.cfg.Disk.Breakeven {
-		res.Energy.IdleLong += j
-	} else {
-		res.Energy.IdleShort += j
-	}
-}
-
-// accountPeriod charges the non-busy energy of one global period: the disk
-// idles from svcEnd until the shutdown point s (if found), then stands by
-// until T1; the fixed power-cycle energy is charged per shutdown.
-func (r *Runner) accountPeriod(res *AppResult, svcEnd, T1, s trace.Time, shutdown, long bool, src predictor.Source) {
+// periodCost prices one global period under a decision: the disk idles
+// from svcEnd until the shutdown point s (if found), then stands by until
+// T1. idleJ is that non-busy energy without the power cycle; cycled
+// reports a shutdown, which costs the drive's fixed cycle energy and
+// makes the access ending the period wait for the spin-up. It is the one
+// period cost model: accountPeriod charges it and decision tracing prices
+// the decision's alternatives with it.
+func (r *Runner) periodCost(svcEnd, T1, s trace.Time, shutdown bool, src predictor.Source) (idleJ float64, wait trace.Time, cycled bool) {
 	d := &r.cfg.Disk
 	idleStart := svcEnd
 	if idleStart > T1 {
-		return // queued service spills past the next arrival: no idle at all
+		return 0, 0, false // queued service spills past the next arrival: no idle at all
 	}
-	bucket := &res.Energy.IdleShort
-	if long {
-		bucket = &res.Energy.IdleLong
+	if !shutdown || s >= T1 {
+		return (T1 - idleStart).Seconds() * d.IdlePower, 0, false
 	}
 	// With the multi-state extension, a pending primary prediction parks
 	// the disk in the low-power idle state for its wait-window.
@@ -408,23 +370,34 @@ func (r *Runner) accountPeriod(res *AppResult, svcEnd, T1, s trace.Time, shutdow
 	if r.cfg.LowPowerWaitWindow && src == predictor.SourcePrimary && d.LowPowerIdlePower > 0 {
 		preShutdownPower = d.LowPowerIdlePower
 	}
-	if !shutdown || s >= T1 {
-		*bucket += (T1 - idleStart).Seconds() * d.IdlePower
-		return
-	}
 	if s < idleStart {
 		s = idleStart
 	}
-	*bucket += (s-idleStart).Seconds()*preShutdownPower + (T1-s).Seconds()*d.StandbyPower
-	res.Energy.PowerCycle += d.CycleEnergy()
-	res.Cycles++
+	idleJ = (s-idleStart).Seconds()*preShutdownPower + (T1-s).Seconds()*d.StandbyPower
 	// The access ending this period finds the disk off: it waits for the
 	// spin-up, plus the tail of the shutdown transition if it arrived
 	// mid-transition.
-	res.Wakeups++
-	wait := d.SpinUpTime
+	wait = d.SpinUpTime
 	if pending := s + d.ShutdownTime - T1; pending > 0 {
 		wait += pending
 	}
-	res.WaitTime += wait
+	return idleJ, wait, true
+}
+
+// accountPeriod charges one global period's periodCost to res: the idle
+// energy to the long or short bucket, and a performed shutdown's cycle
+// energy, cycle, wakeup and wait.
+func (r *Runner) accountPeriod(res *AppResult, svcEnd, T1, s trace.Time, shutdown, long bool, src predictor.Source) {
+	idleJ, wait, cycled := r.periodCost(svcEnd, T1, s, shutdown, src)
+	if long {
+		res.Energy.IdleLong += idleJ
+	} else {
+		res.Energy.IdleShort += idleJ
+	}
+	if cycled {
+		res.Energy.PowerCycle += r.cfg.Disk.CycleEnergy()
+		res.Cycles++
+		res.Wakeups++
+		res.WaitTime += wait
+	}
 }

@@ -296,23 +296,28 @@ func TestExitUnblocksGlobal(t *testing.T) {
 	}
 }
 
+// TestPeriodHook: the decision sink sees every global period, the
+// terminal one included, with the shutdown the run applied.
 func TestPeriodHook(t *testing.T) {
 	r := mustRunner(t)
-	var records []PeriodRecord
-	r.PeriodHook = func(p PeriodRecord) { records = append(records, p) }
+	var log trace.DecisionLog
 	tr := handTrace(0, 30, 32)
-	if _, err := r.RunApp([]*trace.Trace{tr}, tpPolicy(10*trace.Second)); err != nil {
+	if _, err := r.RunSourceTraced(trace.NewSliceSource(tr), tpPolicy(10*trace.Second), TraceOptions{Sink: &log}); err != nil {
 		t.Fatal(err)
 	}
-	// Two non-terminal periods: 0→30 and 30→32.
-	if len(records) != 2 {
-		t.Fatalf("%d records", len(records))
+	// Periods 0→30, 30→32 and the terminal tail after 32.
+	recs := log.Records
+	if len(recs) != 3 {
+		t.Fatalf("%d records", len(recs))
 	}
-	if !records[0].Shutdown || records[0].At != trace.FromSeconds(10) {
-		t.Fatalf("record 0: %+v", records[0])
+	if !recs[0].Shutdown() || recs[0].At != trace.FromSeconds(10) || recs[0].Terminal() {
+		t.Fatalf("record 0: %+v", recs[0])
 	}
-	if records[1].Shutdown {
-		t.Fatalf("record 1: %+v", records[1])
+	if recs[1].Shutdown() || recs[1].Terminal() {
+		t.Fatalf("record 1: %+v", recs[1])
+	}
+	if !recs[2].Terminal() {
+		t.Fatalf("record 2: %+v", recs[2])
 	}
 }
 

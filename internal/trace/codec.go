@@ -52,43 +52,6 @@ func WriteText(w io.Writer, t *Trace) error {
 	return bw.Flush()
 }
 
-// ReadText decodes a trace in the text format written by WriteText.
-func ReadText(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	t := &Trace{}
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		if strings.HasPrefix(text, "#") {
-			fields := strings.Fields(text)
-			// "# app <name> exec <n>"
-			if len(fields) >= 5 && fields[1] == "app" && fields[3] == "exec" {
-				t.App = fields[2]
-				exec, err := strconv.Atoi(fields[4])
-				if err != nil {
-					return nil, textLineError(line, "bad exec: %v", err)
-				}
-				t.Execution = exec
-			}
-			continue
-		}
-		e, err := parseTextEvent(text)
-		if err != nil {
-			return nil, textLineError(line, "%v", err)
-		}
-		t.Events = append(t.Events, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, textScanError(err)
-	}
-	return t, nil
-}
-
 func parseTextEvent(text string) (Event, error) {
 	fields := strings.Fields(text)
 	if len(fields) < 3 {

@@ -105,11 +105,11 @@ func TestTextRoundTrip(t *testing.T) {
 	if !strings.Contains(buf.String(), "# app demo exec 0") {
 		t.Fatalf("header missing:\n%s", buf.String())
 	}
-	got, err := ReadText(&buf)
+	got, err := Collect(NewTextDecoder(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(tr, got) {
+	if len(got) != 1 || !reflect.DeepEqual(tr, got[0]) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, tr)
 	}
 }
@@ -127,7 +127,7 @@ func TestTextParseErrors(t *testing.T) {
 		"12 io notanumber read pc=1 fd=1 block=1 size=1",
 	}
 	for _, line := range bad {
-		if _, err := ReadText(strings.NewReader(line)); !errors.Is(err, ErrBadFormat) {
+		if _, err := Collect(NewTextDecoder(strings.NewReader(line))); !errors.Is(err, ErrBadFormat) {
 			t.Errorf("line %q: error %v, want ErrBadFormat", line, err)
 		}
 	}
@@ -135,12 +135,12 @@ func TestTextParseErrors(t *testing.T) {
 
 func TestTextSkipsBlanksAndComments(t *testing.T) {
 	in := "# pcap-trace v1\n\n# app foo exec 3\n\n100 exit 1\n"
-	tr, err := ReadText(strings.NewReader(in))
+	got, err := Collect(NewTextDecoder(strings.NewReader(in)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.App != "foo" || tr.Execution != 3 || len(tr.Events) != 1 {
-		t.Fatalf("parsed %+v", tr)
+	if len(got) != 1 || got[0].App != "foo" || got[0].Execution != 3 || len(got[0].Events) != 1 {
+		t.Fatalf("parsed %+v", got)
 	}
 }
 
@@ -205,14 +205,11 @@ func TestQuickTextRoundTrip(t *testing.T) {
 		if err := WriteText(&buf, tr); err != nil {
 			return false
 		}
-		got, err := ReadText(&buf)
-		if err != nil {
+		got, err := Collect(NewTextDecoder(&buf))
+		if err != nil || len(got) != 1 {
 			return false
 		}
-		if len(tr.Events) == 0 {
-			return len(got.Events) == 0
-		}
-		return reflect.DeepEqual(tr.Events, got.Events)
+		return tracesEqual(tr, got[0])
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)

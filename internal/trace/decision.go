@@ -1,26 +1,9 @@
 package trace
 
-import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
-	"io"
-	"math"
-)
-
-// Decision-trace format (PCD1): the on-disk record of every global
-// shutdown decision a simulation run evaluated, compact enough to stream
-// from the simulator's hot loop and checksummed like the v2 trace
-// container so corruption never decodes silently.
-//
-// One DecisionRecord is emitted per evaluated global idle period, in run
-// order. The file is a sequence of independent blocks, each carrying a
-// struct-of-arrays encoding of up to blockCap records with the same
-// column techniques as the v2 event container (uvarint/zigzag delta
-// chains for monotonic and near-monotonic integers, RLE for low-cardinality
-// bytes, raw little-endian bits for floats) behind a CRC32-IEEE covering
-// header and payload. Layout details are in DESIGN.md §13.
+// Decision records: one per global idle period a simulation run
+// evaluates, in run order. The simulator streams them to a DecisionSink;
+// DecisionLog keeps them in memory. DESIGN.md §13 describes how they are
+// priced.
 
 // Decision record flag bits.
 const (
@@ -118,590 +101,3 @@ func (l *DecisionLog) Record(rec DecisionRecord) { l.Records = append(l.Records,
 
 // Reset truncates the log, keeping capacity.
 func (l *DecisionLog) Reset() { l.Records = l.Records[:0] }
-
-const (
-	decisionFileMagic  = "PCD1"
-	decisionBlockMagic = "PCDB"
-	// decisionBlockCap is the default number of records per block — the
-	// capacity of the encoder's ring buffer.
-	decisionBlockCap = 4096
-	// decisionColumns is the number of per-block columns.
-	decisionColumns = 13
-)
-
-// Decision column indices, in on-disk order.
-const (
-	dcolIndex = iota
-	dcolExec
-	dcolPid
-	dcolPC
-	dcolFlags
-	dcolSource
-	dcolStart
-	dcolEnd
-	dcolAt
-	dcolWait
-	dcolFlipWait
-	dcolEnergy // EnergyJ, EnergyDelta, FlipDelta interleave here as three columns
-	dcolEnergyDelta
-)
-
-// DecisionEncoder streams decision records to a PCD1 file. Records
-// accumulate in a fixed-capacity ring buffer (the block) and are encoded
-// column-wise on flush, so steady-state recording allocates nothing once
-// the column buffers reach their high-water marks. The zero-argument
-// Record method makes the encoder a sim.DecisionSink directly: I/O errors
-// latch and surface at Close (and at every later Record via Err).
-type DecisionEncoder struct {
-	bw  *bufio.Writer
-	err error
-
-	buf []DecisionRecord // the ring: filled to cap, flushed, reused
-	// cols are the reusable per-column scratch buffers. EnergyJ,
-	// EnergyDelta and FlipDelta share the float column layout but keep
-	// separate buffers; dcolEnergyDelta+1 aliases the FlipDelta buffer.
-	cols [decisionColumns + 1][]byte
-	hdr  []byte
-	// crcScratch backs the 4-byte CRC write; a local array would escape
-	// through bw.Write and cost one heap allocation per block.
-	crcScratch [4]byte
-}
-
-// NewDecisionEncoder returns an encoder writing the PCD1 magic and
-// subsequent blocks to w.
-func NewDecisionEncoder(w io.Writer) (*DecisionEncoder, error) {
-	enc := &DecisionEncoder{
-		bw:  bufio.NewWriter(w),
-		buf: make([]DecisionRecord, 0, decisionBlockCap),
-	}
-	if _, err := enc.bw.WriteString(decisionFileMagic); err != nil {
-		return nil, fmt.Errorf("trace: writing decision magic: %w", err)
-	}
-	return enc, nil
-}
-
-// SetBlockRecords resizes the block ring to n records per block. It must
-// be called before the first Record.
-func (enc *DecisionEncoder) SetBlockRecords(n int) error {
-	if n < 1 {
-		return fmt.Errorf("trace: decision block size must be positive, got %d", n)
-	}
-	if len(enc.buf) != 0 {
-		return fmt.Errorf("trace: SetBlockRecords after records were written")
-	}
-	enc.buf = make([]DecisionRecord, 0, n)
-	return nil
-}
-
-// Record buffers one decision record, flushing a full block. It
-// implements the simulator's DecisionSink; errors latch into Err.
-func (enc *DecisionEncoder) Record(rec DecisionRecord) {
-	if enc.err != nil {
-		return
-	}
-	enc.buf = append(enc.buf, rec)
-	if len(enc.buf) == cap(enc.buf) {
-		enc.flush()
-	}
-}
-
-// Err returns the first error the encoder hit, if any.
-func (enc *DecisionEncoder) Err() error { return enc.err }
-
-// Close flushes the final partial block and the underlying writer, and
-// returns any latched error.
-func (enc *DecisionEncoder) Close() error {
-	if enc.err == nil {
-		enc.flush()
-	}
-	if enc.err == nil {
-		enc.err = enc.bw.Flush()
-	}
-	return enc.err
-}
-
-// flush encodes the buffered records as one block.
-func (enc *DecisionEncoder) flush() {
-	n := len(enc.buf)
-	if n == 0 {
-		return
-	}
-	for i := range enc.cols {
-		enc.cols[i] = enc.cols[i][:0]
-	}
-	buf := enc.buf
-
-	// Integer columns are delta chains restarting at zero each block, so
-	// blocks decode independently. Index and Exec are non-decreasing
-	// (uvarint deltas from an explicit base); Pid, PC, Start, At and
-	// FlipWait can move either way (zigzag varints); End ≥ Start and
-	// Wait ≥ 0 are encoded relative to their floor (uvarint).
-	icol := enc.cols[dcolIndex]
-	icol = binary.AppendUvarint(icol, uint64(buf[0].Index))
-	for i := 1; i < n; i++ {
-		icol = binary.AppendUvarint(icol, uint64(buf[i].Index-buf[i-1].Index))
-	}
-	enc.cols[dcolIndex] = icol
-
-	ecol := enc.cols[dcolExec]
-	ecol = binary.AppendUvarint(ecol, uint64(buf[0].Exec))
-	for i := 1; i < n; i++ {
-		ecol = binary.AppendUvarint(ecol, uint64(buf[i].Exec-buf[i-1].Exec))
-	}
-	enc.cols[dcolExec] = ecol
-
-	pcol := enc.cols[dcolPid]
-	var prevPid int64
-	for i := 0; i < n; i++ {
-		pcol = binary.AppendVarint(pcol, int64(buf[i].Pid)-prevPid)
-		prevPid = int64(buf[i].Pid)
-	}
-	enc.cols[dcolPid] = pcol
-
-	pccol := enc.cols[dcolPC]
-	var prevPC int64
-	for i := 0; i < n; i++ {
-		pccol = binary.AppendVarint(pccol, int64(buf[i].PC)-prevPC)
-		prevPC = int64(buf[i].PC)
-	}
-	enc.cols[dcolPC] = pccol
-
-	// Flags and Source: RLE of (byte, run length).
-	fcol := enc.cols[dcolFlags]
-	for i := 0; i < n; {
-		j := i + 1
-		for j < n && buf[j].Flags == buf[i].Flags {
-			j++
-		}
-		fcol = append(fcol, buf[i].Flags)
-		fcol = binary.AppendUvarint(fcol, uint64(j-i))
-		i = j
-	}
-	enc.cols[dcolFlags] = fcol
-	srccol := enc.cols[dcolSource]
-	for i := 0; i < n; {
-		j := i + 1
-		for j < n && buf[j].Source == buf[i].Source {
-			j++
-		}
-		srccol = append(srccol, buf[i].Source)
-		srccol = binary.AppendUvarint(srccol, uint64(j-i))
-		i = j
-	}
-	enc.cols[dcolSource] = srccol
-
-	scol := enc.cols[dcolStart]
-	var prevStart int64
-	for i := 0; i < n; i++ {
-		scol = binary.AppendVarint(scol, int64(buf[i].Start)-prevStart)
-		prevStart = int64(buf[i].Start)
-	}
-	enc.cols[dcolStart] = scol
-
-	endcol := enc.cols[dcolEnd]
-	for i := 0; i < n; i++ {
-		endcol = binary.AppendUvarint(endcol, uint64(buf[i].End-buf[i].Start))
-	}
-	enc.cols[dcolEnd] = endcol
-
-	atcol := enc.cols[dcolAt]
-	for i := 0; i < n; i++ {
-		atcol = binary.AppendVarint(atcol, int64(buf[i].At)-int64(buf[i].Start))
-	}
-	enc.cols[dcolAt] = atcol
-
-	wcol := enc.cols[dcolWait]
-	for i := 0; i < n; i++ {
-		wcol = binary.AppendUvarint(wcol, uint64(buf[i].Wait))
-	}
-	enc.cols[dcolWait] = wcol
-
-	fwcol := enc.cols[dcolFlipWait]
-	for i := 0; i < n; i++ {
-		fwcol = binary.AppendVarint(fwcol, int64(buf[i].FlipWait))
-	}
-	enc.cols[dcolFlipWait] = fwcol
-
-	// Float columns: raw IEEE-754 bits, little endian, 8 bytes each.
-	e0, e1, e2 := enc.cols[dcolEnergy], enc.cols[dcolEnergyDelta], enc.cols[dcolEnergyDelta+1]
-	for i := 0; i < n; i++ {
-		e0 = binary.LittleEndian.AppendUint64(e0, math.Float64bits(buf[i].EnergyJ))
-		e1 = binary.LittleEndian.AppendUint64(e1, math.Float64bits(buf[i].EnergyDelta))
-		e2 = binary.LittleEndian.AppendUint64(e2, math.Float64bits(buf[i].FlipDelta))
-	}
-	enc.cols[dcolEnergy], enc.cols[dcolEnergyDelta], enc.cols[dcolEnergyDelta+1] = e0, e1, e2
-
-	hdr := enc.hdr[:0]
-	hdr = binary.AppendUvarint(hdr, uint64(n))
-	hdr = append(hdr, byte(len(enc.cols)))
-	for i := range enc.cols {
-		hdr = binary.AppendUvarint(hdr, uint64(len(enc.cols[i])))
-	}
-	enc.hdr = hdr
-	crc := crc32.ChecksumIEEE(hdr)
-	for i := range enc.cols {
-		crc = crc32.Update(crc, crc32.IEEETable, enc.cols[i])
-	}
-	enc.bw.WriteString(decisionBlockMagic) //pcaplint:ignore errcheck-lite bufio errors are sticky and surface at the Flush below
-	enc.bw.Write(hdr)                      //pcaplint:ignore errcheck-lite bufio errors are sticky and surface at the Flush below
-	binary.LittleEndian.PutUint32(enc.crcScratch[:], crc)
-	enc.bw.Write(enc.crcScratch[:]) //pcaplint:ignore errcheck-lite bufio errors are sticky and surface at the Flush below
-	for i := range enc.cols {
-		enc.bw.Write(enc.cols[i]) //pcaplint:ignore errcheck-lite bufio errors are sticky and surface at the Flush below
-	}
-	if err := enc.bw.Flush(); err != nil {
-		enc.err = fmt.Errorf("trace: writing decision block: %w", err)
-	}
-	enc.buf = enc.buf[:0]
-}
-
-// DecisionDecoder streams DecisionRecords back out of a PCD1 file.
-type DecisionDecoder struct {
-	br      *bufio.Reader
-	err     error
-	started bool
-	ended   bool
-
-	hdr     []byte
-	payload []byte
-	scratch [8]byte
-
-	// block decode state
-	recs []DecisionRecord
-	pos  int
-}
-
-// NewDecisionDecoder returns a decoder over r.
-func NewDecisionDecoder(r io.Reader) *DecisionDecoder {
-	return &DecisionDecoder{br: bufio.NewReader(r)}
-}
-
-// Err returns the first decode error, if any.
-func (d *DecisionDecoder) Err() error { return d.err }
-
-// fail records a sticky decode error.
-func (d *DecisionDecoder) fail(format string, args ...any) {
-	d.err = fmt.Errorf("%w: decision trace: %s", ErrBadFormat, fmt.Sprintf(format, args...))
-}
-
-// Next returns the next record. ok=false with nil Err means a clean end
-// of stream.
-func (d *DecisionDecoder) Next() (DecisionRecord, bool) {
-	for d.pos >= len(d.recs) {
-		if !d.readBlock() {
-			return DecisionRecord{}, false
-		}
-	}
-	rec := d.recs[d.pos]
-	d.pos++
-	return rec, true
-}
-
-// ReadAll drains the decoder, appending to dst.
-func (d *DecisionDecoder) ReadAll(dst []DecisionRecord) ([]DecisionRecord, error) {
-	for {
-		rec, ok := d.Next()
-		if !ok {
-			return dst, d.err
-		}
-		dst = append(dst, rec)
-	}
-}
-
-// readBlock decodes the next block into d.recs. false at a clean EOF or
-// on error (see Err).
-func (d *DecisionDecoder) readBlock() bool {
-	if d.err != nil || d.ended {
-		return false
-	}
-	magic := d.scratch[:4]
-	if !d.started {
-		if _, err := io.ReadFull(d.br, magic); err != nil {
-			d.fail("%v", err)
-			return false
-		}
-		if string(magic) != decisionFileMagic {
-			d.fail("bad magic %q", magic)
-			return false
-		}
-		d.started = true
-	}
-	if _, err := io.ReadFull(d.br, magic); err != nil {
-		if err == io.EOF {
-			d.ended = true // clean boundary between blocks
-		} else {
-			d.fail("%v", err)
-		}
-		return false
-	}
-	if string(magic) != decisionBlockMagic {
-		d.fail("bad block magic %q", magic)
-		return false
-	}
-	d.hdr = d.hdr[:0]
-	n, ok := d.readUvarintTee()
-	if !ok {
-		return false
-	}
-	if n == 0 || n > 1<<24 {
-		d.fail("implausible record count %d", n)
-		return false
-	}
-	ncols, err := d.br.ReadByte()
-	if err != nil {
-		d.fail("%v", err)
-		return false
-	}
-	d.hdr = append(d.hdr, ncols)
-	if int(ncols) != decisionColumns+1 {
-		d.fail("unsupported column count %d", ncols)
-		return false
-	}
-	var colLen [decisionColumns + 1]uint64
-	var total uint64
-	for i := range colLen {
-		colLen[i], ok = d.readUvarintTee()
-		if !ok {
-			return false
-		}
-		if colLen[i] > 1<<30 {
-			d.fail("implausible column length %d", colLen[i])
-			return false
-		}
-		total += colLen[i]
-	}
-	if _, err := io.ReadFull(d.br, d.scratch[4:8]); err != nil {
-		d.fail("%v", err)
-		return false
-	}
-	wantCRC := binary.LittleEndian.Uint32(d.scratch[4:8])
-	if cap(d.payload) < int(total) {
-		d.payload = make([]byte, total)
-	}
-	d.payload = d.payload[:total]
-	if _, err := io.ReadFull(d.br, d.payload); err != nil {
-		d.fail("%v", err)
-		return false
-	}
-	crc := crc32.ChecksumIEEE(d.hdr)
-	crc = crc32.Update(crc, crc32.IEEETable, d.payload)
-	if crc != wantCRC {
-		d.fail("block checksum mismatch")
-		return false
-	}
-	return d.decodeBlock(int(n), colLen)
-}
-
-// readUvarintTee reads a uvarint, appending its raw bytes to d.hdr for
-// the checksum.
-func (d *DecisionDecoder) readUvarintTee() (uint64, bool) {
-	start := len(d.hdr)
-	v, err := binary.ReadUvarint(teeByteReader{d.br, &d.hdr})
-	if err != nil {
-		d.hdr = d.hdr[:start]
-		d.fail("%v", err)
-		return 0, false
-	}
-	return v, true
-}
-
-// teeByteReader appends every byte read to *dst.
-type teeByteReader struct {
-	br  *bufio.Reader
-	dst *[]byte
-}
-
-func (t teeByteReader) ReadByte() (byte, error) {
-	b, err := t.br.ReadByte()
-	if err == nil {
-		*t.dst = append(*t.dst, b)
-	}
-	return b, err
-}
-
-// decodeBlock expands one checksummed payload into d.recs.
-func (d *DecisionDecoder) decodeBlock(n int, colLen [decisionColumns + 1]uint64) bool {
-	if cap(d.recs) < n {
-		d.recs = make([]DecisionRecord, n)
-	}
-	d.recs = d.recs[:n]
-	d.pos = 0
-
-	// Column start offsets within the payload.
-	var off [decisionColumns + 2]int
-	for i := range colLen {
-		off[i+1] = off[i] + int(colLen[i])
-	}
-	col := func(i int) []byte { return d.payload[off[i]:off[i+1]] }
-
-	uvarints := func(ci int, set func(i int, v uint64) bool) bool {
-		b, p := col(ci), 0
-		for i := 0; i < n; i++ {
-			v, np := uvarintAt(b, p)
-			if np < 0 {
-				d.fail("column %d: truncated uvarint", ci)
-				return false
-			}
-			p = np
-			if !set(i, v) {
-				return false
-			}
-		}
-		if p != len(b) {
-			d.fail("column %d: %d trailing bytes", ci, len(b)-p)
-			return false
-		}
-		return true
-	}
-	varints := func(ci int, set func(i int, v int64)) bool {
-		b, p := col(ci), 0
-		for i := 0; i < n; i++ {
-			v, np := varintAt(b, p)
-			if np < 0 {
-				d.fail("column %d: truncated varint", ci)
-				return false
-			}
-			p = np
-			set(i, v)
-		}
-		if p != len(b) {
-			d.fail("column %d: %d trailing bytes", ci, len(b)-p)
-			return false
-		}
-		return true
-	}
-	rle := func(ci int, set func(i int, v byte)) bool {
-		b, p, i := col(ci), 0, 0
-		for i < n {
-			if p >= len(b) {
-				d.fail("column %d: truncated run", ci)
-				return false
-			}
-			v := b[p]
-			p++
-			run, np := uvarintAt(b, p)
-			if np < 0 || run == 0 || run > uint64(n-i) {
-				d.fail("column %d: bad run length", ci)
-				return false
-			}
-			p = np
-			for k := 0; k < int(run); k++ {
-				set(i, v)
-				i++
-			}
-		}
-		if p != len(b) {
-			d.fail("column %d: %d trailing bytes", ci, len(b)-p)
-			return false
-		}
-		return true
-	}
-	floats := func(ci int, set func(i int, v float64)) bool {
-		b := col(ci)
-		if len(b) != 8*n {
-			d.fail("column %d: float column is %d bytes, want %d", ci, len(b), 8*n)
-			return false
-		}
-		for i := 0; i < n; i++ {
-			set(i, math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:])))
-		}
-		return true
-	}
-
-	recs := d.recs
-	prev := int64(0)
-	first := true
-	if !uvarints(dcolIndex, func(i int, v uint64) bool {
-		if first {
-			prev, first = int64(v), false
-		} else {
-			prev += int64(v)
-		}
-		recs[i].Index = prev
-		return true
-	}) {
-		return false
-	}
-	prevExec := uint64(0)
-	firstExec := true
-	if !uvarints(dcolExec, func(i int, v uint64) bool {
-		if firstExec {
-			prevExec, firstExec = v, false
-		} else {
-			prevExec += v
-		}
-		if prevExec > math.MaxInt32 {
-			d.fail("execution index overflow")
-			return false
-		}
-		recs[i].Exec = int32(prevExec)
-		return true
-	}) {
-		return false
-	}
-	var acc int64
-	acc = 0
-	if !varints(dcolPid, func(i int, v int64) { acc += v; recs[i].Pid = PID(acc) }) {
-		return false
-	}
-	acc = 0
-	if !varints(dcolPC, func(i int, v int64) { acc += v; recs[i].PC = PC(acc) }) {
-		return false
-	}
-	if !rle(dcolFlags, func(i int, v byte) { recs[i].Flags = v }) {
-		return false
-	}
-	if !rle(dcolSource, func(i int, v byte) { recs[i].Source = v }) {
-		return false
-	}
-	acc = 0
-	if !varints(dcolStart, func(i int, v int64) { acc += v; recs[i].Start = Time(acc) }) {
-		return false
-	}
-	if !uvarints(dcolEnd, func(i int, v uint64) bool {
-		recs[i].End = recs[i].Start + Time(v)
-		return true
-	}) {
-		return false
-	}
-	if !varints(dcolAt, func(i int, v int64) { recs[i].At = recs[i].Start + Time(v) }) {
-		return false
-	}
-	if !uvarints(dcolWait, func(i int, v uint64) bool {
-		recs[i].Wait = Time(v)
-		return true
-	}) {
-		return false
-	}
-	if !varints(dcolFlipWait, func(i int, v int64) { recs[i].FlipWait = Time(v) }) {
-		return false
-	}
-	if !floats(dcolEnergy, func(i int, v float64) { recs[i].EnergyJ = v }) {
-		return false
-	}
-	if !floats(dcolEnergyDelta, func(i int, v float64) { recs[i].EnergyDelta = v }) {
-		return false
-	}
-	if !floats(dcolEnergyDelta+1, func(i int, v float64) { recs[i].FlipDelta = v }) {
-		return false
-	}
-	return true
-}
-
-// WriteDecisions encodes recs as one PCD1 stream — the slice-in-memory
-// convenience over DecisionEncoder.
-func WriteDecisions(w io.Writer, recs []DecisionRecord) error {
-	enc, err := NewDecisionEncoder(w)
-	if err != nil {
-		return err
-	}
-	for _, rec := range recs {
-		enc.Record(rec)
-	}
-	return enc.Close()
-}
-
-// ReadDecisions decodes a whole PCD1 stream.
-func ReadDecisions(r io.Reader) ([]DecisionRecord, error) {
-	return NewDecisionDecoder(r).ReadAll(nil)
-}

@@ -1,207 +1,14 @@
 package trace
 
-import (
-	"bytes"
-	"errors"
-	"io"
-	"reflect"
-	"testing"
-)
-
-// seedDecisions builds a deterministic, varied record set: multiple
-// executions, mixed flags and sources, negative deltas, zero and large
-// times — every column shape the codec distinguishes.
-func seedDecisions(n int) []DecisionRecord {
-	recs := make([]DecisionRecord, n)
-	// Small multiplicative congruential generator: deterministic variety
-	// without math/rand.
-	state := uint64(0x9e3779b97f4a7c15)
-	next := func() uint64 {
-		state = state*6364136223846793005 + 1442695040888963407
-		return state >> 16
-	}
-	var t Time
-	exec := int32(0)
-	for i := range recs {
-		if i > 0 && next()%17 == 0 {
-			exec++
-			t = 0 // per-execution clocks restart
-		}
-		gap := Time(next() % 5_000_000)
-		start := t
-		t += gap + 1
-		rec := DecisionRecord{
-			Index:  int64(i),
-			Exec:   exec,
-			Pid:    PID(100 + next()%5),
-			PC:     PC(0x400000 + next()%1024*8),
-			Source: uint8(next() % 3),
-			Start:  start,
-			End:    t,
-			Wait:   Time(next() % 2_000_000),
-		}
-		if next()%2 == 0 {
-			rec.Flags |= DecisionShutdown
-			rec.At = start + Time(next()%uint64(gap+1))
-		}
-		if next()%11 == 0 {
-			rec.Flags |= DecisionTerminal
-		}
-		if gap > 2_000_000 {
-			rec.Flags |= DecisionLong
-		}
-		rec.EnergyJ = float64(next()%1000) / 7
-		rec.EnergyDelta = rec.EnergyJ - float64(next()%1000)/3
-		rec.FlipDelta = -rec.EnergyDelta / 2
-		rec.FlipWait = Time(next()%1_000_000) - 500_000
-		recs[i] = rec
-	}
-	return recs
-}
-
-func TestDecisionCodecRoundTrip(t *testing.T) {
-	for _, n := range []int{1, 2, 100, 5000} {
-		recs := seedDecisions(n)
-		var buf bytes.Buffer
-		if err := WriteDecisions(&buf, recs); err != nil {
-			t.Fatalf("n=%d: encode: %v", n, err)
-		}
-		got, err := ReadDecisions(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("n=%d: decode: %v", n, err)
-		}
-		if !reflect.DeepEqual(got, recs) {
-			t.Fatalf("n=%d: decoded records differ from originals", n)
-		}
-	}
-}
-
-func TestDecisionCodecSmallBlocks(t *testing.T) {
-	recs := seedDecisions(1000)
-	var buf bytes.Buffer
-	enc, err := NewDecisionEncoder(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.SetBlockRecords(7); err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range recs {
-		enc.Record(rec)
-	}
-	if err := enc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadDecisions(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, recs) {
-		t.Fatal("multi-block decode differs from originals")
-	}
-}
-
-func TestDecisionCodecEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteDecisions(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadDecisions(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Fatalf("empty stream decoded %d records", len(got))
-	}
-}
-
-func TestDecisionCodecRejectsGarbage(t *testing.T) {
-	for _, in := range [][]byte{
-		nil,
-		[]byte("not a decision trace"),
-		[]byte("PCD1PCDBgarbage"),
-		[]byte("PCD2"),
-	} {
-		if _, err := ReadDecisions(bytes.NewReader(in)); err == nil {
-			t.Errorf("decode of %q succeeded", in)
-		} else if !errors.Is(err, ErrBadFormat) {
-			t.Errorf("decode of %q: error %v is not ErrBadFormat", in, err)
-		}
-	}
-}
-
-// TestDecisionCodecTruncation: every proper prefix that cuts into a block
-// must error; a prefix ending exactly at a block boundary is a clean EOF.
-func TestDecisionCodecTruncation(t *testing.T) {
-	recs := seedDecisions(64)
-	var buf bytes.Buffer
-	enc, err := NewDecisionEncoder(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.SetBlockRecords(16); err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range recs {
-		enc.Record(rec)
-	}
-	if err := enc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	for cut := 0; cut < len(data); cut++ {
-		got, err := ReadDecisions(bytes.NewReader(data[:cut]))
-		if err != nil {
-			continue
-		}
-		// A clean decode of a prefix must have stopped at a block
-		// boundary: record count is a multiple of the block size.
-		if len(got)%16 != 0 || len(got) >= len(recs) {
-			t.Fatalf("prefix of %d bytes decoded cleanly to %d records", cut, len(got))
-		}
-	}
-}
-
-// TestDecisionCodecBitFlips mirrors the v2 block contract: flipping any
-// single bit of a valid encoding must surface as a decode error — the
-// magic check or a CRC mismatch — never as silently different records.
-func TestDecisionCodecBitFlips(t *testing.T) {
-	recs := seedDecisions(48)
-	var buf bytes.Buffer
-	enc, err := NewDecisionEncoder(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.SetBlockRecords(16); err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range recs {
-		enc.Record(rec)
-	}
-	if err := enc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	for i := 0; i < len(data)*8; i++ {
-		mut := append([]byte(nil), data...)
-		mut[i/8] ^= 1 << (i % 8)
-		got, err := ReadDecisions(bytes.NewReader(mut))
-		if err == nil && reflect.DeepEqual(got, recs) {
-			t.Fatalf("bit flip at %d decoded cleanly to the original records", i)
-		}
-		if err == nil {
-			t.Fatalf("bit flip at %d decoded cleanly (%d records)", i, len(got))
-		}
-	}
-}
+import "testing"
 
 func TestDecisionLog(t *testing.T) {
 	var log DecisionLog
-	for _, rec := range seedDecisions(10) {
-		log.Record(rec)
+	for i := 0; i < 10; i++ {
+		log.Record(DecisionRecord{Index: int64(i)})
 	}
-	if len(log.Records) != 10 {
-		t.Fatalf("log holds %d records, want 10", len(log.Records))
+	if len(log.Records) != 10 || log.Records[9].Index != 9 {
+		t.Fatalf("log holds %d records, want 10 in order", len(log.Records))
 	}
 	log.Reset()
 	if len(log.Records) != 0 || cap(log.Records) < 10 {
@@ -216,34 +23,5 @@ func TestDecisionRecordFlags(t *testing.T) {
 	}
 	if rec.ActualIdle() != 30 {
 		t.Fatalf("ActualIdle = %v, want 30", rec.ActualIdle())
-	}
-}
-
-// TestDecisionEncoderSteadyStateAllocs: once the block ring and column
-// buffers reach their high-water marks, recording must not allocate.
-func TestDecisionEncoderSteadyStateAllocs(t *testing.T) {
-	if raceDetectorEnabled {
-		t.Skip("race instrumentation allocates; the non-race pass enforces the count")
-	}
-	recs := seedDecisions(256)
-	enc, err := NewDecisionEncoder(io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.SetBlockRecords(64); err != nil {
-		t.Fatal(err)
-	}
-	write := func() {
-		for _, rec := range recs {
-			enc.Record(rec)
-		}
-	}
-	write() // warmup: ring and columns reach their high-water marks
-	avg := testing.AllocsPerRun(20, write)
-	if avg > 0.5 {
-		t.Fatalf("steady-state recording allocates %.2f allocs per pass, want 0", avg)
-	}
-	if err := enc.Close(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -58,12 +58,13 @@ func traceFromBytes(data []byte) *Trace {
 	return t
 }
 
-// FuzzCodecRoundTrip fuzzes the text trace codec from both ends:
+// FuzzCodecRoundTrip fuzzes the text trace codec from both ends, through
+// the streaming TextDecoder every text trace file is opened with:
 //
-//  1. the decoders must never panic on arbitrary input — retired v1
+//  1. the decoder must never panic on arbitrary input — retired v1
 //     "PCTR" files and other binary bytes sniff as text — every error
-//     they report must wrap ErrBadFormat, and anything ReadText accepts
-//     must re-encode and re-decode to the same trace;
+//     it reports must wrap ErrBadFormat, and any executions it accepts
+//     must re-encode and re-decode to the same executions;
 //  2. a structurally valid trace derived from the input must survive
 //     encode → decode unchanged (decode(encode(t)) == t).
 func FuzzCodecRoundTrip(f *testing.F) {
@@ -87,25 +88,29 @@ func FuzzCodecRoundTrip(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// (1) Decoder safety and typed errors on arbitrary bytes.
-		tr, err := ReadText(bytes.NewReader(data))
+		trs, err := Collect(NewTextDecoder(bytes.NewReader(data)))
 		if err != nil && !errors.Is(err, ErrBadFormat) {
-			t.Fatalf("ReadText error %v does not wrap ErrBadFormat", err)
+			t.Fatalf("TextDecoder error %v does not wrap ErrBadFormat", err)
 		}
 		if err == nil {
 			var buf bytes.Buffer
-			if err := WriteText(&buf, tr); err != nil {
-				t.Fatalf("re-encoding a decoded trace failed: %v", err)
+			for _, tr := range trs {
+				if err := WriteText(&buf, tr); err != nil {
+					t.Fatalf("re-encoding a decoded trace failed: %v", err)
+				}
 			}
-			tr2, err := ReadText(&buf)
+			trs2, err := Collect(NewTextDecoder(&buf))
 			if err != nil {
 				t.Fatalf("re-decoding failed: %v", err)
 			}
-			if !tracesEqual(tr, tr2) {
-				t.Fatal("decode(encode(decode(data))) != decode(data)")
+			if len(trs2) != len(trs) {
+				t.Fatalf("re-decoded %d executions, decoded %d", len(trs2), len(trs))
 			}
-		}
-		if _, err := Collect(NewTextDecoder(bytes.NewReader(data))); err != nil && !errors.Is(err, ErrBadFormat) {
-			t.Fatalf("TextDecoder error %v does not wrap ErrBadFormat", err)
+			for i := range trs {
+				if !tracesEqual(trs[i], trs2[i]) {
+					t.Fatalf("execution %d: decode(encode(decode(data))) != decode(data)", i)
+				}
+			}
 		}
 
 		// (2) Round trip of a derived valid trace.
@@ -114,11 +119,11 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if err := WriteText(&buf, orig); err != nil {
 			t.Fatalf("encoding a valid derived trace failed: %v", err)
 		}
-		got, err := ReadText(&buf)
+		got, err := Collect(NewTextDecoder(&buf))
 		if err != nil {
 			t.Fatalf("decoding a just-encoded trace failed: %v", err)
 		}
-		if !tracesEqual(orig, got) {
+		if len(got) != 1 || !tracesEqual(orig, got[0]) {
 			t.Fatalf("round trip mismatch:\norig: %+v\ngot:  %+v", orig, got)
 		}
 	})

@@ -381,15 +381,9 @@ func TestTextDecoderSingleTrace(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("decoded %d executions, want 1", len(got))
 	}
-	want, err := ReadText(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].App != want.App || got[0].Execution != want.Execution {
-		t.Errorf("header %s/%d, want %s/%d", got[0].App, got[0].Execution, want.App, want.Execution)
-	}
-	if !reflect.DeepEqual(got[0].Events, want.Events) {
-		t.Error("streamed text events differ from ReadText")
+	if !tracesEqual(got[0], tr) {
+		t.Errorf("decoded %s/%d with %d events, want %s/%d with %d",
+			got[0].App, got[0].Execution, len(got[0].Events), tr.App, tr.Execution, len(tr.Events))
 	}
 }
 
