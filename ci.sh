@@ -47,6 +47,13 @@ fi
 echo "== go test ./..."
 go test ./...
 
+# Blocking: the benchmark of record (perfbench/, its own module) compiles
+# against internal/sim, internal/fleet and internal/experiments, which
+# the root module's ./... does not reach. Build, vet and test it here so
+# an API change there cannot break the benchmark unseen (~30 s).
+echo "== perfbench: go vet + go test -short"
+(cd perfbench && go vet ./... && go test -short ./...)
+
 if [[ "${1:-}" != "quick" ]]; then
 	# -short trims the differential determinism test to one worker count
 	# and the streaming differential test to a reduced app × policy matrix

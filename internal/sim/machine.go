@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"pcapsim/internal/fscache"
 	"pcapsim/internal/predictor"
@@ -125,7 +126,8 @@ func (m *machine) fail(err error) {
 
 // openExecution makes ex the current execution and runs its accounting
 // prologue: totals, the FIFO busy-time schedule, the leading unmanaged
-// idle, and the reset of the per-pid predictor and decision working set.
+// idle, and the reset of the slot-indexed predictor and decision working
+// set.
 func (m *machine) openExecution(ex *execution) {
 	m.execIdx++
 	r, rs, res := m.r, m.rs, m.res
@@ -173,13 +175,13 @@ func (m *machine) openExecution(ex *execution) {
 	first := ex.accesses[0].Time
 	r.accountPeriod(res, 0, first, 0, false, first >= d.Breakeven, predictor.SourceNone)
 
-	if rs.preds == nil {
-		rs.preds = make(map[trace.PID]predictor.Process)
-		rs.dec = make(map[trace.PID]decisionState)
-	}
+	// One predictor and standing decision per slot; a nil predictor marks
+	// a process yet to access the disk this execution.
+	n := len(ex.procs)
+	rs.preds = slices.Grow(rs.preds[:0], n)[:n]
+	rs.dec = slices.Grow(rs.dec[:0], n)[:n]
 	clear(rs.preds)
-	clear(rs.dec)
-	rs.decided = rs.decided[:0] // sorted pids with decisions, for determinism
+	rs.decided = rs.decided[:0]
 }
 
 // step processes the machine's next access: it feeds the access to its
@@ -195,10 +197,22 @@ func (m *machine) step() {
 	preds, dec := rs.preds, rs.dec
 	serviceEnd := rs.serviceEnd
 
-	pred, ok := preds[a.Pid]
-	if !ok {
+	slot := ex.slot[i]
+	pred := preds[slot]
+	if pred == nil {
 		pred = f.NewProcess(a.Pid)
-		preds[a.Pid] = pred
+		preds[slot] = pred
+		// Insert slot at its pid's sorted position: combine walks
+		// decided in pid order, which fixes its tie-break.
+		decided := rs.decided
+		j := len(decided)
+		decided = append(decided, 0)
+		for j > 0 && ex.procs[decided[j-1]].pid > a.Pid {
+			decided[j] = decided[j-1]
+			j--
+		}
+		decided[j] = slot
+		rs.decided = decided
 	}
 	nextLocal := ex.nextLocal[i]
 	if fa, isFA := pred.(predictor.FutureAware); isFA {
@@ -230,20 +244,7 @@ func (m *machine) step() {
 	if decision.Shutdown {
 		st.ready = a.Time + decision.Delay
 	}
-	if _, had := dec[a.Pid]; !had {
-		// Insert a.Pid at its sorted position (equivalent to the
-		// append-and-sort it replaces, without sort.Slice's allocation).
-		decided := rs.decided
-		j := len(decided)
-		decided = append(decided, 0)
-		for j > 0 && decided[j-1] > a.Pid {
-			decided[j] = decided[j-1]
-			j--
-		}
-		decided[j] = a.Pid
-		rs.decided = decided
-	}
-	dec[a.Pid] = st
+	dec[slot] = st
 
 	// Global period from this access to the next one in the merged
 	// stream (or the tail of the execution).

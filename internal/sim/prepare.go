@@ -8,44 +8,39 @@ import (
 	"pcapsim/internal/trace"
 )
 
-// procInfo tracks one process's lifetime and access stream within an
-// execution.
+// procInfo is the process at one slot of an execution.
 type procInfo struct {
-	pid   trace.PID
-	start trace.Time
-	// exit is the exit time; hasExit reports whether the process exited
-	// within the trace.
+	pid trace.PID
+	// exit is the time of the process's last exit; hasExit reports
+	// whether the process exited within the trace.
 	exit    trace.Time
 	hasExit bool
-	// accesses are indices into execution.accesses belonging to this pid.
-	accesses []int
-}
-
-// liveAt reports whether the process exists (has started, has not exited)
-// at time t.
-func (p *procInfo) liveAt(t trace.Time) bool {
-	return p.start <= t && (!p.hasExit || p.exit > t)
-}
-
-// recycle clears the procInfo for reuse, keeping its accesses capacity.
-func (p *procInfo) recycle() {
-	*p = procInfo{accesses: p.accesses[:0]}
+	// last is the index into execution.accesses of the process's latest
+	// access so far, or -1; prepare uses it to link nextLocal.
+	last int
 }
 
 // execution is one application execution prepared for simulation: the
-// trace filtered through the file cache into disk accesses, partitioned by
-// process.
+// trace filtered through the file cache into disk accesses, each tagged
+// with its process's dense slot.
+//
+// Slots number the execution's processes 0, 1, … in order of first
+// sighting (a process's first access or exit; a pid that exits and is
+// forked again keeps its slot), so the per-access path indexes slices
+// instead of looking pids up in maps.
 type execution struct {
 	app string
 	// index is the execution's position within the workload.
 	index int
 	// accesses is the merged disk-access stream in time order.
 	accesses []trace.Event
+	// slot[i] is the slot of accesses[i]'s process.
+	slot []int32
 	// nextLocal[i] is the index (into accesses) of the next access by the
 	// same process after accesses[i], or -1.
 	nextLocal []int
-	// procs maps pid to lifetime and access info.
-	procs map[trace.PID]*procInfo
+	// procs is indexed by slot.
+	procs []procInfo
 	// exits lists processes' exit events sorted by time.
 	exits []trace.Event
 	// totalIOs is the pre-cache I/O event count.
@@ -59,8 +54,9 @@ type execution struct {
 // runState is the pooled per-run scratch space of one RunSource call: the
 // drain buffer, the file cache (arena reset, not reallocated, between
 // executions), the filtered-event buffer, the prepared execution with all
-// of its slices and maps, and the runner-loop working set (per-pid
-// predictors, standing decisions, the service-completion schedule).
+// of its slices, the pid→slot map prepare fills, and the step working set
+// (slot-indexed predictors and standing decisions, the slots with a
+// decision, the service-completion schedule).
 //
 // Ownership discipline: a runState is owned by exactly one RunSource call
 // at a time (Runner keeps a sync.Pool of them), and everything inside it
@@ -73,13 +69,13 @@ type runState struct {
 	cache    *fscache.Cache
 	filtered []trace.Event
 	ex       execution
-	procFree []*procInfo // recycled procInfo values
+	slots    map[trace.PID]int32 // pid → slot of the execution in ex
 
-	// runExecution working set.
+	// step working set, indexed by slot and sized in openExecution.
 	serviceEnd []trace.Time
-	preds      map[trace.PID]predictor.Process
-	dec        map[trace.PID]decisionState
-	decided    []trace.PID
+	preds      []predictor.Process
+	dec        []decisionState
+	decided    []int32 // slots with a standing decision, sorted by pid
 }
 
 // getState fetches a runState compatible with the runner's configuration.
@@ -90,10 +86,7 @@ func (r *Runner) getState() *runState {
 	if rs, ok := r.statePool.Get().(*runState); ok {
 		return rs
 	}
-	return &runState{
-		preds: make(map[trace.PID]predictor.Process),
-		dec:   make(map[trace.PID]decisionState),
-	}
+	return &runState{}
 }
 
 // putState returns a runState to the pool for the next RunSource call.
@@ -101,8 +94,7 @@ func (r *Runner) putState(rs *runState) {
 	// Drop predictor references so pooled states do not pin a finished
 	// run's learned state, and let go of the last drained event slice (it
 	// may be on loan from the source); the containers themselves are kept.
-	clear(rs.preds)
-	clear(rs.dec)
+	clear(rs.preds[:cap(rs.preds)])
 	rs.view.Events = nil
 	r.statePool.Put(rs)
 }
@@ -127,22 +119,17 @@ func (rs *runState) prepare(tr *trace.Trace, cacheCfg fscache.Config) (*executio
 	rs.filtered = filtered
 
 	ex := &rs.ex
-	// Free-list order only decides which recycled procInfo serves which
-	// pid next execution; every field is reset on reuse, so results are
-	// unaffected.
-	//pcaplint:ignore detmap free-list order is invisible: procInfos are fully reset on reuse
-	for _, p := range ex.procs {
-		p.recycle()
-		rs.procFree = append(rs.procFree, p)
-	}
-	if ex.procs == nil {
-		ex.procs = make(map[trace.PID]*procInfo)
+	if rs.slots == nil {
+		rs.slots = make(map[trace.PID]int32)
 	} else {
-		clear(ex.procs)
+		clear(rs.slots)
 	}
 	ex.app = tr.App
 	ex.index = tr.Execution
 	ex.accesses = ex.accesses[:0]
+	ex.slot = ex.slot[:0]
+	ex.nextLocal = ex.nextLocal[:0]
+	ex.procs = ex.procs[:0]
 	ex.exits = ex.exits[:0]
 	ex.totalIOs = 0
 	ex.cacheStats = rs.cache.Stats()
@@ -153,49 +140,34 @@ func (rs *runState) prepare(tr *trace.Trace, cacheCfg fscache.Config) (*executio
 			ex.totalIOs++
 		}
 	}
-	proc := func(pid trace.PID) *procInfo {
-		p, ok := ex.procs[pid]
+	slotOf := func(pid trace.PID) int32 {
+		s, ok := rs.slots[pid]
 		if !ok {
-			// First sighting without a fork: a root process, alive from
-			// the start of the execution.
-			p = rs.newProc(pid)
-			ex.procs[pid] = p
+			s = int32(len(ex.procs))
+			rs.slots[pid] = s
+			ex.procs = append(ex.procs, procInfo{pid: pid, last: -1})
 		}
-		return p
+		return s
 	}
 	for _, e := range filtered {
 		switch e.Kind {
-		case trace.KindFork:
-			proc(e.Pid)
-			child, ok := ex.procs[e.Child]
-			if !ok {
-				child = rs.newProc(e.Child)
-				ex.procs[e.Child] = child
-			}
-			child.start = e.Time
 		case trace.KindExit:
-			p := proc(e.Pid)
+			p := &ex.procs[slotOf(e.Pid)]
 			p.exit = e.Time
 			p.hasExit = true
 			ex.exits = append(ex.exits, e)
 		case trace.KindIO:
-			p := proc(e.Pid)
+			s := slotOf(e.Pid)
 			idx := len(ex.accesses)
 			ex.accesses = append(ex.accesses, e)
-			p.accesses = append(p.accesses, idx)
-		}
-	}
-	// Index each access's successor within its own process.
-	ex.nextLocal = ex.nextLocal[:0]
-	for range ex.accesses {
-		ex.nextLocal = append(ex.nextLocal, -1)
-	}
-	// Each access index belongs to exactly one pid, so the writes below
-	// hit disjoint nextLocal slots regardless of iteration order.
-	//pcaplint:ignore detmap per-pid access indices are disjoint, so write order cannot matter
-	for _, p := range ex.procs {
-		for j := 0; j+1 < len(p.accesses); j++ {
-			ex.nextLocal[p.accesses[j]] = p.accesses[j+1]
+			ex.slot = append(ex.slot, s)
+			ex.nextLocal = append(ex.nextLocal, -1)
+			// Link the process's previous access to this one.
+			p := &ex.procs[s]
+			if p.last >= 0 {
+				ex.nextLocal[p.last] = idx
+			}
+			p.last = idx
 		}
 	}
 	return ex, nil
@@ -206,16 +178,4 @@ func (rs *runState) prepare(tr *trace.Trace, cacheCfg fscache.Config) (*executio
 // RunSource loop.
 func prepare(tr *trace.Trace, cacheCfg fscache.Config) (*execution, error) {
 	return (&runState{}).prepare(tr, cacheCfg)
-}
-
-// newProc takes a procInfo from the free list (or allocates one) and
-// labels it with pid.
-func (rs *runState) newProc(pid trace.PID) *procInfo {
-	if n := len(rs.procFree); n > 0 {
-		p := rs.procFree[n-1]
-		rs.procFree = rs.procFree[:n-1]
-		p.pid = pid
-		return p
-	}
-	return &procInfo{pid: pid}
 }

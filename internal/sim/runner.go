@@ -262,9 +262,11 @@ type decisionState struct {
 // combine implements the Global Shutdown Predictor: the disk shuts down at
 // the earliest instant in [T0, T1) at which every live process that has
 // performed I/O is ready. Processes exiting during the window stop
-// constraining it from their exit on. The returned source belongs to the
-// process that made the last (latest-ready) decision.
-func (r *Runner) combine(ex *execution, dec map[trace.PID]decisionState, decided []trace.PID, T0, T1 trace.Time) (trace.Time, predictor.Source, bool) {
+// constraining it from their exit on. dec is indexed by slot and decided
+// lists the slots with a standing decision in pid order. The returned
+// source belongs to the process that made the last (latest-ready)
+// decision, the highest pid among those ready at the same instant.
+func (r *Runner) combine(ex *execution, dec []decisionState, decided []int32, T0, T1 trace.Time) (trace.Time, predictor.Source, bool) {
 	// Exit events strictly inside the window split it into segments with
 	// a fixed constraint set each.
 	eidx := sort.Search(len(ex.exits), func(i int) bool { return ex.exits[i].Time > T0 })
@@ -278,13 +280,12 @@ func (r *Runner) combine(ex *execution, dec map[trace.PID]decisionState, decided
 		src := predictor.SourceBackup
 		blocked := false
 		any := false
-		for _, pid := range decided {
-			pi := ex.procs[pid]
-			if pi.hasExit && pi.exit <= segStart {
+		for _, slot := range decided {
+			if pi := &ex.procs[slot]; pi.hasExit && pi.exit <= segStart {
 				continue
 			}
 			any = true
-			st := dec[pid]
+			st := dec[slot]
 			if st.ready == infTime {
 				blocked = true
 				continue
