@@ -24,6 +24,7 @@ import (
 	"pcapsim/internal/fscache"
 	"pcapsim/internal/ltree"
 	"pcapsim/internal/predictor"
+	"pcapsim/internal/prefetch"
 	"pcapsim/internal/sim"
 	"pcapsim/internal/trace"
 	"pcapsim/internal/workload"
@@ -982,22 +983,22 @@ func benchFleetPeakHeap(b *testing.B, n int) {
 func BenchmarkFleetPeakHeap1k(b *testing.B)  { benchFleetPeakHeap(b, 1000) }
 func BenchmarkFleetPeakHeap10k(b *testing.B) { benchFleetPeakHeap(b, 10000) }
 
+// BenchmarkPrefetch measures one application's prefetch comparison: one
+// pass over its pinned traces feeding the demand-fetch baseline and both
+// readahead prefetchers, at the suite's 256-block cache and degree 8.
 func BenchmarkPrefetch(b *testing.B) {
+	app, _ := workload.ByName("mozilla")
+	traces := app.Traces(experiments.DefaultSeed)
+	reads := 0
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := experiments.NewDefaultSuite()
-		rows, err := s.Prefetch()
+		rs, err := prefetch.Evaluate(traces, 256, prefetch.None{},
+			prefetch.NewGlobalReadahead(8), prefetch.NewPCReadahead(8))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if i == b.N-1 {
-			var g, p float64
-			for _, r := range rows {
-				g += r.Global.MissRate()
-				p += r.PC.MissRate()
-			}
-			n := float64(len(rows))
-			b.ReportMetric(100*g/n, "readahead-miss%")
-			b.ReportMetric(100*p/n, "pc-miss%")
-		}
+		reads = rs[0].DemandReads
 	}
+	b.ReportMetric(float64(reads)*float64(b.N)/b.Elapsed().Seconds(), "reads/s")
 }

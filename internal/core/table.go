@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"pcapsim/internal/lru"
 	"pcapsim/internal/trace"
 )
 
@@ -94,37 +95,21 @@ type Stats struct {
 	Evictions int64
 }
 
-// tableEntry is one arena slot: a trained key plus its intrusive LRU
-// links. Slot 0 is the list sentinel (next = MRU, prev = LRU); free slots
-// are chained through next.
-type tableEntry struct {
-	key        Key
-	next, prev int32
-}
-
 // Table is a prediction table: a set of trained keys with optional LRU
 // bounding. It is safe for concurrent use; the paper shares one table
 // among all processes of an application.
 //
-// Storage is an entry arena threaded by an intrusive LRU list and indexed
-// by an open-addressed hash table, so steady-state Lookup/Train/Forget
-// perform no allocations (an unbounded table grows its arena and index
-// geometrically as it learns). LRU semantics — refresh on Lookup and
-// Train, evict the least recently used entry past the bound — are
-// byte-identical to the reference container/list implementation retained
-// in table_test.go.
+// Storage is an lru.List, so steady-state Lookup/Train/Forget perform no
+// allocations (an unbounded table grows its arena and index geometrically
+// as it learns). LRU semantics — refresh on Lookup and Train, evict the
+// least recently used entry past the bound — are identical to the
+// reference list+map implementation retained in
+// table_differential_test.go.
 type Table struct {
 	mu    sync.Mutex
 	bound int
-	arena []tableEntry
-	free  int32 // head of the free-slot chain (0 = none)
-	count int
-	// Open-addressed index: key → arena slot; idxSlot[i] == 0 marks an
-	// empty bucket.
-	idxKey  []Key
-	idxSlot []int32
-	idxMask uint64
-	stats   Stats
+	keys  *lru.List[Key]
+	stats Stats
 }
 
 // NewTable returns an empty table. A positive bound caps the entry count
@@ -137,122 +122,14 @@ func NewTable(bound int) *Table {
 	if bound > 0 {
 		slots = bound
 	}
-	t := &Table{
-		bound: bound,
-		arena: make([]tableEntry, 1, slots+1),
-	}
-	t.growIndex(slots)
-	return t
-}
-
-// growIndex (re)builds the open-addressed index with room for at least
-// want entries at half load.
-func (t *Table) growIndex(want int) {
-	size := uint64(16)
-	for size < 2*uint64(want) {
-		size *= 2
-	}
-	oldKey, oldSlot := t.idxKey, t.idxSlot
-	t.idxKey = make([]Key, size)
-	t.idxSlot = make([]int32, size)
-	t.idxMask = size - 1
-	for i, s := range oldSlot {
-		if s != 0 {
-			t.indexPut(oldKey[i], s)
-		}
-	}
-}
-
-// lookupSlot returns the arena slot holding key, or 0.
-func (t *Table) lookupSlot(key Key) int32 {
-	for i := key.hash() & t.idxMask; ; i = (i + 1) & t.idxMask {
-		s := t.idxSlot[i]
-		if s == 0 {
-			return 0
-		}
-		if t.idxKey[i] == key {
-			return s
-		}
-	}
-}
-
-// indexPut records key → slot; the index is kept at most half full, so an
-// empty bucket always exists.
-func (t *Table) indexPut(key Key, slot int32) {
-	i := key.hash() & t.idxMask
-	for t.idxSlot[i] != 0 {
-		i = (i + 1) & t.idxMask
-	}
-	t.idxKey[i] = key
-	t.idxSlot[i] = slot
-}
-
-// indexDelete removes key with backward-shift deletion (no tombstones).
-func (t *Table) indexDelete(key Key) {
-	i := key.hash() & t.idxMask
-	for t.idxKey[i] != key || t.idxSlot[i] == 0 {
-		i = (i + 1) & t.idxMask
-	}
-	for {
-		t.idxSlot[i] = 0
-		j := i
-		for {
-			j = (j + 1) & t.idxMask
-			if t.idxSlot[j] == 0 {
-				return
-			}
-			h := t.idxKey[j].hash() & t.idxMask
-			if (j-h)&t.idxMask >= (j-i)&t.idxMask {
-				t.idxKey[i] = t.idxKey[j]
-				t.idxSlot[i] = t.idxSlot[j]
-				i = j
-				break
-			}
-		}
-	}
-}
-
-// listUnlink removes slot i from the LRU list.
-func (t *Table) listUnlink(i int32) {
-	e := &t.arena[i]
-	t.arena[e.prev].next = e.next
-	t.arena[e.next].prev = e.prev
-}
-
-// listPushFront makes slot i the MRU entry.
-func (t *Table) listPushFront(i int32) {
-	first := t.arena[0].next
-	e := &t.arena[i]
-	e.prev, e.next = 0, first
-	t.arena[first].prev = i
-	t.arena[0].next = i
-}
-
-// moveToFront refreshes slot i's LRU position.
-func (t *Table) moveToFront(i int32) {
-	if t.arena[0].next == i {
-		return
-	}
-	t.listUnlink(i)
-	t.listPushFront(i)
-}
-
-// alloc returns a free arena slot, growing the arena if needed.
-func (t *Table) alloc() int32 {
-	if t.free != 0 {
-		s := t.free
-		t.free = t.arena[s].next
-		return s
-	}
-	t.arena = append(t.arena, tableEntry{})
-	return int32(len(t.arena) - 1)
+	return &Table{bound: bound, keys: lru.New[Key](slots)}
 }
 
 // Len returns the number of trained entries (the paper's Table 3 metric).
 func (t *Table) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.count
+	return t.keys.Len()
 }
 
 // Stats returns a copy of the activity counters.
@@ -268,12 +145,12 @@ func (t *Table) Lookup(key Key) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.stats.Lookups++
-	s := t.lookupSlot(key)
+	s := t.keys.Find(key, key.hash())
 	if s == 0 {
 		return false
 	}
 	t.stats.Hits++
-	t.moveToFront(s)
+	t.keys.Touch(s)
 	return true
 }
 
@@ -282,30 +159,19 @@ func (t *Table) Lookup(key Key) bool {
 func (t *Table) Train(key Key) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if s := t.lookupSlot(key); s != 0 {
-		t.moveToFront(s)
+	h := key.hash()
+	if s := t.keys.Find(key, h); s != 0 {
+		t.keys.Touch(s)
 		return
 	}
 	// Evict-before-insert is observably identical to the reference
 	// insert-then-evict: with bound ≥ 1 the victim is always the
 	// pre-insert LRU entry, never the newcomer.
-	if t.bound > 0 && t.count == t.bound {
-		victim := t.arena[0].prev
-		t.listUnlink(victim)
-		t.indexDelete(t.arena[victim].key)
-		t.arena[victim].next = t.free
-		t.free = victim
-		t.count--
+	if t.bound > 0 && t.keys.Len() == t.bound {
+		t.keys.Remove(t.keys.Oldest())
 		t.stats.Evictions++
 	}
-	if 2*(t.count+1) > len(t.idxSlot) {
-		t.growIndex(t.count + 1)
-	}
-	s := t.alloc()
-	t.arena[s].key = key
-	t.listPushFront(s)
-	t.indexPut(key, s)
-	t.count++
+	t.keys.Insert(key, h)
 	t.stats.Inserts++
 }
 
@@ -315,15 +181,11 @@ func (t *Table) Train(key Key) {
 func (t *Table) Forget(key Key) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s := t.lookupSlot(key)
+	s := t.keys.Find(key, key.hash())
 	if s == 0 {
 		return false
 	}
-	t.listUnlink(s)
-	t.indexDelete(key)
-	t.arena[s].next = t.free
-	t.free = s
-	t.count--
+	t.keys.Remove(s)
 	return true
 }
 
@@ -331,9 +193,9 @@ func (t *Table) Forget(key Key) bool {
 func (t *Table) Keys() []Key {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	keys := make([]Key, 0, t.count)
-	for i := t.arena[0].next; i != 0; i = t.arena[i].next {
-		keys = append(keys, t.arena[i].key)
+	keys := make([]Key, 0, t.keys.Len())
+	for s := t.keys.Newest(); s != 0; s = t.keys.Older(s) {
+		keys = append(keys, t.keys.Key(s))
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
 	return keys

@@ -96,8 +96,8 @@ func (t *Table) lruKeys() []Key {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var keys []Key
-	for i := t.arena[0].next; i != 0; i = t.arena[i].next {
-		keys = append(keys, t.arena[i].key)
+	for s := t.keys.Newest(); s != 0; s = t.keys.Older(s) {
+		keys = append(keys, t.keys.Key(s))
 	}
 	return keys
 }

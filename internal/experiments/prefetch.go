@@ -29,26 +29,12 @@ const prefetchDegree = 8
 // so matrix workers and the driver share the evaluation.
 func (s *Suite) prefetchRow(app *workload.App) (PrefetchRow, error) {
 	v, err := s.memo.do("prefetch/"+app.Name, func() (any, error) {
-		// Three passes, three fresh sources: sources are single-use
-		// single-goroutine iterators.
-		base, err := prefetch.EvaluateSource(s.SourceFor(app), prefetchCacheBlocks, prefetch.None{})
+		rs, err := prefetch.EvaluateSource(s.SourceFor(app), prefetchCacheBlocks, prefetch.None{},
+			prefetch.NewGlobalReadahead(prefetchDegree), prefetch.NewPCReadahead(prefetchDegree))
 		if err != nil {
 			return nil, err
 		}
-		global, err := prefetch.EvaluateSource(s.SourceFor(app), prefetchCacheBlocks, prefetch.NewGlobalReadahead(prefetchDegree))
-		if err != nil {
-			return nil, err
-		}
-		pc, err := prefetch.EvaluateSource(s.SourceFor(app), prefetchCacheBlocks, prefetch.NewPCReadahead(prefetchDegree))
-		if err != nil {
-			return nil, err
-		}
-		return PrefetchRow{
-			App:      app.Name,
-			BaseMiss: base.MissRate(),
-			Global:   global,
-			PC:       pc,
-		}, nil
+		return PrefetchRow{App: app.Name, BaseMiss: rs[0].MissRate(), Global: rs[1], PC: rs[2]}, nil
 	})
 	if err != nil {
 		return PrefetchRow{}, err

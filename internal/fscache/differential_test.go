@@ -210,8 +210,8 @@ func (c *refCache) Advance(t trace.Time) []trace.Event {
 // lruOrder lists the cached block ids MRU-first.
 func (c *Cache) lruOrder() []int64 {
 	var ids []int64
-	for i := c.arena[0].next; i != 0; i = c.arena[i].next {
-		ids = append(ids, c.arena[i].id)
+	for s := c.blocks.Newest(); s != 0; s = c.blocks.Older(s) {
+		ids = append(ids, c.blocks.Key(s))
 	}
 	return ids
 }

@@ -18,19 +18,29 @@
 package prefetch
 
 import (
-	"container/list"
 	"fmt"
 
+	"pcapsim/internal/fscache"
+	"pcapsim/internal/lru"
 	"pcapsim/internal/trace"
 )
 
-// Prefetcher decides which blocks to fetch ahead after each read access.
+// Prefetcher decides how far to read ahead after each read access.
 type Prefetcher interface {
 	// Name returns a short identifier for result tables.
 	Name() string
-	// OnRead observes a demand read and returns the blocks to prefetch.
-	OnRead(pc trace.PC, block int64) []int64
+	// OnRead observes a demand read of block and returns the readahead
+	// depth n: the blocks block+1 .. block+n are to be prefetched.
+	OnRead(pc trace.PC, block int64) int
 }
+
+// threshold is the stream score at which a readahead prefetcher becomes
+// confident and starts fetching ahead.
+const threshold = 2
+
+// maxSites bounds PCReadahead's per-PC state (LRU would be the production
+// answer; the site sets here are tiny, so a hard cap suffices).
+const maxSites = 4096
 
 // None never prefetches — the demand-fetch baseline.
 type None struct{}
@@ -39,7 +49,7 @@ type None struct{}
 func (None) Name() string { return "none" }
 
 // OnRead implements Prefetcher.
-func (None) OnRead(trace.PC, int64) []int64 { return nil }
+func (None) OnRead(trace.PC, int64) int { return 0 }
 
 // sequentialState tracks one stream's recent behaviour.
 type sequentialState struct {
@@ -47,17 +57,18 @@ type sequentialState struct {
 	score int
 }
 
-// observe updates the stream with a block and reports the new score.
-func (s *sequentialState) observe(block int64, max int) int {
+// observe updates the stream with a block and reports whether it is
+// confident enough to prefetch.
+func (s *sequentialState) observe(block int64) bool {
 	if block == s.last+1 {
-		if s.score < max {
+		if s.score < threshold+2 {
 			s.score++
 		}
 	} else if s.score > 0 {
 		s.score--
 	}
 	s.last = block
-	return s.score
+	return s.score >= threshold
 }
 
 // GlobalReadahead is the PC-blind baseline: one stream context for the
@@ -65,77 +76,56 @@ func (s *sequentialState) observe(block int64, max int) int {
 type GlobalReadahead struct {
 	// Degree is how many blocks to fetch ahead once confident.
 	Degree int
-	// Threshold is the score at which prefetching starts.
-	Threshold int
-	state     sequentialState
+	state  sequentialState
 }
 
-// NewGlobalReadahead returns the baseline with the given degree and a
-// confidence threshold of 2.
+// NewGlobalReadahead returns the baseline with the given degree.
 func NewGlobalReadahead(degree int) *GlobalReadahead {
-	return &GlobalReadahead{Degree: degree, Threshold: 2}
+	return &GlobalReadahead{Degree: degree}
 }
 
 // Name implements Prefetcher.
 func (g *GlobalReadahead) Name() string { return "readahead" }
 
 // OnRead implements Prefetcher.
-func (g *GlobalReadahead) OnRead(_ trace.PC, block int64) []int64 {
-	if g.state.observe(block, g.Threshold+2) >= g.Threshold {
-		return ahead(block, g.Degree)
+func (g *GlobalReadahead) OnRead(_ trace.PC, block int64) int {
+	if g.state.observe(block) {
+		return g.Degree
 	}
-	return nil
+	return 0
 }
 
 // PCReadahead keeps one stream context per program counter — the paper's
-// insight applied to prefetching.
+// insight applied to prefetching. Sites beyond the first maxSites are
+// never tracked.
 type PCReadahead struct {
 	// Degree is how many blocks to fetch ahead once a site is confident.
 	Degree int
-	// Threshold is the per-site score at which prefetching starts.
-	Threshold int
-	// MaxSites bounds the per-PC state (LRU would be the production
-	// answer; the site sets here are tiny, so a hard cap suffices).
-	MaxSites int
-	sites    map[trace.PC]*sequentialState
+	sites  map[trace.PC]*sequentialState
 }
 
-// NewPCReadahead returns a PC-keyed prefetcher with the given degree, a
-// confidence threshold of 2, and room for 4096 sites.
+// NewPCReadahead returns a PC-keyed prefetcher with the given degree.
 func NewPCReadahead(degree int) *PCReadahead {
-	return &PCReadahead{
-		Degree:    degree,
-		Threshold: 2,
-		MaxSites:  4096,
-		sites:     make(map[trace.PC]*sequentialState),
-	}
+	return &PCReadahead{Degree: degree, sites: make(map[trace.PC]*sequentialState)}
 }
 
 // Name implements Prefetcher.
 func (p *PCReadahead) Name() string { return "pc-readahead" }
 
 // OnRead implements Prefetcher.
-func (p *PCReadahead) OnRead(pc trace.PC, block int64) []int64 {
+func (p *PCReadahead) OnRead(pc trace.PC, block int64) int {
 	st, ok := p.sites[pc]
 	if !ok {
-		if len(p.sites) >= p.MaxSites {
-			return nil
+		if len(p.sites) >= maxSites {
+			return 0
 		}
 		st = &sequentialState{last: block - 1} // optimistic: first touch scores
 		p.sites[pc] = st
 	}
-	if st.observe(block, p.Threshold+2) >= p.Threshold {
-		return ahead(block, p.Degree)
+	if st.observe(block) {
+		return p.Degree
 	}
-	return nil
-}
-
-func ahead(block int64, n int) []int64 {
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = block + int64(i+1)
-	}
-	return out
+	return 0
 }
 
 // Result scores one prefetcher over one trace set.
@@ -180,83 +170,106 @@ func (r Result) Accuracy() float64 {
 	return float64(r.PrefetchHits) / float64(r.Prefetched)
 }
 
-// blockCache is a read-only LRU block cache that distinguishes demand
-// from prefetched residency.
-type blockCache struct {
-	cap     int
-	entries map[int64]*list.Element
-	lru     *list.List // of cacheEntry
+// blockSize is the evaluation's block size: reads split into 4 KB blocks,
+// as in the file cache simulator.
+const blockSize = 4096
+
+// scorer scores one prefetcher over a read-only LRU block cache that
+// distinguishes demand from prefetched residency.
+type scorer struct {
+	p          Prefetcher
+	cache      *lru.List[int64]
+	prefetched []bool // by cache slot: resident because of an unused prefetch
+	res        Result
 }
 
-type cacheEntry struct {
-	block      int64
-	prefetched bool
-}
+// hash spreads a block id over the cache index (Fibonacci multiplicative
+// hash).
+func hash(block int64) uint64 { return uint64(block) * 0x9E3779B97F4A7C15 >> 32 }
 
-func newBlockCache(capBlocks int) *blockCache {
-	return &blockCache{
-		cap:     capBlocks,
-		entries: make(map[int64]*list.Element),
-		lru:     list.New(),
+// read scores one demand read of block and then issues the prefetcher's
+// readahead. Prefetches are background I/O: they do not count as demand
+// misses, but unused ones count as waste.
+func (s *scorer) read(pc trace.PC, block int64) {
+	s.res.DemandReads++
+	if slot := s.cache.Find(block, hash(block)); slot == 0 {
+		s.res.DemandMisses++
+		s.insert(block, false)
+	} else {
+		if s.prefetched[slot] {
+			s.res.PrefetchHits++
+			s.prefetched[slot] = false // now demand-owned
+		}
+		s.cache.Touch(slot)
+	}
+	last := block + int64(s.p.OnRead(pc, block))
+	for pb := block + 1; pb <= last; pb++ {
+		if s.cache.Find(pb, hash(pb)) != 0 {
+			continue
+		}
+		s.res.Prefetched++
+		if s.insert(pb, true) {
+			s.res.Wasted++
+		}
 	}
 }
 
-// touch looks a block up as a demand read. It reports whether the block
-// was resident and whether it was resident *because of a prefetch*.
-func (c *blockCache) touch(block int64) (hit, wasPrefetched bool) {
-	el, ok := c.entries[block]
-	if !ok {
-		c.insert(block, false)
-		return false, false
+// insert adds an absent block as the most recently used one, evicting the
+// least recently used block if the cache is full, and reports whether the
+// victim was an unused prefetch.
+func (s *scorer) insert(block int64, prefetched bool) (wastedEviction bool) {
+	// prefetched holds one flag per cache block plus the sentinel slot's.
+	if s.cache.Len() == len(s.prefetched)-1 {
+		v := s.cache.Oldest()
+		wastedEviction = s.prefetched[v]
+		s.cache.Remove(v)
 	}
-	e := el.Value.(*cacheEntry)
-	wasPrefetched = e.prefetched
-	e.prefetched = false // now demand-owned
-	c.lru.MoveToFront(el)
-	return true, wasPrefetched
+	s.prefetched[s.cache.Insert(block, hash(block))] = prefetched
+	return wastedEviction
 }
 
-// insert adds a block, reporting a wasted prefetch if one was evicted
-// unused.
-func (c *blockCache) insert(block int64, prefetched bool) (wastedEviction bool) {
-	if el, ok := c.entries[block]; ok {
-		c.lru.MoveToFront(el)
-		return false
+// endExec counts the prefetched blocks never touched before the execution
+// ended as fetched for nothing, and empties the cache for the next one.
+func (s *scorer) endExec() {
+	for slot := s.cache.Newest(); slot != 0; slot = s.cache.Older(slot) {
+		if s.prefetched[slot] {
+			s.res.Wasted++
+		}
 	}
-	c.entries[block] = c.lru.PushFront(&cacheEntry{block: block, prefetched: prefetched})
-	if len(c.entries) <= c.cap {
-		return false
-	}
-	oldest := c.lru.Back()
-	victim := oldest.Value.(*cacheEntry)
-	c.lru.Remove(oldest)
-	delete(c.entries, victim.block)
-	return victim.prefetched
+	s.cache.Reset()
 }
 
-// Evaluate replays the I/O events of the given traces through a block
-// cache of capBlocks blocks with the prefetcher attached and returns the
-// score. Only reads participate (readahead does not interact with the
-// write-back path); multi-block reads are split per block, as in the file
-// cache simulator.
-func Evaluate(traces []*trace.Trace, capBlocks int, p Prefetcher) (Result, error) {
-	return EvaluateSource(trace.NewSliceSource(traces...), capBlocks, p)
+// Evaluate replays the I/O events of the given traces through one block
+// cache of capBlocks blocks per prefetcher and returns the scores in the
+// order of ps. Only reads participate (readahead does not interact
+// with the write-back path); multi-block reads are split per block by
+// fscache.SpanBlocks, as in the file cache simulator.
+func Evaluate(traces []*trace.Trace, capBlocks int, ps ...Prefetcher) ([]Result, error) {
+	return EvaluateSource(trace.NewSliceSource(traces...), capBlocks, ps...)
 }
 
 // EvaluateSource is Evaluate over a streaming trace source: events are
-// scored as they are pulled, so memory stays constant in workload length.
-// The prefetcher's learned state persists across executions (as with
-// Evaluate); the block cache starts cold for each one.
-func EvaluateSource(src trace.Source, capBlocks int, p Prefetcher) (Result, error) {
+// scored as they are pulled, in one pass that feeds every prefetcher, so
+// memory stays constant in workload length. Each prefetcher has its own
+// cache. Its learned state persists across executions; its cache starts
+// cold for each one.
+func EvaluateSource(src trace.Source, capBlocks int, ps ...Prefetcher) ([]Result, error) {
 	if capBlocks <= 0 {
-		return Result{}, fmt.Errorf("prefetch: cache capacity must be positive, got %d", capBlocks)
+		return nil, fmt.Errorf("prefetch: cache capacity must be positive, got %d", capBlocks)
 	}
-	res := Result{Prefetcher: p.Name()}
+	scorers := make([]scorer, len(ps))
+	for i, p := range ps {
+		scorers[i] = scorer{
+			p:          p,
+			cache:      lru.New[int64](capBlocks),
+			prefetched: make([]bool, capBlocks+1),
+			res:        Result{Prefetcher: p.Name()},
+		}
+	}
 	for {
 		if _, _, ok := src.NextExec(); !ok {
 			break
 		}
-		cache := newBlockCache(capBlocks)
 		for {
 			e, ok := src.Next()
 			if !ok {
@@ -265,42 +278,23 @@ func EvaluateSource(src trace.Source, capBlocks int, p Prefetcher) (Result, erro
 			if e.Kind != trace.KindIO || e.Access != trace.AccessRead && e.Access != trace.AccessOpen {
 				continue
 			}
-			blocks := int(e.Size) / 4096
-			if blocks < 1 {
-				blocks = 1
-			}
-			for i := 0; i < blocks; i++ {
-				block := e.Block + int64(i)
-				res.DemandReads++
-				hit, wasPrefetched := cache.touch(block)
-				if !hit {
-					res.DemandMisses++
-				} else if wasPrefetched {
-					res.PrefetchHits++
-				}
-				// Prefetches are background I/O: they do not count as
-				// demand misses, but unused ones count as waste.
-				for _, pb := range p.OnRead(e.PC, block) {
-					if _, resident := cache.entries[pb]; resident {
-						continue
-					}
-					res.Prefetched++
-					if cache.insert(pb, true) {
-						res.Wasted++
-					}
+			n := int64(fscache.SpanBlocks(e.Size, blockSize))
+			for i := int64(0); i < n; i++ {
+				for j := range scorers {
+					scorers[j].read(e.PC, e.Block+i)
 				}
 			}
 		}
-		// Prefetched blocks never touched before the execution ended were
-		// fetched for nothing.
-		for el := cache.lru.Front(); el != nil; el = el.Next() {
-			if el.Value.(*cacheEntry).prefetched {
-				res.Wasted++
-			}
+		for j := range scorers {
+			scorers[j].endExec()
 		}
 	}
 	if err := src.Err(); err != nil {
-		return Result{}, fmt.Errorf("prefetch: reading trace source: %w", err)
+		return nil, fmt.Errorf("prefetch: reading trace source: %w", err)
 	}
-	return res, nil
+	results := make([]Result, len(ps))
+	for i := range scorers {
+		results[i] = scorers[i].res
+	}
+	return results, nil
 }

@@ -35,10 +35,11 @@ func seqTrace(interleaved bool, perStream int) *trace.Trace {
 }
 
 func TestNoPrefetchBaseline(t *testing.T) {
-	res, err := Evaluate([]*trace.Trace{seqTrace(false, 50)}, 64, None{})
+	rs, err := Evaluate([]*trace.Trace{seqTrace(false, 50)}, 64, None{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := rs[0]
 	if res.DemandReads != 100 || res.DemandMisses != 100 {
 		t.Fatalf("baseline %+v", res)
 	}
@@ -48,10 +49,11 @@ func TestNoPrefetchBaseline(t *testing.T) {
 }
 
 func TestGlobalReadaheadOnCleanStream(t *testing.T) {
-	res, err := Evaluate([]*trace.Trace{seqTrace(false, 50)}, 64, NewGlobalReadahead(8))
+	rs, err := Evaluate([]*trace.Trace{seqTrace(false, 50)}, 64, NewGlobalReadahead(8))
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := rs[0]
 	// Two un-interleaved sequential streams: readahead must eliminate most
 	// misses once warmed up.
 	if res.MissRate() > 0.2 {
@@ -67,14 +69,11 @@ func TestGlobalReadaheadOnCleanStream(t *testing.T) {
 // score but leaves the per-PC contexts untouched.
 func TestPCBeatsGlobalOnInterleavedStreams(t *testing.T) {
 	traces := []*trace.Trace{seqTrace(true, 200)}
-	global, err := Evaluate(traces, 128, NewGlobalReadahead(8))
+	rs, err := Evaluate(traces, 128, NewGlobalReadahead(8), NewPCReadahead(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, err := Evaluate(traces, 128, NewPCReadahead(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	global, pc := rs[0], rs[1]
 	if pc.MissRate() > 0.2 {
 		t.Fatalf("pc readahead missed %.2f on interleaved streams", pc.MissRate())
 	}
@@ -98,23 +97,46 @@ func TestPCReadaheadRandomSiteStaysQuiet(t *testing.T) {
 			PC: 0x300, FD: 3, Block: b, Size: 4096,
 		})
 	}
-	res, err := Evaluate([]*trace.Trace{tr}, 64, NewPCReadahead(8))
+	rs, err := Evaluate([]*trace.Trace{tr}, 64, NewPCReadahead(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Prefetched != 0 {
-		t.Fatalf("random site prefetched %d blocks", res.Prefetched)
+	if rs[0].Prefetched != 0 {
+		t.Fatalf("random site prefetched %d blocks", rs[0].Prefetched)
 	}
 }
 
 func TestPCReadaheadSiteCap(t *testing.T) {
 	p := NewPCReadahead(4)
-	p.MaxSites = 2
-	p.OnRead(1, 10)
-	p.OnRead(2, 20)
-	p.OnRead(3, 30) // beyond the cap: ignored, no panic, no growth
-	if len(p.sites) != 2 {
-		t.Fatalf("site map grew past cap: %d", len(p.sites))
+	for pc := trace.PC(1); pc <= maxSites; pc++ {
+		p.OnRead(pc, 10*int64(pc))
+	}
+	// Beyond the cap: ignored, no growth, and no readahead even on a run
+	// that a tracked site would score.
+	late := trace.PC(maxSites + 1)
+	for b := int64(0); b < 8; b++ {
+		if n := p.OnRead(late, b); n != 0 {
+			t.Fatalf("untracked site prefetched %d blocks", n)
+		}
+	}
+	if len(p.sites) != maxSites {
+		t.Fatalf("site map holds %d sites, cap %d", len(p.sites), maxSites)
+	}
+}
+
+// TestMultiBlockReadSpan: a read spans its byte count rounded up to whole
+// blocks, the file cache simulator's rule, so 6000 bytes touch two.
+func TestMultiBlockReadSpan(t *testing.T) {
+	tr := &trace.Trace{App: "span", Events: []trace.Event{{
+		Time: 1000, Pid: 1, Kind: trace.KindIO, Access: trace.AccessRead,
+		PC: 0x100, FD: 3, Block: 40, Size: 6000,
+	}}}
+	rs, err := Evaluate([]*trace.Trace{tr}, 64, None{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs[0].DemandReads != 2 || rs[0].DemandMisses != 2 {
+		t.Fatalf("6000-byte read: %+v, want 2 demand reads and misses", rs[0])
 	}
 }
 
