@@ -517,8 +517,9 @@ func BenchmarkCacheFilter(b *testing.B) {
 
 // benchmarkDecode measures full-stream decode throughput of one on-disk
 // format: every execution of xemacs is encoded once, then each iteration
-// decodes the whole byte stream execution by execution through
-// trace.Drain — exactly how sim.RunSource consumes a file-backed source.
+// decodes the whole byte stream execution by execution, reading each
+// through ExecEvents — exactly how sim.RunSource consumes a file-backed
+// source.
 // bytes/op is the encoded size; events/s is the decoded event rate.
 func benchmarkDecode(b *testing.B, encode func(io.Writer, *trace.Trace) error, open func(*bytes.Reader) trace.Source) {
 	b.Helper()
@@ -533,7 +534,6 @@ func benchmarkDecode(b *testing.B, encode func(io.Writer, *trace.Trace) error, o
 		events += tr.Len()
 	}
 	data := buf.Bytes()
-	drained := make([]trace.Event, 0, 4096)
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -544,8 +544,7 @@ func benchmarkDecode(b *testing.B, encode func(io.Writer, *trace.Trace) error, o
 			if _, _, ok := src.NextExec(); !ok {
 				break
 			}
-			drained = trace.Drain(src, drained)
-			n += len(drained)
+			n += len(src.ExecEvents())
 		}
 		if err := src.Err(); err != nil {
 			b.Fatal(err)
@@ -557,8 +556,8 @@ func benchmarkDecode(b *testing.B, encode func(io.Writer, *trace.Trace) error, o
 	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
-// BenchmarkDecodeV2 is the columnar v2 block decoder, draining each
-// execution a whole block at a time through AppendExec.
+// BenchmarkDecodeV2 is the columnar v2 block decoder, decoding each
+// execution a whole block at a time into the source's buffer.
 func BenchmarkDecodeV2(b *testing.B) {
 	benchmarkDecode(b, trace.WriteColumnar, func(r *bytes.Reader) trace.Source { return trace.NewBlockSource(r) })
 }
@@ -630,7 +629,6 @@ func BenchmarkDecodeV2Pushdown(b *testing.B) {
 		}
 	}
 	pred := trace.Predicate{From: maxTime / 4, To: maxTime / 2}
-	drained := make([]trace.Event, 0, 4096)
 	var events, read int64
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
@@ -646,8 +644,7 @@ func BenchmarkDecodeV2Pushdown(b *testing.B) {
 			if _, _, ok := fs.NextExec(); !ok {
 				break
 			}
-			drained = trace.Drain(fs, drained)
-			events += int64(len(drained))
+			events += int64(len(fs.ExecEvents()))
 		}
 		if err := fs.Err(); err != nil {
 			b.Fatal(err)

@@ -101,15 +101,16 @@ wait "${pcapd_pid}"
 # (FullSimulation ios/s, v2 decode events/s) against a baseline report
 # and FAILS the build on a >10% regression.
 #
-# The default baseline is self-anchoring: the committed version of the
-# current artifact (snapshotted before the fresh sweep overwrites it),
-# falling back to the previous PR's artifact when none exists yet. This
-# keeps the gate about *this tree's* code — absolute throughput drifts
-# with the machine across days (measured ~20% between the PR 5 and PR 6
-# recordings with bit-identical code; see EXPERIMENTS.md), so gating
-# across machine-days compares hardware, not code. Point BENCH_BASELINE
-# at an older BENCH_PR*.json for an explicit cross-PR comparison, or
-# disable with BENCH_GATE=off on a known-noisy runner. The default
+# The fresh report goes to bench.json (gitignored), so a CI run never
+# rewrites a committed file; recording a new BENCH_PR*.json is a
+# deliberate copy of bench.json. The default baseline is the committed
+# BENCH_PR10.json. Absolute throughput drifts with the machine across
+# days (measured ~20% between the PR 5 and PR 6 recordings with
+# bit-identical code; see EXPERIMENTS.md), so on another machine the
+# gate compares hardware as well as code. Point BENCH_BASELINE at another
+# BENCH_PR*.json (or at a bench.json from the parent commit on the same
+# machine) for a different comparison, or disable with BENCH_GATE=off on
+# a known-noisy runner. The default
 # filter is the allocation-sensitive hot path; BENCH_FILTER='.' sweeps
 # everything. SuiteParallel (the grouped full-matrix path),
 # FleetPeakHeap1k (the fleet's peak live heap, peak-heap-KB) and Prefetch
@@ -135,20 +136,11 @@ if go test -run '^$' -bench "${bench_filter}" -benchmem -benchtime "${BENCH_TIME
 		cat "${smoke_dir}/load.txt" >>"${bench_artifact}"
 	fi
 	grep '^Benchmark' "${bench_artifact}" || true
-	# Machine-readable perf trajectory: benchmark name → iterations and
-	# every metric (ns/op, B/op, allocs/op, ios/s, events/s, ...). The
-	# JSON is committed per PR so perf history survives in-repo; schema
+	# Machine-readable perf report: benchmark name → iterations and
+	# every metric (ns/op, B/op, allocs/op, ios/s, events/s, ...); schema
 	# in EXPERIMENTS.md.
-	bench_json="${BENCH_JSON:-BENCH_PR10.json}"
-	bench_baseline="${BENCH_BASELINE:-}"
-	if [[ -z "${bench_baseline}" ]]; then
-		if [[ -f "${bench_json}" ]]; then
-			bench_baseline="$(mktemp)"
-			cp "${bench_json}" "${bench_baseline}"
-		else
-			bench_baseline="BENCH_PR9.json"
-		fi
-	fi
+	bench_json="${BENCH_JSON:-bench.json}"
+	bench_baseline="${BENCH_BASELINE:-BENCH_PR10.json}"
 	if go run ./cmd/benchjson -o "${bench_json}" "${bench_artifact}"; then
 		echo "ci: wrote ${bench_json}"
 		if [[ "${BENCH_GATE:-on}" != "off" && -f "${bench_baseline}" ]]; then

@@ -2,10 +2,10 @@
 // counts, per-process activity, idle-period structure at a given
 // breakeven, and optionally the first events in text form.
 //
-// The file is processed as a stream in a single pass — events are never
-// loaded into memory, so arbitrarily large traces (e.g. tracegen output
-// concatenated across executions) inspect in constant memory. Files
-// holding several executions get one summary block per execution.
+// The file is processed as a stream in a single pass, one execution in
+// memory at a time, so traces concatenated across many executions
+// inspect in the memory of their largest one. Files holding several
+// executions get one summary block per execution.
 //
 // The input format (v2 columnar or text) is detected from the leading
 // magic bytes, as in pcapsim and pcapd. For v2 columnar files, -blocks
@@ -103,9 +103,7 @@ func main() {
 	}
 }
 
-// inspect consumes one execution from src and prints its summary. All
-// statistics are computed incrementally; only the -head buffer and
-// per-process aggregates are retained.
+// inspect prints a summary of src's current execution.
 func inspect(src trace.Source, app string, exec int, head int, breakeven float64) {
 	type pstat struct {
 		ios   int
@@ -113,9 +111,9 @@ func inspect(src trace.Source, app string, exec int, head int, breakeven float64
 		last  trace.Time
 	}
 	var (
+		evs       = src.ExecEvents()
 		v         = trace.NewValidator(app, exec)
 		validErr  error
-		events    int
 		ios       int
 		duration  trace.Time
 		procs     = map[trace.PID]*pstat{}
@@ -125,21 +123,12 @@ func inspect(src trace.Source, app string, exec int, head int, breakeven float64
 		short     int
 		long      int
 		longTotal trace.Time
-		headBuf   []trace.Event
 	)
-	for {
-		e, ok := src.Next()
-		if !ok {
-			break
-		}
+	for _, e := range evs {
 		if validErr == nil {
 			validErr = v.Event(e)
 		}
-		events++
 		duration = e.Time
-		if len(headBuf) < head {
-			headBuf = append(headBuf, e)
-		}
 		if !e.IsIO() {
 			continue
 		}
@@ -168,7 +157,7 @@ func inspect(src trace.Source, app string, exec int, head int, breakeven float64
 	}
 
 	fmt.Printf("app %s execution %d\n", app, exec)
-	fmt.Printf("events %d (I/O %d), duration %.1f s\n", events, ios, duration.Seconds())
+	fmt.Printf("events %d (I/O %d), duration %.1f s\n", len(evs), ios, duration.Seconds())
 
 	pids := make([]trace.PID, 0, len(procs))
 	for pid := range procs {
@@ -187,7 +176,7 @@ func inspect(src trace.Source, app string, exec int, head int, breakeven float64
 
 	if head > 0 {
 		fmt.Println("\nfirst events:")
-		for _, e := range headBuf {
+		for _, e := range evs[:min(head, len(evs))] {
 			fmt.Println(" ", e.String())
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"io/fs"
+	"math"
 	"os"
 	"strconv"
 	"time"
@@ -76,8 +77,11 @@ func (p *PredicateFlags) Register(prefix string) {
 }
 
 // Predicate assembles the filter, parsing the program-counter bounds
-// (decimal or 0x-hex).
+// (decimal or 0x-hex) and rejecting a -pid that trace.PID would truncate.
 func (p *PredicateFlags) Predicate() (trace.Predicate, error) {
+	if p.Pid > math.MaxInt32 || p.Pid < math.MinInt32 {
+		return trace.Predicate{}, fmt.Errorf("-pid: process id %d out of range", p.Pid)
+	}
 	pred := trace.Predicate{
 		From: trace.FromSeconds(p.From.Seconds()),
 		To:   trace.FromSeconds(p.To.Seconds()),

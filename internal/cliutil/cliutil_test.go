@@ -1,6 +1,7 @@
 package cliutil
 
 import (
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -42,6 +43,21 @@ func TestPredicateFlagsBadPC(t *testing.T) {
 		if !strings.Contains(err.Error(), "bad program counter") {
 			t.Fatalf("Predicate() error = %q, want the shared bad-program-counter phrasing", err)
 		}
+	}
+}
+
+// TestPredicateFlagsPidRange: a -pid that trace.PID would truncate is
+// rejected instead of silently selecting another process.
+func TestPredicateFlagsPidRange(t *testing.T) {
+	for _, pid := range []int{math.MaxInt32 + 1, 1<<32 + 5, math.MinInt32 - 1} {
+		p := PredicateFlags{Pid: pid}
+		if _, err := p.Predicate(); err == nil || !strings.Contains(err.Error(), "-pid") {
+			t.Errorf("Predicate() with -pid %d: error = %v, want a -pid range error", pid, err)
+		}
+	}
+	p := PredicateFlags{Pid: math.MaxInt32}
+	if pred, err := p.Predicate(); err != nil || pred.Pid != math.MaxInt32 {
+		t.Errorf("Predicate() with -pid MaxInt32 = %+v, %v", pred, err)
 	}
 }
 

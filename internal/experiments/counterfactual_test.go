@@ -87,8 +87,20 @@ var decisionGoldens = []struct {
 	path  string
 	limit func(trace.Source) trace.Source
 }{
-	{"testdata/xemacs-pcap.decisions", func(s trace.Source) trace.Source { return trace.Limit(s, 1) }},
+	{"testdata/xemacs-pcap.decisions", firstEvents},
 	{"testdata/xemacs-pcap-exec0.decisions", func(s trace.Source) trace.Source { return trace.LimitExecs(s, 1) }},
+}
+
+// firstEvents keeps each execution of s down to its first event.
+func firstEvents(s trace.Source) trace.Source {
+	traces, err := trace.Collect(s)
+	if err != nil {
+		panic(err)
+	}
+	for _, tr := range traces {
+		tr.Events = tr.Events[:min(1, len(tr.Events))]
+	}
+	return trace.NewSliceSource(traces...)
 }
 
 // goldenDecisionRun records the fixed-seed decision stream of xemacs

@@ -38,7 +38,7 @@ func putMixBuf(buf []trace.Event) {
 // application executions drawn per execution from the fleet's app mix,
 // generated on demand into a single recycled buffer. It is the fleet
 // analogue of workload.Stream — same pooled-buffer ownership, same
-// ExecSlicer lending contract — with two differences: the application is
+// slice-lending contract — with two differences: the application is
 // re-drawn each execution from the machine's deterministic pick stream,
 // and the session is bounded by virtual time (Config.Session) or an
 // execution count (Config.Executions) instead of an app's recorded
@@ -61,7 +61,6 @@ type mixSource struct {
 	emitted int           // executions started
 	elapsed trace.Time    // session clock: sum of finished execution durations
 	cur     []trace.Event // current execution's events (recycled buffer)
-	pos     int           // next event within cur
 	err     error         // first Interrupt error; ends the session
 }
 
@@ -111,7 +110,6 @@ func (s *mixSource) NextExec() (string, int, bool) {
 			putMixBuf(s.cur)
 			s.cur = nil
 		}
-		s.pos = 0
 		return "", 0, false
 	}
 	if s.emitted == 0 && s.cur == nil {
@@ -122,28 +120,12 @@ func (s *mixSource) NextExec() (string, int, bool) {
 	s.execIdx[app]++
 	s.emitted++
 	s.cur = s.f.apps[app].appendEvents(s.cur, s.seed, exec)
-	s.pos = 0
 	return s.f.apps[app].name, exec, true
 }
 
-// Next implements trace.Source.
-func (s *mixSource) Next() (trace.Event, bool) {
-	if s.pos >= len(s.cur) {
-		return trace.Event{}, false
-	}
-	e := s.cur[s.pos]
-	s.pos++
-	return e, true
-}
-
-// ExecEvents implements trace.ExecSlicer: the current execution is already
-// materialized in the recycled buffer, so the simulator borrows it instead
-// of re-buffering. The slice is invalidated by the next NextExec.
-func (s *mixSource) ExecEvents() []trace.Event {
-	events := s.cur[s.pos:]
-	s.pos = len(s.cur)
-	return events
-}
+// ExecEvents implements trace.Source: the current execution, lent from
+// the recycled buffer.
+func (s *mixSource) ExecEvents() []trace.Event { return s.cur }
 
 // Err implements trace.Source: generation cannot fail, so the only error
 // is an interrupt.
@@ -162,7 +144,6 @@ func (s *mixSource) Reset() error {
 	s.emitted = 0
 	s.elapsed = 0
 	s.cur = s.cur[:0]
-	s.pos = 0
 	s.err = nil
 	return nil
 }

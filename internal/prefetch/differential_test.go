@@ -32,17 +32,18 @@ func newRefCache(capBlocks int) *refCache {
 }
 
 // touch looks a block up as a demand read; see the original blockCache.
-func (c *refCache) touch(block int64) (hit, wasPrefetched bool) {
+// A miss inserts the block and reports whether that evicted an unused
+// prefetch.
+func (c *refCache) touch(block int64) (hit, wasPrefetched, wastedEviction bool) {
 	el, ok := c.entries[block]
 	if !ok {
-		c.insert(block, false)
-		return false, false
+		return false, false, c.insert(block, false)
 	}
 	e := el.Value.(*refEntry)
 	wasPrefetched = e.prefetched
 	e.prefetched = false
 	c.lru.MoveToFront(el)
-	return true, wasPrefetched
+	return true, wasPrefetched, false
 }
 
 // insert pushes then evicts, reporting an unused prefetched victim.
@@ -79,9 +80,12 @@ func refEvaluate(traces []*trace.Trace, capBlocks int, p Prefetcher) Result {
 			for i := 0; i < blocks; i++ {
 				block := e.Block + int64(i)
 				res.DemandReads++
-				hit, wasPrefetched := cache.touch(block)
+				hit, wasPrefetched, wastedEviction := cache.touch(block)
 				if !hit {
 					res.DemandMisses++
+					if wastedEviction {
+						res.Wasted++
+					}
 				} else if wasPrefetched {
 					res.PrefetchHits++
 				}
@@ -171,6 +175,10 @@ func TestEvaluateMatchesReference(t *testing.T) {
 				got, want := rs[i], refEvaluate(traces, capBlocks, p)
 				if got != want {
 					t.Fatalf("%s\n got %+v\nwant %+v", fmt.Sprintf("cap=%d seed=%d degree=%d", capBlocks, seed, degree), got, want)
+				}
+				if got.Prefetched != got.PrefetchHits+got.Wasted {
+					t.Fatalf("cap=%d seed=%d degree=%d: %d prefetched != %d hits + %d wasted",
+						capBlocks, seed, degree, got.Prefetched, got.PrefetchHits, got.Wasted)
 				}
 				hits += got.PrefetchHits
 				wasted += got.Wasted

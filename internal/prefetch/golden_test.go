@@ -33,6 +33,10 @@ func TestCountersGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, r := range rs {
+			// Every prefetched block is either used or wasted.
+			if r.Prefetched != r.PrefetchHits+r.Wasted {
+				t.Errorf("%s %s: %d prefetched != %d hits + %d wasted", app.Name, r.Prefetcher, r.Prefetched, r.PrefetchHits, r.Wasted)
+			}
 			fmt.Fprintf(&b, "%-9s %-13s reads=%d misses=%d prefetch_hits=%d prefetched=%d wasted=%d\n",
 				app.Name, r.Prefetcher, r.DemandReads, r.DemandMisses, r.PrefetchHits, r.Prefetched, r.Wasted)
 		}

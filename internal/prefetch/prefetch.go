@@ -194,7 +194,9 @@ func (s *scorer) read(pc trace.PC, block int64) {
 	s.res.DemandReads++
 	if slot := s.cache.Find(block, hash(block)); slot == 0 {
 		s.res.DemandMisses++
-		s.insert(block, false)
+		if s.insert(block, false) {
+			s.res.Wasted++
+		}
 	} else {
 		if s.prefetched[slot] {
 			s.res.PrefetchHits++
@@ -248,11 +250,11 @@ func Evaluate(traces []*trace.Trace, capBlocks int, ps ...Prefetcher) ([]Result,
 	return EvaluateSource(trace.NewSliceSource(traces...), capBlocks, ps...)
 }
 
-// EvaluateSource is Evaluate over a streaming trace source: events are
-// scored as they are pulled, in one pass that feeds every prefetcher, so
-// memory stays constant in workload length. Each prefetcher has its own
-// cache. Its learned state persists across executions; its cache starts
-// cold for each one.
+// EvaluateSource is Evaluate over a streaming trace source: each
+// execution is scored as it is pulled, in one pass that feeds every
+// prefetcher, so memory stays one execution whatever the workload
+// length. Each prefetcher has its own cache. Its learned state persists
+// across executions; its cache starts cold for each one.
 func EvaluateSource(src trace.Source, capBlocks int, ps ...Prefetcher) ([]Result, error) {
 	if capBlocks <= 0 {
 		return nil, fmt.Errorf("prefetch: cache capacity must be positive, got %d", capBlocks)
@@ -270,11 +272,7 @@ func EvaluateSource(src trace.Source, capBlocks int, ps ...Prefetcher) ([]Result
 		if _, _, ok := src.NextExec(); !ok {
 			break
 		}
-		for {
-			e, ok := src.Next()
-			if !ok {
-				break
-			}
+		for _, e := range src.ExecEvents() {
 			if e.Kind != trace.KindIO || e.Access != trace.AccessRead && e.Access != trace.AccessOpen {
 				continue
 			}

@@ -100,6 +100,16 @@ func (spec *JobSpec) validate() error {
 		spec.FromSec < 0 || spec.ToSec < 0 || spec.Pid < 0 {
 		return errors.New("job spec fields must be non-negative")
 	}
+	// The predicate narrows to trace.PID, trace.PC and trace.Time; a value
+	// they would truncate or overflow selects the wrong events.
+	switch {
+	case spec.Pid > math.MaxInt32:
+		return fmt.Errorf("pid %d out of range", spec.Pid)
+	case spec.PCFrom > math.MaxUint32 || spec.PCTo > math.MaxUint32:
+		return fmt.Errorf("pc_from/pc_to (%d, %d) out of the 32-bit program counter range", spec.PCFrom, spec.PCTo)
+	case spec.FromSec*1e6 >= math.MaxInt64 || spec.ToSec*1e6 >= math.MaxInt64:
+		return fmt.Errorf("from_sec/to_sec (%g, %g) beyond the trace clock's range", spec.FromSec, spec.ToSec)
+	}
 	return nil
 }
 
@@ -454,91 +464,53 @@ func (s *Server) runFleet(ctx context.Context, job *Job, jc *jobContext) (string
 
 // meter wraps a trace source with the server's two cross-cutting
 // concerns — cancellation and accounting — without touching the event
-// stream itself: every event passes through unmodified, so a metered
-// replay is result-identical to a bare one. Cancellation is checked at
-// execution boundaries (thousands of events apart), and counts flow into
-// the coalescing stats shard and the job's progress counters in
-// per-execution batches, so neither concern adds per-event overhead.
+// stream itself: each execution's slice passes through unmodified, so a
+// metered replay is result-identical to a bare one. Cancellation is
+// checked at execution boundaries (thousands of events apart), and counts
+// flow into the coalescing stats shard and the job's progress counters
+// once per execution, so neither concern adds per-event overhead.
 type meter struct {
-	src   trace.Source
+	trace.Source
 	ctx   context.Context
 	local *stats.Local
 	job   *Job
-
-	execEvents int64 // events seen in the current execution
-	err        error // sticky cancellation error
+	err   error // sticky cancellation error
 }
 
 func newMeter(ctx context.Context, src trace.Source, local *stats.Local, job *Job) *meter {
 	//pcaplint:ignore ctxflow request-scoped by construction: the meter lives strictly inside the job's exec call and cannot outlive ctx
-	return &meter{src: src, ctx: ctx, local: local, job: job}
-}
-
-// flushExec commits the finished execution's event count.
-func (m *meter) flushExec() {
-	if m.execEvents > 0 {
-		m.local.AddEvents(m.execEvents)
-		m.job.progressed(m.execEvents, 0, 0, 0)
-		m.execEvents = 0
-	}
+	return &meter{Source: src, ctx: ctx, local: local, job: job}
 }
 
 func (m *meter) NextExec() (string, int, bool) {
-	m.flushExec()
 	if m.err == nil {
 		m.err = m.ctx.Err()
 	}
 	if m.err != nil {
 		return "", 0, false
 	}
-	app, exec, ok := m.src.NextExec()
+	app, exec, ok := m.Source.NextExec()
 	if ok {
 		m.local.AddExecs(1)
-		m.job.progressed(0, 1, 0, 0)
+		events := int64(len(m.Source.ExecEvents()))
+		if events > 0 {
+			m.local.AddEvents(events)
+		}
+		m.job.progressed(events, 1, 0, 0)
 	}
 	return app, exec, ok
-}
-
-func (m *meter) Next() (trace.Event, bool) {
-	e, ok := m.src.Next()
-	if ok {
-		m.execEvents++
-	}
-	return e, ok
-}
-
-// AppendExec implements trace.ExecAppender so metering does not demote
-// the inner source's batch decode path (mirrors trace.LimitExecs).
-func (m *meter) AppendExec(buf []trace.Event) []trace.Event {
-	n := len(buf)
-	if es, ok := m.src.(trace.ExecSlicer); ok {
-		buf = append(buf, es.ExecEvents()...)
-	} else if ea, ok := m.src.(trace.ExecAppender); ok {
-		buf = ea.AppendExec(buf)
-	} else {
-		for {
-			e, ok := m.src.Next()
-			if !ok {
-				break
-			}
-			buf = append(buf, e)
-		}
-	}
-	m.execEvents += int64(len(buf) - n)
-	return buf
 }
 
 func (m *meter) Err() error {
 	if m.err != nil {
 		return m.err
 	}
-	return m.src.Err()
+	return m.Source.Err()
 }
 
 func (m *meter) Reset() error {
-	m.flushExec()
 	if m.err != nil {
 		return m.err
 	}
-	return m.src.Reset()
+	return m.Source.Reset()
 }

@@ -461,6 +461,13 @@ func TestQueueBoundsAndValidation(t *testing.T) {
 		{Kind: KindReplay},               // missing trace
 		{Kind: KindFleet},                // missing machines
 		{Kind: KindEval, App: "nedit", Execs: -1},
+		// Predicate fields that trace.PC, trace.PID or trace.Time would
+		// truncate or overflow.
+		{Kind: KindReplay, Trace: "t", PCFrom: 1<<32 + 5},
+		{Kind: KindReplay, Trace: "t", PCTo: 1 << 40},
+		{Kind: KindReplay, Trace: "t", Pid: 1<<31 + 7},
+		{Kind: KindReplay, Trace: "t", FromSec: 1e300},
+		{Kind: KindReplay, Trace: "t", ToSec: 1e13},
 	} {
 		body, _ := json.Marshal(spec)
 		resp, err := http.Post(hs.URL+"/jobs", "application/json", bytes.NewReader(body))

@@ -24,7 +24,7 @@ import (
 // differential tests).
 //
 // Per execution, drive calls advance (the policy's factory step), load
-// on one machine (drain and prepare), then openExecution and step once
+// on one machine (borrow and prepare), then openExecution and step once
 // per access on each machine. openExecution runs the execution's
 // accounting prologue; an execution with no disk accesses is accounted
 // as pure idle there and has nothing to step. step processes exactly one
@@ -43,7 +43,6 @@ type machine struct {
 
 	newFactory func() predictor.Factory
 	f          predictor.Factory
-	borrows    bool
 	execIdx    int // number of executions pulled from the source
 
 	ex *execution // current open execution, nil before the first pull
@@ -65,11 +64,6 @@ func (r *Runner) newMachine(src trace.Source, pol Policy, tr *tracedRun) (*machi
 		breakeven := r.cfg.Disk.Breakeven
 		newFactory = func() predictor.Factory { return predictor.NewOracle(breakeven) }
 	}
-	// Sources that expose their current execution as a slice (ExecSlicer)
-	// lend that slice out only until their next NextExec; it must not be
-	// adopted as the reusable drain buffer, or a pooled runState could
-	// later scribble over a buffer the source has recycled elsewhere.
-	_, borrows := src.(trace.ExecSlicer)
 	return &machine{
 		r:   r,
 		src: src,
@@ -81,19 +75,14 @@ func (r *Runner) newMachine(src trace.Source, pol Policy, tr *tracedRun) (*machi
 			StateEntries: -1,
 		},
 		newFactory: newFactory,
-		borrows:    borrows,
 	}, nil
 }
 
-// load drains execution (app, exec) from the source and prepares it
-// through the file cache in the machine's runState.
+// load prepares execution (app, exec), borrowed from the source, through
+// the file cache in the machine's runState.
 func (m *machine) load(app string, exec int) (*execution, error) {
 	rs := m.rs
-	events := trace.Drain(m.src, rs.buf)
-	if !m.borrows {
-		rs.buf = events
-	}
-	rs.view.App, rs.view.Execution, rs.view.Events = app, exec, events
+	rs.view.App, rs.view.Execution, rs.view.Events = app, exec, m.src.ExecEvents()
 	return rs.prepare(&rs.view, m.r.cfg.Cache)
 }
 

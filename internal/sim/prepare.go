@@ -52,7 +52,7 @@ type execution struct {
 }
 
 // runState is the pooled per-run scratch space of one RunSource call: the
-// drain buffer, the file cache (arena reset, not reallocated, between
+// file cache (arena reset, not reallocated, between
 // executions), the filtered-event buffer, the prepared execution with all
 // of its slices, the pid→slot map prepare fills, and the step working set
 // (slot-indexed predictors and standing decisions, the slots with a
@@ -62,10 +62,9 @@ type execution struct {
 // at a time (Runner keeps a sync.Pool of them), and everything inside it
 // is overwritten at the next execution's prepare — so nothing reachable
 // from a runState may be retained across executions, matching the
-// trace.Source borrowing contract for drained event slices.
+// trace.Source lending contract for execution event slices.
 type runState struct {
-	buf      []trace.Event // drain buffer for purely streaming sources
-	view     trace.Trace   // reused Trace header over the drained events
+	view     trace.Trace // reused Trace header over the borrowed events
 	cache    *fscache.Cache
 	filtered []trace.Event
 	ex       execution

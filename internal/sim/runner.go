@@ -159,9 +159,8 @@ func (r *Runner) RunApp(traces []*trace.Trace, pol Policy) (*AppResult, error) {
 
 // RunSource simulates every execution yielded by src under the given
 // policy and returns the aggregated result. Executions are consumed one
-// at a time: peak memory is one execution's events (and zero extra for
-// sources that already hold them, via trace.ExecSlicer), independent of
-// how many executions the source yields. The source must yield at least
+// at a time, borrowed from the source: peak memory is one execution's
+// events, independent of how many executions the source yields. The source must yield at least
 // one execution; all executions are expected to belong to one
 // application (the result is labelled with the first one's name).
 //

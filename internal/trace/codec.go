@@ -123,8 +123,8 @@ func parseTextEvent(text string) (Event, error) {
 }
 
 // TextDecoder is a streaming reader of the text trace format: a Source
-// over one or more concatenated text traces, one line per event, in
-// constant memory. An "# app <name> exec <n>" header starts a new
+// over one or more concatenated text traces, one line per event, holding
+// one execution at a time. An "# app <name> exec <n>" header starts a new
 // execution; events before any header belong to an unnamed execution 0.
 // Reset rewinds when r is an io.Seeker.
 type TextDecoder struct {
@@ -136,10 +136,8 @@ type TextDecoder struct {
 
 	app, nextApp   string
 	exec, nextExec int
-	haveHeader     bool  // an unconsumed header was seen
-	pending        Event // parsed but undelivered event
-	havePending    bool
-	inExec         bool
+	haveHeader     bool    // an unconsumed header was seen
+	events         []Event // the current execution, kept across Reset
 }
 
 // NewTextDecoder returns a streaming decoder over the text format.
@@ -192,58 +190,41 @@ func (d *TextDecoder) scanLine() (e Event, kind int) {
 	return Event{}, 2
 }
 
-// NextExec implements Source.
+// NextExec implements Source: it reads lines up to the next header or
+// the end of input.
 func (d *TextDecoder) NextExec() (string, int, bool) {
+	d.events = d.events[:0]
 	if d.err != nil {
 		return "", 0, false
 	}
-	for d.inExec { // discard the rest of the current execution
-		if _, ok := d.Next(); !ok && d.err != nil {
-			return "", 0, false
-		}
-	}
+	// A pending header starts an execution even with no events under it.
+	started := d.haveHeader
+	d.app, d.exec = d.nextApp, d.nextExec
+	d.haveHeader = false
 	for {
-		if d.havePending || d.haveHeader {
-			// A stashed event starts the next execution under the most
-			// recent header; a bare header starts an (empty-so-far) one.
+		e, kind := d.scanLine()
+		switch {
+		case kind == 0:
+			d.events = append(d.events, e)
+			started = true
+		case kind == 1 && !started:
+			// A leading header names the execution.
 			d.app, d.exec = d.nextApp, d.nextExec
 			d.haveHeader = false
-			d.inExec = true
+			started = true
+		case kind == 1:
+			return d.app, d.exec, true // the header stays pending
+		default:
+			if d.err != nil || !started {
+				return "", 0, false
+			}
 			return d.app, d.exec, true
-		}
-		e, kind := d.scanLine()
-		switch kind {
-		case 0:
-			d.pending, d.havePending = e, true
-		case 1:
-			// header recorded; loop to start the execution
-		case 2:
-			return "", 0, false
 		}
 	}
 }
 
-// Next implements Source.
-func (d *TextDecoder) Next() (Event, bool) {
-	if d.err != nil || !d.inExec {
-		return Event{}, false
-	}
-	if d.havePending {
-		d.havePending = false
-		return d.pending, true
-	}
-	e, kind := d.scanLine()
-	switch kind {
-	case 0:
-		return e, true
-	case 1:
-		d.inExec = false // a new header ends the current execution
-		return Event{}, false
-	default:
-		d.inExec = false
-		return Event{}, false
-	}
-}
+// ExecEvents implements Source.
+func (d *TextDecoder) ExecEvents() []Event { return d.events }
 
 // Err implements Source.
 func (d *TextDecoder) Err() error { return d.err }
@@ -261,7 +242,7 @@ func (d *TextDecoder) Reset() error {
 	d.err = nil
 	d.app, d.nextApp = "", ""
 	d.exec, d.nextExec = 0, 0
-	d.haveHeader, d.havePending, d.inExec = false, false, false
+	d.haveHeader = false
 	return nil
 }
 

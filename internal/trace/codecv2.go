@@ -484,8 +484,8 @@ func (bs BlockStats) RawColBytes(i int) int {
 
 // BlockDecoder is a streaming reader of the columnar v2 format. It
 // decodes one whole block at a time: NextExec / NextBlock / Err / Reset
-// mirror the Source protocol at block granularity, for batch-aware
-// consumers; BlockSource adapts it to the per-event Source contract.
+// mirror the Source protocol at block granularity, for block-aware
+// consumers; BlockSource adapts it to the Source contract.
 type BlockDecoder struct {
 	r     io.Reader
 	seek  io.Seeker
@@ -956,7 +956,7 @@ func varintAt(b []byte, p int) (int64, int) {
 }
 
 // decodeBlockInto parses the payload's columns straight into out (length
-// h.events). It is the one v2 column decoder: NextBlock, AppendExec and
+// h.events). It is the one v2 column decoder: NextBlock, BlockSource and
 // the parallel pipeline's workers all decode through it.
 func (d *BlockDecoder) decodeBlockInto(out []Event, h *blockHeader) bool {
 	n, nIO, nFork := h.events, h.ios, h.forks
@@ -1252,13 +1252,12 @@ func (d *BlockDecoder) Reset() error {
 	return nil
 }
 
-// BlockSource adapts a BlockDecoder to the per-event Source contract: it
-// decodes a whole block at a time and hands out the block's events one
-// by one.
+// BlockSource adapts a BlockDecoder to the Source contract: NextExec
+// decodes the whole execution, block by block, straight into one buffer
+// the source keeps across executions and Reset.
 type BlockSource struct {
-	d     *BlockDecoder
-	block []Event // borrowed from d by NextBlock
-	pos   int
+	d      *BlockDecoder
+	events []Event
 }
 
 // NewBlockSource returns a Source over the v2 columnar stream on r. If r
@@ -1272,52 +1271,24 @@ func NewBlockSource(r io.Reader) *BlockSource {
 // is active. Must be called before the first NextExec.
 func (s *BlockSource) SetPredicate(p Predicate) bool { return s.d.SetPredicate(p) }
 
-// Count returns the number of events the current execution's header
-// declared.
-func (s *BlockSource) Count() uint64 { return s.d.Count() }
-
-// NextExec implements Source.
+// NextExec implements Source. A corrupt block fails the execution whole.
 func (s *BlockSource) NextExec() (string, int, bool) {
-	s.block, s.pos = nil, 0
-	return s.d.NextExec()
+	s.events = s.events[:0]
+	app, exec, ok := s.d.NextExec()
+	for more := ok; more; {
+		s.events, more = s.d.appendBlock(s.events)
+	}
+	if !ok || s.d.Err() != nil {
+		return "", 0, false
+	}
+	return app, exec, true
 }
 
-// Next implements Source.
-func (s *BlockSource) Next() (Event, bool) {
-	for s.pos >= len(s.block) {
-		block, ok := s.d.NextBlock()
-		if !ok {
-			s.block, s.pos = nil, 0
-			return Event{}, false
-		}
-		s.block, s.pos = block, 0
-	}
-	e := s.block[s.pos]
-	s.pos++
-	return e, true
-}
-
-// AppendExec implements ExecAppender: it appends the remaining events of
-// the current execution to buf a whole block at a time, decoding straight
-// into the destination (no per-event Next call). The returned slice is
-// caller-owned.
-func (s *BlockSource) AppendExec(buf []Event) []Event {
-	buf = append(buf, s.block[s.pos:]...)
-	s.block, s.pos = nil, 0
-	for {
-		var ok bool
-		buf, ok = s.d.appendBlock(buf)
-		if !ok {
-			return buf
-		}
-	}
-}
+// ExecEvents implements Source.
+func (s *BlockSource) ExecEvents() []Event { return s.events }
 
 // Err implements Source.
 func (s *BlockSource) Err() error { return s.d.Err() }
 
 // Reset implements Source.
-func (s *BlockSource) Reset() error {
-	s.block, s.pos = nil, 0
-	return s.d.Reset()
-}
+func (s *BlockSource) Reset() error { return s.d.Reset() }

@@ -82,8 +82,8 @@ func TestColumnarRoundTripEmpty(t *testing.T) {
 	if !ok || app != "empty" || exec != 0 {
 		t.Fatalf("NextExec = %q, %d, %v", app, exec, ok)
 	}
-	if _, ok := src.Next(); ok {
-		t.Fatal("Next on empty execution returned an event")
+	if events := src.ExecEvents(); len(events) != 0 {
+		t.Fatalf("empty execution lent %d events", len(events))
 	}
 	if _, _, ok := src.NextExec(); ok {
 		t.Fatal("second NextExec succeeded")
@@ -266,29 +266,8 @@ func TestBlockDecoderFrames(t *testing.T) {
 	}
 }
 
-// TestBlockSourceReset replays a stream twice and expects identical
-// events.
-func TestBlockSourceReset(t *testing.T) {
-	orig := seedTraceV2()
-	src := NewBlockSource(bytes.NewReader(encodeV2(t, orig, 16)))
-	first, err := Collect(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := src.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	second, err := Collect(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(first) != 1 || len(second) != 1 || !tracesEqual(first[0], second[0]) {
-		t.Fatal("replay after Reset differs")
-	}
-}
-
 // TestBlockSourceSteadyStateAllocs: after a warmup pass, replaying the
-// stream through Reset must not allocate — the decoded-block buffer, the
+// stream through Reset must not allocate — the execution buffer, the
 // payload buffer and the app-name string are all kept across Reset.
 func TestBlockSourceSteadyStateAllocs(t *testing.T) {
 	if raceDetectorEnabled {
@@ -300,19 +279,18 @@ func TestBlockSourceSteadyStateAllocs(t *testing.T) {
 		if err := src.Reset(); err != nil {
 			t.Fatal(err)
 		}
+		n := 0
 		for {
-			_, _, ok := src.NextExec()
-			if !ok {
+			if _, _, ok := src.NextExec(); !ok {
 				break
 			}
-			for {
-				if _, ok := src.Next(); !ok {
-					break
-				}
-			}
+			n += len(src.ExecEvents())
 		}
 		if err := src.Err(); err != nil {
 			t.Fatal(err)
+		}
+		if n != len(orig.Events) {
+			t.Fatalf("decoded %d events, want %d", n, len(orig.Events))
 		}
 	}
 	drain() // warmup: the block and scratch buffers reach their high-water marks

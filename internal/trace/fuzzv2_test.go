@@ -29,32 +29,11 @@ func encodeColumnarFuzz(t *testing.T, tr *Trace, blockEvents int) []byte {
 	return buf.Bytes()
 }
 
-// collectBatched is Collect over the ExecAppender drain path, which
-// decodes straight into the destination buffer. The fuzz harness runs it
-// differentially against the per-event Next path over NextBlock's
-// borrowed buffer: the two paths must accept and reject exactly the same
-// inputs and produce identical events.
-func collectBatched(data []byte) ([]*Trace, error) {
-	src := NewBlockSource(bytes.NewReader(data))
-	var out []*Trace
-	for {
-		app, exec, ok := src.NextExec()
-		if !ok {
-			break
-		}
-		t := &Trace{App: app, Execution: exec}
-		t.Events = src.AppendExec(t.Events)
-		out = append(out, t)
-	}
-	return out, src.Err()
-}
-
 // FuzzBlockCodecRoundTrip fuzzes the v2 columnar codec from three sides:
 //
 //  1. the block decoder must never panic on arbitrary (corrupt) input,
-//     anything it does accept must re-encode and re-decode to the same
-//     executions, and the per-event and batched decode paths must agree
-//     byte for byte — including on whether the input is an error;
+//     and anything it does accept must re-encode and re-decode to the
+//     same executions;
 //  2. a structurally valid trace derived from the input must survive
 //     encode → decode unchanged at an input-derived block size;
 //  3. flipping any single bit of a valid encoding must surface as an
@@ -79,23 +58,8 @@ func FuzzBlockCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// (1) Decoder safety on arbitrary bytes, plus per-event vs batched
-		// path agreement.
+		// (1) Decoder safety on arbitrary bytes.
 		traces, err := Collect(NewBlockSource(bytes.NewReader(data)))
-		batched, berr := collectBatched(data)
-		if (err == nil) != (berr == nil) {
-			t.Fatalf("decode paths disagree on validity: Next err=%v, AppendExec err=%v", err, berr)
-		}
-		if err == nil {
-			if len(traces) != len(batched) {
-				t.Fatalf("decode paths yield %d vs %d executions", len(traces), len(batched))
-			}
-			for i := range traces {
-				if !tracesEqual(traces[i], batched[i]) {
-					t.Fatalf("decode paths disagree on execution %d", i)
-				}
-			}
-		}
 		if err == nil {
 			var buf bytes.Buffer
 			for _, tr := range traces {
@@ -142,9 +106,6 @@ func FuzzBlockCodecRoundTrip(f *testing.F) {
 			flipped[pos] ^= bit
 			if _, err := Collect(NewBlockSource(bytes.NewReader(flipped))); err == nil {
 				t.Fatalf("bit flip at byte %d (mask %#02x) decoded without error", pos, bit)
-			}
-			if _, err := collectBatched(flipped); err == nil {
-				t.Fatalf("bit flip at byte %d (mask %#02x) decoded without error (batched path)", pos, bit)
 			}
 		}
 	})

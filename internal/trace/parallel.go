@@ -31,8 +31,10 @@ import (
 //	                a second channel: the producer enqueues every item
 //	                on the order channel in file order, workers race
 //	                only on the work channel, and the consumer takes
-//	                items from the order channel and waits on each
-//	                item's done handshake. Events therefore come out
+//	                items from the order channel, waits on each
+//	                item's done handshake and copies each block's
+//	                events into the source's execution buffer until the
+//	                execution's end item. Events therefore come out
 //	                byte-for-byte in sequential-decoder order at any
 //	                worker count, and the first error surfaced is the
 //	                first error in file order.
@@ -58,8 +60,9 @@ const parQueueFactor = 4
 
 // parItem kinds.
 const (
-	parExec  = iota // an execution boundary
+	parExec  = iota // an execution's start
 	parBlock        // a raw block to decode
+	parEnd          // the end of an execution's blocks
 	parFail         // a producer-side read error (already in file order)
 )
 
@@ -68,10 +71,9 @@ const (
 type parItem struct {
 	kind int
 
-	// Execution boundary (parExec).
-	app   string
-	exec  int
-	count uint64
+	// Execution start (parExec).
+	app  string
+	exec int
 
 	// Block (parBlock): the raw record and where it came from.
 	h        blockHeader
@@ -114,7 +116,7 @@ func getParItem() *parItem {
 func putParItem(it *parItem) {
 	it.kind = parExec
 	it.app = ""
-	it.exec, it.count = 0, 0
+	it.exec = 0
 	it.h = blockHeader{}
 	it.buf = it.buf[:0]
 	it.hdrLen = 0
@@ -127,8 +129,7 @@ func putParItem(it *parItem) {
 // ParallelSource decodes a v2 columnar stream with a pool of worker
 // goroutines while preserving the sequential decoder's exact event
 // order and error behavior — the drop-in replacement for BlockSource
-// when decode throughput matters. It implements Source and
-// ExecAppender.
+// when decode throughput matters.
 //
 // The pipeline starts lazily at the first NextExec and is torn down by
 // Reset, Close, or a decode error; a source that ended cleanly costs
@@ -145,16 +146,12 @@ type ParallelSource struct {
 	stop    chan struct{}
 	wg      sync.WaitGroup
 
-	pending *parItem // lookahead: an execution boundary Next ran into
-	cur     *parItem // block item whose events are being served
-	pos     int      // next event within cur.events
-	inExec  bool
-	app     string
-	exec    int
-	count   uint64
-	err     error
-	ended   bool
-	closed  bool
+	events []Event // the current execution, kept across Reset
+	app    string
+	exec   int
+	err    error
+	ended  bool
+	closed bool
 }
 
 // NewParallelSource returns a parallel decoder over r with the given
@@ -174,13 +171,6 @@ func NewParallelSource(r io.ReadSeeker, workers int) *ParallelSource {
 // called before the first NextExec; it applies to every subsequent
 // Reset too.
 func (s *ParallelSource) SetPredicate(p Predicate) { s.pred = p }
-
-// Workers returns the pipeline's worker count.
-func (s *ParallelSource) Workers() int { return s.workers }
-
-// Count returns the number of events the current execution's header
-// declared.
-func (s *ParallelSource) Count() uint64 { return s.count }
 
 // start spins up the pipeline.
 func (s *ParallelSource) start() {
@@ -216,7 +206,7 @@ func (s *ParallelSource) produce() {
 		}
 		it := getParItem()
 		it.kind = parExec
-		it.app, it.exec, it.count = app, exec, d.Count()
+		it.app, it.exec = app, exec
 		if !s.send(it, false) {
 			return
 		}
@@ -243,6 +233,11 @@ func (s *ParallelSource) produce() {
 		}
 		if err := d.Err(); err != nil {
 			s.emitFail(err)
+			return
+		}
+		end := getParItem()
+		end.kind = parEnd
+		if !s.send(end, false) {
 			return
 		}
 	}
@@ -318,154 +313,54 @@ func decodeItem(dec *BlockDecoder, it *parItem) {
 	}
 }
 
-// nextItem returns the next item in file order, honoring the lookahead
-// slot; nil means the pipeline finished.
-func (s *ParallelSource) nextItem() *parItem {
-	if it := s.pending; it != nil {
-		s.pending = nil
-		return it
-	}
-	if it, ok := <-s.order; ok {
-		return it
-	}
-	return nil
-}
-
-// releaseCur returns the served block's item to the pool.
-func (s *ParallelSource) releaseCur() {
-	if s.cur != nil {
-		s.releaseItem(s.cur)
-		s.cur, s.pos = nil, 0
-	}
-}
-
-// releaseItem returns an item (with its buffers) to the pool. For block
-// items the done handshake must already have been received.
-func (s *ParallelSource) releaseItem(it *parItem) {
-	putParItem(it)
-}
-
 // fail records the stream's first error and tears the pipeline down.
 func (s *ParallelSource) fail(err error) {
 	s.err = err
-	s.inExec = false
 	s.teardown()
 }
 
-// NextExec implements Source, discarding any undelivered blocks of the
-// current execution — decode errors inside them still surface, exactly
-// as the sequential decoder's drain does.
+// NextExec implements Source: it collects the execution's decoded
+// blocks, in file order, up to the execution's end item. A failed block
+// fails the execution whole, with the sequential decoder's error.
 func (s *ParallelSource) NextExec() (string, int, bool) {
+	s.events = s.events[:0]
 	if s.err != nil || s.ended || s.closed {
 		return "", 0, false
 	}
 	if !s.started {
 		s.start()
 	}
-	s.releaseCur()
 	for {
-		it := s.nextItem()
-		if it == nil {
+		it, ok := <-s.order
+		if !ok {
 			s.ended = true
-			s.inExec = false
 			s.wg.Wait() // pipeline goroutines have closed both channels
 			return "", 0, false
 		}
-		switch it.kind {
+		kind := it.kind
+		switch kind {
 		case parExec:
-			s.app, s.exec, s.count = it.app, it.exec, it.count
-			s.inExec = it.count > 0
-			putParItem(it)
-			return s.app, s.exec, true
+			s.app, s.exec = it.app, it.exec
 		case parBlock:
-			<-it.done
-			err := it.err
-			s.releaseItem(it)
-			if err != nil {
-				s.fail(err)
-				return "", 0, false
+			<-it.done // the worker's writes to it.err and it.events happen before
+			if it.err == nil {
+				s.events = append(s.events, it.events...)
 			}
-		default: // parFail
-			err := it.err
-			putParItem(it)
+		}
+		err := it.err
+		putParItem(it)
+		if err != nil {
 			s.fail(err)
 			return "", 0, false
 		}
-	}
-}
-
-// Next implements Source.
-func (s *ParallelSource) Next() (Event, bool) {
-	for {
-		if s.cur != nil {
-			if s.pos < len(s.cur.events) {
-				e := s.cur.events[s.pos]
-				s.pos++
-				return e, true
-			}
-			s.releaseCur()
-		}
-		if !s.inExec || s.err != nil {
-			return Event{}, false
-		}
-		if !s.advanceBlock() {
-			return Event{}, false
+		if kind == parEnd {
+			return s.app, s.exec, true
 		}
 	}
 }
 
-// AppendExec implements ExecAppender: remaining blocks of the current
-// execution are appended to buf in order — each block one flat copy of
-// its already-assembled events.
-func (s *ParallelSource) AppendExec(buf []Event) []Event {
-	for {
-		if s.cur != nil {
-			buf = append(buf, s.cur.events[s.pos:]...)
-			s.releaseCur()
-		}
-		if !s.inExec || s.err != nil {
-			return buf
-		}
-		if !s.advanceBlock() {
-			return buf
-		}
-	}
-}
-
-// advanceBlock pulls the next decoded block of the current execution
-// into s.cur. false means the execution (or stream) is exhausted or the
-// pipeline failed.
-func (s *ParallelSource) advanceBlock() bool {
-	it := s.nextItem()
-	if it == nil {
-		s.inExec = false
-		s.ended = true
-		s.wg.Wait()
-		return false
-	}
-	switch it.kind {
-	case parExec:
-		// The next execution's boundary: park it for NextExec.
-		s.pending = it
-		s.inExec = false
-		return false
-	case parBlock:
-		<-it.done
-		if it.err != nil {
-			err := it.err
-			s.releaseItem(it)
-			s.fail(err)
-			return false
-		}
-		s.cur, s.pos = it, 0
-		return true
-	default: // parFail
-		err := it.err
-		putParItem(it)
-		s.fail(err)
-		return false
-	}
-}
+// ExecEvents implements Source.
+func (s *ParallelSource) ExecEvents() []Event { return s.events }
 
 // Err implements Source.
 func (s *ParallelSource) Err() error { return s.err }
@@ -477,16 +372,11 @@ func (s *ParallelSource) teardown() {
 		return
 	}
 	close(s.stop)
-	if s.pending != nil {
-		s.releaseItem(s.pending)
-		s.pending = nil
-	}
-	s.releaseCur()
 	for it := range s.order {
 		if it.kind == parBlock {
 			<-it.done
 		}
-		s.releaseItem(it)
+		putParItem(it)
 	}
 	s.wg.Wait()
 	s.started = false
@@ -502,9 +392,7 @@ func (s *ParallelSource) Reset() error {
 	s.teardown()
 	s.err = nil
 	s.ended = false
-	s.inExec = false
-	s.pending, s.cur, s.pos = nil, nil, 0
-	s.app, s.exec, s.count = "", 0, 0
+	s.app, s.exec = "", 0
 	_, err := s.r.Seek(0, io.SeekStart)
 	return err
 }

@@ -101,71 +101,32 @@ func FilterEvents(src Source, p Predicate) Source {
 	if p.IsZero() {
 		return src
 	}
-	return &filterSource{src: src, p: p}
+	return &filterSource{Source: src, p: p}
 }
 
 // filterSource is FilterEvents' implementation. It forwards the
 // execution structure unchanged (an execution with no matching events
-// is delivered empty, preserving execution indices) and filters the
-// event stream.
+// is delivered empty, preserving execution indices) and copies each
+// execution's matching events into a buffer of its own.
 type filterSource struct {
-	src Source
+	Source
 	p   Predicate
+	buf []Event
 }
 
 // NextExec implements Source.
-func (f *filterSource) NextExec() (string, int, bool) { return f.src.NextExec() }
-
-// Next implements Source.
-func (f *filterSource) Next() (Event, bool) {
-	for {
-		e, ok := f.src.Next()
-		if !ok {
-			return Event{}, false
-		}
-		if f.p.MatchEvent(e) {
-			return e, true
-		}
-	}
-}
-
-// AppendExec implements ExecAppender: the inner source's batch path
-// fills the caller's buffer and the predicate compacts it in place.
-// ExecSlicer-lent slices are borrowed, never mutated — matching events
-// are copied out.
-func (f *filterSource) AppendExec(buf []Event) []Event {
-	if es, ok := f.src.(ExecSlicer); ok {
-		for _, e := range es.ExecEvents() {
+func (f *filterSource) NextExec() (string, int, bool) {
+	app, exec, ok := f.Source.NextExec()
+	f.buf = f.buf[:0]
+	if ok {
+		for _, e := range f.Source.ExecEvents() {
 			if f.p.MatchEvent(e) {
-				buf = append(buf, e)
+				f.buf = append(f.buf, e)
 			}
 		}
-		return buf
 	}
-	if ea, ok := f.src.(ExecAppender); ok {
-		base := len(buf)
-		buf = ea.AppendExec(buf)
-		kept := buf[:base]
-		for _, e := range buf[base:] {
-			if f.p.MatchEvent(e) {
-				kept = append(kept, e)
-			}
-		}
-		return kept
-	}
-	for {
-		e, ok := f.src.Next()
-		if !ok {
-			return buf
-		}
-		if f.p.MatchEvent(e) {
-			buf = append(buf, e)
-		}
-	}
+	return app, exec, ok
 }
 
-// Err implements Source.
-func (f *filterSource) Err() error { return f.src.Err() }
-
-// Reset implements Source.
-func (f *filterSource) Reset() error { return f.src.Reset() }
+// ExecEvents implements Source.
+func (f *filterSource) ExecEvents() []Event { return f.buf }

@@ -3,7 +3,9 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -61,85 +63,12 @@ func TestSliceSourceExecEvents(t *testing.T) {
 	if _, _, ok := src.NextExec(); !ok {
 		t.Fatal("NextExec failed")
 	}
-	// Consume one event, then take the rest as a slice.
-	if _, ok := src.Next(); !ok {
-		t.Fatal("Next failed")
+	events := src.ExecEvents()
+	if len(events) != 4 {
+		t.Fatalf("ExecEvents returned %d events, want 4", len(events))
 	}
-	rest := src.ExecEvents()
-	if len(rest) != 3 {
-		t.Fatalf("ExecEvents returned %d events, want 3", len(rest))
-	}
-	if &rest[0] != &tr.Events[1] {
+	if &events[0] != &tr.Events[0] {
 		t.Error("ExecEvents should share the trace's backing array")
-	}
-	if _, ok := src.Next(); ok {
-		t.Error("Next should report drained after ExecEvents")
-	}
-}
-
-func TestMergeSourcesMatchesSliceMerge(t *testing.T) {
-	a := &Trace{App: "a", Execution: 0, Events: []Event{
-		{Time: 0, Pid: 1, Kind: KindIO, Access: AccessRead, PC: 1, Size: 1},
-		{Time: 5, Pid: 1, Kind: KindIO, Access: AccessRead, PC: 2, Size: 1},
-		{Time: 5, Pid: 1, Kind: KindIO, Access: AccessRead, PC: 3, Size: 1},
-	}}
-	b := &Trace{App: "b", Execution: 0, Events: []Event{
-		{Time: 3, Pid: 2, Kind: KindIO, Access: AccessRead, PC: 4, Size: 1},
-		{Time: 5, Pid: 2, Kind: KindIO, Access: AccessRead, PC: 5, Size: 1},
-	}}
-	want := Merge(a.Events, b.Events)
-	src := MergeSources(NewSliceSource(a), NewSliceSource(b))
-	app, _, ok := src.NextExec()
-	if !ok || app != "a" {
-		t.Fatalf("NextExec = %q, %v; want a, true", app, ok)
-	}
-	var got []Event
-	for {
-		e, ok := src.Next()
-		if !ok {
-			break
-		}
-		got = append(got, e)
-	}
-	if err := src.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("merged stream differs from slice Merge:\n got %v\nwant %v", got, want)
-	}
-}
-
-func TestMergeSourcesMismatchedExecutions(t *testing.T) {
-	src := MergeSources(
-		NewSliceSource(mkTrace("a", 0, 1), mkTrace("a", 1, 1)),
-		NewSliceSource(mkTrace("b", 0, 1)),
-	)
-	n := 0
-	for {
-		_, _, ok := src.NextExec()
-		if !ok {
-			break
-		}
-		n++
-		for {
-			if _, ok := src.Next(); !ok {
-				break
-			}
-		}
-	}
-	if src.Err() == nil {
-		t.Error("mismatched execution counts should surface via Err")
-	}
-}
-
-func TestLimit(t *testing.T) {
-	src := Limit(NewSliceSource(mkTrace("a", 0, 5), mkTrace("a", 1, 1)), 2)
-	got := collectSource(t, src)
-	if len(got) != 2 {
-		t.Fatalf("got %d executions, want 2", len(got))
-	}
-	if len(got[0].Events) != 2 || len(got[1].Events) != 1 {
-		t.Errorf("event counts = %d, %d; want 2, 1", len(got[0].Events), len(got[1].Events))
 	}
 }
 
@@ -162,16 +91,15 @@ func TestLimitExecs(t *testing.T) {
 	if again := collectSource(t, src); len(again) != 2 {
 		t.Fatalf("after reset: %d executions, want 2", len(again))
 	}
-	// The batch path delivers the same events as the pull path.
+	// The surviving executions' slices pass through uncopied.
 	if err := src.Reset(); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, ok := src.NextExec(); !ok {
 		t.Fatal("NextExec failed after reset")
 	}
-	batch := src.(ExecAppender).AppendExec(nil)
-	if !reflect.DeepEqual(batch, traces[0].Events) {
-		t.Errorf("AppendExec differs from the source events")
+	if events := src.ExecEvents(); &events[0] != &traces[0].Events[0] {
+		t.Errorf("LimitExecs copied the inner source's slice")
 	}
 	// Zero and negative caps yield an empty workload.
 	for _, n := range []int{0, -1} {
@@ -281,6 +209,8 @@ func TestDecoderStreamsConcatenatedTraces(t *testing.T) {
 	}
 }
 
+// TestDecoderTruncatedStream: a truncated block fails the NextExec that
+// loads its execution, so no partial execution is delivered.
 func TestDecoderTruncatedStream(t *testing.T) {
 	tr := mkTrace("a", 0, 10)
 	var buf bytes.Buffer
@@ -289,24 +219,14 @@ func TestDecoderTruncatedStream(t *testing.T) {
 	}
 	cut := buf.Bytes()[:buf.Len()-3]
 	d := NewBlockSource(bytes.NewReader(cut))
-	if _, _, ok := d.NextExec(); !ok {
-		t.Fatal("NextExec should succeed on an intact header")
-	}
-	n := 0
-	for {
-		if _, ok := d.Next(); !ok {
-			break
-		}
-		n++
+	if _, _, ok := d.NextExec(); ok {
+		t.Fatalf("NextExec delivered %d events of a truncated execution", len(d.ExecEvents()))
 	}
 	if d.Err() == nil {
 		t.Fatal("truncated stream must surface an error")
 	}
 	if !errors.Is(d.Err(), ErrBadFormat) {
 		t.Errorf("error %v should wrap ErrBadFormat", d.Err())
-	}
-	if n >= 10 {
-		t.Errorf("decoded %d events from a truncated stream of 10", n)
 	}
 }
 
@@ -320,6 +240,8 @@ func TestDecoderEmptyInputCleanEnd(t *testing.T) {
 	}
 }
 
+// TestDecoderSkipsUndrainedExecution: an execution whose events are never
+// read does not disturb the next one.
 func TestDecoderSkipsUndrainedExecution(t *testing.T) {
 	var buf bytes.Buffer
 	for _, tr := range []*Trace{mkTrace("a", 0, 5), mkTrace("b", 1, 2)} {
@@ -331,24 +253,12 @@ func TestDecoderSkipsUndrainedExecution(t *testing.T) {
 	if _, _, ok := d.NextExec(); !ok {
 		t.Fatal("first NextExec failed")
 	}
-	d.Next() // consume one of five, then skip ahead
 	app, exec, ok := d.NextExec()
 	if !ok || app != "b" || exec != 1 {
 		t.Fatalf("skip-ahead NextExec = %s/%d/%v, want b/1/true", app, exec, ok)
 	}
-	if got := collectEvents(d); len(got) != 2 {
+	if got := d.ExecEvents(); len(got) != 2 {
 		t.Errorf("second execution yielded %d events, want 2", len(got))
-	}
-}
-
-func collectEvents(src Source) []Event {
-	var out []Event
-	for {
-		e, ok := src.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, e)
 	}
 }
 
@@ -409,16 +319,8 @@ func TestTextDecoderConcatenated(t *testing.T) {
 
 func TestTextDecoderBadLine(t *testing.T) {
 	d := NewTextDecoder(strings.NewReader("# pcap-trace v1\n# app a exec 0\nnot an event\n"))
-	for {
-		_, _, ok := d.NextExec()
-		if !ok {
-			break
-		}
-		for {
-			if _, ok := d.Next(); !ok {
-				break
-			}
-		}
+	if _, _, ok := d.NextExec(); ok {
+		t.Error("an execution with a malformed event line was delivered")
 	}
 	if d.Err() == nil {
 		t.Error("malformed event line should surface via Err")
@@ -471,5 +373,143 @@ func TestCollectRoundTripsSliceSource(t *testing.T) {
 		if !reflect.DeepEqual(got[i].Events, traces[i].Events) {
 			t.Errorf("execution %d events differ", i)
 		}
+	}
+}
+
+// TestSourceContract holds every Source implementation to the one read
+// path: NextExec loads an execution whole, ExecEvents lends it as one
+// slice that stays the same and unchanged until the next NextExec, and
+// Reset replays the workload identically.
+func TestSourceContract(t *testing.T) {
+	b := seedTraceV2()
+	b.App, b.Execution = "other", 5
+	ref := []*Trace{seedTraceV2(), {App: "empty", Execution: 1}, b}
+	v2 := encodeIndexed(t, 16, ref...)
+	var text bytes.Buffer
+	for _, tr := range ref {
+		if err := WriteText(&text, tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := t.TempDir() + "/ref.pct2"
+	if err := os.WriteFile(path, v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	pred := Predicate{Pid: 2}
+	var filtered, scaled []*Trace
+	for _, tr := range ref {
+		f := &Trace{App: tr.App, Execution: tr.Execution}
+		for _, e := range tr.Events {
+			if pred.MatchEvent(e) {
+				f.Events = append(f.Events, e)
+			}
+		}
+		filtered = append(filtered, f)
+	}
+	for pass := 0; pass < 2; pass++ {
+		for _, tr := range ref {
+			s := &Trace{App: tr.App, Execution: len(scaled)}
+			for _, e := range tr.Events {
+				e.Time = warpTime(e.Time, pass)
+				s.Events = append(s.Events, e)
+			}
+			scaled = append(scaled, s)
+		}
+	}
+
+	cases := []struct {
+		name string
+		open func(t *testing.T) Source
+		want []*Trace
+	}{
+		{"SliceSource", func(*testing.T) Source { return NewSliceSource(ref...) }, ref},
+		{"TextDecoder", func(*testing.T) Source { return NewTextDecoder(bytes.NewReader(text.Bytes())) }, ref},
+		{"BlockSource", func(*testing.T) Source { return NewBlockSource(bytes.NewReader(v2)) }, ref},
+		{"ParallelSource-1", func(t *testing.T) Source { return parallelSource(t, v2, 1) }, ref},
+		{"ParallelSource-4", func(t *testing.T) Source { return parallelSource(t, v2, 4) }, ref},
+		{"FilterEvents", func(*testing.T) Source { return FilterEvents(NewBlockSource(bytes.NewReader(v2)), pred) }, filtered},
+		{"LimitExecs", func(*testing.T) Source { return LimitExecs(NewSliceSource(ref...), 2) }, ref[:2]},
+		{"Scale", func(*testing.T) Source { return Scale(NewSliceSource(ref...), 2) }, scaled},
+		{"OpenTraceFileOpts", func(t *testing.T) Source {
+			fs, err := OpenTraceFileOpts(path, OpenOptions{Workers: 2, Pred: pred})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { fs.Close() })
+			return fs
+		}, filtered},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			src := c.open(t)
+			for pass := 0; pass < 2; pass++ {
+				if pass > 0 {
+					if err := src.Reset(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i, want := range c.want {
+					app, exec, ok := src.NextExec()
+					if !ok {
+						t.Fatalf("pass %d: NextExec %d failed: %v", pass, i, src.Err())
+					}
+					events := src.ExecEvents()
+					got := &Trace{App: app, Execution: exec, Events: slices.Clone(events)}
+					if !tracesEqual(got, want) {
+						t.Fatalf("pass %d: execution %d is %s/%d with %d events, want %s/%d with %d",
+							pass, i, app, exec, len(events), want.App, want.Execution, len(want.Events))
+					}
+					again := src.ExecEvents()
+					if len(again) != len(events) || len(events) > 0 && &again[0] != &events[0] {
+						t.Fatalf("pass %d: execution %d: ExecEvents lent a different slice on a second call", pass, i)
+					}
+					if !slices.Equal(again, got.Events) {
+						t.Fatalf("pass %d: execution %d: the lent slice changed before the next NextExec", pass, i)
+					}
+				}
+				if _, _, ok := src.NextExec(); ok {
+					t.Fatalf("pass %d: more than %d executions", pass, len(c.want))
+				}
+				if err := src.Err(); err != nil {
+					t.Fatalf("pass %d: %v", pass, err)
+				}
+			}
+		})
+	}
+
+	// Truncated v2 input fails at the same execution, with the same
+	// error, sequentially and on the pipeline.
+	for _, n := range []int{len(v2) / 3, len(v2) / 2, 3 * len(v2) / 4, len(v2) - 3} {
+		cut := v2[:n]
+		wantExecs, wantErr := countExecs(NewBlockSource(bytes.NewReader(cut)))
+		if wantErr == nil {
+			t.Fatalf("cut at %d: BlockSource decoded without error", n)
+		}
+		for _, workers := range []int{1, 4} {
+			gotExecs, gotErr := countExecs(parallelSource(t, cut, workers))
+			if gotExecs != wantExecs || gotErr == nil || gotErr.Error() != wantErr.Error() {
+				t.Fatalf("cut at %d, %d workers: failed after %d executions with %v; BlockSource after %d with %v",
+					n, workers, gotExecs, gotErr, wantExecs, wantErr)
+			}
+		}
+	}
+}
+
+// parallelSource opens a ParallelSource the test closes on cleanup.
+func parallelSource(t *testing.T, data []byte, workers int) *ParallelSource {
+	ps := NewParallelSource(bytes.NewReader(data), workers)
+	t.Cleanup(func() { ps.Close() })
+	return ps
+}
+
+// countExecs pulls every execution of src and reports how many loaded
+// before the stream ended, with its error.
+func countExecs(src Source) (int, error) {
+	n := 0
+	for {
+		if _, _, ok := src.NextExec(); !ok {
+			return n, src.Err()
+		}
+		n++
 	}
 }

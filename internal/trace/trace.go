@@ -240,32 +240,3 @@ func (t *Trace) Validate() error {
 	}
 	return nil
 }
-
-// Merge combines several event streams into one, ordered by time. Ties are
-// broken by input order, then by position, making the merge deterministic.
-func Merge(streams ...[]Event) []Event {
-	var total int
-	for _, s := range streams {
-		total += len(s)
-	}
-	out := make([]Event, 0, total)
-	idx := make([]int, len(streams))
-	for {
-		best := -1
-		var bestTime Time
-		for i, s := range streams {
-			if idx[i] >= len(s) {
-				continue
-			}
-			if best == -1 || s[idx[i]].Time < bestTime {
-				best = i
-				bestTime = s[idx[i]].Time
-			}
-		}
-		if best == -1 {
-			return out
-		}
-		out = append(out, streams[best][idx[best]])
-		idx[best]++
-	}
-}

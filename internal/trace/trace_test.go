@@ -185,27 +185,6 @@ func TestSortStable(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a := []Event{{Time: 1, PC: 1}, {Time: 5, PC: 2}}
-	b := []Event{{Time: 2, PC: 3}, {Time: 5, PC: 4}}
-	got := Merge(a, b)
-	if len(got) != 4 {
-		t.Fatalf("merged %d events", len(got))
-	}
-	wantPCs := []PC{1, 3, 2, 4} // tie at t=5 broken by input order
-	for i, e := range got {
-		if e.PC != wantPCs[i] {
-			t.Errorf("position %d: pc %d, want %d", i, e.PC, wantPCs[i])
-		}
-	}
-	if len(Merge()) != 0 {
-		t.Error("empty merge not empty")
-	}
-	if got := Merge(nil, a); len(got) != 2 {
-		t.Errorf("merge with nil: %d", len(got))
-	}
-}
-
 func TestEventString(t *testing.T) {
 	e := Event{Time: 1500000, Pid: 3, Kind: KindIO, Access: AccessRead, PC: 0xabc, FD: 4, Block: 77, Size: 4096}
 	want := "1500000 io 3 read pc=0xabc fd=4 block=77 size=4096"

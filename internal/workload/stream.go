@@ -10,8 +10,8 @@ import (
 // therefore between the TraceCache's on-demand sources, which hand out
 // Streams). A Stream owns its buffer from its first NextExec until the
 // call that reports exhaustion, at which point the buffer returns to the
-// pool — consistent with the trace.ExecSlicer contract that borrowed
-// event slices are invalid after the next NextExec.
+// pool — consistent with the trace.Source contract that lent event
+// slices are invalid after the next NextExec.
 var eventBufPool sync.Pool // of *[]trace.Event
 
 // getEventBuf fetches a recycled (empty, capacity-preserving) buffer.
@@ -45,7 +45,6 @@ type Stream struct {
 	seed uint64
 	next int           // next execution index to generate
 	cur  []trace.Event // current execution's events (recycled buffer)
-	pos  int           // next event within cur
 }
 
 // Stream returns a Source over the app's executions (Table 1 counts) for
@@ -64,7 +63,6 @@ func (s *Stream) NextExec() (string, int, bool) {
 			putEventBuf(s.cur)
 			s.cur = nil
 		}
-		s.pos = 0
 		return "", 0, false
 	}
 	if s.next == 0 && s.cur == nil {
@@ -73,28 +71,12 @@ func (s *Stream) NextExec() (string, int, bool) {
 	exec := s.next
 	s.next++
 	s.cur = s.app.generateEvents(s.seed, exec, s.cur)
-	s.pos = 0
 	return s.app.Name, exec, true
 }
 
-// Next implements trace.Source.
-func (s *Stream) Next() (trace.Event, bool) {
-	if s.pos >= len(s.cur) {
-		return trace.Event{}, false
-	}
-	e := s.cur[s.pos]
-	s.pos++
-	return e, true
-}
-
-// ExecEvents implements trace.ExecSlicer: the current execution is already
-// materialized in the recycled buffer, so consumers can borrow it without
-// copying. The slice is invalidated by the next NextExec.
-func (s *Stream) ExecEvents() []trace.Event {
-	events := s.cur[s.pos:]
-	s.pos = len(s.cur)
-	return events
-}
+// ExecEvents implements trace.Source: the current execution, lent from
+// the recycled buffer.
+func (s *Stream) ExecEvents() []trace.Event { return s.cur }
 
 // Err implements trace.Source; generation cannot fail.
 func (s *Stream) Err() error { return nil }
@@ -104,6 +86,5 @@ func (s *Stream) Err() error { return nil }
 func (s *Stream) Reset() error {
 	s.next = 0
 	s.cur = s.cur[:0]
-	s.pos = 0
 	return nil
 }

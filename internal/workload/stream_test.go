@@ -83,8 +83,8 @@ func TestStreamExecEvents(t *testing.T) {
 	if !reflect.DeepEqual(events, want) {
 		t.Error("ExecEvents differs from Trace")
 	}
-	if _, ok := s.Next(); ok {
-		t.Error("Next should report drained after ExecEvents")
+	if again := s.ExecEvents(); &again[0] != &events[0] {
+		t.Error("ExecEvents should lend the recycled buffer, not a copy")
 	}
 }
 
