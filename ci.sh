@@ -91,6 +91,17 @@ if [[ ! -s "${smoke_dir}/addr" ]]; then
 fi
 "${smoke_dir}/pcapload" -addr "$(cat "${smoke_dir}/addr")" -c 32 \
 	-duration "${LOAD_TIME:-3s}" -benchline | tee "${smoke_dir}/load.txt"
+# pcapd's peak resident set (VmHWM), read while the process still lives.
+# It rides the bench artifact as peak-rss-MB for trend visibility and
+# stays out of the gate metric list; where /proc is unreadable it is
+# skipped.
+if peak_mb="$(awk '/^VmHWM:/ {printf "%.1f", $2 / 1024}' "/proc/${pcapd_pid}/status" 2>/dev/null)" &&
+	[[ -n "${peak_mb}" ]]; then
+	echo "ci: pcapd peak RSS ${peak_mb} MB"
+	printf 'BenchmarkPcapdPeakRSS \t1\t%s peak-rss-MB\n' "${peak_mb}" >>"${smoke_dir}/load.txt"
+else
+	echo "ci: pcapd peak RSS unreadable; skipped"
+fi
 kill -TERM "${pcapd_pid}"
 wait "${pcapd_pid}"
 

@@ -77,9 +77,16 @@ func (p *PredicateFlags) Register(prefix string) {
 }
 
 // Predicate assembles the filter, parsing the program-counter bounds
-// (decimal or 0x-hex) and rejecting a -pid that trace.PID would truncate.
+// (decimal or 0x-hex). Like pcapd's job validation, it rejects a negative
+// -from or -to and a -pid that is negative or that trace.PID would
+// truncate.
 func (p *PredicateFlags) Predicate() (trace.Predicate, error) {
-	if p.Pid > math.MaxInt32 || p.Pid < math.MinInt32 {
+	switch {
+	case p.From < 0:
+		return trace.Predicate{}, fmt.Errorf("-from: trace time %v is negative", p.From)
+	case p.To < 0:
+		return trace.Predicate{}, fmt.Errorf("-to: trace time %v is negative", p.To)
+	case p.Pid < 0 || p.Pid > math.MaxInt32:
 		return trace.Predicate{}, fmt.Errorf("-pid: process id %d out of range", p.Pid)
 	}
 	pred := trace.Predicate{

@@ -61,6 +61,26 @@ func TestPredicateFlagsPidRange(t *testing.T) {
 	}
 }
 
+// TestPredicateFlagsNegative: negative -from, -to and -pid are rejected
+// with an error naming the flag, as pcapd rejects negative from_sec,
+// to_sec and pid.
+func TestPredicateFlagsNegative(t *testing.T) {
+	cases := []struct {
+		flag string
+		p    PredicateFlags
+	}{
+		{"-from", PredicateFlags{From: -time.Second}},
+		{"-to", PredicateFlags{To: -time.Second}},
+		{"-pid", PredicateFlags{Pid: -1}},
+	}
+	for _, tc := range cases {
+		_, err := tc.p.Predicate()
+		if err == nil || !strings.HasPrefix(err.Error(), tc.flag+":") {
+			t.Errorf("Predicate() with %+v: error = %v, want one naming %s", tc.p, err, tc.flag)
+		}
+	}
+}
+
 // TestTraceFileErrorUnwrapsPathError pins the unified "trace file
 // <path>: <cause>" shape: a PathError for the same path must not repeat
 // the path.

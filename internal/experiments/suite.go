@@ -36,7 +36,7 @@ type Suite struct {
 	// workloads); see trace.Scale. Set it before the first run.
 	scale int
 
-	// traces memoizes per-(app, seed) generated traces; device sub-suites
+	// traces memoizes per-execution generated traces; device sub-suites
 	// share it with their parent, since traces are device independent.
 	traces *workload.TraceCache
 	// memo memoizes every derived result: simulation cells, per-app
@@ -96,8 +96,9 @@ func (s *Suite) Traces(app *workload.App) []*trace.Trace {
 
 // SourceFor returns a fresh trace source over app's workload, scaled by
 // the suite's scale factor. In the default (pinned) cache mode all
-// sources of one app share a single generated slice; in on-demand mode
-// each source regenerates its executions as it is consumed. Every call
+// sources of one app share each execution's single generation, made
+// when the first source reaches it; in on-demand mode each source
+// regenerates its executions as it is consumed. Every call
 // returns an independent iterator — sources are single-goroutine values.
 func (s *Suite) SourceFor(app *workload.App) trace.Source {
 	src := trace.Scale(s.traces.Source(app, s.seed), s.scale)

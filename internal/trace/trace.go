@@ -10,7 +10,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -215,9 +217,7 @@ func (t *Trace) SortStable() { SortEvents(t.Events) }
 // SortStable applies, exposed for streaming emitters that recycle one
 // event buffer instead of building a Trace.
 func SortEvents(events []Event) {
-	sort.SliceStable(events, func(i, j int) bool {
-		return events[i].Time < events[j].Time
-	})
+	slices.SortStableFunc(events, func(a, b Event) int { return cmp.Compare(a.Time, b.Time) })
 }
 
 // Validate checks structural invariants of the trace:

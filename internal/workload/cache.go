@@ -7,20 +7,22 @@ import (
 	"pcapsim/internal/trace"
 )
 
-// TraceCache memoizes generated execution traces per (application, seed).
-// Generation is deterministic — App.Trace is a pure function of
-// (seed, execution index) — so the cached slice can be shared read-only by
-// any number of concurrent policy runs: traces are replayed, never
+// TraceCache memoizes generated execution traces per (application, seed,
+// execution). Generation is deterministic — App.Trace is a pure function
+// of (seed, execution index) — so a cached trace can be shared read-only
+// by any number of concurrent policy runs: traces are replayed, never
 // mutated.
 //
-// The cache is safe for concurrent use. For each (app, seed) pair
-// generation runs exactly once; concurrent callers block on the first
-// generation and all receive the identical slice. Distinct seeds never
-// share an entry.
+// The cache is safe for concurrent use. Each execution is generated
+// exactly once, when the first Source reaches it or a Traces call needs
+// it; concurrent callers block on that generation and all receive the
+// identical *trace.Trace. A source capped at its first N executions
+// (trace.LimitExecs) therefore generates and pins only those N. Distinct
+// seeds never share an entry.
 //
-// In on-demand mode (SetOnDemand) the cache stops pinning slices: Source
+// In on-demand mode (SetOnDemand) the cache stops pinning traces: Source
 // hands out regenerating streams instead, trading repeated generation for
-// O(one execution) memory. Release drops an already-pinned entry.
+// O(one execution) memory.
 type TraceCache struct {
 	mu       sync.Mutex
 	m        map[traceKey]*traceEntry
@@ -33,9 +35,21 @@ type traceKey struct {
 	seed uint64
 }
 
+// traceEntry holds one (app, seed) workload: a write-once slot per
+// execution, and the whole-workload slice Traces builds once from them.
 type traceEntry struct {
-	once   sync.Once
+	app   *App
+	seed  uint64
+	gens  *atomic.Int64
+	slots []execSlot
+
+	all    sync.Once
 	traces []*trace.Trace
+}
+
+type execSlot struct {
+	once sync.Once
+	tr   *trace.Trace
 }
 
 // NewTraceCache returns an empty cache.
@@ -43,30 +57,51 @@ func NewTraceCache() *TraceCache {
 	return &TraceCache{m: make(map[traceKey]*traceEntry)}
 }
 
-// Traces returns all execution traces of app for seed, generating them on
-// first use. The returned slice is shared: callers must treat it (and the
-// traces it holds) as read-only.
-func (c *TraceCache) Traces(app *App, seed uint64) []*trace.Trace {
+// entry returns the (app, seed) entry, creating it empty on first use.
+func (c *TraceCache) entry(app *App, seed uint64) *traceEntry {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	key := traceKey{app: app.Name, seed: seed}
 	e, ok := c.m[key]
 	if !ok {
-		e = &traceEntry{}
+		e = &traceEntry{app: app, seed: seed, gens: &c.gens, slots: make([]execSlot, app.Executions)}
 		c.m[key] = e
 	}
-	c.mu.Unlock()
-	e.once.Do(func() {
-		c.gens.Add(1)
-		e.traces = app.Traces(seed)
+	return e
+}
+
+// exec returns execution i, generating it on first use.
+func (e *traceEntry) exec(i int) *trace.Trace {
+	s := &e.slots[i]
+	s.once.Do(func() {
+		e.gens.Add(1)
+		s.tr = e.app.Trace(e.seed, i)
+	})
+	return s.tr
+}
+
+// Traces returns all execution traces of app for seed, generating the
+// ones no source has reached yet. The returned slice is built once and
+// shared, and holds the same traces sources lend: callers must treat it
+// (and the traces it holds) as read-only.
+func (c *TraceCache) Traces(app *App, seed uint64) []*trace.Trace {
+	e := c.entry(app, seed)
+	e.all.Do(func() {
+		traces := make([]*trace.Trace, len(e.slots))
+		for i := range traces {
+			traces[i] = e.exec(i)
+		}
+		e.traces = traces
 	})
 	return e.traces
 }
 
 // Source returns a trace.Source over the app's executions for seed. In
-// the default (pinned) mode it wraps the cached slice, so concurrent
-// callers share one generation; in on-demand mode it returns a fresh
-// regenerating Stream and pins nothing. Each call returns an independent
-// iterator — sources are single-goroutine values.
+// the default (pinned) mode it reads the cache's per-execution slots,
+// generating each execution only when NextExec reaches it, so concurrent
+// callers share one generation per execution; in on-demand mode it
+// returns a fresh regenerating Stream and pins nothing. Each call returns
+// an independent iterator — sources are single-goroutine values.
 func (c *TraceCache) Source(app *App, seed uint64) trace.Source {
 	c.mu.Lock()
 	onDemand := c.onDemand
@@ -74,7 +109,44 @@ func (c *TraceCache) Source(app *App, seed uint64) trace.Source {
 	if onDemand {
 		return app.Stream(seed)
 	}
-	return trace.NewSliceSource(c.Traces(app, seed)...)
+	return &cacheSource{e: c.entry(app, seed)}
+}
+
+// cacheSource walks one entry's execution slots in order, lending each
+// generated trace's events read-only.
+type cacheSource struct {
+	e    *traceEntry
+	next int          // next execution to lend
+	tr   *trace.Trace // current execution; nil before the first and after the last
+}
+
+// NextExec implements trace.Source.
+func (s *cacheSource) NextExec() (string, int, bool) {
+	if s.next >= len(s.e.slots) {
+		s.tr = nil
+		return "", 0, false
+	}
+	s.tr = s.e.exec(s.next)
+	s.next++
+	return s.tr.App, s.tr.Execution, true
+}
+
+// ExecEvents implements trace.Source: the current trace's own event
+// slice.
+func (s *cacheSource) ExecEvents() []trace.Event {
+	if s.tr == nil {
+		return nil
+	}
+	return s.tr.Events
+}
+
+// Err implements trace.Source; generation cannot fail.
+func (s *cacheSource) Err() error { return nil }
+
+// Reset implements trace.Source, rewinding to execution 0.
+func (s *cacheSource) Reset() error {
+	s.next, s.tr = 0, nil
+	return nil
 }
 
 // SetOnDemand switches the cache between pinned (false, the default) and
@@ -96,20 +168,9 @@ func (c *TraceCache) OnDemand() bool {
 	return c.onDemand
 }
 
-// Release drops the pinned entry for (app, seed), if any, making its
-// traces collectable once outstanding references end. It reports whether
-// an entry was present. A later Traces or Source call regenerates.
-func (c *TraceCache) Release(app *App, seed uint64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	key := traceKey{app: app.Name, seed: seed}
-	_, ok := c.m[key]
-	delete(c.m, key)
-	return ok
-}
-
-// Generations reports how many trace generations have actually run — one
-// per distinct (app, seed) pair requested, regardless of caller count.
+// Generations reports how many executions have actually been generated —
+// one per distinct (app, seed, execution) requested, regardless of caller
+// count.
 func (c *TraceCache) Generations() int64 { return c.gens.Load() }
 
 // Len returns the number of (app, seed) entries in the cache.

@@ -15,7 +15,7 @@ func sameSlice(a, b []*trace.Trace) bool {
 
 // TestTraceCache drives the memoization contract table-style: for every
 // (app, seed) workload below, concurrent callers must observe exactly one
-// generation and receive the identical slice.
+// generation per execution and receive the identical slice.
 func TestTraceCache(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -56,15 +56,15 @@ func TestTraceCache(t *testing.T) {
 					t.Errorf("caller %d received a different slice than caller 0", i)
 				}
 			}
-			if got := c.Generations(); got != before+1 {
-				t.Errorf("generations went %d -> %d, want exactly one generation", before, got)
+			if got := c.Generations(); got != before+int64(app.Executions) {
+				t.Errorf("generations went %d -> %d, want exactly one per execution (%d)", before, got, app.Executions)
 			}
 			// A repeat call is a pure cache hit.
 			if again := c.Traces(app, tc.seed); !sameSlice(again, results[0]) {
 				t.Error("repeat call returned a different slice")
 			}
-			if got := c.Generations(); got != before+1 {
-				t.Errorf("repeat call regenerated: %d generations, want %d", got, before+1)
+			if got := c.Generations(); got != before+int64(app.Executions) {
+				t.Errorf("repeat call regenerated: %d generations, want %d", got, before+int64(app.Executions))
 			}
 		})
 	}
@@ -83,8 +83,8 @@ func TestTraceCacheSeedIsolation(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("cache has %d entries, want 2", c.Len())
 	}
-	if c.Generations() != 2 {
-		t.Fatalf("%d generations, want 2", c.Generations())
+	if want := int64(2 * app.Executions); c.Generations() != want {
+		t.Fatalf("%d generations, want %d", c.Generations(), want)
 	}
 	// Seed changes the user behaviour, so event streams must diverge.
 	differ := false
@@ -125,8 +125,8 @@ func TestTraceCacheAppIsolation(t *testing.T) {
 	if a[0].App != "nedit" || b[0].App != "xemacs" {
 		t.Fatalf("mislabelled traces: %s / %s", a[0].App, b[0].App)
 	}
-	if c.Generations() != 2 {
-		t.Fatalf("%d generations, want 2", c.Generations())
+	if want := int64(nedit.Executions + xemacs.Executions); c.Generations() != want {
+		t.Fatalf("%d generations, want %d", c.Generations(), want)
 	}
 }
 
@@ -147,6 +147,104 @@ func TestTraceCacheDeterminism(t *testing.T) {
 		for j := range a[i].Events {
 			if a[i].Events[j] != b[i].Events[j] {
 				t.Fatalf("exec %d event %d differs: %v vs %v", i, j, a[i].Events[j], b[i].Events[j])
+			}
+		}
+	}
+}
+
+// drain pulls every execution of src and returns the event slices it
+// lent, in order. It reports a source error with t.Error, so it may run
+// on any goroutine.
+func drain(t *testing.T, src trace.Source) [][]trace.Event {
+	t.Helper()
+	var lent [][]trace.Event
+	for {
+		if _, _, ok := src.NextExec(); !ok {
+			break
+		}
+		lent = append(lent, src.ExecEvents())
+	}
+	if err := src.Err(); err != nil {
+		t.Error(err)
+	}
+	return lent
+}
+
+// sameEvents reports whether two event slices share one backing array.
+func sameEvents(a, b []trace.Event) bool {
+	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
+}
+
+// TestTraceCacheCappedSource: a source capped at its first executions
+// generates only those, and a later Traces call hands back the very
+// traces already lent and generates only the rest.
+func TestTraceCacheCappedSource(t *testing.T) {
+	c := NewTraceCache()
+	app, _ := ByName("nedit")
+	lent := drain(t, trace.LimitExecs(c.Source(app, 3), 2))
+	if len(lent) != 2 {
+		t.Fatalf("capped source yielded %d executions, want 2", len(lent))
+	}
+	if got := c.Generations(); got != 2 {
+		t.Fatalf("capped source generated %d executions, want 2", got)
+	}
+	all := c.Traces(app, 3)
+	if got := c.Generations(); got != int64(app.Executions) {
+		t.Fatalf("Traces after a capped source: %d generations in all, want %d", got, app.Executions)
+	}
+	for i, ev := range lent {
+		if !sameEvents(ev, all[i].Events) {
+			t.Errorf("execution %d: Traces returned a different trace than the source lent", i)
+		}
+	}
+	// A full source over the warm entry lends the same traces again.
+	for i, ev := range drain(t, c.Source(app, 3)) {
+		if !sameEvents(ev, all[i].Events) {
+			t.Errorf("execution %d: a second source lent a different trace", i)
+		}
+	}
+	if got := c.Generations(); got != int64(app.Executions) {
+		t.Errorf("second source regenerated: %d generations, want %d", got, app.Executions)
+	}
+}
+
+// TestTraceCacheConcurrentExecs: sources (capped and whole) and Traces
+// callers racing on one cold (app, seed) generate each execution exactly
+// once and all see the same traces. Run it under -race.
+func TestTraceCacheConcurrentExecs(t *testing.T) {
+	c := NewTraceCache()
+	app, _ := ByName("xemacs")
+	const workers = 12
+	lent := make([][][]trace.Event, workers)
+	whole := make([][]*trace.Trace, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			switch w % 3 {
+			case 0:
+				whole[w] = c.Traces(app, 5)
+			case 1:
+				lent[w] = drain(t, c.Source(app, 5))
+			default:
+				lent[w] = drain(t, trace.LimitExecs(c.Source(app, 5), w))
+			}
+		}()
+	}
+	wg.Wait()
+	if got := c.Generations(); got != int64(app.Executions) {
+		t.Fatalf("%d generations, want exactly one per execution (%d)", got, app.Executions)
+	}
+	all := c.Traces(app, 5)
+	for w := 0; w < workers; w++ {
+		if whole[w] != nil && !sameSlice(whole[w], all) {
+			t.Errorf("Traces caller %d received a different slice", w)
+		}
+		for i, ev := range lent[w] {
+			if !sameEvents(ev, all[i].Events) {
+				t.Errorf("source %d, execution %d: lent a different trace than Traces holds", w, i)
 			}
 		}
 	}

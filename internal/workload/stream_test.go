@@ -100,15 +100,15 @@ func TestCacheSourcePinnedMode(t *testing.T) {
 	if len(got) != len(want) {
 		t.Fatalf("source yielded %d executions, want %d", len(got), len(want))
 	}
-	if c.Generations() != 1 {
-		t.Errorf("pinned mode generated %d times, want 1 (slice shared)", c.Generations())
+	if c.Generations() != int64(app.Executions) {
+		t.Errorf("pinned mode generated %d executions, want %d (each once, shared)", c.Generations(), app.Executions)
 	}
 	// A second source shares the same pinned generation.
 	if _, err := trace.Collect(c.Source(app, streamTestSeed)); err != nil {
 		t.Fatal(err)
 	}
-	if c.Generations() != 1 {
-		t.Errorf("second source regenerated (gens=%d)", c.Generations())
+	if c.Generations() != int64(app.Executions) {
+		t.Errorf("second source regenerated (gens=%d, want %d)", c.Generations(), app.Executions)
 	}
 }
 
@@ -134,35 +134,6 @@ func TestCacheSourceOnDemandMode(t *testing.T) {
 	}
 	if c.Len() != 0 {
 		t.Errorf("on-demand mode pinned %d entries, want 0", c.Len())
-	}
-}
-
-func TestCacheRelease(t *testing.T) {
-	c := NewTraceCache()
-	app := Apps()[2]
-	c.Traces(app, streamTestSeed)
-	if c.Len() != 1 || c.Generations() != 1 {
-		t.Fatalf("setup: len=%d gens=%d", c.Len(), c.Generations())
-	}
-	if !c.Release(app, streamTestSeed) {
-		t.Error("Release should report a dropped entry")
-	}
-	if c.Release(app, streamTestSeed) {
-		t.Error("second Release should find nothing")
-	}
-	if c.Len() != 0 {
-		t.Errorf("after Release: len=%d, want 0", c.Len())
-	}
-	// Re-request regenerates deterministically.
-	again := c.Traces(app, streamTestSeed)
-	if c.Generations() != 2 {
-		t.Errorf("re-request after Release generated %d times total, want 2", c.Generations())
-	}
-	want := app.Traces(streamTestSeed)
-	for i := range again {
-		if !reflect.DeepEqual(again[i].Events, want[i].Events) {
-			t.Errorf("regenerated execution %d differs", i)
-		}
 	}
 }
 
