@@ -13,6 +13,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -653,6 +655,48 @@ func BenchmarkDecodeV2Pushdown(b *testing.B) {
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 	b.ReportMetric(100*float64(read)/(float64(b.N)*float64(len(data))), "read-pct")
+}
+
+// BenchmarkReplayFourPolicies is a four-policy pcapd replay job without
+// the HTTP layer: Suite.ReplayRows over base, tp, pcap and ideal on an
+// indexed v2 file of the first executions of mozilla, xemacs and nedit,
+// opened afresh per iteration. One pass reads and prepares each
+// execution once for all four policies; events/s counts the file's
+// events once per iteration.
+func BenchmarkReplayFourPolicies(b *testing.B) {
+	var traces []*trace.Trace
+	events := 0
+	for _, name := range []string{"mozilla", "xemacs", "nedit"} {
+		app, _ := workload.ByName(name)
+		tr := app.Trace(experiments.DefaultSeed, 0)
+		traces = append(traces, tr)
+		events += tr.Len()
+	}
+	var buf bytes.Buffer
+	if err := trace.WriteColumnarIndexed(&buf, traces...); err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "replay.pct2")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	s := experiments.NewDefaultSuite()
+	policies := []string{"base", "tp", "pcap", "ideal"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fs, err := trace.OpenTraceFileOpts(path, trace.OpenOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows, err := s.ReplayRows(fs, policies)
+		fs.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkInt += len(rows)
+	}
+	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
 func BenchmarkTraceGeneration(b *testing.B) {

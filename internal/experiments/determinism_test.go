@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -356,5 +357,71 @@ func TestTasksDeduplicate(t *testing.T) {
 			t.Errorf("duplicate task %s", task.Name)
 		}
 		seen[task.Name] = true
+	}
+}
+
+// TestMatrixCellsSimulatedOnce: no cell of the full matrix is simulated
+// twice. The sweep's 10 s timer is the TP cell, the suite's own drive in
+// the device sweep is the suite itself, and each (suite, memo key) joins
+// the passes once. Both reuses return what the cells they replace did.
+func TestMatrixCellsSimulatedOnce(t *testing.T) {
+	s, err := NewSuite(DefaultSeed, sim.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var l taskList
+	for _, e := range ExperimentNames() {
+		if err := s.appendTasks(&l, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type cellID struct {
+		s   *Suite
+		key string
+	}
+	seen := make(map[cellID]bool)
+	for _, c := range l.cells {
+		id := cellID{c.s, c.key}
+		if seen[id] {
+			t.Errorf("cell %s of suite %s listed twice", c.key, c.s.cfg.Disk.Name)
+		}
+		seen[id] = true
+	}
+	if got := s.tpSweepPolicy(10).Name; got != s.PolicyTP().Name {
+		t.Errorf("the sweep's 10 s policy is %s, want the TP cell", got)
+	}
+	if ds, err := s.deviceSuite(s.cfg.Disk); err != nil || ds != s {
+		t.Errorf("deviceSuite(own drive) = %p, %v; want the suite itself", ds, err)
+	}
+
+	app, _ := workload.ByName("nedit")
+	tp, err := s.Run(app, s.PolicyTP())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ten, err := s.runner.RunSource(s.SourceFor(app), s.PolicyTPWith("TP10s", trace.FromSeconds(10)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ten.Policy = tp.Policy
+	if !reflect.DeepEqual(ten, tp) {
+		t.Errorf("TP10s differs from TP apart from its name:\n%+v\nvs\n%+v", ten, tp)
+	}
+	sub, err := newSharedSuite(s.seed, s.cfg, s.traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pol := range sub.devicePolicies() {
+		got, err := sub.Run(app, pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := s.Run(app, pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: a sub-suite on the suite's own drive differs:\n%+v\nvs\n%+v", pol.Name, got, want)
+		}
 	}
 }

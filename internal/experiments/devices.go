@@ -26,8 +26,12 @@ type DeviceRow struct {
 // deviceSuite returns the memoized per-device sub-suite. A sub-suite
 // keeps memoization and predictor breakeven configuration consistent with
 // the device, while sharing the parent's trace cache: traces are device
-// independent, so they are generated once for all devices.
+// independent, so they are generated once for all devices. The suite's
+// own drive needs no sub-suite: s already simulates it.
 func (s *Suite) deviceSuite(dev disk.Params) (*Suite, error) {
+	if dev == s.cfg.Disk {
+		return s, nil
+	}
 	v, err := s.memo.do("devsuite/"+dev.Name, func() (any, error) {
 		cfg := s.cfg
 		cfg.Disk = dev

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -138,17 +139,20 @@ func (l *taskList) add(name string, run func() error) bool {
 }
 
 // addRun enqueues one simulation cell on suite target (the main suite or a
-// per-device sub-suite, disambiguated by prefix). The task runs passes
-// until none is left to start, then returns its own cell's result.
+// per-device sub-suite, disambiguated by prefix) unless target already
+// has that cell under another prefix. The task runs passes until none is
+// left to start, then returns its own cell's result.
 func (l *taskList) addRun(prefix string, target *Suite, app *workload.App, pol sim.Policy) {
 	key := "run/" + app.Name + "/" + pol.Name
-	if l.add(prefix+key, func() error {
+	if slices.ContainsFunc(l.cells, func(c listCell) bool { return c.s == target && c.key == key }) {
+		return
+	}
+	l.add(prefix+key, func() error {
 		l.work()
 		_, err := target.Run(app, pol)
 		return err
-	}) {
-		l.cells = append(l.cells, listCell{target, app, key, sim.Cell{Runner: target.runner, Policy: pol}})
-	}
+	})
+	l.cells = append(l.cells, listCell{target, app, key, sim.Cell{Runner: target.runner, Policy: pol}})
 }
 
 // split divides each application's cells that have no memo entry yet into
@@ -224,10 +228,6 @@ func (l *taskList) work() {
 		_, _ = l.passes[i].result(0)
 	}
 }
-
-// Tasks returns the full evaluation matrix: every cell of every
-// experiment, deduplicated, in deterministic order.
-func (s *Suite) Tasks() ([]Task, error) { return s.TasksFor(ExperimentNames()...) }
 
 // TasksFor returns the cells needed by the named experiments. Trace
 // generation tasks come first so a worker pool warms all six applications'

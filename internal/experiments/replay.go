@@ -70,41 +70,29 @@ type ReplayRow struct {
 }
 
 // ReplayRows runs every named policy over the source and returns one row
-// per policy, in order. The source is Reset between policies, so it must
-// be resettable (file-backed sources are).
+// per policy, in order. It is one sim.RunCells pass with a cell per
+// policy, so each execution is read and prepared once for all of them.
+// Every name is resolved before the source is read.
 func (s *Suite) ReplayRows(src trace.Source, policies []string) ([]ReplayRow, error) {
-	return s.ReplayRowsObserved(src, policies, nil)
-}
-
-// ReplayRowsObserved is ReplayRows with a per-policy completion hook:
-// observe (when non-nil) receives each row as soon as its policy's run
-// finishes, on the calling goroutine — the daemon's per-policy progress
-// stream. The returned rows are identical to ReplayRows'.
-func (s *Suite) ReplayRowsObserved(src trace.Source, policies []string, observe func(ReplayRow)) ([]ReplayRow, error) {
 	if len(policies) == 0 {
 		policies = DefaultReplayPolicies
 	}
-	rows := make([]ReplayRow, 0, len(policies))
+	cells := make([]sim.Cell, len(policies))
 	for i, name := range policies {
 		pol, ok := s.PolicyByName(name)
 		if !ok {
 			return nil, fmt.Errorf("experiments: unknown policy %q (known: %s)",
 				name, strings.Join(replayPolicyNames, ", "))
 		}
-		if i > 0 {
-			if err := src.Reset(); err != nil {
-				return nil, fmt.Errorf("experiments: resetting trace source: %w", err)
-			}
+		cells[i] = sim.Cell{Runner: s.runner, Policy: pol}
+	}
+	res, errs := sim.RunCells(src, cells)
+	rows := make([]ReplayRow, len(cells))
+	for i, c := range cells {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("experiments: replay under %s: %w", c.Policy.Name, errs[i])
 		}
-		res, err := s.runner.RunSource(src, pol)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: replay under %s: %w", pol.Name, err)
-		}
-		row := ReplayRow{Policy: pol.Name, Result: res}
-		rows = append(rows, row)
-		if observe != nil {
-			observe(row)
-		}
+		rows[i] = ReplayRow{Policy: c.Policy.Name, Result: res[i]}
 	}
 	return rows, nil
 }
@@ -161,16 +149,9 @@ type ReplayOptions struct {
 	Pred trace.Predicate
 }
 
-// ReplayFile opens a trace file (v2 columnar or text — the format is
-// sniffed from the leading bytes) and replays it under the
-// named policies; see ReplaySource.
-func (s *Suite) ReplayFile(path string, policies []string) (string, error) {
-	return s.ReplayFileOpts(path, policies, ReplayOptions{})
-}
-
-// ReplayFileOpts is ReplayFile with decode options: parallel block
-// decode and predicate pushdown. The zero options replay exactly like
-// ReplayFile.
+// ReplayFileOpts opens a trace file (v2 columnar or text — the format is
+// sniffed from the leading bytes) with the given decode options and
+// replays it under the named policies; see ReplaySource.
 func (s *Suite) ReplayFileOpts(path string, policies []string, opts ReplayOptions) (string, error) {
 	fs, err := trace.OpenTraceFileOpts(path, trace.OpenOptions{Workers: opts.Workers, Pred: opts.Pred})
 	if err != nil {

@@ -22,6 +22,9 @@ func suitePolicies(s *Suite) []sim.Policy {
 	all = append(all, s.fig9Policies()...)
 	all = append(all, s.fig10Policies()...)
 	all = append(all, s.tpSweepPolicies()...)
+	// The sweep's 10 s point is the TP cell; its named twin stays in the
+	// differential matrices as the sweep's PolicyTPWith at that value.
+	all = append(all, s.PolicyTPWith("TP10s", trace.FromSeconds(10)))
 	all = append(all, s.predictorPolicies()...)
 	seen := make(map[string]bool)
 	var out []sim.Policy

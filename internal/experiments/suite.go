@@ -175,8 +175,11 @@ func (s *Suite) PolicyIdeal() sim.Policy {
 	}
 }
 
+// tpTimeout is the paper's timeout predictor timer.
+const tpTimeout = 10 * trace.Second
+
 // PolicyTP is the paper's 10-second timeout predictor.
-func (s *Suite) PolicyTP() sim.Policy { return s.PolicyTPWith("TP", 10*trace.Second) }
+func (s *Suite) PolicyTP() sim.Policy { return s.PolicyTPWith("TP", tpTimeout) }
 
 // PolicyTPWith is a timeout predictor with an explicit timer.
 func (s *Suite) PolicyTPWith(name string, timeout trace.Time) sim.Policy {

@@ -23,9 +23,13 @@ type TPSweepRow struct {
 var TPSweepTimeouts = []float64{1, 2, 5.43, 10, 20, 30, 60}
 
 // tpSweepPolicy is the sweep's policy for one timer value; the engine and
-// the driver must agree on the name for memoized cells to be shared.
+// the driver must agree on the name for memoized cells to be shared. The
+// paper's own timer value is PolicyTP, so its cell is simulated once.
 func (s *Suite) tpSweepPolicy(sec float64) sim.Policy {
-	return s.PolicyTPWith(fmt.Sprintf("TP%.4gs", sec), trace.FromSeconds(sec))
+	if timeout := trace.FromSeconds(sec); timeout != tpTimeout {
+		return s.PolicyTPWith(fmt.Sprintf("TP%.4gs", sec), timeout)
+	}
+	return s.PolicyTP()
 }
 
 // tpSweepPolicies are all swept timeout policies in sweep order.

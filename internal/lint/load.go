@@ -9,7 +9,6 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -57,18 +56,13 @@ func (m *Module) IsOwnerTransfer(obj types.Object) bool {
 	return obj != nil && m.ownerTransfer[obj]
 }
 
-// LoadModule parses and type-checks every non-test package under root.
-// Directories named testdata or vendor, and names starting with "." or
-// "_", are skipped, matching the go tool. Stdlib imports are resolved by
-// the source importer shipped with the toolchain, so the loader needs no
-// precompiled export data and no third-party dependencies.
-func LoadModule(root string) (*Module, error) {
-	return LoadModuleWorkers(root, runtime.GOMAXPROCS(0))
-}
-
-// LoadModuleWorkers is LoadModule with an explicit type-check worker
-// count. Parsing is sequential (it shares one FileSet and is cheap);
-// type-checking is scheduled over the package DAG so independent
+// LoadModuleWorkers parses and type-checks every non-test package under
+// root. Directories named testdata or vendor, and names starting with "."
+// or "_", are skipped, matching the go tool. Stdlib imports are resolved
+// by the source importer shipped with the toolchain, so the loader needs
+// no precompiled export data and no third-party dependencies. Parsing is
+// sequential (it shares one FileSet and is cheap); type-checking is
+// scheduled over the package DAG on workers workers so independent
 // packages check concurrently. The source importer the stdlib chain
 // rests on is NOT safe for concurrent use, so every Import — and the
 // module-result map it consults — is serialized behind one mutex;

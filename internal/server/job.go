@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -358,12 +359,7 @@ func (s *Server) runEval(ctx context.Context, job *Job, jc *jobContext) (string,
 	if spec.Execs > 0 {
 		src = trace.LimitExecs(src, spec.Execs)
 	}
-	m := newMeter(ctx, src, jc.local, job)
-	rows, err := suite.ReplayRowsObserved(m, spec.Policies, func(row experiments.ReplayRow) {
-		jc.local.AddEnergy(row.Result.Energy.Total())
-		job.progressed(0, 0, 0, row.Result.Energy.Total())
-		job.policyDone()
-	})
+	rows, err := replayRows(ctx, suite, src, job, jc)
 	if err != nil {
 		return "", err
 	}
@@ -392,16 +388,27 @@ func (s *Server) runReplay(ctx context.Context, job *Job, jc *jobContext) (strin
 	if spec.Execs > 0 {
 		src = trace.LimitExecs(src, spec.Execs)
 	}
-	m := newMeter(ctx, src, jc.local, job)
-	rows, err := suite.ReplayRowsObserved(m, spec.Policies, func(row experiments.ReplayRow) {
-		jc.local.AddEnergy(row.Result.Energy.Total())
-		job.progressed(0, 0, 0, row.Result.Energy.Total())
-		job.policyDone()
-	})
+	rows, err := replayRows(ctx, suite, src, job, jc)
 	if err != nil {
 		return "", err
 	}
 	return fmt.Sprintf("replay %s\n\n%s", path, experiments.RenderReplayRows(rows)), nil
+}
+
+// replayRows runs the job's policies over src in one metered ReplayRows
+// pass, then accounts each policy's energy and completion.
+func replayRows(ctx context.Context, suite *experiments.Suite, src trace.Source, job *Job, jc *jobContext) ([]experiments.ReplayRow, error) {
+	policies := cmp.Or(len(job.Spec.Policies), len(experiments.DefaultReplayPolicies))
+	rows, err := suite.ReplayRows(newMeter(ctx, src, jc.local, job, policies), job.Spec.Policies)
+	if err != nil {
+		return nil, err
+	}
+	for _, row := range rows {
+		jc.local.AddEnergy(row.Result.Energy.Total())
+		job.progressed(0, 0, 0, row.Result.Energy.Total())
+		job.policyDone()
+	}
+	return rows, nil
 }
 
 // runFleet runs one fleet per named policy. Output is byte-identical to
@@ -468,18 +475,20 @@ func (s *Server) runFleet(ctx context.Context, job *Job, jc *jobContext) (string
 // metered replay is result-identical to a bare one. Cancellation is
 // checked at execution boundaries (thousands of events apart), and counts
 // flow into the coalescing stats shard and the job's progress counters
-// once per execution, so neither concern adds per-event overhead.
+// once per execution, so neither concern adds per-event overhead. One
+// pass runs every policy, so each count is multiplied by the policies.
 type meter struct {
 	trace.Source
-	ctx   context.Context
-	local *stats.Local
-	job   *Job
-	err   error // sticky cancellation error
+	ctx      context.Context
+	local    *stats.Local
+	job      *Job
+	policies int64
+	err      error // sticky cancellation error
 }
 
-func newMeter(ctx context.Context, src trace.Source, local *stats.Local, job *Job) *meter {
+func newMeter(ctx context.Context, src trace.Source, local *stats.Local, job *Job, policies int) *meter {
 	//pcaplint:ignore ctxflow request-scoped by construction: the meter lives strictly inside the job's exec call and cannot outlive ctx
-	return &meter{Source: src, ctx: ctx, local: local, job: job}
+	return &meter{Source: src, ctx: ctx, local: local, job: job, policies: int64(policies)}
 }
 
 func (m *meter) NextExec() (string, int, bool) {
@@ -491,12 +500,12 @@ func (m *meter) NextExec() (string, int, bool) {
 	}
 	app, exec, ok := m.Source.NextExec()
 	if ok {
-		m.local.AddExecs(1)
-		events := int64(len(m.Source.ExecEvents()))
+		m.local.AddExecs(m.policies)
+		events := int64(len(m.Source.ExecEvents())) * m.policies
 		if events > 0 {
 			m.local.AddEvents(events)
 		}
-		m.job.progressed(events, 1, 0, 0)
+		m.job.progressed(events, m.policies, 0, 0)
 	}
 	return app, exec, ok
 }
@@ -506,11 +515,4 @@ func (m *meter) Err() error {
 		return m.err
 	}
 	return m.Source.Err()
-}
-
-func (m *meter) Reset() error {
-	if m.err != nil {
-		return m.err
-	}
-	return m.Source.Reset()
 }

@@ -11,7 +11,7 @@
 //     (experiments.ReplayRows/RenderReplayRows and experiments.FleetResults/
 //     RenderFleetComparison), over the same sources, so a server response
 //     is byte-identical to the equivalent local run. The differential
-//     tests pin this.
+//     tests pin this. An eval or replay job is one ReplayRows pass.
 //
 //   - Pooled job contexts. Workers draw a jobContext — memoized
 //     experiment suites plus a private stats shard — from a sync.Pool and
@@ -24,6 +24,7 @@
 //     internal/server/stats Local shards (VSA-style delta coalescing) and
 //     commits to one global atomic view, so /stats stays cheap to serve
 //     and free of hot-path contention no matter how many workers run.
+//     Events and executions count once per policy, as in a solo run.
 //
 // Cancellation is cooperative and complete: every job runs under a
 // context bounded by its own timeout, a cancel endpoint, and — for

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -114,18 +115,27 @@ func getJob(t *testing.T, base, id string) View {
 // executions the generator produces.
 func writeTraceFile(t *testing.T, dir string) string {
 	t.Helper()
-	app, _ := workload.ByName("nedit")
+	return writeAppTraceFile(t, dir, "nedit", 1)
+}
+
+// writeAppTraceFile writes the named app's generated workload, repeated
+// copies times, as one v2 columnar file and returns its path.
+func writeAppTraceFile(t *testing.T, dir, name string, copies int) string {
+	t.Helper()
+	app, _ := workload.ByName(name)
 	suite, err := experiments.NewSuite(experiments.DefaultSeed, sim.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	for _, tr := range suite.Traces(app) {
-		if err := trace.WriteColumnar(&buf, tr); err != nil {
-			t.Fatal(err)
+	for range copies {
+		for _, tr := range suite.Traces(app) {
+			if err := trace.WriteColumnar(&buf, tr); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	path := filepath.Join(dir, "nedit.pct2")
+	path := filepath.Join(dir, name+".pct2")
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -599,5 +609,119 @@ func TestStatsCountsWaitedJobs(t *testing.T) {
 			t.Fatalf("after job %d: /stats reports %d done, %d events, %d execs; want %d, %d, %d",
 				i, sv.JobsDone, sv.Events, sv.Execs, i, events, execs)
 		}
+	}
+}
+
+// sourceCounts returns the events and executions of the first execs
+// executions of app's default-seed workload: what one policy's pass over
+// an eval job's source reads.
+func sourceCounts(t *testing.T, app string, execs int) (events, n int64) {
+	t.Helper()
+	a, _ := workload.ByName(app)
+	suite, err := experiments.NewSuite(experiments.DefaultSeed, sim.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := trace.LimitExecs(suite.SourceFor(a), execs)
+	for {
+		if _, _, ok := src.NextExec(); !ok {
+			break
+		}
+		events += int64(len(src.ExecEvents()))
+		n++
+	}
+	if err := src.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return events, n
+}
+
+// TestMeterCountsEveryPolicy: an eval or replay job reads each execution
+// once for all its policies, yet /stats and the job's view count its
+// events and executions once per policy — with the policies listed or
+// left to the default list.
+func TestMeterCountsEveryPolicy(t *testing.T) {
+	dir := t.TempDir()
+	srv, hs := newTestServer(t, Config{Workers: 2, TraceDir: dir})
+	writeTraceFile(t, dir)
+	events, execs := sourceCounts(t, "nedit", 3)
+	allEvents, allExecs := sourceCounts(t, "nedit", math.MaxInt)
+	four := []string{"base", "tp", "pcap", "ideal"}
+	for _, tc := range []struct {
+		name          string
+		spec          JobSpec
+		events, execs int64
+	}{
+		{"eval four", JobSpec{Kind: KindEval, App: "nedit", Execs: 3, Policies: four}, events, execs},
+		{"eval default", JobSpec{Kind: KindEval, App: "nedit", Execs: 3}, events, execs},
+		{"replay default", JobSpec{Kind: KindReplay, Trace: "nedit.pct2"}, allEvents, allExecs},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := srv.Counters().Snapshot()
+			v := submitWait(t, hs.URL, tc.spec)
+			if v.State != StateDone {
+				t.Fatalf("state = %q, error = %q", v.State, v.Error)
+			}
+			after := srv.Counters().Snapshot()
+			if got, want := after.Events-before.Events, 4*tc.events; got != want || v.Events != want {
+				t.Errorf("/stats events moved by %d, view reports %d; want 4 × %d = %d", got, v.Events, tc.events, want)
+			}
+			if got, want := after.Execs-before.Execs, 4*tc.execs; got != want || v.Execs != want {
+				t.Errorf("/stats execs moved by %d, view reports %d; want 4 × %d = %d", got, v.Execs, tc.execs, want)
+			}
+			if v.PoliciesDone != 4 {
+				t.Errorf("policies_done = %d, want 4", v.PoliciesDone)
+			}
+		})
+	}
+}
+
+// TestCancelReplayMidPass cancels a four-policy replay while its one pass
+// is under way: the job ends canceled with the context's error and no
+// output, and the single worker serves the next job.
+func TestCancelReplayMidPass(t *testing.T) {
+	dir := t.TempDir()
+	srv, hs := newTestServer(t, Config{Workers: 1, TraceDir: dir})
+	writeAppTraceFile(t, dir, "mplayer", 2)
+	v := submitAsync(t, hs.URL, JobSpec{Kind: KindReplay, Trace: "mplayer.pct2", Policies: []string{"base", "tp", "pcap", "ideal"}})
+	j, ok := srv.job(v.ID)
+	if !ok {
+		t.Fatalf("no job %s", v.ID)
+	}
+	// The meter has handed the pass its first execution: cancel now.
+	for j.execs.Load() == 0 {
+		select {
+		case <-j.Done():
+			t.Fatalf("job ended before its pass started: %+v", j.view())
+		case <-time.After(time.Millisecond):
+		}
+	}
+	cresp, err := http.Post(hs.URL+"/jobs/"+v.ID+"/cancel", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cresp.Body.Close()
+	select {
+	case <-j.Done():
+	case <-time.After(30 * time.Second):
+		t.Fatal("job did not wind down after cancel")
+	}
+	final := j.view()
+	if final.State != StateCanceled || !strings.Contains(final.Error, context.Canceled.Error()) {
+		t.Errorf("state = %q, error = %q; want canceled with a context error", final.State, final.Error)
+	}
+	if final.Output != "" {
+		t.Errorf("canceled job has output:\n%s", final.Output)
+	}
+	// Four policies × two copies of mplayer's 31 executions.
+	if total := int64(4 * 2 * 31); final.Execs >= total {
+		t.Errorf("the pass metered all %d executions before the cancel landed", total)
+	}
+	if final.PoliciesDone != 0 {
+		t.Errorf("policies_done = %d after a canceled pass, want 0", final.PoliciesDone)
+	}
+	next := submitWait(t, hs.URL, JobSpec{Kind: KindEval, App: "nedit", Policies: []string{"base"}, Execs: 2})
+	if next.State != StateDone {
+		t.Errorf("follow-up job state = %q, error = %q", next.State, next.Error)
 	}
 }

@@ -136,9 +136,10 @@ func (s *cutSource) NextExec() (string, int, bool) {
 func (s *cutSource) Err() error { return s.err }
 
 // TestRunCellsReturnsStates checks that every machine's pooled runState
-// goes back to its runner on the success and every failure path, a
-// source error included: repeated passes with failing cells must keep
-// drawing recycled states rather than allocating fresh ones.
+// and the pass's prepState go back to their runner on the success and
+// every failure path, a source error included: repeated passes with
+// failing cells must keep drawing recycled states rather than allocating
+// fresh ones.
 func TestRunCellsReturnsStates(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random")
@@ -146,6 +147,9 @@ func TestRunCellsReturnsStates(t *testing.T) {
 	r := mustRunner(t)
 	fresh := 0
 	r.statePool.New = func() any { fresh++; return &runState{} }
+	freshPrep := 0
+	prepPool.New = func() any { freshPrep++; return &prepState{} }
+	defer func() { prepPool.New = nil }()
 	traces := threeExecs()
 	const passes = 20
 	for range passes {
@@ -163,5 +167,8 @@ func TestRunCellsReturnsStates(t *testing.T) {
 	// least one state per pass.
 	if fresh >= passes {
 		t.Errorf("%d fresh runStates over %d passes: states are not returned to the pool", fresh, passes)
+	}
+	if freshPrep >= passes {
+		t.Errorf("%d fresh prepStates over %d passes: states are not returned to the pool", freshPrep, passes)
 	}
 }

@@ -58,7 +58,7 @@ func TestDecisionLedgerIdentity(t *testing.T) {
 			name := app.Name + "/" + c.pol.Name + "/" + c.cfg.Disk.Name
 			var leadingIdleJ float64
 			for _, tr := range traces {
-				ex, err := prepare(tr, c.cfg.Cache)
+				ex, err := new(prepState).prepare(tr, c.cfg.Cache)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -23,11 +23,12 @@ import (
 // simulator (enforced by the experiments suite golden and the
 // differential tests).
 //
-// Per execution, drive calls advance (the policy's factory step), load
-// on one machine (borrow and prepare), then openExecution and step once
-// per access on each machine. openExecution runs the execution's
-// accounting prologue; an execution with no disk accesses is accounted
-// as pure idle there and has nothing to step. step processes exactly one
+// Per execution, drive calls advance (the policy's factory step),
+// prepares the borrowed execution once in the pass's prepState, then
+// calls openExecution and step once per access on each machine.
+// openExecution runs the execution's accounting prologue; an execution
+// with no disk accesses is accounted as pure idle there and has nothing
+// to step. step processes exactly one
 // access: the per-process predictor update, the global combiner decision
 // for the period the access opens, its classification and its energy
 // accounting. finish validates the source, resolves StateEntries and
@@ -76,14 +77,6 @@ func (r *Runner) newMachine(src trace.Source, pol Policy, tr *tracedRun) (*machi
 		},
 		newFactory: newFactory,
 	}, nil
-}
-
-// load prepares execution (app, exec), borrowed from the source, through
-// the file cache in the machine's runState.
-func (m *machine) load(app string, exec int) (*execution, error) {
-	rs := m.rs
-	rs.view.App, rs.view.Execution, rs.view.Events = app, exec, m.src.ExecEvents()
-	return rs.prepare(&rs.view, m.r.cfg.Cache)
 }
 
 // advance runs the factory policy (fresh, reused, or round-tripped)

@@ -34,7 +34,7 @@ func (r *Runner) MachineEnergy(traces []*trace.Trace, pol Policy) (disk.EnergyBr
 	var total disk.EnergyBreakdown
 	si := 0 // schedule cursor
 	for _, tr := range traces {
-		ex, err := prepare(tr, r.cfg.Cache)
+		ex, err := new(prepState).prepare(tr, r.cfg.Cache)
 		if err != nil {
 			return disk.EnergyBreakdown{}, err
 		}

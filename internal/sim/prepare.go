@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"sync"
 
 	"pcapsim/internal/fscache"
 	"pcapsim/internal/predictor"
@@ -51,35 +52,48 @@ type execution struct {
 	end trace.Time
 }
 
-// runState is the pooled per-run scratch space of one RunSource call: the
-// file cache (arena reset, not reallocated, between
-// executions), the filtered-event buffer, the prepared execution with all
-// of its slices, the pid→slot map prepare fills, and the step working set
-// (slot-indexed predictors and standing decisions, the slots with a
-// decision, the service-completion schedule).
+// prepState is a pass's pooled scratch space for preparing executions:
+// the file cache (arena reset, not reallocated, between executions), the
+// filtered-event buffer, the prepared execution and the pid→slot map. A
+// pass owns one whatever its cell count, and every runner draws from
+// prepPool (prepare rebuilds the cache for another configuration), so
+// these execution-sized buffers exist once per concurrent pass. Filtering
+// copies events, so it never holds a borrowed slice.
 //
-// Ownership discipline: a runState is owned by exactly one RunSource call
-// at a time (Runner keeps a sync.Pool of them), and everything inside it
-// is overwritten at the next execution's prepare — so nothing reachable
-// from a runState may be retained across executions, matching the
-// trace.Source lending contract for execution event slices.
-type runState struct {
-	view     trace.Trace // reused Trace header over the borrowed events
+// runState is a machine's pooled step working set: slot-indexed
+// predictors and decisions, the slots with a decision and the service
+// schedule. Each Runner pools its own.
+//
+// Either is owned by one pass or machine at a time and overwritten at the
+// next execution, so nothing reachable from it may be retained.
+type prepState struct {
+	cacheCfg fscache.Config
 	cache    *fscache.Cache
 	filtered []trace.Event
 	ex       execution
 	slots    map[trace.PID]int32 // pid → slot of the execution in ex
+}
 
-	// step working set, indexed by slot and sized in openExecution.
+type runState struct {
 	serviceEnd []trace.Time
 	preds      []predictor.Process
 	dec        []decisionState
 	decided    []int32 // slots with a standing decision, sorted by pid
 }
 
-// getState fetches a runState compatible with the runner's configuration.
-// The caller takes ownership and must pair it with putState.
+var prepPool sync.Pool
+
+// getPrep and getState fetch pooled scratch state; the caller takes
+// ownership and must return it to prepPool or with putState.
 //
+//pcaplint:owner-transfer
+func getPrep() *prepState {
+	if ps, ok := prepPool.Get().(*prepState); ok {
+		return ps
+	}
+	return &prepState{}
+}
+
 //pcaplint:owner-transfer
 func (r *Runner) getState() *runState {
 	if rs, ok := r.statePool.Get().(*runState); ok {
@@ -88,40 +102,38 @@ func (r *Runner) getState() *runState {
 	return &runState{}
 }
 
-// putState returns a runState to the pool for the next RunSource call.
+// putState returns a runState to the pool, dropping predictor references
+// so pooled states do not pin a finished run's learned state; the
+// containers themselves are kept.
 func (r *Runner) putState(rs *runState) {
-	// Drop predictor references so pooled states do not pin a finished
-	// run's learned state, and let go of the last drained event slice (it
-	// may be on loan from the source); the containers themselves are kept.
 	clear(rs.preds[:cap(rs.preds)])
-	rs.view.Events = nil
 	r.statePool.Put(rs)
 }
 
 // prepare filters one execution trace through the run's file cache and
 // indexes the resulting disk accesses for the runner, reusing every buffer
 // from the previous execution.
-func (rs *runState) prepare(tr *trace.Trace, cacheCfg fscache.Config) (*execution, error) {
-	if rs.cache == nil {
+func (ps *prepState) prepare(tr *trace.Trace, cacheCfg fscache.Config) (*execution, error) {
+	if ps.cache == nil || ps.cacheCfg != cacheCfg {
 		cache, err := fscache.New(cacheCfg)
 		if err != nil {
 			return nil, err
 		}
-		rs.cache = cache
+		ps.cache, ps.cacheCfg = cache, cacheCfg
 	} else {
-		rs.cache.Reset()
+		ps.cache.Reset()
 	}
-	filtered, err := rs.cache.FilterInto(rs.filtered[:0], tr.Events)
+	filtered, err := ps.cache.FilterInto(ps.filtered[:0], tr.Events)
 	if err != nil {
 		return nil, fmt.Errorf("sim: filtering %s/%d: %w", tr.App, tr.Execution, err)
 	}
-	rs.filtered = filtered
+	ps.filtered = filtered
 
-	ex := &rs.ex
-	if rs.slots == nil {
-		rs.slots = make(map[trace.PID]int32)
+	ex := &ps.ex
+	if ps.slots == nil {
+		ps.slots = make(map[trace.PID]int32)
 	} else {
-		clear(rs.slots)
+		clear(ps.slots)
 	}
 	ex.app = tr.App
 	ex.index = tr.Execution
@@ -131,7 +143,7 @@ func (rs *runState) prepare(tr *trace.Trace, cacheCfg fscache.Config) (*executio
 	ex.procs = ex.procs[:0]
 	ex.exits = ex.exits[:0]
 	ex.totalIOs = 0
-	ex.cacheStats = rs.cache.Stats()
+	ex.cacheStats = ps.cache.Stats()
 	ex.end = tr.Duration()
 
 	for _, e := range tr.Events {
@@ -140,10 +152,10 @@ func (rs *runState) prepare(tr *trace.Trace, cacheCfg fscache.Config) (*executio
 		}
 	}
 	slotOf := func(pid trace.PID) int32 {
-		s, ok := rs.slots[pid]
+		s, ok := ps.slots[pid]
 		if !ok {
 			s = int32(len(ex.procs))
-			rs.slots[pid] = s
+			ps.slots[pid] = s
 			ex.procs = append(ex.procs, procInfo{pid: pid, last: -1})
 		}
 		return s
@@ -170,11 +182,4 @@ func (rs *runState) prepare(tr *trace.Trace, cacheCfg fscache.Config) (*executio
 		}
 	}
 	return ex, nil
-}
-
-// prepare prepares one execution with fresh, unpooled state — the seam
-// for cold paths (the machine-engine cross-validator) that work outside a
-// RunSource loop.
-func prepare(tr *trace.Trace, cacheCfg fscache.Config) (*execution, error) {
-	return (&runState{}).prepare(tr, cacheCfg)
 }

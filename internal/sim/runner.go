@@ -111,16 +111,16 @@ type AppResult struct {
 // Runner executes policies over application traces.
 //
 // A Runner is safe for concurrent runs: cfg is immutable after
-// construction, and all per-run state (file cache, prepared execution,
-// predictors) lives in a pooled runState that one run owns at a time
-// (see getState). Traces are read only. The parallel experiment engine
+// construction, and all per-run state lives in pooled scratch that one
+// pass or machine owns at a time: the file cache and prepared execution
+// in a prepState, the predictors in a runState (see prepState). Traces are read only. The parallel experiment engine
 // (internal/experiments.RunMatrix) relies on this. Sources are
 // single-goroutine iterators, so concurrent runs need distinct Sources.
 type Runner struct {
 	cfg Config
-	// statePool recycles per-run scratch state (file cache arena, event
-	// buffers, per-pid maps) across RunSource calls, so repeated runs on
-	// one Runner allocate only what a single run's high-water mark needs.
+	// statePool recycles machines' step state (slot-indexed slices)
+	// across passes; prepared-execution buffers come from the shared
+	// prepPool.
 	statePool sync.Pool
 }
 
@@ -222,11 +222,17 @@ func RunCells(src trace.Source, cells []Cell) ([]*AppResult, []error) {
 	return res, errs
 }
 
-// drive pulls each execution of src once, prepares it in the first live
-// machine's runState and steps every live (non-nil) machine through it.
-// The caller's finish surfaces source errors.
+// drive pulls each execution of src once, prepares it in one pooled
+// prepState under the first live machine's cache configuration and steps
+// every live (non-nil) machine through it. The caller's finish surfaces source errors.
 func drive(src trace.Source, ms []*machine) {
 	live := slices.DeleteFunc(slices.Clone(ms), func(m *machine) bool { return m == nil })
+	if len(live) == 0 {
+		return
+	}
+	cacheCfg := live[0].r.cfg.Cache
+	ps := getPrep()
+	defer prepPool.Put(ps)
 	for len(live) > 0 {
 		app, exec, ok := src.NextExec()
 		if !ok {
@@ -235,7 +241,7 @@ func drive(src trace.Source, ms []*machine) {
 		if live = slices.DeleteFunc(live, func(m *machine) bool { return !m.advance(app) }); len(live) == 0 {
 			return
 		}
-		ex, err := live[0].load(app, exec)
+		ex, err := ps.prepare(&trace.Trace{App: app, Execution: exec, Events: src.ExecEvents()}, cacheCfg)
 		if err != nil {
 			for _, m := range live {
 				m.fail(err)

@@ -196,7 +196,7 @@ func checkPrepared(t *testing.T, ex *execution) {
 // TestPrepareMatchesBruteForce checks prepare's slot and nextLocal indexes
 // on a hand trace (fork, exit, flush-daemon writes, interleaved pids) and
 // on the first execution of every application, preparing each twice in
-// one runState so the second pass reuses the first's buffers.
+// one prepState so the second pass reuses the first's buffers.
 func TestPrepareMatchesBruteForce(t *testing.T) {
 	var ev slotEvents
 	ev.io(0, 3)
@@ -214,11 +214,11 @@ func TestPrepareMatchesBruteForce(t *testing.T) {
 	for _, app := range workload.Apps() {
 		traces = append(traces, app.Trace(1, 0))
 	}
-	var rs runState
+	var ps prepState
 	for _, tr := range traces {
 		t.Run(tr.App, func(t *testing.T) {
 			for pass := 0; pass < 2; pass++ {
-				ex, err := rs.prepare(tr, DefaultConfig().Cache)
+				ex, err := ps.prepare(tr, DefaultConfig().Cache)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -226,7 +226,7 @@ func TestPrepareMatchesBruteForce(t *testing.T) {
 			}
 		})
 	}
-	ex, err := rs.prepare(traces[0], DefaultConfig().Cache)
+	ex, err := ps.prepare(traces[0], DefaultConfig().Cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,5 +236,35 @@ func TestPrepareMatchesBruteForce(t *testing.T) {
 	}
 	if want := []trace.PID{3, 4, fscache.KernelFlushPID}; fmt.Sprint(pids) != fmt.Sprint(want) {
 		t.Errorf("hand trace slots hold pids %v, want %v in first-sighting order", pids, want)
+	}
+}
+
+// TestPrepStateFollowsCacheConfig: every runner draws from one pool of
+// prepStates, so a state last used under one file cache configuration
+// must prepare under another exactly as a fresh state does.
+func TestPrepStateFollowsCacheConfig(t *testing.T) {
+	app, _ := workload.ByName("mozilla")
+	tr := app.Trace(1, 0)
+	small := DefaultConfig().Cache
+	small.SizeBytes = small.BlockSize
+	var ps prepState
+	for _, cfg := range []fscache.Config{DefaultConfig().Cache, small, DefaultConfig().Cache} {
+		got, err := ps.prepare(tr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := new(prepState).prepare(tr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.accesses) != len(want.accesses) || got.cacheStats != want.cacheStats {
+			t.Errorf("cache %d B: reused state gives %d accesses %+v, fresh %d %+v",
+				cfg.SizeBytes, len(got.accesses), got.cacheStats, len(want.accesses), want.cacheStats)
+		}
+	}
+	if fresh, err := new(prepState).prepare(tr, small); err != nil {
+		t.Fatal(err)
+	} else if def, _ := new(prepState).prepare(tr, DefaultConfig().Cache); len(fresh.accesses) == len(def.accesses) {
+		t.Fatalf("a one-block cache does not change mozilla's disk accesses (%d); the check above proves nothing", len(def.accesses))
 	}
 }
