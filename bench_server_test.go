@@ -127,8 +127,9 @@ func BenchmarkPcapdSustained(b *testing.B) {
 		return nil
 	}
 
-	// Warmup primes the pooled job contexts (workload generation happens
-	// once, outside the measured window) and validates the wire path.
+	// Warmup primes the server's shared suite (workload generation and
+	// the retained cache-filtered executions happen once, outside the
+	// measured window) and validates the wire path.
 	if err := post(); err != nil {
 		b.Fatal(err)
 	}

@@ -125,11 +125,13 @@ wait "${pcapd_pid}"
 # filter is the allocation-sensitive hot path; BENCH_FILTER='.' sweeps
 # everything. SuiteParallel (the grouped full-matrix path),
 # FleetPeakHeap1k (the fleet's peak live heap, peak-heap-KB), Prefetch
-# (one app's three-prefetcher evaluation pass) and ReplayFourPolicies (a
-# four-policy replay job's one ReplayRows pass, without HTTP) are
-# recorded in the artifact but stay out of the gate metric list.
+# (one app's three-prefetcher evaluation pass), ReplayFourPolicies (a
+# four-policy replay job's one ReplayRows pass, without HTTP) and
+# EvalRetained (a capped four-policy eval job repeated over one retaining
+# suite, without HTTP) are recorded in the artifact but stay out of the
+# gate metric list.
 bench_artifact="${BENCH_ARTIFACT:-bench.txt}"
-bench_filter="${BENCH_FILTER:-FSCache|TableTrain|TableLookup|CacheFilter|RunApp(Materialized|Streaming)\$|FullSimulation|PCAPOnAccess\$|DecodeV2\$|DecodeV2(Parallel|Pushdown)\$|Fleet(1k|10k)\$|FleetReplay1k\$|FleetPeakHeap1k\$|PcapdSustained\$|Counters(Coalesced|Atomic|Mutex)\$|SuiteParallel\$|Prefetch\$|ReplayFourPolicies\$}"
+bench_filter="${BENCH_FILTER:-FSCache|TableTrain|TableLookup|CacheFilter|RunApp(Materialized|Streaming)\$|FullSimulation|PCAPOnAccess\$|DecodeV2\$|DecodeV2(Parallel|Pushdown)\$|Fleet(1k|10k)\$|FleetReplay1k\$|FleetPeakHeap1k\$|PcapdSustained\$|Counters(Coalesced|Atomic|Mutex)\$|SuiteParallel\$|Prefetch\$|ReplayFourPolicies\$|EvalRetained\$}"
 echo "== go test -bench (hot path) -benchmem (artifact: ${bench_artifact})"
 if go test -run '^$' -bench "${bench_filter}" -benchmem -benchtime "${BENCH_TIME:-1s}" . >"${bench_artifact}" 2>&1; then
 	# PcaplintFull runs in its own process, appended to the artifact: it

@@ -128,6 +128,14 @@ func (s *Suite) Scale() int { return s.scale }
 // it before the first run.
 func (s *Suite) SetOnDemand(v bool) { s.traces.SetOnDemand(v) }
 
+// RetainPrepared makes the suite's runner keep every pinned execution
+// it prepares (sim.Runner.RetainPrepared), so repeated runs over the
+// same traces skip the file-cache filter. It suits a long-lived owner
+// that replays the same workloads again and again, as pcapd's shared
+// suites do; a suite that runs each cell once gains nothing and pays the
+// memory. Like SetScale, call it before the first run.
+func (s *Suite) RetainPrepared() { s.runner.RetainPrepared() }
+
 // OnDemand reports whether the suite streams workloads on demand.
 func (s *Suite) OnDemand() bool { return s.traces.OnDemand() }
 

@@ -329,14 +329,14 @@ func (j *Job) view() View {
 
 // execute dispatches a job to its kind's runner. The returned string is
 // the job's Output.
-func (s *Server) execute(ctx context.Context, job *Job, jc *jobContext) (string, error) {
+func (s *Server) execute(ctx context.Context, job *Job, local *stats.Local) (string, error) {
 	switch job.Spec.Kind {
 	case KindEval:
-		return s.runEval(ctx, job, jc)
+		return s.runEval(ctx, job, local)
 	case KindReplay:
-		return s.runReplay(ctx, job, jc)
+		return s.runReplay(ctx, job, local)
 	case KindFleet:
-		return s.runFleet(ctx, job, jc)
+		return s.runFleet(ctx, job, local)
 	default:
 		return "", fmt.Errorf("unknown job kind %q", job.Spec.Kind) // unreachable past validate
 	}
@@ -345,9 +345,9 @@ func (s *Server) execute(ctx context.Context, job *Job, jc *jobContext) (string,
 // runEval runs a named app's workload through the named policies — the
 // server-side twin of the CLI's per-app experiment path. Output equals
 // "eval <app>\n\n" + the same table ReplaySource renders locally.
-func (s *Server) runEval(ctx context.Context, job *Job, jc *jobContext) (string, error) {
+func (s *Server) runEval(ctx context.Context, job *Job, local *stats.Local) (string, error) {
 	spec := &job.Spec
-	suite, err := jc.suite(spec.seed(), spec.Scale)
+	suite, err := s.suites.get(spec.seed(), spec.Scale)
 	if err != nil {
 		return "", err
 	}
@@ -359,7 +359,7 @@ func (s *Server) runEval(ctx context.Context, job *Job, jc *jobContext) (string,
 	if spec.Execs > 0 {
 		src = trace.LimitExecs(src, spec.Execs)
 	}
-	rows, err := replayRows(ctx, suite, src, job, jc)
+	rows, err := replayRows(ctx, suite, src, job, local)
 	if err != nil {
 		return "", err
 	}
@@ -369,9 +369,9 @@ func (s *Server) runEval(ctx context.Context, job *Job, jc *jobContext) (string,
 // runReplay replays a referenced or uploaded trace file under the named
 // policies. Output is byte-identical to pcapsim -replay over the
 // resolved path.
-func (s *Server) runReplay(ctx context.Context, job *Job, jc *jobContext) (string, error) {
+func (s *Server) runReplay(ctx context.Context, job *Job, local *stats.Local) (string, error) {
 	spec := &job.Spec
-	suite, err := jc.suite(spec.seed(), 1)
+	suite, err := s.suites.get(spec.seed(), 1)
 	if err != nil {
 		return "", err
 	}
@@ -388,7 +388,7 @@ func (s *Server) runReplay(ctx context.Context, job *Job, jc *jobContext) (strin
 	if spec.Execs > 0 {
 		src = trace.LimitExecs(src, spec.Execs)
 	}
-	rows, err := replayRows(ctx, suite, src, job, jc)
+	rows, err := replayRows(ctx, suite, src, job, local)
 	if err != nil {
 		return "", err
 	}
@@ -397,14 +397,14 @@ func (s *Server) runReplay(ctx context.Context, job *Job, jc *jobContext) (strin
 
 // replayRows runs the job's policies over src in one metered ReplayRows
 // pass, then accounts each policy's energy and completion.
-func replayRows(ctx context.Context, suite *experiments.Suite, src trace.Source, job *Job, jc *jobContext) ([]experiments.ReplayRow, error) {
+func replayRows(ctx context.Context, suite *experiments.Suite, src trace.Source, job *Job, local *stats.Local) ([]experiments.ReplayRow, error) {
 	policies := cmp.Or(len(job.Spec.Policies), len(experiments.DefaultReplayPolicies))
-	rows, err := suite.ReplayRows(newMeter(ctx, src, jc.local, job, policies), job.Spec.Policies)
+	rows, err := suite.ReplayRows(newMeter(ctx, src, local, job, policies), job.Spec.Policies)
 	if err != nil {
 		return nil, err
 	}
 	for _, row := range rows {
-		jc.local.AddEnergy(row.Result.Energy.Total())
+		local.AddEnergy(row.Result.Energy.Total())
 		job.progressed(0, 0, 0, row.Result.Energy.Total())
 		job.policyDone()
 	}
@@ -413,7 +413,7 @@ func replayRows(ctx context.Context, suite *experiments.Suite, src trace.Source,
 
 // runFleet runs one fleet per named policy. Output is byte-identical to
 // pcapsim -fleet with the same parameters.
-func (s *Server) runFleet(ctx context.Context, job *Job, jc *jobContext) (string, error) {
+func (s *Server) runFleet(ctx context.Context, job *Job, local *stats.Local) (string, error) {
 	spec := &job.Spec
 	mix, err := fleet.ParseMix(spec.Mix)
 	if err != nil {
@@ -433,10 +433,10 @@ func (s *Server) runFleet(ctx context.Context, job *Job, jc *jobContext) (string
 		// Observe runs on this goroutine during each run's fold, so the
 		// single-owner stats shard is safe to touch here.
 		Observe: func(id int, res *sim.AppResult) {
-			jc.local.AddMachines(1)
-			jc.local.AddEvents(int64(res.TotalIOs))
-			jc.local.AddExecs(int64(res.Executions))
-			jc.local.AddEnergy(res.Energy.Total())
+			local.AddMachines(1)
+			local.AddEvents(int64(res.TotalIOs))
+			local.AddExecs(int64(res.Executions))
+			local.AddEnergy(res.Energy.Total())
 			job.progressed(int64(res.TotalIOs), int64(res.Executions), 1, res.Energy.Total())
 		},
 	}
@@ -509,6 +509,10 @@ func (m *meter) NextExec() (string, int, bool) {
 	}
 	return app, exec, ok
 }
+
+// PinnedTrace implements trace.Pinned, forwarding the inner source's
+// trace: metering never changes an execution.
+func (m *meter) PinnedTrace() *trace.Trace { return trace.PinnedTrace(m.Source) }
 
 func (m *meter) Err() error {
 	if m.err != nil {

@@ -1,8 +1,8 @@
 // Package server is pcapd's HTTP daemon: simulation as a service.
 //
 // The daemon accepts policy-evaluation, trace-replay and fleet jobs as
-// JSON, runs them on a bounded pool of workers with pooled, reusable job
-// contexts, and returns the exact same rendered reports the pcapsim CLI
+// JSON, runs them on a bounded pool of workers over shared experiment
+// suites, and returns the exact same rendered reports the pcapsim CLI
 // prints — byte for byte, at any worker count. Three design rules keep it
 // honest:
 //
@@ -13,12 +13,12 @@
 //     is byte-identical to the equivalent local run. The differential
 //     tests pin this. An eval or replay job is one ReplayRows pass.
 //
-//   - Pooled job contexts. Workers draw a jobContext — memoized
-//     experiment suites plus a private stats shard — from a sync.Pool and
-//     return it when the job ends, extending the runState pooling
-//     discipline (DESIGN.md §10) to whole jobs: a burst of jobs against
-//     the same seed reuses generated workloads instead of regenerating
-//     them per request.
+//   - One shared suite per seed. A server-wide registry holds one
+//     experiment suite per (seed, scale), at most eight, shared by every
+//     worker. Each suite retains the prepared execution of every pinned
+//     trace it replays (Suite.RetainPrepared), so jobs against the same
+//     seed reuse generated and cache-filtered workloads instead of
+//     redoing that work per request. Each worker owns its stats shard.
 //
 //   - Contention-free live counters. Per-job accounting flows through
 //     internal/server/stats Local shards (VSA-style delta coalescing) and
@@ -31,7 +31,7 @@
 // synchronous requests — the client connection, and that context is
 // threaded through the simulation itself (the meter source for
 // eval/replay, fleet.Config.Interrupt for fleets), so a disconnected
-// client frees its worker and pooled context promptly.
+// client frees its worker promptly.
 package server
 
 import (
@@ -74,7 +74,7 @@ type Server struct {
 	cfg      Config
 	mux      *http.ServeMux
 	queue    chan *Job
-	ctxPool  sync.Pool
+	suites   suiteRegistry
 	counters stats.Counters
 
 	// baseCtx parents every job context; cancel it to abort running jobs.
@@ -113,12 +113,6 @@ func New(cfg Config) (*Server, error) {
 		jobs:      make(map[string]*Job),
 		uploads:   make(map[string]string),
 	}
-	s.ctxPool.New = func() any {
-		return &jobContext{
-			suites: make(map[suiteKey]*experiments.Suite),
-			local:  stats.NewLocal(&s.counters, stats.Options{MaxLag: time.Second}),
-		}
-	}
 	s.routes()
 	for w := 0; w < cfg.Workers; w++ {
 		s.wg.Add(1)
@@ -137,24 +131,20 @@ func (s *Server) Config() Config { return s.cfg }
 func (s *Server) Counters() *stats.Counters { return &s.counters }
 
 // worker is one pool goroutine: it drains the job queue until the queue
-// closes, running each job inside a pooled jobContext.
+// closes, running each job with the worker's own stats shard.
 func (s *Server) worker() {
 	defer s.wg.Done()
+	local := stats.NewLocal(&s.counters, stats.Options{MaxLag: time.Second})
 	for job := range s.queue {
-		s.runJob(job)
+		s.runJob(job, local)
 	}
 }
 
-// runJob executes one job inside a pooled context. The jobContext is
-// drawn from and returned to the pool here — never retained past the
-// job. The job's stats shard is flushed and its completion counted
-// before finish wakes the job's waiters, so a client that waited for the
-// job sees it in /stats, and a parked context holds no uncommitted
-// counter deltas.
-func (s *Server) runJob(job *Job) {
-	jc := s.ctxPool.Get().(*jobContext)
-	defer s.ctxPool.Put(jc)
-
+// runJob executes one job, counting into the worker's stats shard. The
+// shard is flushed and the job's completion counted before finish wakes
+// the job's waiters, so a client that waited for the job sees it in
+// /stats, and an idle worker holds no uncommitted counter deltas.
+func (s *Server) runJob(job *Job, local *stats.Local) {
 	if !job.start() {
 		return // canceled while queued
 	}
@@ -166,7 +156,7 @@ func (s *Server) runJob(job *Job) {
 	}
 	ctx, cancel := context.WithTimeout(s.baseCtx, timeout)
 	job.bindCancel(cancel)
-	out, err := s.execute(ctx, job, jc)
+	out, err := s.execute(ctx, job, local)
 	cancel()
 
 	state, msg := StateDone, ""
@@ -179,40 +169,43 @@ func (s *Server) runJob(job *Job) {
 	default:
 		state, out, msg = StateFailed, "", err.Error()
 	}
-	jc.local.Flush()
+	local.Flush()
 	s.counters.JobDone(err != nil)
 	job.finish(state, out, msg)
 }
 
-// suiteKey identifies a reusable experiment suite inside a jobContext.
-// Scale is part of the key because a Suite memoizes results per scale.
+// suiteKey identifies a shared experiment suite. Scale is part of the
+// key because a Suite memoizes results per scale.
 type suiteKey struct {
 	seed  uint64
 	scale int
 }
 
-// maxPooledSuites bounds a parked context's memoized suites so a pool of
-// contexts cannot accumulate one workload cache per distinct seed ever
-// seen.
-const maxPooledSuites = 8
+// maxSuites bounds the registry so the server cannot accumulate one
+// workload cache per distinct seed ever seen.
+const maxSuites = 8
 
-// jobContext is one worker's reusable job state: memoized experiment
-// suites keyed by (seed, scale) and a private stats shard. It is
-// single-owner while held — exactly a pooled runState writ large — and
-// crosses goroutines only through the pool's happens-before edges.
-type jobContext struct {
+// suiteRegistry holds the server's shared experiment suites, one per
+// (seed, scale), each retaining its prepared executions
+// (Suite.RetainPrepared). Every worker reads the same suites, so a
+// trace is generated, pinned and cache-filtered once for the whole
+// server, not once per worker. A Suite is safe for concurrent use.
+type suiteRegistry struct {
+	mu     sync.Mutex
 	suites map[suiteKey]*experiments.Suite
-	local  *stats.Local
 }
 
-// suite returns the context's memoized suite for (seed, scale), building
-// it on first use.
-func (jc *jobContext) suite(seed uint64, scale int) (*experiments.Suite, error) {
+// get returns the shared suite for (seed, scale), building it on first
+// use. A full registry is emptied first; jobs running on a dropped suite
+// keep their reference and finish on it.
+func (sr *suiteRegistry) get(seed uint64, scale int) (*experiments.Suite, error) {
 	if scale < 1 {
 		scale = 1
 	}
 	key := suiteKey{seed: seed, scale: scale}
-	if st, ok := jc.suites[key]; ok {
+	sr.mu.Lock()
+	defer sr.mu.Unlock()
+	if st, ok := sr.suites[key]; ok {
 		return st, nil
 	}
 	st, err := experiments.NewSuite(seed, sim.DefaultConfig())
@@ -220,10 +213,11 @@ func (jc *jobContext) suite(seed uint64, scale int) (*experiments.Suite, error) 
 		return nil, err
 	}
 	st.SetScale(scale)
-	if len(jc.suites) >= maxPooledSuites {
-		clear(jc.suites)
+	st.RetainPrepared()
+	if sr.suites == nil || len(sr.suites) >= maxSuites {
+		sr.suites = make(map[suiteKey]*experiments.Suite)
 	}
-	jc.suites[key] = st
+	sr.suites[key] = st
 	return st, nil
 }
 
@@ -256,6 +250,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	job, err := s.enqueue(&spec)
 	if err != nil {
+		if errors.Is(err, errQueueFull) {
+			// Overload is transient, unlike draining: invite a retry.
+			w.Header().Set("Retry-After", "1")
+		}
 		httpError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
@@ -274,7 +272,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, job.view())
 }
 
-// enqueue registers a job and places it on the bounded queue.
+// errQueueFull rejects a submission that finds the bounded queue full.
+var errQueueFull = errors.New("job queue full")
+
+// enqueue registers a job and places it on the bounded queue. A full
+// queue fails with errQueueFull.
 func (s *Server) enqueue(spec *JobSpec) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -287,7 +289,7 @@ func (s *Server) enqueue(spec *JobSpec) (*Job, error) {
 	case s.queue <- job:
 	default:
 		s.jobSeq--
-		return nil, fmt.Errorf("job queue full (%d queued)", cap(s.queue))
+		return nil, fmt.Errorf("%w (%d queued)", errQueueFull, cap(s.queue))
 	}
 	s.jobs[job.ID] = job
 	s.jobOrder = append(s.jobOrder, job.ID)

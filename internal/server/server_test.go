@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -18,6 +19,7 @@ import (
 
 	"pcapsim/internal/experiments"
 	"pcapsim/internal/fleet"
+	"pcapsim/internal/server/stats"
 	"pcapsim/internal/sim"
 	"pcapsim/internal/trace"
 	"pcapsim/internal/workload"
@@ -28,6 +30,7 @@ import (
 // test.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
+	checkGoroutines(t)
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -42,6 +45,28 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 		}
 	})
 	return srv, hs
+}
+
+// checkGoroutines fails the test unless, after every cleanup the test
+// registers later (stopping its servers among them), the goroutine count
+// falls back to its value now within 2 s. Idle keep-alive connections of
+// the default client are closed first: their reader and writer
+// goroutines belong to the client, not to a leak.
+func checkGoroutines(t *testing.T) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		http.DefaultClient.CloseIdleConnections()
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			buf := make([]byte, 64<<10)
+			buf = buf[:runtime.Stack(buf, true)]
+			t.Errorf("%d goroutines 2 s after the server stopped, %d before:\n%s", n, before, buf)
+		}
+	})
 }
 
 // submitWait posts a job spec with ?wait=1 and decodes the final view.
@@ -285,7 +310,7 @@ func TestFleetMatchesLocal(t *testing.T) {
 // TestConcurrentJobsExactCounters is the server-level exactness test:
 // many identical jobs race across the pool (run under -race by ci.sh),
 // and the coalesced global counters must equal per-job totals times the
-// job count — no delta lost or doubled across pooled contexts.
+// job count — no delta lost or doubled across worker shards.
 func TestConcurrentJobsExactCounters(t *testing.T) {
 	srv, hs := newTestServer(t, Config{Workers: 4, QueueDepth: 64})
 
@@ -338,8 +363,8 @@ func TestConcurrentJobsExactCounters(t *testing.T) {
 }
 
 // TestClientDisconnectCancelsJob: a synchronous client that hangs up
-// mid-job must cancel it, and the worker (plus its pooled context) must
-// come back to serve later jobs.
+// mid-job must cancel it, and the worker must come back to serve later
+// jobs.
 func TestClientDisconnectCancelsJob(t *testing.T) {
 	srv, hs := newTestServer(t, Config{Workers: 1})
 
@@ -504,6 +529,9 @@ func TestQueueBoundsAndValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("overflow submission: status %d, want 503", resp.StatusCode)
 	}
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Errorf("overflow submission: Retry-After %q, want \"1\"", got)
+	}
 	for _, id := range []string{running.ID, queued.ID} {
 		cresp, err := http.Post(hs.URL+"/jobs/"+id+"/cancel", "", nil)
 		if err != nil {
@@ -525,8 +553,10 @@ func TestTraceDirEscapeRejected(t *testing.T) {
 }
 
 // TestGracefulShutdown: Shutdown rejects new work, finishes the backlog,
-// and leaves no workers behind.
+// and leaves no workers behind. A draining server's 503 invites no
+// retry.
 func TestGracefulShutdown(t *testing.T) {
+	checkGoroutines(t)
 	srv, err := New(Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -560,6 +590,9 @@ func TestGracefulShutdown(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("post-shutdown submission: status %d, want 503", resp.StatusCode)
+	}
+	if got, ok := resp.Header["Retry-After"]; ok {
+		t.Errorf("post-shutdown submission: Retry-After %q, want none", got)
 	}
 	if err := srv.Shutdown(ctx); err == nil {
 		t.Error("second Shutdown should report an error")
@@ -723,5 +756,57 @@ func TestCancelReplayMidPass(t *testing.T) {
 	next := submitWait(t, hs.URL, JobSpec{Kind: KindEval, App: "nedit", Policies: []string{"base"}, Execs: 2})
 	if next.State != StateDone {
 		t.Errorf("follow-up job state = %q, error = %q", next.State, next.Error)
+	}
+}
+
+// TestMeterForwardsPinnedTrace: the meter lends the pinned traces of the
+// capped eval source it wraps, so a shared suite's retained executions
+// serve metered jobs.
+func TestMeterForwardsPinnedTrace(t *testing.T) {
+	suite, err := experiments.NewSuite(experiments.DefaultSeed, sim.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, _ := workload.ByName("nedit")
+	all := suite.Traces(app)
+	var counters stats.Counters
+	m := newMeter(context.Background(), trace.LimitExecs(suite.SourceFor(app), 2),
+		stats.NewLocal(&counters, stats.Options{}), newJob("j1", &JobSpec{}), 1)
+	n := 0
+	for ; ; n++ {
+		if _, _, ok := m.NextExec(); !ok {
+			break
+		}
+		if p := trace.PinnedTrace(m); p != all[n] || &p.Events[0] != &m.ExecEvents()[0] {
+			t.Fatalf("execution %d: meter lends pinned trace %p, want the suite's %p", n, p, all[n])
+		}
+	}
+	if n != 2 {
+		t.Errorf("metered %d executions, want 2", n)
+	}
+}
+
+// TestSuiteRegistry: every request for one (seed, scale) gets the same
+// shared suite, scales below 1 share scale 1's, and the registry never
+// holds more than maxSuites.
+func TestSuiteRegistry(t *testing.T) {
+	var sr suiteRegistry
+	a, err := sr.get(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := sr.get(1, 1); b != a {
+		t.Error("scale 0 and scale 1 got different suites")
+	}
+	if c, _ := sr.get(2, 1); c == a {
+		t.Error("two seeds share a suite")
+	}
+	for seed := uint64(1); seed <= 3*maxSuites; seed++ {
+		if _, err := sr.get(seed, 2); err != nil {
+			t.Fatal(err)
+		}
+		if len(sr.suites) > maxSuites {
+			t.Fatalf("registry holds %d suites, cap %d", len(sr.suites), maxSuites)
+		}
 	}
 }

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"pcapsim/internal/fscache"
 	"pcapsim/internal/predictor"
@@ -182,4 +184,77 @@ func (ps *prepState) prepare(tr *trace.Trace, cacheCfg fscache.Config) (*executi
 		}
 	}
 	return ex, nil
+}
+
+// retained keeps the prepared execution of every pinned trace (see
+// trace.Pinned) a retaining runner's passes read, so later passes over
+// the same trace skip the file-cache filter and the indexing. Each entry
+// is prepared once, under singleflight, into exact-length slices that
+// share nothing with pooled prepState memory; passes then read it
+// concurrently and never write it. Entries live as long as the runner,
+// and the map key pins the trace itself.
+type retained struct {
+	mu       sync.Mutex
+	m        map[*trace.Trace]*retainedExec
+	prepares atomic.Int64
+}
+
+type retainedExec struct {
+	once sync.Once
+	ex   *execution
+	err  error
+}
+
+// RetainPrepared makes the runner keep the prepared execution of every
+// pinned trace its passes read (see trace.Pinned), for the runner's
+// lifetime. It trades memory, about 52 bytes per disk access kept, for
+// skipping the file-cache filter when the same traces are replayed
+// again, as a long-lived server does. Call it before the runner's first
+// pass.
+func (r *Runner) RetainPrepared() {
+	r.kept = &retained{m: make(map[*trace.Trace]*retainedExec)}
+}
+
+// RetainedPrepares reports how many executions a retaining runner has
+// prepared and kept: one per distinct pinned trace, however many passes
+// read it. It is 0 for a runner that does not retain.
+func (r *Runner) RetainedPrepares() int64 {
+	if r.kept == nil {
+		return 0
+	}
+	return r.kept.prepares.Load()
+}
+
+// get returns tr's retained execution, preparing it on first use.
+func (k *retained) get(tr *trace.Trace, cacheCfg fscache.Config) (*execution, error) {
+	k.mu.Lock()
+	e, ok := k.m[tr]
+	if !ok {
+		e = &retainedExec{}
+		k.m[tr] = e
+	}
+	k.mu.Unlock()
+	e.once.Do(func() {
+		k.prepares.Add(1)
+		ps := getPrep()
+		defer prepPool.Put(ps)
+		ex, err := ps.prepare(tr, cacheCfg)
+		if err != nil {
+			e.err = err
+			return
+		}
+		e.ex = ex.clone()
+	})
+	return e.ex, e.err
+}
+
+// clone copies a prepared execution into fresh exact-length slices.
+func (ex *execution) clone() *execution {
+	c := *ex
+	c.accesses = slices.Clone(ex.accesses)
+	c.slot = slices.Clone(ex.slot)
+	c.nextLocal = slices.Clone(ex.nextLocal)
+	c.procs = slices.Clone(ex.procs)
+	c.exits = slices.Clone(ex.exits)
+	return &c
 }

@@ -113,7 +113,9 @@ type AppResult struct {
 // A Runner is safe for concurrent runs: cfg is immutable after
 // construction, and all per-run state lives in pooled scratch that one
 // pass or machine owns at a time: the file cache and prepared execution
-// in a prepState, the predictors in a runState (see prepState). Traces are read only. The parallel experiment engine
+// in a prepState, the predictors in a runState (see prepState). Traces,
+// and the executions a retaining runner keeps (RetainPrepared), are read
+// only. The parallel experiment engine
 // (internal/experiments.RunMatrix) relies on this. Sources are
 // single-goroutine iterators, so concurrent runs need distinct Sources.
 type Runner struct {
@@ -122,6 +124,9 @@ type Runner struct {
 	// across passes; prepared-execution buffers come from the shared
 	// prepPool.
 	statePool sync.Pool
+	// kept, if set by RetainPrepared, holds the prepared executions of
+	// the pinned traces the runner's passes read.
+	kept *retained
 }
 
 // NewRunner returns a Runner, validating the configuration.
@@ -222,15 +227,18 @@ func RunCells(src trace.Source, cells []Cell) ([]*AppResult, []error) {
 	return res, errs
 }
 
-// drive pulls each execution of src once, prepares it in one pooled
-// prepState under the first live machine's cache configuration and steps
-// every live (non-nil) machine through it. The caller's finish surfaces source errors.
+// drive pulls each execution of src once, prepares it under the first
+// live machine's cache configuration and steps every live (non-nil)
+// machine through it. A pinned trace (trace.Pinned) read through a
+// retaining runner reuses that runner's retained execution; any other
+// execution is prepared in one pooled prepState. The caller's finish
+// surfaces source errors.
 func drive(src trace.Source, ms []*machine) {
 	live := slices.DeleteFunc(slices.Clone(ms), func(m *machine) bool { return m == nil })
 	if len(live) == 0 {
 		return
 	}
-	cacheCfg := live[0].r.cfg.Cache
+	cacheCfg, kept := live[0].r.cfg.Cache, live[0].r.kept
 	ps := getPrep()
 	defer prepPool.Put(ps)
 	for len(live) > 0 {
@@ -241,7 +249,13 @@ func drive(src trace.Source, ms []*machine) {
 		if live = slices.DeleteFunc(live, func(m *machine) bool { return !m.advance(app) }); len(live) == 0 {
 			return
 		}
-		ex, err := ps.prepare(&trace.Trace{App: app, Execution: exec, Events: src.ExecEvents()}, cacheCfg)
+		var ex *execution
+		var err error
+		if tr := trace.PinnedTrace(src); kept != nil && tr != nil {
+			ex, err = kept.get(tr, cacheCfg)
+		} else {
+			ex, err = ps.prepare(&trace.Trace{App: app, Execution: exec, Events: src.ExecEvents()}, cacheCfg)
+		}
 		if err != nil {
 			for _, m := range live {
 				m.fail(err)

@@ -80,7 +80,7 @@ func TestOpenTraceFileBadFormat(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		fs, err := OpenTraceFile(path)
+		fs, err := OpenTraceFileOpts(path, OpenOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,16 +41,12 @@ func (fs *FileSource) Close() error {
 // Name returns the path the source was opened from.
 func (fs *FileSource) Name() string { return fs.f.Name() }
 
-// OpenTraceFile opens path and returns a streaming, resettable Source
-// over it, sniffing the format (v2 columnar or text) from the file's
-// first bytes. The caller owns the Close.
-func OpenTraceFile(path string) (*FileSource, error) {
-	return OpenTraceFileOpts(path, OpenOptions{})
-}
-
-// OpenTraceFileOpts is OpenTraceFile with decode options: parallel
-// block decode and predicate pushdown for v2 files, exact filtering
-// everywhere. The zero OpenOptions is exactly OpenTraceFile.
+// OpenTraceFileOpts opens path and returns a streaming, resettable
+// Source over it, sniffing the format (v2 columnar or text) from the
+// file's first bytes. opts select parallel block decode and predicate
+// pushdown for v2 files, with exact filtering everywhere; the zero
+// OpenOptions is the sequential, unfiltered reader. The caller owns the
+// Close.
 func OpenTraceFileOpts(path string, opts OpenOptions) (*FileSource, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -35,6 +35,27 @@ type Source interface {
 	Reset() error
 }
 
+// Pinned is implemented by sources whose executions are immutable
+// traces that outlive the pass, such as a trace cache's pinned entries.
+// PinnedTrace returns the current execution as that trace, whose Events
+// are the very slice ExecEvents lends, or nil when the current execution
+// has no such trace. A consumer may keep state derived from a pinned
+// trace, keyed by its pointer, for as long as it likes. Wrappers that
+// pass executions through unchanged forward it; sources that decode,
+// filter, warp or regenerate do not implement it.
+type Pinned interface {
+	PinnedTrace() *Trace
+}
+
+// PinnedTrace returns src's current execution as an immutable pinned
+// trace, or nil if src lends none (see Pinned).
+func PinnedTrace(src Source) *Trace {
+	if p, ok := src.(Pinned); ok {
+		return p.PinnedTrace()
+	}
+	return nil
+}
+
 // SliceSource adapts materialized traces to the Source interface — the
 // back-compatibility bridge between []*Trace workloads and streaming
 // consumers. The traces are shared read-only, never copied.
@@ -105,8 +126,8 @@ type limitExecsSource struct {
 
 // LimitExecs returns a source yielding only the first n executions of
 // src, used to carve bounded jobs out of large workloads (pcapd's
-// per-job execution cap). The surviving executions' slices pass through
-// unchanged.
+// per-job execution cap). The surviving executions' slices, and their
+// pinned traces (see Pinned), pass through unchanged.
 func LimitExecs(src Source, n int) Source {
 	if n < 0 {
 		n = 0
@@ -124,6 +145,9 @@ func (l *limitExecsSource) NextExec() (string, int, bool) {
 	}
 	return app, exec, ok
 }
+
+// PinnedTrace implements Pinned, forwarding the inner source's trace.
+func (l *limitExecsSource) PinnedTrace() *Trace { return PinnedTrace(l.Source) }
 
 func (l *limitExecsSource) Reset() error {
 	l.seen = 0

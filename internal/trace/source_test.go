@@ -379,7 +379,9 @@ func TestCollectRoundTripsSliceSource(t *testing.T) {
 // TestSourceContract holds every Source implementation to the one read
 // path: NextExec loads an execution whole, ExecEvents lends it as one
 // slice that stays the same and unchanged until the next NextExec, and
-// Reset replays the workload identically.
+// Reset replays the workload identically. A source that lends pinned
+// traces lends ExecEvents' own backing array, LimitExecs forwards them,
+// and Scale(n > 1) and the decoding sources lend none.
 func TestSourceContract(t *testing.T) {
 	b := seedTraceV2()
 	b.App, b.Execution = "other", 5
@@ -417,19 +419,22 @@ func TestSourceContract(t *testing.T) {
 		}
 	}
 
+	// pinned marks the sources that lend each execution as a pinned
+	// trace (Pinned); every other source must lend none.
 	cases := []struct {
-		name string
-		open func(t *testing.T) Source
-		want []*Trace
+		name   string
+		open   func(t *testing.T) Source
+		want   []*Trace
+		pinned bool
 	}{
-		{"SliceSource", func(*testing.T) Source { return NewSliceSource(ref...) }, ref},
-		{"TextDecoder", func(*testing.T) Source { return NewTextDecoder(bytes.NewReader(text.Bytes())) }, ref},
-		{"BlockSource", func(*testing.T) Source { return NewBlockSource(bytes.NewReader(v2)) }, ref},
-		{"ParallelSource-1", func(t *testing.T) Source { return parallelSource(t, v2, 1) }, ref},
-		{"ParallelSource-4", func(t *testing.T) Source { return parallelSource(t, v2, 4) }, ref},
-		{"FilterEvents", func(*testing.T) Source { return FilterEvents(NewBlockSource(bytes.NewReader(v2)), pred) }, filtered},
-		{"LimitExecs", func(*testing.T) Source { return LimitExecs(NewSliceSource(ref...), 2) }, ref[:2]},
-		{"Scale", func(*testing.T) Source { return Scale(NewSliceSource(ref...), 2) }, scaled},
+		{"SliceSource", func(*testing.T) Source { return NewSliceSource(ref...) }, ref, false},
+		{"TextDecoder", func(*testing.T) Source { return NewTextDecoder(bytes.NewReader(text.Bytes())) }, ref, false},
+		{"BlockSource", func(*testing.T) Source { return NewBlockSource(bytes.NewReader(v2)) }, ref, false},
+		{"ParallelSource-1", func(t *testing.T) Source { return parallelSource(t, v2, 1) }, ref, false},
+		{"ParallelSource-4", func(t *testing.T) Source { return parallelSource(t, v2, 4) }, ref, false},
+		{"FilterEvents", func(*testing.T) Source { return FilterEvents(NewBlockSource(bytes.NewReader(v2)), pred) }, filtered, false},
+		{"LimitExecs", func(*testing.T) Source { return LimitExecs(NewSliceSource(ref...), 2) }, ref[:2], false},
+		{"Scale", func(*testing.T) Source { return Scale(NewSliceSource(ref...), 2) }, scaled, false},
 		{"OpenTraceFileOpts", func(t *testing.T) Source {
 			fs, err := OpenTraceFileOpts(path, OpenOptions{Workers: 2, Pred: pred})
 			if err != nil {
@@ -437,7 +442,10 @@ func TestSourceContract(t *testing.T) {
 			}
 			t.Cleanup(func() { fs.Close() })
 			return fs
-		}, filtered},
+		}, filtered, false},
+		{"Pinned", func(*testing.T) Source { return newPinnedSource(ref...) }, ref, true},
+		{"LimitExecs-Pinned", func(*testing.T) Source { return LimitExecs(newPinnedSource(ref...), 2) }, ref[:2], true},
+		{"Scale-Pinned", func(*testing.T) Source { return Scale(newPinnedSource(ref...), 2) }, scaled, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -466,6 +474,13 @@ func TestSourceContract(t *testing.T) {
 					if !slices.Equal(again, got.Events) {
 						t.Fatalf("pass %d: execution %d: the lent slice changed before the next NextExec", pass, i)
 					}
+					switch p := PinnedTrace(src); {
+					case !c.pinned && p != nil:
+						t.Fatalf("pass %d: execution %d: lent a pinned trace", pass, i)
+					case c.pinned && (p == nil || p.App != app || p.Execution != exec ||
+						len(p.Events) != len(events) || len(events) > 0 && &p.Events[0] != &events[0]):
+						t.Fatalf("pass %d: execution %d: pinned trace %v does not lend ExecEvents' backing array", pass, i, p)
+					}
 				}
 				if _, _, ok := src.NextExec(); ok {
 					t.Fatalf("pass %d: more than %d executions", pass, len(c.want))
@@ -493,6 +508,21 @@ func TestSourceContract(t *testing.T) {
 			}
 		}
 	}
+}
+
+// pinnedSource is a SliceSource that lends its traces as pinned: the
+// trace cache's contract, without the cache.
+type pinnedSource struct{ *SliceSource }
+
+func newPinnedSource(traces ...*Trace) pinnedSource {
+	return pinnedSource{NewSliceSource(traces...)}
+}
+
+func (p pinnedSource) PinnedTrace() *Trace {
+	if p.cur < 0 || p.cur >= len(p.traces) {
+		return nil
+	}
+	return p.traces[p.cur]
 }
 
 // parallelSource opens a ParallelSource the test closes on cleanup.

@@ -38,9 +38,6 @@ func FromSeconds(s float64) Time {
 	return Time(s*1e6 + 0.5)
 }
 
-// FromDuration converts a time.Duration to a Time.
-func FromDuration(d time.Duration) Time { return Time(d / time.Microsecond) }
-
 // Seconds returns t as floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / 1e6 }
 

@@ -23,9 +23,6 @@ func TestTimeConversions(t *testing.T) {
 			t.Errorf("FromSeconds(%g) = %d, want %d", c.sec, got, c.want)
 		}
 	}
-	if got := FromDuration(2500 * time.Millisecond); got != 2500*Millisecond {
-		t.Errorf("FromDuration = %d", got)
-	}
 	if got := (3 * Second).Seconds(); got != 3.0 {
 		t.Errorf("Seconds = %g", got)
 	}

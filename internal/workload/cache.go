@@ -140,6 +140,10 @@ func (s *cacheSource) ExecEvents() []trace.Event {
 	return s.tr.Events
 }
 
+// PinnedTrace implements trace.Pinned: the current execution is the
+// cache's write-once trace, immutable for the cache's lifetime.
+func (s *cacheSource) PinnedTrace() *trace.Trace { return s.tr }
+
 // Err implements trace.Source; generation cannot fail.
 func (s *cacheSource) Err() error { return nil }
 

@@ -208,6 +208,32 @@ func TestTraceCacheCappedSource(t *testing.T) {
 	}
 }
 
+// TestTraceCachePinsTraces: a pinned-mode source lends each execution
+// as the cache's own trace (trace.Pinned), whose events are the slice
+// ExecEvents lends; an on-demand stream regenerates and lends none.
+func TestTraceCachePinsTraces(t *testing.T) {
+	c := NewTraceCache()
+	app, _ := ByName("nedit")
+	all := c.Traces(app, 3)
+	src := c.Source(app, 3)
+	for i := 0; ; i++ {
+		if _, _, ok := src.NextExec(); !ok {
+			break
+		}
+		if p := trace.PinnedTrace(src); p != all[i] || !sameEvents(p.Events, src.ExecEvents()) {
+			t.Fatalf("execution %d: pinned trace %p, want the cache's %p lending ExecEvents", i, p, all[i])
+		}
+	}
+	if p := trace.PinnedTrace(src); p != nil {
+		t.Errorf("exhausted source still pins execution %d", p.Execution)
+	}
+	c.SetOnDemand(true)
+	stream := c.Source(app, 3)
+	if _, _, ok := stream.NextExec(); !ok || trace.PinnedTrace(stream) != nil {
+		t.Errorf("on-demand stream lends a pinned trace")
+	}
+}
+
 // TestTraceCacheConcurrentExecs: sources (capped and whole) and Traces
 // callers racing on one cold (app, seed) generate each execution exactly
 // once and all see the same traces. Run it under -race.
