@@ -1069,7 +1069,7 @@ func BenchmarkPrefetch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs, err := prefetch.Evaluate(traces, 256, prefetch.None{},
+		rs, err := prefetch.EvaluateSource(trace.NewSliceSource(traces...), 256, prefetch.None{},
 			prefetch.NewGlobalReadahead(8), prefetch.NewPCReadahead(8))
 		if err != nil {
 			b.Fatal(err)

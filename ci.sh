@@ -22,6 +22,13 @@ fi
 echo "== go build ./..."
 go build ./...
 
+# Recorded, not gated: the net production Go line count (non-test .go
+# files outside perfbench/ and testdata/), so each change's delta is
+# visible in the CI log.
+prod_lines="$(find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' \
+	! -path '*/testdata/*' ! -path './.*' -exec cat {} + | wc -l | tr -d ' ')"
+echo "ci: production Go lines ${prod_lines}"
+
 echo "== go vet ./..."
 go vet ./...
 

@@ -239,6 +239,9 @@ func main() {
 			wanted = append(wanted, e)
 		}
 	}
+	if len(wanted) == 0 {
+		fatal(fmt.Errorf("-exp %q selects no experiment", *expFlag))
+	}
 
 	start := time.Now()
 	if *parallelFlag > 1 {
@@ -248,13 +251,11 @@ func main() {
 			fatal(err)
 		}
 	}
-	for _, e := range wanted {
-		out, err := suite.RenderExperiment(e, *barsFlag)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(out)
+	out, err := suite.RenderAll(*barsFlag, wanted...)
+	if err != nil {
+		fatal(err)
 	}
+	fmt.Print(out)
 	fmt.Fprintf(os.Stderr, "pcapsim: %d experiment(s) in %s (parallel=%d)\n",
 		len(wanted), time.Since(start).Round(time.Millisecond), *parallelFlag)
 }

@@ -1,11 +1,11 @@
 // Package disk models the power behaviour of a hard disk drive for
 // dynamic power management studies.
 //
-// The model is the analytic state machine the paper evaluates on (its
-// Table 2): a disk is either busy serving I/O, idle but spinning, in a
-// shutdown transition, standing by (spun down), or in a spin-up
-// transition. Energy is the integral of per-state power plus fixed
-// per-transition energies.
+// The model is the analytic power model the paper evaluates on (its
+// Table 2): a disk is busy serving I/O, idle but spinning, or standing by
+// (spun down), and every shutdown + spin-up cycle costs a fixed energy
+// and time. Energy is the integral of per-state power plus the fixed
+// per-cycle energies.
 package disk
 
 import (
@@ -136,41 +136,6 @@ func (p Params) ShutdownSavings(off trace.Time) float64 {
 	}
 	shutdownCost := p.CycleEnergy() + p.StandbyPower*standby.Seconds()
 	return idleCost - shutdownCost
-}
-
-// State enumerates disk power states.
-type State uint8
-
-// Disk power states.
-const (
-	// StateIdle: platters spinning, no I/O in service.
-	StateIdle State = iota
-	// StateBusy: serving I/O.
-	StateBusy
-	// StateShuttingDown: spinning down; cannot serve I/O.
-	StateShuttingDown
-	// StateStandby: spun down.
-	StateStandby
-	// StateSpinningUp: spinning up; cannot serve I/O yet.
-	StateSpinningUp
-)
-
-// String returns the state name.
-func (s State) String() string {
-	switch s {
-	case StateIdle:
-		return "idle"
-	case StateBusy:
-		return "busy"
-	case StateShuttingDown:
-		return "shutting-down"
-	case StateStandby:
-		return "standby"
-	case StateSpinningUp:
-		return "spinning-up"
-	default:
-		return fmt.Sprintf("state(%d)", uint8(s))
-	}
 }
 
 // EnergyBreakdown accumulates energy by accounting bucket (joules).

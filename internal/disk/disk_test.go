@@ -118,18 +118,3 @@ func TestEnergyBreakdown(t *testing.T) {
 		t.Errorf("after Add, Total = %g", b.Total())
 	}
 }
-
-func TestStateString(t *testing.T) {
-	want := map[State]string{
-		StateIdle: "idle", StateBusy: "busy", StateShuttingDown: "shutting-down",
-		StateStandby: "standby", StateSpinningUp: "spinning-up",
-	}
-	for s, w := range want {
-		if s.String() != w {
-			t.Errorf("%d = %q, want %q", s, s.String(), w)
-		}
-	}
-	if State(200).String() != "state(200)" {
-		t.Error("unknown state formatting")
-	}
-}

@@ -20,17 +20,3 @@ func Example() {
 	// 4 s off: -1.18 J
 	// 60 s off: +44.74 J
 }
-
-// ExampleMachine drives the state machine through a shutdown and wake-up.
-func ExampleMachine() {
-	m, _ := disk.NewMachine(disk.FujitsuMHF2043AT())
-	m.Shutdown(10 * trace.Second)
-	fmt.Println("state:", m.State())
-	done, _ := m.ServeIO(60*trace.Second, 100*trace.Millisecond)
-	fmt.Println("served at:", done.Duration()) // delayed by the 1.6 s spin-up
-	fmt.Println("cycles:", m.Cycles())
-	// Output:
-	// state: shutting-down
-	// served at: 1m1.7s
-	// cycles: 1
-}

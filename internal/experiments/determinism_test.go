@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -14,7 +13,6 @@ import (
 
 	"pcapsim/internal/core"
 	"pcapsim/internal/disk"
-	"pcapsim/internal/predictor"
 	"pcapsim/internal/sim"
 	"pcapsim/internal/trace"
 	"pcapsim/internal/workload"
@@ -278,9 +276,7 @@ func TestGroupCellErrors(t *testing.T) {
 				t.Fatal(err)
 			}
 			app, _ := workload.ByName("nedit")
-			boom := s.PolicyPCAP(core.VariantBase)
-			boom.Name = "boom"
-			boom.RoundTrip = func(predictor.Factory) (predictor.Factory, error) { return nil, errors.New("boom") }
+			boom := sim.Policy{Name: "boom"}
 			invalid := sim.Policy{Name: "invalid"}
 			good := []sim.Policy{s.PolicyTP(), s.PolicyPCAP(core.VariantBase)}
 

@@ -5,11 +5,8 @@
 package experiments
 
 import (
-	"bytes"
-
 	"pcapsim/internal/core"
 	"pcapsim/internal/ltree"
-	"pcapsim/internal/persist"
 	"pcapsim/internal/predictor"
 	"pcapsim/internal/sim"
 	"pcapsim/internal/trace"
@@ -197,25 +194,12 @@ func (s *Suite) PolicyTPWith(name string, timeout trace.Time) sim.Policy {
 	}
 }
 
-// PolicyLT is the Learning Tree with tree reuse across executions; the
-// reuse path round-trips the tree through its persistence format.
+// PolicyLT is the Learning Tree with tree reuse across executions.
 func (s *Suite) PolicyLT() sim.Policy {
 	return sim.Policy{
 		Name:       "LT",
 		NewFactory: func() predictor.Factory { return ltree.MustNew(s.ltConfig()) },
 		Reuse:      true,
-		RoundTrip: func(f predictor.Factory) (predictor.Factory, error) {
-			old := f.(*ltree.LT)
-			var buf bytes.Buffer
-			if err := persist.SaveTree(&buf, "", old); err != nil {
-				return nil, err
-			}
-			fresh := ltree.MustNew(s.ltConfig())
-			if err := persist.LoadTree(&buf, "", fresh); err != nil {
-				return nil, err
-			}
-			return fresh, nil
-		},
 	}
 }
 
@@ -246,25 +230,12 @@ func (s *Suite) waitWindow() trace.Time {
 	return w
 }
 
-// PolicyPCAP is a PCAP variant with prediction-table reuse; the reuse
-// path round-trips the table through the initialization-file format.
+// PolicyPCAP is a PCAP variant with prediction-table reuse.
 func (s *Suite) PolicyPCAP(v core.Variant) sim.Policy {
 	return sim.Policy{
 		Name:       v.String(),
 		NewFactory: func() predictor.Factory { return core.MustNew(s.pcapConfig(v)) },
 		Reuse:      true,
-		RoundTrip: func(f predictor.Factory) (predictor.Factory, error) {
-			old := f.(*core.PCAP)
-			var buf bytes.Buffer
-			if err := persist.SaveTable(&buf, "", old); err != nil {
-				return nil, err
-			}
-			fresh := core.MustNew(s.pcapConfig(v))
-			if err := persist.LoadTable(&buf, "", fresh); err != nil {
-				return nil, err
-			}
-			return fresh, nil
-		},
 	}
 }
 

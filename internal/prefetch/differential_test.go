@@ -167,7 +167,7 @@ func TestEvaluateMatchesReference(t *testing.T) {
 			degree := 1 + r.Intn(8)
 			// One pass feeds all three prefetchers; the oracle runs each
 			// alone on a fresh instance.
-			rs, err := Evaluate(traces, capBlocks, None{}, NewGlobalReadahead(degree), NewPCReadahead(degree))
+			rs, err := EvaluateSource(trace.NewSliceSource(traces...), capBlocks, None{}, NewGlobalReadahead(degree), NewPCReadahead(degree))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -26,9 +26,7 @@ func Example() {
 			})
 		}
 	}
-	traces := []*trace.Trace{tr}
-
-	rs, _ := prefetch.Evaluate(traces, 128, prefetch.NewGlobalReadahead(8), prefetch.NewPCReadahead(8))
+	rs, _ := prefetch.EvaluateSource(trace.NewSliceSource(tr), 128, prefetch.NewGlobalReadahead(8), prefetch.NewPCReadahead(8))
 	global, pc := rs[0], rs[1]
 	fmt.Printf("PC-blind readahead: %.0f%% misses\n", 100*global.MissRate())
 	fmt.Printf("PC-keyed readahead: %.0f%% misses\n", 100*pc.MissRate())

@@ -241,20 +241,15 @@ func (s *scorer) endExec() {
 	s.cache.Reset()
 }
 
-// Evaluate replays the I/O events of the given traces through one block
-// cache of capBlocks blocks per prefetcher and returns the scores in the
-// order of ps. Only reads participate (readahead does not interact
-// with the write-back path); multi-block reads are split per block by
-// fscache.SpanBlocks, as in the file cache simulator.
-func Evaluate(traces []*trace.Trace, capBlocks int, ps ...Prefetcher) ([]Result, error) {
-	return EvaluateSource(trace.NewSliceSource(traces...), capBlocks, ps...)
-}
-
-// EvaluateSource is Evaluate over a streaming trace source: each
-// execution is scored as it is pulled, in one pass that feeds every
-// prefetcher, so memory stays one execution whatever the workload
-// length. Each prefetcher has its own cache. Its learned state persists
-// across executions; its cache starts cold for each one.
+// EvaluateSource replays the I/O events of src through one block cache
+// of capBlocks blocks per prefetcher and returns the scores in the order
+// of ps. Only reads participate (readahead does not interact with the
+// write-back path); multi-block reads are split per block by
+// fscache.SpanBlocks, as in the file cache simulator. Each execution is
+// scored as it is pulled, in one pass that feeds every prefetcher, so
+// memory stays one execution whatever the workload length. A
+// prefetcher's learned state persists across executions; its cache
+// starts cold for each one.
 func EvaluateSource(src trace.Source, capBlocks int, ps ...Prefetcher) ([]Result, error) {
 	if capBlocks <= 0 {
 		return nil, fmt.Errorf("prefetch: cache capacity must be positive, got %d", capBlocks)

@@ -35,7 +35,7 @@ func seqTrace(interleaved bool, perStream int) *trace.Trace {
 }
 
 func TestNoPrefetchBaseline(t *testing.T) {
-	rs, err := Evaluate([]*trace.Trace{seqTrace(false, 50)}, 64, None{})
+	rs, err := EvaluateSource(trace.NewSliceSource(seqTrace(false, 50)), 64, None{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestNoPrefetchBaseline(t *testing.T) {
 }
 
 func TestGlobalReadaheadOnCleanStream(t *testing.T) {
-	rs, err := Evaluate([]*trace.Trace{seqTrace(false, 50)}, 64, NewGlobalReadahead(8))
+	rs, err := EvaluateSource(trace.NewSliceSource(seqTrace(false, 50)), 64, NewGlobalReadahead(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestGlobalReadaheadOnCleanStream(t *testing.T) {
 // score but leaves the per-PC contexts untouched.
 func TestPCBeatsGlobalOnInterleavedStreams(t *testing.T) {
 	traces := []*trace.Trace{seqTrace(true, 200)}
-	rs, err := Evaluate(traces, 128, NewGlobalReadahead(8), NewPCReadahead(8))
+	rs, err := EvaluateSource(trace.NewSliceSource(traces...), 128, NewGlobalReadahead(8), NewPCReadahead(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestPCReadaheadRandomSiteStaysQuiet(t *testing.T) {
 			PC: 0x300, FD: 3, Block: b, Size: 4096,
 		})
 	}
-	rs, err := Evaluate([]*trace.Trace{tr}, 64, NewPCReadahead(8))
+	rs, err := EvaluateSource(trace.NewSliceSource(tr), 64, NewPCReadahead(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestMultiBlockReadSpan(t *testing.T) {
 		Time: 1000, Pid: 1, Kind: trace.KindIO, Access: trace.AccessRead,
 		PC: 0x100, FD: 3, Block: 40, Size: 6000,
 	}}}
-	rs, err := Evaluate([]*trace.Trace{tr}, 64, None{})
+	rs, err := EvaluateSource(trace.NewSliceSource(tr), 64, None{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestMultiBlockReadSpan(t *testing.T) {
 }
 
 func TestEvaluateRejectsBadCapacity(t *testing.T) {
-	if _, err := Evaluate(nil, 0, None{}); err == nil {
+	if _, err := EvaluateSource(trace.NewSliceSource(), 0, None{}); err == nil {
 		t.Fatal("zero capacity accepted")
 	}
 }

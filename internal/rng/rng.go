@@ -8,8 +8,6 @@
 // generator whose output is pinned by golden tests.
 package rng
 
-import "math"
-
 // Source is a deterministic pseudo-random source. The zero value is not
 // usable; construct with New.
 type Source struct {
@@ -79,27 +77,6 @@ func (s *Source) Bool(p float64) bool {
 // Range returns a uniform float64 in [lo, hi).
 func (s *Source) Range(lo, hi float64) float64 {
 	return lo + (hi-lo)*s.Float64()
-}
-
-// Exp returns an exponentially distributed float64 with the given mean.
-func (s *Source) Exp(mean float64) float64 {
-	u := s.Float64()
-	if u >= 1 {
-		u = math.Nextafter(1, 0)
-	}
-	return -mean * math.Log(1-u)
-}
-
-// Normal returns a normally distributed float64 with the given mean and
-// standard deviation (Box–Muller).
-func (s *Source) Normal(mean, stddev float64) float64 {
-	u1 := s.Float64()
-	u2 := s.Float64()
-	if u1 < 1e-300 {
-		u1 = 1e-300
-	}
-	r := math.Sqrt(-2 * math.Log(u1))
-	return mean + stddev*r*math.Cos(2*math.Pi*u2)
 }
 
 // Pick returns a random index weighted by weights. Zero or negative

@@ -110,42 +110,6 @@ func TestBool(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	s := New(8)
-	var sum float64
-	const trials = 50000
-	for i := 0; i < trials; i++ {
-		v := s.Exp(3.0)
-		if v < 0 {
-			t.Fatalf("Exp returned negative %g", v)
-		}
-		sum += v
-	}
-	mean := sum / trials
-	if math.Abs(mean-3.0) > 0.1 {
-		t.Fatalf("Exp mean %.3f, want ~3.0", mean)
-	}
-}
-
-func TestNormalMoments(t *testing.T) {
-	s := New(9)
-	var sum, sumSq float64
-	const trials = 50000
-	for i := 0; i < trials; i++ {
-		v := s.Normal(10, 2)
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / trials
-	variance := sumSq/trials - mean*mean
-	if math.Abs(mean-10) > 0.1 {
-		t.Fatalf("Normal mean %.3f, want ~10", mean)
-	}
-	if math.Abs(math.Sqrt(variance)-2) > 0.1 {
-		t.Fatalf("Normal stddev %.3f, want ~2", math.Sqrt(variance))
-	}
-}
-
 func TestPick(t *testing.T) {
 	s := New(10)
 	weights := []float64{0, 1, 3, 0, 4}

@@ -8,18 +8,8 @@ import (
 	"strings"
 	"testing"
 
-	"pcapsim/internal/predictor"
 	"pcapsim/internal/trace"
 )
-
-// boomPolicy reuses a timeout factory and fails its first round trip.
-func boomPolicy() Policy {
-	p := tpPolicy(10 * trace.Second)
-	p.Name = "boom"
-	p.Reuse = true
-	p.RoundTrip = func(predictor.Factory) (predictor.Factory, error) { return nil, errors.New("boom") }
-	return p
-}
 
 // threeExecs is a small three-execution workload.
 func threeExecs() []*trace.Trace {
@@ -41,19 +31,23 @@ func sameAsSolo(t *testing.T, r *Runner, pol Policy, got *AppResult, err error, 
 	}
 }
 
-// TestRunCellsCellErrors pins that a RoundTrip or Validate failure fails
-// only its own cell.
+// TestRunCellsCellErrors pins that a cell failing at set-up, by a
+// cache mismatch or a Validate failure, fails only its own cell.
 func TestRunCellsCellErrors(t *testing.T) {
 	r := mustRunner(t)
+	cfg := fastCfg()
+	cfg.Cache.SizeBytes *= 2
 	traces := threeExecs()
-	pols := []Policy{tpPolicy(10 * trace.Second), boomPolicy(), {Name: "invalid"}, basePolicy()}
+	pols := []Policy{tpPolicy(10 * trace.Second), basePolicy(), {Name: "invalid"}, basePolicy()}
 	cells := make([]Cell, len(pols))
 	for i, p := range pols {
 		cells[i] = Cell{Runner: r, Policy: p}
 	}
+	cells[1].Runner = MustNewRunner(cfg)
 	res, errs := RunCells(trace.NewSliceSource(traces...), cells)
-	if errs[1] == nil || !strings.Contains(errs[1].Error(), "round-tripping boom after execution 0") || res[1] != nil {
-		t.Errorf("boom cell: res %v, err %v; want the round-trip error alone", res[1], errs[1])
+	var mismatch *CacheMismatchError
+	if !errors.As(errs[1], &mismatch) || res[1] != nil {
+		t.Errorf("mismatched cell: res %v, err %v; want the *CacheMismatchError alone", res[1], errs[1])
 	}
 	if errs[2] == nil || !strings.Contains(errs[2].Error(), "needs a factory") || res[2] != nil {
 		t.Errorf("invalid cell: res %v, err %v; want the validation error alone", res[2], errs[2])
@@ -76,7 +70,7 @@ func TestRunCellsSourceError(t *testing.T) {
 	cut := buf.Bytes()[:buf.Len()-2]
 	cells := []Cell{
 		{Runner: r, Policy: basePolicy()},
-		{Runner: r, Policy: boomPolicy()},
+		{Runner: r, Policy: Policy{Name: "invalid"}},
 		{Runner: r, Policy: tpPolicy(10 * trace.Second)},
 	}
 	res, errs := RunCells(trace.NewBlockSource(bytes.NewReader(cut)), cells)
@@ -88,8 +82,8 @@ func TestRunCellsSourceError(t *testing.T) {
 	if errs[0] == nil || errs[2] == nil || errs[0].Error() != errs[2].Error() {
 		t.Errorf("cells saw different source errors: %v / %v", errs[0], errs[2])
 	}
-	if errs[1] == nil || !strings.Contains(errs[1].Error(), "round-tripping boom") {
-		t.Errorf("boom cell: err %v, want its own round-trip error", errs[1])
+	if errs[1] == nil || !strings.Contains(errs[1].Error(), "needs a factory") {
+		t.Errorf("invalid cell: err %v, want its own validation error", errs[1])
 	}
 }
 
@@ -155,7 +149,6 @@ func TestRunCellsReturnsStates(t *testing.T) {
 	for range passes {
 		RunCells(trace.NewSliceSource(traces...), []Cell{
 			{Runner: r, Policy: basePolicy()},
-			{Runner: r, Policy: boomPolicy()},
 			{Runner: r, Policy: Policy{Name: "invalid"}},
 			{Runner: r, Policy: tpPolicy(10 * trace.Second)},
 		})
@@ -163,7 +156,7 @@ func TestRunCellsReturnsStates(t *testing.T) {
 			t.Fatalf("cut source: err = %v, want context.Canceled", err)
 		}
 	}
-	// Four machines per pass; a leak on any path would allocate at
+	// Two machines per pass; a leak on any path would allocate at
 	// least one state per pass.
 	if fresh >= passes {
 		t.Errorf("%d fresh runStates over %d passes: states are not returned to the pool", fresh, passes)

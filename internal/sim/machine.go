@@ -44,7 +44,6 @@ type machine struct {
 
 	newFactory func() predictor.Factory
 	f          predictor.Factory
-	execIdx    int // number of executions pulled from the source
 
 	ex *execution // current open execution, nil before the first pull
 	i  int        // next access index within ex
@@ -79,30 +78,14 @@ func (r *Runner) newMachine(src trace.Source, pol Policy, tr *tracedRun) (*machi
 	}, nil
 }
 
-// advance runs the factory policy (fresh, reused, or round-tripped)
-// ahead of execution app. A failed round trip fails the machine.
-func (m *machine) advance(app string) bool {
-	if m.execIdx == 0 {
+// advance runs the factory policy (fresh or reused) ahead of execution
+// app.
+func (m *machine) advance(app string) {
+	if m.res.Executions == 0 {
 		m.res.App = app
 	}
-	switch {
-	case m.f == nil || !m.pol.Reuse:
+	if m.f == nil || !m.pol.Reuse {
 		m.f = m.newFactory()
-	case m.execIdx > 0 && m.pol.RoundTrip != nil:
-		nf, err := m.pol.RoundTrip(m.f)
-		if err != nil {
-			m.fail(fmt.Errorf("sim: round-tripping %s after execution %d: %w", m.pol.Name, m.execIdx-1, err))
-			return false
-		}
-		m.f = nf
-	}
-	return true
-}
-
-// fail latches the machine's first error.
-func (m *machine) fail(err error) {
-	if m.err == nil {
-		m.err = err
 	}
 }
 
@@ -111,7 +94,6 @@ func (m *machine) fail(err error) {
 // idle, and the reset of the slot-indexed predictor and decision working
 // set.
 func (m *machine) openExecution(ex *execution) {
-	m.execIdx++
 	r, rs, res := m.r, m.rs, m.res
 	res.Executions++
 	d := &r.cfg.Disk

@@ -18,11 +18,6 @@ type Policy struct {
 	// paper's prediction-table reuse. When false, a fresh factory is
 	// created for every execution (the paper's PCAPa / LTa).
 	Reuse bool
-	// RoundTrip, if non-nil and Reuse is set, is invoked between
-	// executions to serialize and restore the factory — exercising the
-	// initialization-file persistence path end to end. It returns the
-	// factory to use for the next execution.
-	RoundTrip func(f predictor.Factory) (predictor.Factory, error)
 	// GlobalOracle marks the ideal predictor: the runner bypasses the
 	// per-process combiner and shuts down exactly at the start of every
 	// long global idle period.
@@ -36,9 +31,6 @@ func (p Policy) Validate() error {
 	}
 	if p.NewFactory == nil && !p.GlobalOracle {
 		return fmt.Errorf("sim: policy %s needs a factory", p.Name)
-	}
-	if p.RoundTrip != nil && !p.Reuse {
-		return fmt.Errorf("sim: policy %s sets RoundTrip without Reuse", p.Name)
 	}
 	return nil
 }

@@ -200,9 +200,9 @@ func (e *CacheMismatchError) Error() string {
 // returning results and errors index-aligned with cells. It prepares each
 // execution once and steps every cell's machine through it in turn; cells
 // share nothing else, so each result is identical to a one-cell run's.
-// An invalid policy, a *CacheMismatchError or a failed RoundTrip fails
-// its cell alone; a source or prepare error fails every running cell
-// with the same wrapped error.
+// A cell fails alone only when it is set up, by an invalid policy or a
+// *CacheMismatchError; once the pass runs, a source or prepare error
+// fails every running cell with the same wrapped error.
 func RunCells(src trace.Source, cells []Cell) ([]*AppResult, []error) {
 	res := make([]*AppResult, len(cells))
 	errs := make([]error, len(cells))
@@ -241,13 +241,13 @@ func drive(src trace.Source, ms []*machine) {
 	cacheCfg, kept := live[0].r.cfg.Cache, live[0].r.kept
 	ps := getPrep()
 	defer prepPool.Put(ps)
-	for len(live) > 0 {
+	for {
 		app, exec, ok := src.NextExec()
 		if !ok {
 			return
 		}
-		if live = slices.DeleteFunc(live, func(m *machine) bool { return !m.advance(app) }); len(live) == 0 {
-			return
+		for _, m := range live {
+			m.advance(app)
 		}
 		var ex *execution
 		var err error
@@ -258,7 +258,7 @@ func drive(src trace.Source, ms []*machine) {
 		}
 		if err != nil {
 			for _, m := range live {
-				m.fail(err)
+				m.err = err
 			}
 			return
 		}

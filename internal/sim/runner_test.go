@@ -93,11 +93,6 @@ func TestPolicyValidation(t *testing.T) {
 	if err := (Policy{Name: "x", GlobalOracle: true}).Validate(); err != nil {
 		t.Errorf("oracle policy rejected: %v", err)
 	}
-	p := basePolicy()
-	p.RoundTrip = func(f predictor.Factory) (predictor.Factory, error) { return f, nil }
-	if err := p.Validate(); err == nil {
-		t.Error("RoundTrip without Reuse accepted")
-	}
 }
 
 // TestTimeoutClassification pins the classification taxonomy on hand-made
@@ -141,56 +136,6 @@ func TestWaitWindowCancellation(t *testing.T) {
 	}
 	if res.Cycles != 0 || res.Global.Misses() != 0 {
 		t.Fatalf("wait window failed: %+v cycles=%d", res.Global, res.Cycles)
-	}
-}
-
-// TestIdealIsUpperBound: on every application, the oracle's energy is a
-// lower bound (≤) of every other policy's, and Base is the upper bound.
-func TestIdealIsUpperBound(t *testing.T) {
-	r := mustRunner(t)
-	app, _ := workload.ByName("xemacs")
-	traces := app.Traces(42)[:8]
-
-	ideal, err := r.RunApp(traces, idealPolicy(r.Config().Disk.Breakeven))
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := r.RunApp(traces, basePolicy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp, err := r.RunApp(traces, tpPolicy(10*trace.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc := Policy{
-		Name:       "PCAP",
-		NewFactory: func() predictor.Factory { return core.MustNew(core.DefaultConfig(core.VariantBase)) },
-		Reuse:      true,
-	}
-	pcap, err := r.RunApp(traces, pc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	iE, bE, tE, pE := ideal.Energy.Total(), base.Energy.Total(), tp.Energy.Total(), pcap.Energy.Total()
-	if !(iE <= tE && iE <= pE && tE <= bE && pE <= bE) {
-		t.Fatalf("energy ordering violated: ideal=%.1f tp=%.1f pcap=%.1f base=%.1f", iE, tE, pE, bE)
-	}
-	if base.Cycles != 0 {
-		t.Fatalf("base performed %d shutdowns", base.Cycles)
-	}
-	if ideal.Global.Misses() != 0 {
-		t.Fatalf("oracle mispredicted: %+v", ideal.Global)
-	}
-	if ideal.Global.NotPredicted != 0 {
-		t.Fatalf("oracle missed opportunities: %+v", ideal.Global)
-	}
-	// Identical traces ⇒ identical period structure across policies.
-	if base.Global.LongPeriods != pcap.Global.LongPeriods {
-		t.Fatalf("long-period counts differ across policies")
-	}
-	if base.TotalIOs != pcap.TotalIOs || base.DiskAccesses != pcap.DiskAccesses {
-		t.Fatalf("trace-level counters differ across policies")
 	}
 }
 
@@ -358,30 +303,6 @@ func TestReuseVsDiscard(t *testing.T) {
 	}
 }
 
-// TestRoundTripHookRuns verifies the persistence round-trip path is
-// exercised and preserves behaviour.
-func TestRoundTripHookRuns(t *testing.T) {
-	r := mustRunner(t)
-	app, _ := workload.ByName("nedit")
-	traces := app.Traces(123)[:6]
-	calls := 0
-	pol := Policy{
-		Name:       "PCAP",
-		NewFactory: func() predictor.Factory { return core.MustNew(core.DefaultConfig(core.VariantBase)) },
-		Reuse:      true,
-		RoundTrip: func(f predictor.Factory) (predictor.Factory, error) {
-			calls++
-			return f, nil
-		},
-	}
-	if _, err := r.RunApp(traces, pol); err != nil {
-		t.Fatal(err)
-	}
-	if calls != len(traces)-1 {
-		t.Fatalf("round trip ran %d times, want %d", calls, len(traces)-1)
-	}
-}
-
 func TestRunAppErrors(t *testing.T) {
 	r := mustRunner(t)
 	if _, err := r.RunApp(nil, basePolicy()); err == nil {
@@ -389,27 +310,6 @@ func TestRunAppErrors(t *testing.T) {
 	}
 	if _, err := r.RunApp([]*trace.Trace{handTrace(0)}, Policy{}); err == nil {
 		t.Error("invalid policy accepted")
-	}
-}
-
-// TestEnergyConservation: for any policy, total energy must lie between
-// the all-standby floor and the all-busy ceiling for the simulated time.
-func TestEnergyConservation(t *testing.T) {
-	r := mustRunner(t)
-	app, _ := workload.ByName("writer")
-	traces := app.Traces(5)[:4]
-	for _, pol := range []Policy{basePolicy(), tpPolicy(10 * trace.Second), idealPolicy(r.Config().Disk.Breakeven)} {
-		res, err := r.RunApp(traces, pol)
-		if err != nil {
-			t.Fatal(err)
-		}
-		secs := res.SimTime.Seconds()
-		floor := secs * r.Config().Disk.StandbyPower
-		ceil := secs*r.Config().Disk.BusyPower + float64(res.Cycles)*r.Config().Disk.CycleEnergy() + 1
-		total := res.Energy.Total()
-		if total < floor || total > ceil {
-			t.Errorf("%s: energy %.1f outside [%.1f, %.1f]", pol.Name, total, floor, ceil)
-		}
 	}
 }
 

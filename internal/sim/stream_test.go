@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"pcapsim/internal/predictor"
 	"pcapsim/internal/trace"
 	"pcapsim/internal/workload"
 )
@@ -120,19 +119,5 @@ func TestRunSourceScaled(t *testing.T) {
 		// Later passes stretch timestamps, so total simulated time grows
 		// slightly faster than linearly.
 		t.Errorf("scaled SimTime = %v vs base %v: warp should stretch later passes", three.SimTime, base.SimTime)
-	}
-}
-
-// TestRunSourceRoundTripIndex pins the round-trip error message to the
-// sequence position, matching what RunApp reported for slice workloads.
-func TestRunSourceRoundTripIndex(t *testing.T) {
-	r := mustRunner(t)
-	boom := tpPolicy(10 * trace.Second)
-	boom.Reuse = true
-	boom.RoundTrip = func(f predictor.Factory) (predictor.Factory, error) { return nil, errors.New("boom") }
-	src := trace.NewSliceSource(handTrace(0, 1), handTrace(0, 1))
-	_, err := r.RunSource(src, boom)
-	if err == nil || !strings.Contains(err.Error(), "after execution 0") {
-		t.Errorf("round-trip error = %v, want sequence-position index 0", err)
 	}
 }
