@@ -176,6 +176,80 @@ func relErr(a, b float64) float64 {
 	return math.Abs(a-b) / max(math.Abs(a), math.Abs(b))
 }
 
+// prepareAll prepares every trace under the default cache, as the
+// simulator does, and keeps a copy of each execution for the oracle.
+func prepareAll(t *testing.T, traces []*trace.Trace) []*execution {
+	t.Helper()
+	var exs []*execution
+	ps := new(prepState)
+	for _, tr := range traces {
+		ex, err := ps.prepare(tr, DefaultConfig().Cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exs = append(exs, ex.clone())
+	}
+	return exs
+}
+
+// checkOracle prices pol over exs with the oracle and checks the
+// simulator's result got against it: every energy bucket to a relative
+// 1e-9, cycles, wakeups and wait time exactly. It returns the worst
+// bucket's relative error.
+func checkOracle(t *testing.T, cfg Config, exs []*execution, pol oraclePolicy, got *AppResult, where string) float64 {
+	t.Helper()
+	var want oracleResult
+	for _, ex := range exs {
+		oracleExecution(t, cfg, ex, pol, &want)
+	}
+	worst := 0.0
+	for _, b := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"busy", got.Energy.Busy, want.energy.Busy},
+		{"idle-short", got.Energy.IdleShort, want.energy.IdleShort},
+		{"idle-long", got.Energy.IdleLong, want.energy.IdleLong},
+		{"power-cycle", got.Energy.PowerCycle, want.energy.PowerCycle},
+	} {
+		e := relErr(b.got, b.want)
+		worst = max(worst, e)
+		if e > 1e-9 {
+			t.Errorf("%s: %s energy %.9g J, oracle %.9g J (relative error %.2g)", where, b.name, b.got, b.want, e)
+		}
+	}
+	if got.Cycles != want.cycles || got.Wakeups != want.cycles || got.WaitTime != want.wait {
+		t.Errorf("%s: cycles %d, wakeups %d, wait %v; oracle %d cycles and wakeups, wait %v",
+			where, got.Cycles, got.Wakeups, got.WaitTime, want.cycles, want.wait)
+	}
+	return worst
+}
+
+// TestEnginesAgree checks the simulator's energy accounting against the
+// closed-form oracle on one real workload, through RunApp, under Base,
+// TP and Ideal: both engines must agree on every energy bucket, the
+// cycle count and the wait time.
+func TestEnginesAgree(t *testing.T) {
+	r := mustRunner(t)
+	app, _ := workload.ByName("xemacs")
+	traces := app.Traces(31)[:10]
+	exs := prepareAll(t, traces)
+	for _, pol := range []struct {
+		oracle oraclePolicy
+		sim    Policy
+	}{
+		{oraclePolicy{name: "Base"}, basePolicy()},
+		{oraclePolicy{name: "TP", timeout: 10 * trace.Second}, tpPolicy(10 * trace.Second)},
+		{oraclePolicy{name: "Ideal", ideal: true}, idealPolicy(r.Config().Disk.Breakeven)},
+	} {
+		got, err := r.RunApp(traces, pol.sim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkOracle(t, r.Config(), exs, pol.oracle, got, pol.oracle.name)
+	}
+}
+
 // oracleGrid returns the workload seeds and devices of the oracle grid:
 // three seeds by the whole device catalog. -short keeps the suite's
 // default seed only, and the race detector only the paper's drive too.
@@ -218,15 +292,7 @@ func TestOracleMatchesSimulator(t *testing.T) {
 // checkOracleGrid runs one app's workload at one seed on every device.
 func checkOracleGrid(t *testing.T, seed uint64, app *workload.App, devices []disk.Params) {
 	traces := app.Traces(seed)
-	var exs []*execution
-	ps := new(prepState)
-	for _, tr := range traces {
-		ex, err := ps.prepare(tr, DefaultConfig().Cache)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exs = append(exs, ex.clone())
-	}
+	exs := prepareAll(t, traces)
 
 	worstSki, worstErr := 0.0, 0.0
 	for _, d := range devices {
@@ -278,31 +344,7 @@ func checkOracleGrid(t *testing.T, seed uint64, app *workload.App, devices []dis
 		}
 
 		for i, pol := range priced {
-			var want oracleResult
-			for _, ex := range exs {
-				oracleExecution(t, cfg, ex, pol, &want)
-			}
-			got := res[i]
-			where := fmt.Sprintf("%s on %s", pol.name, d.Name)
-			for _, b := range []struct {
-				name      string
-				got, want float64
-			}{
-				{"busy", got.Energy.Busy, want.energy.Busy},
-				{"idle-short", got.Energy.IdleShort, want.energy.IdleShort},
-				{"idle-long", got.Energy.IdleLong, want.energy.IdleLong},
-				{"power-cycle", got.Energy.PowerCycle, want.energy.PowerCycle},
-			} {
-				e := relErr(b.got, b.want)
-				worstErr = max(worstErr, e)
-				if e > 1e-9 {
-					t.Errorf("%s: %s energy %.9g J, oracle %.9g J (relative error %.2g)", where, b.name, b.got, b.want, e)
-				}
-			}
-			if got.Cycles != want.cycles || got.Wakeups != want.cycles || got.WaitTime != want.wait {
-				t.Errorf("%s: cycles %d, wakeups %d, wait %v; oracle %d cycles and wakeups, wait %v",
-					where, got.Cycles, got.Wakeups, got.WaitTime, want.cycles, want.wait)
-			}
+			worstErr = max(worstErr, checkOracle(t, cfg, exs, pol, res[i], fmt.Sprintf("%s on %s", pol.name, d.Name)))
 		}
 
 		ideal := res[iIdeal]

@@ -139,6 +139,56 @@ func TestWaitWindowCancellation(t *testing.T) {
 	}
 }
 
+// TestIdealIsUpperBound: on every application, the oracle's energy is a
+// lower bound (≤) of every other policy's, and Base is the upper bound.
+func TestIdealIsUpperBound(t *testing.T) {
+	r := mustRunner(t)
+	app, _ := workload.ByName("xemacs")
+	traces := app.Traces(42)[:8]
+
+	ideal, err := r.RunApp(traces, idealPolicy(r.Config().Disk.Breakeven))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := r.RunApp(traces, basePolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp, err := r.RunApp(traces, tpPolicy(10*trace.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := Policy{
+		Name:       "PCAP",
+		NewFactory: func() predictor.Factory { return core.MustNew(core.DefaultConfig(core.VariantBase)) },
+		Reuse:      true,
+	}
+	pcap, err := r.RunApp(traces, pc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iE, bE, tE, pE := ideal.Energy.Total(), base.Energy.Total(), tp.Energy.Total(), pcap.Energy.Total()
+	if !(iE <= tE && iE <= pE && tE <= bE && pE <= bE) {
+		t.Fatalf("energy ordering violated: ideal=%.1f tp=%.1f pcap=%.1f base=%.1f", iE, tE, pE, bE)
+	}
+	if base.Cycles != 0 {
+		t.Fatalf("base performed %d shutdowns", base.Cycles)
+	}
+	if ideal.Global.Misses() != 0 {
+		t.Fatalf("oracle mispredicted: %+v", ideal.Global)
+	}
+	if ideal.Global.NotPredicted != 0 {
+		t.Fatalf("oracle missed opportunities: %+v", ideal.Global)
+	}
+	// Identical traces ⇒ identical period structure across policies.
+	if base.Global.LongPeriods != pcap.Global.LongPeriods {
+		t.Fatalf("long-period counts differ across policies")
+	}
+	if base.TotalIOs != pcap.TotalIOs || base.DiskAccesses != pcap.DiskAccesses {
+		t.Fatalf("trace-level counters differ across policies")
+	}
+}
+
 // TestBaseEnergyMatchesHandComputation integrates Base energy analytically
 // on a trivial trace and compares.
 func TestBaseEnergyMatchesHandComputation(t *testing.T) {
@@ -310,6 +360,27 @@ func TestRunAppErrors(t *testing.T) {
 	}
 	if _, err := r.RunApp([]*trace.Trace{handTrace(0)}, Policy{}); err == nil {
 		t.Error("invalid policy accepted")
+	}
+}
+
+// TestEnergyConservation: for any policy, total energy must lie between
+// the all-standby floor and the all-busy ceiling for the simulated time.
+func TestEnergyConservation(t *testing.T) {
+	r := mustRunner(t)
+	app, _ := workload.ByName("writer")
+	traces := app.Traces(5)[:4]
+	for _, pol := range []Policy{basePolicy(), tpPolicy(10 * trace.Second), idealPolicy(r.Config().Disk.Breakeven)} {
+		res, err := r.RunApp(traces, pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		secs := res.SimTime.Seconds()
+		floor := secs * r.Config().Disk.StandbyPower
+		ceil := secs*r.Config().Disk.BusyPower + float64(res.Cycles)*r.Config().Disk.CycleEnergy() + 1
+		total := res.Energy.Total()
+		if total < floor || total > ceil {
+			t.Errorf("%s: energy %.1f outside [%.1f, %.1f]", pol.Name, total, floor, ceil)
+		}
 	}
 }
 
