@@ -54,6 +54,23 @@ fi
 echo "== go test ./..."
 go test ./...
 
+# Blocking: the CLI's full output must equal the golden file byte for
+# byte at one worker and at two. Every experiment run goes through
+# RunMatrix, so this drives the CLI's one path at both pool sizes.
+echo "== pcapsim -exp all -parallel 1|2 vs suite.golden"
+cli_dir="$(mktemp -d)"
+trap 'rm -rf "${cli_dir}"' EXIT
+go build -o "${cli_dir}/pcapsim" ./cmd/pcapsim
+for workers in 1 2; do
+	"${cli_dir}/pcapsim" -exp all -parallel "${workers}" >"${cli_dir}/all.txt"
+	if ! cmp "${cli_dir}/all.txt" internal/experiments/testdata/suite.golden; then
+		echo "ci: pcapsim -exp all -parallel ${workers} differs from suite.golden" >&2
+		exit 1
+	fi
+done
+rm -rf "${cli_dir}"
+trap - EXIT
+
 # Blocking: the benchmark of record (perfbench/, its own module) compiles
 # against internal/sim, internal/fleet and internal/experiments, which
 # the root module's ./... does not reach. Build, vet and test it here so

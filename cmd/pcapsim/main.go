@@ -69,7 +69,6 @@ func main() {
 		barsFlag     = flag.Bool("bars", false, "render accuracy figures as stacked bars instead of tables")
 		parallelFlag = flag.Int("parallel", runtime.NumCPU(), "worker count for the experiment matrix (1 = serial)")
 		scaleFlag    = flag.Int("scale", 1, "repeat every workload N times with warped timestamps (1 = the paper's workloads)")
-		onDemandFlag = flag.Bool("ondemand", false, "stream workloads on demand instead of pinning generated traces in memory")
 		replayFlag   = flag.String("replay", "", "replay a recorded trace file instead of running experiments (with -fleet N: replay it as the fleet's workload)")
 		hypoFlag     = flag.String("experiment", "", "run an executable hypothesis from a JSON spec file")
 		fleetFlag    = flag.Int("fleet", 0, "simulate a fleet of N machines instead of running experiments")
@@ -196,7 +195,6 @@ func main() {
 		fatal(err)
 	}
 	suite.SetScale(*scaleFlag)
-	suite.SetOnDemand(*onDemandFlag)
 
 	if *replayFlag != "" {
 		start := time.Now()
@@ -244,12 +242,11 @@ func main() {
 	}
 
 	start := time.Now()
-	if *parallelFlag > 1 {
-		// Warm every memoized cell in parallel; the serial rendering below
-		// then reads caches only, keeping output byte-identical to -parallel 1.
-		if err := suite.RunMatrix(*parallelFlag, wanted...); err != nil {
-			fatal(err)
-		}
+	// Warm every memoized cell on the worker pool; the serial rendering
+	// below then reads caches only, keeping output byte-identical at any
+	// -parallel.
+	if err := suite.RunMatrix(*parallelFlag, wanted...); err != nil {
+		fatal(err)
 	}
 	out, err := suite.RenderAll(*barsFlag, wanted...)
 	if err != nil {

@@ -1,9 +1,9 @@
 // Command tracegen generates the synthetic application traces used by the
 // experiments and writes them to disk, one file per execution.
 //
-// Generation streams: executions are produced one at a time into a
-// recycled buffer and written through the streaming encoder, so peak
-// memory is one execution regardless of workload size.
+// Executions are generated one at a time (App.Trace) and written as they
+// come, so peak memory is one execution regardless of workload size;
+// -exec N generates execution N alone.
 //
 // v2 files carry a seekable index footer (per-block offsets and column
 // statistics, enabling parallel decode with predicate pushdown).
@@ -59,24 +59,18 @@ func main() {
 		if *execFlag >= a.Executions {
 			fatal(fmt.Errorf("%s has %d executions; -exec %d out of range", a.Name, a.Executions, *execFlag))
 		}
-		src := a.Stream(*seedFlag)
-		for {
-			app, exec, ok := src.NextExec()
-			if !ok {
-				break
-			}
-			// The stream's recycled buffer holds the execution; borrow it
-			// instead of copying.
-			view := &trace.Trace{App: app, Execution: exec, Events: src.ExecEvents()}
-			if *execFlag >= 0 && exec != *execFlag {
-				continue
-			}
-			path := filepath.Join(*outFlag, fmt.Sprintf("%s-%03d.%s", app, exec, ext))
-			if err := writeTrace(path, view, *formatFlag); err != nil {
+		first, end := 0, a.Executions
+		if *execFlag >= 0 {
+			first, end = *execFlag, *execFlag+1
+		}
+		for exec := first; exec < end; exec++ {
+			t := a.Trace(*seedFlag, exec)
+			path := filepath.Join(*outFlag, fmt.Sprintf("%s-%03d.%s", t.App, exec, ext))
+			if err := writeTrace(path, t, *formatFlag); err != nil {
 				fatal(err)
 			}
 			fmt.Printf("%s: %d events, %d I/Os, %.1f s\n",
-				path, view.Len(), view.IOCount(), view.Duration().Seconds())
+				path, t.Len(), t.IOCount(), t.Duration().Seconds())
 		}
 	}
 }

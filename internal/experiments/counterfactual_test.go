@@ -43,7 +43,7 @@ func TestCounterfactualDifferential(t *testing.T) {
 	}
 	neverFlip := func(k int64, shutdown bool, pc trace.PC) bool { return false }
 	for _, app := range apps {
-		traces := s.Traces(app)
+		traces := app.Traces(s.Seed())
 		for _, pol := range pols {
 			pol := pol
 			t.Run(app.Name+"/"+pol.Name, func(t *testing.T) {
@@ -126,7 +126,7 @@ func goldenDecisionRun(t *testing.T, limit func(trace.Source) trace.Source) []tr
 		t.Fatal("pcap policy missing")
 	}
 	var log trace.DecisionLog
-	src := limit(trace.NewSliceSource(s.Traces(app)...))
+	src := limit(trace.NewSliceSource(app.Traces(s.Seed())...))
 	if _, err := runner.RunSourceTraced(src, pol, sim.TraceOptions{Sink: &log}); err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -86,10 +85,10 @@ func (c *memo) do(key string, fn func() (any, error)) (any, error) {
 }
 
 // Task is one memoizable unit of the evaluation matrix — typically one
-// (application, policy) simulation cell, a trace generation, or one
-// derived per-application experiment row.
+// (application, policy) simulation cell or one derived per-application
+// experiment row.
 type Task struct {
-	// Name identifies the unit ("run/mozilla/PCAP", "traces/nedit", …).
+	// Name identifies the unit ("run/mozilla/PCAP", "prefetch/nedit", …).
 	Name string
 	run  func() error
 }
@@ -112,7 +111,6 @@ type taskList struct {
 	tasks  []Task
 	cells  []listCell
 	passes []*cellPass
-	order  sync.Once
 	next   atomic.Int64 // index of the next pass to start
 }
 
@@ -187,7 +185,6 @@ func (l *taskList) split(workers int) {
 type cellPass struct {
 	s     *Suite // whose SourceFor feeds the pass
 	app   *workload.App
-	ios   int // the app's pre-cache I/O count: the scheduling key
 	cells []sim.Cell
 	once  sync.Once
 	res   []*sim.AppResult
@@ -208,56 +205,17 @@ func cellError(app *workload.App, pol sim.Policy, err error) error {
 	return fmt.Errorf("experiments: %s under %s: %w", app.Name, pol.Name, err)
 }
 
-// work runs the passes nobody has started, largest application first,
-// until none is left; cell errors are left to the cells' own tasks. Size
-// is the pre-cache I/O count of the generated traces; on-demand suites
-// have no traces to count and keep registration order.
+// work runs the passes nobody has started, in registration order, until
+// none is left; cell errors are left to the cells' own tasks.
 func (l *taskList) work() {
-	l.order.Do(func() {
-		for _, p := range l.passes {
-			if p.s.OnDemand() {
-				return
-			}
-			for _, tr := range p.s.Traces(p.app) {
-				p.ios += tr.IOCount()
-			}
-		}
-		sort.SliceStable(l.passes, func(i, j int) bool { return l.passes[i].ios > l.passes[j].ios })
-	})
 	for i := int(l.next.Add(1)) - 1; i < len(l.passes); i = int(l.next.Add(1)) - 1 {
 		_, _ = l.passes[i].result(0)
 	}
 }
 
-// TasksFor returns the cells needed by the named experiments. Trace
-// generation tasks come first so a worker pool warms all six applications'
-// traces concurrently before the simulation cells need them.
+// TasksFor returns the cells needed by the named experiments.
 func (s *Suite) TasksFor(exps ...string) ([]Task, error) {
-	known := make(map[string]bool)
-	for _, e := range ExperimentNames() {
-		known[e] = true
-	}
 	var l taskList
-	needsTraces := false
-	for _, e := range exps {
-		if !known[e] {
-			return nil, fmt.Errorf("experiments: unknown experiment %q", e)
-		}
-		if e != "table2" {
-			needsTraces = true
-		}
-	}
-	// In on-demand mode there is no pinned slice to warm — every run
-	// streams its own regeneration — so the warm-up tasks are skipped.
-	if needsTraces && !s.traces.OnDemand() {
-		for _, app := range s.Apps() {
-			app := app
-			l.add("traces/"+app.Name, func() error {
-				s.Traces(app)
-				return nil
-			})
-		}
-	}
 	for _, e := range exps {
 		if err := s.appendTasks(&l, e); err != nil {
 			return nil, err

@@ -39,7 +39,7 @@ func TestReplayRowsOnePass(t *testing.T) {
 		t.Fatal(err)
 	}
 	app, _ := workload.ByName("nedit")
-	traces := s.Traces(app)
+	traces := app.Traces(s.Seed())
 	v2 := encodeV2(t, traces)
 	policies := []string{"base", "tp", "pcap", "ideal"}
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"reflect"
 	"testing"
 
@@ -68,7 +69,7 @@ func TestStreamingDifferential(t *testing.T) {
 		}
 	}
 	for _, app := range apps {
-		traces := s.Traces(app)
+		traces := app.Traces(s.Seed())
 		blob := encodeV2(t, traces)
 		decoded, err := trace.Collect(trace.NewBlockSource(bytes.NewReader(blob)))
 		if err != nil {
@@ -121,7 +122,7 @@ func TestReplayFileMatchesRunApp(t *testing.T) {
 		t.Fatal(err)
 	}
 	app, _ := workload.ByName("nedit")
-	traces := s.Traces(app)
+	traces := app.Traces(s.Seed())
 	v2 := encodeV2(t, traces)
 
 	policies := []string{"base", "tp", "pcap", "ideal"}
@@ -141,26 +142,37 @@ func TestReplayFileMatchesRunApp(t *testing.T) {
 	}
 }
 
-// TestSuiteOnDemandMatchesPinned renders a small experiment in both cache
-// modes and requires byte-identical output: regenerate-on-demand
-// streaming must not perturb a single digit.
-func TestSuiteOnDemandMatchesPinned(t *testing.T) {
+// TestStreamingAndRetainingMatchGolden renders all experiments from a
+// streaming suite (the default: every source regenerates its workload)
+// and from a retaining one (pinned traces, prepared executions kept), each
+// after a RunMatrix pass, and requires both to equal the golden file byte
+// for byte: how a suite gets its workloads must not perturb a digit.
+func TestStreamingAndRetainingMatchGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("renders full experiments; covered by the long pass")
+		t.Skip("renders the full suite twice; covered by the long pass")
 	}
-	pinned := NewDefaultSuite()
-	want, err := pinned.RenderExperiment("fig8", false)
+	want, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	onDemand := NewDefaultSuite()
-	onDemand.SetOnDemand(true)
-	got, err := onDemand.RenderExperiment("fig8", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("on-demand rendering differs from pinned:\n got:\n%s\nwant:\n%s", got, want)
+	for _, retain := range []bool{false, true} {
+		s := NewDefaultSuite()
+		if retain {
+			s.RetainPrepared()
+		}
+		if err := s.RunMatrix(2); err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.RenderAll(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) {
+			t.Errorf("retain=%v: output diverged from %s\n%s", retain, goldenPath, diffPosition(string(want), got))
+		}
+		if kept := s.runner.RetainedPrepares() > 0; kept != retain {
+			t.Errorf("retain=%v: suite retained prepared executions: %v", retain, kept)
+		}
 	}
 }
 

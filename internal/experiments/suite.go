@@ -17,14 +17,14 @@ import (
 // All numbers in EXPERIMENTS.md are produced with this seed.
 const DefaultSeed uint64 = 20040214 // HPCA-10 opened February 14, 2004
 
-// Suite generates workloads once and runs policies over them, memoizing
+// Suite runs policies over the paper's workloads, memoizing
 // per-(app, policy) results so that figures sharing runs (6/7, 8, 9, 10)
 // do not recompute them.
 //
-// A Suite is safe for concurrent use: trace generation and every result
-// computation sit behind singleflight caches (see engine.go), so
-// RunMatrix can fan the evaluation matrix across workers while the
-// renderers keep reading memoized values.
+// A Suite is safe for concurrent use: every result computation sits
+// behind a singleflight cache (see engine.go), so RunMatrix can fan the
+// evaluation matrix across workers while the renderers keep reading
+// memoized values.
 type Suite struct {
 	seed   uint64
 	cfg    sim.Config
@@ -33,8 +33,11 @@ type Suite struct {
 	// workloads); see trace.Scale. Set it before the first run.
 	scale int
 
-	// traces memoizes per-execution generated traces; device sub-suites
-	// share it with their parent, since traces are device independent.
+	// traces, if set, pins every generated execution for the suite's
+	// sources; nil (the default) streams each source's executions with
+	// App.Stream. RetainPrepared sets it: a runner retains only pinned
+	// executions. Device sub-suites share it with their parent, since
+	// traces are device independent.
 	traces *workload.TraceCache
 	// memo memoizes every derived result: simulation cells, per-app
 	// experiment rows, and per-device sub-suites.
@@ -44,13 +47,14 @@ type Suite struct {
 }
 
 // NewSuite returns a Suite over the given workload seed and simulator
-// configuration.
+// configuration. It streams its workloads until RetainPrepared.
 func NewSuite(seed uint64, cfg sim.Config) (*Suite, error) {
-	return newSharedSuite(seed, cfg, workload.NewTraceCache())
+	return newSharedSuite(seed, cfg, nil)
 }
 
-// newSharedSuite builds a Suite around an existing trace cache, so
-// derived suites (the per-device sub-suites) reuse generated traces.
+// newSharedSuite builds a Suite around an existing trace cache (nil
+// streams), so derived suites (the per-device sub-suites) get their
+// workloads the way their parent does.
 func newSharedSuite(seed uint64, cfg sim.Config, traces *workload.TraceCache) (*Suite, error) {
 	r, err := sim.NewRunner(cfg)
 	if err != nil {
@@ -84,21 +88,18 @@ func (s *Suite) Seed() uint64 { return s.seed }
 // Apps returns the paper's six applications.
 func (s *Suite) Apps() []*workload.App { return workload.Apps() }
 
-// Traces returns (and caches) all execution traces of app. The slice is
-// shared read-only across every policy run: traces are replayed, never
-// mutated.
-func (s *Suite) Traces(app *workload.App) []*trace.Trace {
-	return s.traces.Traces(app, s.seed)
-}
-
 // SourceFor returns a fresh trace source over app's workload, scaled by
-// the suite's scale factor. In the default (pinned) cache mode all
-// sources of one app share each execution's single generation, made
-// when the first source reaches it; in on-demand mode each source
-// regenerates its executions as it is consumed. Every call
-// returns an independent iterator — sources are single-goroutine values.
+// the suite's scale factor. A retaining suite's sources share each
+// execution's single pinned generation, made when the first source
+// reaches it; any other suite's sources each regenerate their executions
+// as they are consumed, holding one at a time. Every call returns an
+// independent iterator — sources are single-goroutine values.
 func (s *Suite) SourceFor(app *workload.App) trace.Source {
-	src := trace.Scale(s.traces.Source(app, s.seed), s.scale)
+	var src trace.Source = app.Stream(s.seed)
+	if s.traces != nil {
+		src = s.traces.Source(app, s.seed)
+	}
+	src = trace.Scale(src, s.scale)
 	if s.sourceHook != nil {
 		return s.sourceHook(src)
 	}
@@ -119,22 +120,17 @@ func (s *Suite) SetScale(scale int) {
 // Scale returns the suite's workload scale factor.
 func (s *Suite) Scale() int { return s.scale }
 
-// SetOnDemand switches the shared trace cache between pinned slices (the
-// default) and regenerate-on-demand streaming, which holds at most one
-// execution of one app in memory per concurrent run. Like SetScale, set
-// it before the first run.
-func (s *Suite) SetOnDemand(v bool) { s.traces.SetOnDemand(v) }
-
-// RetainPrepared makes the suite's runner keep every pinned execution
-// it prepares (sim.Runner.RetainPrepared), so repeated runs over the
-// same traces skip the file-cache filter. It suits a long-lived owner
+// RetainPrepared makes the suite pin its generated workloads and its
+// runner keep every pinned execution it prepares
+// (sim.Runner.RetainPrepared), so repeated runs over the same traces
+// skip generation and the file-cache filter. It suits a long-lived owner
 // that replays the same workloads again and again, as pcapd's shared
 // suites do; a suite that runs each cell once gains nothing and pays the
 // memory. Like SetScale, call it before the first run.
-func (s *Suite) RetainPrepared() { s.runner.RetainPrepared() }
-
-// OnDemand reports whether the suite streams workloads on demand.
-func (s *Suite) OnDemand() bool { return s.traces.OnDemand() }
+func (s *Suite) RetainPrepared() {
+	s.traces = workload.NewTraceCache()
+	s.runner.RetainPrepared()
+}
 
 // Run simulates app under pol, memoized by (app, policy name). Concurrent
 // callers of the same cell block on one simulation and share its result.

@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 
 	"pcapsim/internal/disk"
@@ -79,9 +80,9 @@ func Parse(data []byte) (*Spec, error) {
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("hypothesis: parsing spec: %w", err)
 	}
-	// A second Decode must hit EOF: concatenated JSON documents are not a
-	// spec.
-	if dec.More() {
+	// A second Decode must hit EOF: concatenated JSON documents, or stray
+	// bytes, are not a spec.
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
 		return nil, fmt.Errorf("hypothesis: parsing spec: trailing data after JSON document")
 	}
 	if err := s.Validate(); err != nil {

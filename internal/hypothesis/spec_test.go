@@ -79,6 +79,8 @@ func TestParseRejects(t *testing.T) {
 			return strings.Replace(s, `"name"`, `"nom"`, 1)
 		}), "unknown field"},
 		{"trailing data", append([]byte(validSpec), []byte("{}")...), "trailing data"},
+		{"trailing brace", append([]byte(validSpec), []byte("}")...), "trailing data"},
+		{"trailing bracket", append([]byte(validSpec), []byte(" ]")...), "trailing data"},
 		{"no name", mutate(func(s string) string {
 			return strings.Replace(s, `"pcap-beats-timeout"`, `""`, 1)
 		}), "needs a name"},

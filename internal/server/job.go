@@ -3,8 +3,10 @@ package server
 import (
 	"cmp"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -70,6 +72,27 @@ type JobSpec struct {
 	// TimeoutSec bounds the job's wall-clock run time; 0 means the
 	// server's default timeout.
 	TimeoutSec float64 `json:"timeout_sec,omitempty"`
+}
+
+// decodeJobSpec decodes and validates one POST /jobs body. Unknown
+// fields, anything but white space after the JSON document, and specs
+// validate rejects all error.
+func decodeJobSpec(r io.Reader) (*JobSpec, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var spec JobSpec
+	if err := dec.Decode(&spec); err != nil {
+		return nil, fmt.Errorf("decoding job spec: %w", err)
+	}
+	// Only the end of the body may follow: a second document, or stray
+	// bytes, mean the client sent something other than one spec.
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		return nil, errors.New("decoding job spec: trailing data after JSON document")
+	}
+	if err := spec.validate(); err != nil {
+		return nil, err
+	}
+	return &spec, nil
 }
 
 // validate rejects malformed specs before they reach the queue.

@@ -237,18 +237,12 @@ func (s *Server) routes() {
 // only when the job finishes (and a client disconnect cancels it);
 // otherwise the job is accepted with 202 and polled via /jobs/{id}.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding job spec: %v", err))
-		return
-	}
-	if err := spec.validate(); err != nil {
+	spec, err := decodeJobSpec(r.Body)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	job, err := s.enqueue(&spec)
+	job, err := s.enqueue(spec)
 	if err != nil {
 		if errors.Is(err, errQueueFull) {
 			// Overload is transient, unlike draining: invite a retry.

@@ -148,13 +148,10 @@ func writeTraceFile(t *testing.T, dir string) string {
 func writeAppTraceFile(t *testing.T, dir, name string, copies int) string {
 	t.Helper()
 	app, _ := workload.ByName(name)
-	suite, err := experiments.NewSuite(experiments.DefaultSeed, sim.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	traces := app.Traces(experiments.DefaultSeed)
 	var buf bytes.Buffer
 	for range copies {
-		for _, tr := range suite.Traces(app) {
+		for _, tr := range traces {
 			if err := trace.WriteColumnar(&buf, tr); err != nil {
 				t.Fatal(err)
 			}
@@ -760,15 +757,22 @@ func TestCancelReplayMidPass(t *testing.T) {
 }
 
 // TestMeterForwardsPinnedTrace: the meter lends the pinned traces of the
-// capped eval source it wraps, so a shared suite's retained executions
-// serve metered jobs.
+// capped eval source it wraps, so a shared (retaining) suite's retained
+// executions serve metered jobs.
 func TestMeterForwardsPinnedTrace(t *testing.T) {
 	suite, err := experiments.NewSuite(experiments.DefaultSeed, sim.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	suite.RetainPrepared()
 	app, _ := workload.ByName("nedit")
-	all := suite.Traces(app)
+	var all []*trace.Trace
+	for src := suite.SourceFor(app); ; {
+		if _, _, ok := src.NextExec(); !ok {
+			break
+		}
+		all = append(all, trace.PinnedTrace(src))
+	}
 	var counters stats.Counters
 	m := newMeter(context.Background(), trace.LimitExecs(suite.SourceFor(app), 2),
 		stats.NewLocal(&counters, stats.Options{}), newJob("j1", &JobSpec{}), 1)

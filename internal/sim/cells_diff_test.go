@@ -71,9 +71,9 @@ func diffCells(t *testing.T, s *experiments.Suite, short bool) []sim.Cell {
 // the same executions, while the pass pulls each execution once.
 func TestRunCellsMatchesRunSource(t *testing.T) {
 	short := testing.Short()
+	streamed := experiments.NewDefaultSuite()
 	pinned := experiments.NewDefaultSuite()
-	onDemand := experiments.NewDefaultSuite()
-	onDemand.SetOnDemand(true)
+	pinned.RetainPrepared()
 	scaled := experiments.NewDefaultSuite()
 	scaled.SetScale(2)
 
@@ -86,7 +86,7 @@ func TestRunCellsMatchesRunSource(t *testing.T) {
 		{Time: trace.Second, Pid: 2, Kind: trace.KindExit},
 		{Time: 3 * trace.Second, Pid: 1, Kind: trace.KindExit},
 	}}
-	neditTraces := pinned.Traces(nedit)
+	neditTraces := nedit.Traces(experiments.DefaultSeed)
 
 	sources := []struct {
 		name  string
@@ -95,7 +95,7 @@ func TestRunCellsMatchesRunSource(t *testing.T) {
 	}{
 		{"pinned/nedit", nedit.Executions, func() trace.Source { return pinned.SourceFor(nedit) }},
 		{"silent", 3, func() trace.Source { return trace.NewSliceSource(neditTraces[0], silent, neditTraces[1]) }},
-		{"ondemand/nedit", nedit.Executions, func() trace.Source { return onDemand.SourceFor(nedit) }},
+		{"stream/nedit", nedit.Executions, func() trace.Source { return streamed.SourceFor(nedit) }},
 		{"scale2/nedit", 2 * nedit.Executions, func() trace.Source { return scaled.SourceFor(nedit) }},
 	}
 	if !short {
@@ -109,12 +109,12 @@ func TestRunCellsMatchesRunSource(t *testing.T) {
 	for _, sc := range sources {
 		t.Run(sc.name, func(t *testing.T) {
 			pulled := 0
-			cells := diffCells(t, pinned, short)
+			cells := diffCells(t, streamed, short)
 			got, errs := sim.RunCells(countingSource{sc.open(), &pulled}, cells)
 			if pulled != sc.execs {
 				t.Errorf("shared pass pulled %d executions, want %d", pulled, sc.execs)
 			}
-			for i, c := range diffCells(t, pinned, short) {
+			for i, c := range diffCells(t, streamed, short) {
 				name := fmt.Sprintf("cell %d (%s)", i, c.Policy.Name)
 				if errs[i] != nil {
 					t.Fatalf("%s: %v", name, errs[i])

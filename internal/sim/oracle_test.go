@@ -168,6 +168,23 @@ func oracleExecution(t *testing.T, cfg Config, ex *execution, pol oraclePolicy, 
 	}
 }
 
+// oraclePeriods counts the global idle periods of exs that the
+// simulator classifies: one from each disk access to the next, long when
+// at least breakeven. The tail after an execution's last access is
+// priced but not classified.
+func oraclePeriods(exs []*execution, breakeven trace.Time) (long, short int) {
+	for _, ex := range exs {
+		for i := 1; i < len(ex.accesses); i++ {
+			if ex.accesses[i].Time-ex.accesses[i-1].Time >= breakeven {
+				long++
+			} else {
+				short++
+			}
+		}
+	}
+	return long, short
+}
+
 // relErr is |a-b| relative to the larger magnitude (0 when both are 0).
 func relErr(a, b float64) float64 {
 	if a == b {
@@ -276,7 +293,11 @@ func oracleGrid() ([]uint64, []disk.Params) {
 //   - TP with a timer longer than any period is Base to the last bit;
 //   - ski rental: TP(breakeven)'s non-busy energy is at most twice
 //     Ideal's;
-//   - every policy sees the same trace-level counts and long periods.
+//   - every policy sees the same trace-level counts, and the oracle's own
+//     count of long and short global periods;
+//   - every long period is a hit, a miss or not predicted:
+//     Hits + NotPredicted ≤ LongPeriods ≤ Hits + Misses + NotPredicted
+//     (misses in short periods make the upper bound loose).
 func TestOracleMatchesSimulator(t *testing.T) {
 	seeds, devices := oracleGrid()
 	for _, seed := range seeds {
@@ -348,12 +369,22 @@ func checkOracleGrid(t *testing.T, seed uint64, app *workload.App, devices []dis
 		}
 
 		ideal := res[iIdeal]
+		long, short := oraclePeriods(exs, d.Breakeven)
 		for _, o := range res {
 			if o.Energy.Total() < ideal.Energy.Total() {
 				t.Errorf("%s on %s spends %.3f J, below Ideal's %.3f J", o.Policy, d.Name, o.Energy.Total(), ideal.Energy.Total())
 			}
-			if o.TotalIOs != ideal.TotalIOs || o.DiskAccesses != ideal.DiskAccesses || o.Global.LongPeriods != ideal.Global.LongPeriods {
+			if o.TotalIOs != ideal.TotalIOs || o.DiskAccesses != ideal.DiskAccesses {
 				t.Errorf("%s on %s: trace-level counts differ from Ideal's", o.Policy, d.Name)
+			}
+			g := o.Global
+			if g.LongPeriods != long || g.ShortPeriods != short {
+				t.Errorf("%s on %s: %d long and %d short periods, oracle %d and %d",
+					o.Policy, d.Name, g.LongPeriods, g.ShortPeriods, long, short)
+			}
+			if g.Hits()+g.NotPredicted > g.LongPeriods || g.LongPeriods > g.Hits()+g.Misses()+g.NotPredicted {
+				t.Errorf("%s on %s: %d hits, %d misses and %d not predicted do not cover %d long periods",
+					o.Policy, d.Name, g.Hits(), g.Misses(), g.NotPredicted, g.LongPeriods)
 			}
 		}
 		if ideal.Global.Misses() != 0 || ideal.Global.NotPredicted != 0 {

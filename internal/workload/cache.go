@@ -14,20 +14,18 @@ import (
 // mutated.
 //
 // The cache is safe for concurrent use. Each execution is generated
-// exactly once, when the first Source reaches it or a Traces call needs
-// it; concurrent callers block on that generation and all receive the
-// identical *trace.Trace. A source capped at its first N executions
-// (trace.LimitExecs) therefore generates and pins only those N. Distinct
-// seeds never share an entry.
+// exactly once, when the first Source reaches it; concurrent callers
+// block on that generation and all receive the identical *trace.Trace.
+// A source capped at its first N executions (trace.LimitExecs) therefore
+// generates and pins only those N. Distinct seeds never share an entry.
 //
-// In on-demand mode (SetOnDemand) the cache stops pinning traces: Source
-// hands out regenerating streams instead, trading repeated generation for
-// O(one execution) memory.
+// Pinning pays only for an owner that replays the same workloads again
+// and again; a one-shot run streams App.Stream instead, in O(one
+// execution) memory.
 type TraceCache struct {
-	mu       sync.Mutex
-	m        map[traceKey]*traceEntry
-	gens     atomic.Int64
-	onDemand bool
+	mu   sync.Mutex
+	m    map[traceKey]*traceEntry
+	gens atomic.Int64
 }
 
 type traceKey struct {
@@ -36,15 +34,12 @@ type traceKey struct {
 }
 
 // traceEntry holds one (app, seed) workload: a write-once slot per
-// execution, and the whole-workload slice Traces builds once from them.
+// execution.
 type traceEntry struct {
 	app   *App
 	seed  uint64
 	gens  *atomic.Int64
 	slots []execSlot
-
-	all    sync.Once
-	traces []*trace.Trace
 }
 
 type execSlot struct {
@@ -80,35 +75,12 @@ func (e *traceEntry) exec(i int) *trace.Trace {
 	return s.tr
 }
 
-// Traces returns all execution traces of app for seed, generating the
-// ones no source has reached yet. The returned slice is built once and
-// shared, and holds the same traces sources lend: callers must treat it
-// (and the traces it holds) as read-only.
-func (c *TraceCache) Traces(app *App, seed uint64) []*trace.Trace {
-	e := c.entry(app, seed)
-	e.all.Do(func() {
-		traces := make([]*trace.Trace, len(e.slots))
-		for i := range traces {
-			traces[i] = e.exec(i)
-		}
-		e.traces = traces
-	})
-	return e.traces
-}
-
-// Source returns a trace.Source over the app's executions for seed. In
-// the default (pinned) mode it reads the cache's per-execution slots,
-// generating each execution only when NextExec reaches it, so concurrent
-// callers share one generation per execution; in on-demand mode it
-// returns a fresh regenerating Stream and pins nothing. Each call returns
-// an independent iterator — sources are single-goroutine values.
+// Source returns a trace.Source over the app's executions for seed. It
+// reads the cache's per-execution slots, generating each execution only
+// when NextExec reaches it, so concurrent callers share one generation
+// per execution. Each call returns an independent iterator — sources are
+// single-goroutine values.
 func (c *TraceCache) Source(app *App, seed uint64) trace.Source {
-	c.mu.Lock()
-	onDemand := c.onDemand
-	c.mu.Unlock()
-	if onDemand {
-		return app.Stream(seed)
-	}
 	return &cacheSource{e: c.entry(app, seed)}
 }
 
@@ -153,33 +125,7 @@ func (s *cacheSource) Reset() error {
 	return nil
 }
 
-// SetOnDemand switches the cache between pinned (false, the default) and
-// regenerate-on-demand (true) modes. Enabling it releases every pinned
-// entry. Already-issued sources are unaffected.
-func (c *TraceCache) SetOnDemand(v bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.onDemand = v
-	if v {
-		c.m = make(map[traceKey]*traceEntry)
-	}
-}
-
-// OnDemand reports whether the cache is in regenerate-on-demand mode.
-func (c *TraceCache) OnDemand() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.onDemand
-}
-
 // Generations reports how many executions have actually been generated —
 // one per distinct (app, seed, execution) requested, regardless of caller
 // count.
 func (c *TraceCache) Generations() int64 { return c.gens.Load() }
-
-// Len returns the number of (app, seed) entries in the cache.
-func (c *TraceCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}

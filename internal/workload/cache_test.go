@@ -1,21 +1,36 @@
 package workload
 
 import (
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"pcapsim/internal/trace"
 )
 
-// sameSlice reports whether two trace slices are the identical backing
-// array (the sharing guarantee, stronger than deep equality).
-func sameSlice(a, b []*trace.Trace) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+// pinned drains src and returns the trace it pinned for each execution
+// (trace.PinnedTrace). slices.Equal on two results compares the trace
+// pointers: the sharing guarantee, stronger than deep equality. It
+// reports a source error with t.Error, so it may run on any goroutine.
+func pinned(t *testing.T, src trace.Source) []*trace.Trace {
+	t.Helper()
+	var out []*trace.Trace
+	for {
+		if _, _, ok := src.NextExec(); !ok {
+			break
+		}
+		out = append(out, trace.PinnedTrace(src))
+	}
+	if err := src.Err(); err != nil {
+		t.Error(err)
+	}
+	return out
 }
 
 // TestTraceCache drives the memoization contract table-style: for every
-// (app, seed) workload below, concurrent callers must observe exactly one
-// generation per execution and receive the identical slice.
+// (app, seed) workload below, concurrent sources must observe exactly one
+// generation per execution and lend the identical traces.
 func TestTraceCache(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -44,7 +59,7 @@ func TestTraceCache(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					results[i] = c.Traces(app, tc.seed)
+					results[i] = pinned(t, c.Source(app, tc.seed))
 				}()
 			}
 			wg.Wait()
@@ -52,16 +67,16 @@ func TestTraceCache(t *testing.T) {
 				if len(r) != app.Executions {
 					t.Fatalf("caller %d: %d traces, want %d", i, len(r), app.Executions)
 				}
-				if !sameSlice(r, results[0]) {
-					t.Errorf("caller %d received a different slice than caller 0", i)
+				if !slices.Equal(r, results[0]) {
+					t.Errorf("caller %d received different traces than caller 0", i)
 				}
 			}
 			if got := c.Generations(); got != before+int64(app.Executions) {
 				t.Errorf("generations went %d -> %d, want exactly one per execution (%d)", before, got, app.Executions)
 			}
-			// A repeat call is a pure cache hit.
-			if again := c.Traces(app, tc.seed); !sameSlice(again, results[0]) {
-				t.Error("repeat call returned a different slice")
+			// A repeat source is a pure cache hit.
+			if again := pinned(t, c.Source(app, tc.seed)); !slices.Equal(again, results[0]) {
+				t.Error("repeat source lent different traces")
 			}
 			if got := c.Generations(); got != before+int64(app.Executions) {
 				t.Errorf("repeat call regenerated: %d generations, want %d", got, before+int64(app.Executions))
@@ -75,13 +90,10 @@ func TestTraceCache(t *testing.T) {
 func TestTraceCacheSeedIsolation(t *testing.T) {
 	c := NewTraceCache()
 	app, _ := ByName("nedit")
-	a := c.Traces(app, 1)
-	b := c.Traces(app, 2)
-	if sameSlice(a, b) {
+	a := pinned(t, c.Source(app, 1))
+	b := pinned(t, c.Source(app, 2))
+	if a[0] == b[0] {
 		t.Fatal("seeds 1 and 2 share a cache entry")
-	}
-	if c.Len() != 2 {
-		t.Fatalf("cache has %d entries, want 2", c.Len())
 	}
 	if want := int64(2 * app.Executions); c.Generations() != want {
 		t.Fatalf("%d generations, want %d", c.Generations(), want)
@@ -117,9 +129,9 @@ func TestTraceCacheAppIsolation(t *testing.T) {
 	c := NewTraceCache()
 	nedit, _ := ByName("nedit")
 	xemacs, _ := ByName("xemacs")
-	a := c.Traces(nedit, 7)
-	b := c.Traces(xemacs, 7)
-	if sameSlice(a, b) {
+	a := pinned(t, c.Source(nedit, 7))
+	b := pinned(t, c.Source(xemacs, 7))
+	if a[0] == b[0] {
 		t.Fatal("nedit and xemacs share a cache entry")
 	}
 	if a[0].App != "nedit" || b[0].App != "xemacs" {
@@ -135,8 +147,8 @@ func TestTraceCacheAppIsolation(t *testing.T) {
 // determinism contract rests on.
 func TestTraceCacheDeterminism(t *testing.T) {
 	app, _ := ByName("nedit")
-	a := NewTraceCache().Traces(app, 42)
-	b := NewTraceCache().Traces(app, 42)
+	a := pinned(t, NewTraceCache().Source(app, 42))
+	b := pinned(t, NewTraceCache().Source(app, 42))
 	if len(a) != len(b) {
 		t.Fatalf("trace counts differ: %d vs %d", len(a), len(b))
 	}
@@ -176,8 +188,8 @@ func sameEvents(a, b []trace.Event) bool {
 }
 
 // TestTraceCacheCappedSource: a source capped at its first executions
-// generates only those, and a later Traces call hands back the very
-// traces already lent and generates only the rest.
+// generates only those, and a later whole source lends the very traces
+// already lent and generates only the rest.
 func TestTraceCacheCappedSource(t *testing.T) {
 	c := NewTraceCache()
 	app, _ := ByName("nedit")
@@ -188,74 +200,73 @@ func TestTraceCacheCappedSource(t *testing.T) {
 	if got := c.Generations(); got != 2 {
 		t.Fatalf("capped source generated %d executions, want 2", got)
 	}
-	all := c.Traces(app, 3)
+	all := pinned(t, c.Source(app, 3))
 	if got := c.Generations(); got != int64(app.Executions) {
-		t.Fatalf("Traces after a capped source: %d generations in all, want %d", got, app.Executions)
+		t.Fatalf("whole source after a capped one: %d generations in all, want %d", got, app.Executions)
 	}
 	for i, ev := range lent {
 		if !sameEvents(ev, all[i].Events) {
-			t.Errorf("execution %d: Traces returned a different trace than the source lent", i)
+			t.Errorf("execution %d: the whole source lent a different trace than the capped one", i)
 		}
 	}
-	// A full source over the warm entry lends the same traces again.
+	// A further source over the warm entry lends the same traces again.
 	for i, ev := range drain(t, c.Source(app, 3)) {
 		if !sameEvents(ev, all[i].Events) {
-			t.Errorf("execution %d: a second source lent a different trace", i)
+			t.Errorf("execution %d: a third source lent a different trace", i)
 		}
 	}
 	if got := c.Generations(); got != int64(app.Executions) {
-		t.Errorf("second source regenerated: %d generations, want %d", got, app.Executions)
+		t.Errorf("third source regenerated: %d generations, want %d", got, app.Executions)
 	}
 }
 
-// TestTraceCachePinsTraces: a pinned-mode source lends each execution
-// as the cache's own trace (trace.Pinned), whose events are the slice
-// ExecEvents lends; an on-demand stream regenerates and lends none.
+// TestTraceCachePinsTraces: a source lends each execution as the cache's
+// own trace (trace.Pinned), whose events are the slice ExecEvents lends,
+// equal to a fresh generation of that execution; a stream regenerates
+// and lends none.
 func TestTraceCachePinsTraces(t *testing.T) {
 	c := NewTraceCache()
 	app, _ := ByName("nedit")
-	all := c.Traces(app, 3)
 	src := c.Source(app, 3)
 	for i := 0; ; i++ {
 		if _, _, ok := src.NextExec(); !ok {
 			break
 		}
-		if p := trace.PinnedTrace(src); p != all[i] || !sameEvents(p.Events, src.ExecEvents()) {
-			t.Fatalf("execution %d: pinned trace %p, want the cache's %p lending ExecEvents", i, p, all[i])
+		p := trace.PinnedTrace(src)
+		if p == nil || !sameEvents(p.Events, src.ExecEvents()) {
+			t.Fatalf("execution %d: pinned trace %p does not lend ExecEvents", i, p)
+		}
+		if !reflect.DeepEqual(p, app.Trace(3, i)) {
+			t.Fatalf("execution %d: pinned trace differs from App.Trace", i)
 		}
 	}
 	if p := trace.PinnedTrace(src); p != nil {
 		t.Errorf("exhausted source still pins execution %d", p.Execution)
 	}
-	c.SetOnDemand(true)
-	stream := c.Source(app, 3)
+	stream := app.Stream(3)
 	if _, _, ok := stream.NextExec(); !ok || trace.PinnedTrace(stream) != nil {
-		t.Errorf("on-demand stream lends a pinned trace")
+		t.Errorf("stream lends a pinned trace")
 	}
 }
 
-// TestTraceCacheConcurrentExecs: sources (capped and whole) and Traces
-// callers racing on one cold (app, seed) generate each execution exactly
-// once and all see the same traces. Run it under -race.
+// TestTraceCacheConcurrentExecs: whole and capped sources racing on one
+// cold (app, seed) generate each execution exactly once and all lend the
+// same traces. Run it under -race.
 func TestTraceCacheConcurrentExecs(t *testing.T) {
 	c := NewTraceCache()
 	app, _ := ByName("xemacs")
 	const workers = 12
-	lent := make([][][]trace.Event, workers)
-	whole := make([][]*trace.Trace, workers)
+	lent := make([][]*trace.Trace, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			switch w % 3 {
-			case 0:
-				whole[w] = c.Traces(app, 5)
-			case 1:
-				lent[w] = drain(t, c.Source(app, 5))
-			default:
-				lent[w] = drain(t, trace.LimitExecs(c.Source(app, 5), w))
+			if w%2 == 0 {
+				lent[w] = pinned(t, c.Source(app, 5))
+			} else {
+				lent[w] = pinned(t, trace.LimitExecs(c.Source(app, 5), w))
 			}
 		}()
 	}
@@ -263,15 +274,10 @@ func TestTraceCacheConcurrentExecs(t *testing.T) {
 	if got := c.Generations(); got != int64(app.Executions) {
 		t.Fatalf("%d generations, want exactly one per execution (%d)", got, app.Executions)
 	}
-	all := c.Traces(app, 5)
+	all := lent[0]
 	for w := 0; w < workers; w++ {
-		if whole[w] != nil && !sameSlice(whole[w], all) {
-			t.Errorf("Traces caller %d received a different slice", w)
-		}
-		for i, ev := range lent[w] {
-			if !sameEvents(ev, all[i].Events) {
-				t.Errorf("source %d, execution %d: lent a different trace than Traces holds", w, i)
-			}
+		if !slices.Equal(lent[w], all[:len(lent[w])]) {
+			t.Errorf("source %d lent different traces than source 0", w)
 		}
 	}
 }

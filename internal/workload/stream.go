@@ -6,9 +6,8 @@ import (
 	"pcapsim/internal/trace"
 )
 
-// eventBufPool recycles per-execution event buffers between Streams (and
-// therefore between the TraceCache's on-demand sources, which hand out
-// Streams). A Stream owns its buffer from its first NextExec until the
+// eventBufPool recycles per-execution event buffers between Streams, so
+// the many sources a streaming suite opens reuse a few buffers. A Stream owns its buffer from its first NextExec until the
 // call that reports exhaustion, at which point the buffer returns to the
 // pool — consistent with the trace.Source contract that lent event
 // slices are invalid after the next NextExec.

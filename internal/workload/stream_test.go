@@ -91,14 +91,13 @@ func TestStreamExecEvents(t *testing.T) {
 func TestCacheSourcePinnedMode(t *testing.T) {
 	c := NewTraceCache()
 	app := Apps()[1]
-	src := c.Source(app, streamTestSeed)
-	got, err := trace.Collect(src)
+	got, err := trace.Collect(c.Source(app, streamTestSeed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := c.Traces(app, streamTestSeed)
-	if len(got) != len(want) {
-		t.Fatalf("source yielded %d executions, want %d", len(got), len(want))
+	want := app.Traces(streamTestSeed)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("cache source yielded %d executions unlike App.Traces' %d", len(got), len(want))
 	}
 	if c.Generations() != int64(app.Executions) {
 		t.Errorf("pinned mode generated %d executions, want %d (each once, shared)", c.Generations(), app.Executions)
@@ -109,39 +108,5 @@ func TestCacheSourcePinnedMode(t *testing.T) {
 	}
 	if c.Generations() != int64(app.Executions) {
 		t.Errorf("second source regenerated (gens=%d, want %d)", c.Generations(), app.Executions)
-	}
-}
-
-func TestCacheSourceOnDemandMode(t *testing.T) {
-	c := NewTraceCache()
-	c.SetOnDemand(true)
-	if !c.OnDemand() {
-		t.Fatal("OnDemand not set")
-	}
-	app := Apps()[1]
-	got, err := trace.Collect(c.Source(app, streamTestSeed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := app.Traces(streamTestSeed)
-	if len(got) != len(want) {
-		t.Fatalf("on-demand source yielded %d executions, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if !reflect.DeepEqual(got[i].Events, want[i].Events) {
-			t.Errorf("execution %d differs between on-demand source and Traces", i)
-		}
-	}
-	if c.Len() != 0 {
-		t.Errorf("on-demand mode pinned %d entries, want 0", c.Len())
-	}
-}
-
-func TestSetOnDemandReleasesPinned(t *testing.T) {
-	c := NewTraceCache()
-	c.Traces(Apps()[0], streamTestSeed)
-	c.SetOnDemand(true)
-	if c.Len() != 0 {
-		t.Errorf("SetOnDemand(true) left %d pinned entries", c.Len())
 	}
 }
