@@ -35,18 +35,16 @@ import (
 // --- Full suite: serial vs parallel matrix -------------------------------
 
 // benchSuite regenerates the entire evaluation (all tables and figures)
-// from a cold suite. parallel == 0 is the fully serial reference;
-// parallel > 0 warms the matrix on that many workers first. Both paths
-// produce byte-identical output (see internal/experiments determinism
-// tests); the ratio of their wall-clocks is the engine's speedup.
+// from a cold suite, running the matrix on parallel workers first. Every
+// worker count produces byte-identical output (see internal/experiments
+// determinism tests); the ratio of their wall-clocks is the engine's
+// speedup.
 func benchSuite(b *testing.B, parallel int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		s := experiments.NewDefaultSuite()
-		if parallel > 0 {
-			if err := s.RunMatrix(parallel); err != nil {
-				b.Fatal(err)
-			}
+		if err := s.RunMatrix(parallel); err != nil {
+			b.Fatal(err)
 		}
 		out, err := s.RenderAll(false)
 		if err != nil {
@@ -58,14 +56,25 @@ func benchSuite(b *testing.B, parallel int) {
 	}
 }
 
-func BenchmarkSuiteSerial(b *testing.B)   { benchSuite(b, 0) }
+func BenchmarkSuiteSerial(b *testing.B)   { benchSuite(b, 1) }
 func BenchmarkSuiteParallel(b *testing.B) { benchSuite(b, 8) }
+
+// ranSuite returns a fresh default suite that has run exp's matrix, which
+// the experiment's data function then reads.
+func ranSuite(b *testing.B, exp string) *experiments.Suite {
+	b.Helper()
+	s := experiments.NewDefaultSuite()
+	if err := s.RunMatrix(0, exp); err != nil {
+		b.Fatal(err)
+	}
+	return s
+}
 
 // --- Tables ------------------------------------------------------------
 
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := experiments.NewDefaultSuite()
+		s := ranSuite(b, "table1")
 		rows, err := s.Table1()
 		if err != nil {
 			b.Fatal(err)
@@ -87,7 +96,7 @@ func BenchmarkTable2(b *testing.B) {
 
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := experiments.NewDefaultSuite()
+		s := ranSuite(b, "table3")
 		rows, err := s.Table3()
 		if err != nil {
 			b.Fatal(err)
@@ -101,11 +110,10 @@ func BenchmarkTable3(b *testing.B) {
 // --- Figures -----------------------------------------------------------
 
 // reportAccuracy surfaces a figure's across-application averages.
-func reportAccuracy(b *testing.B, fig func(*experiments.Suite) (*experiments.AccuracyFigure, error)) {
+func reportAccuracy(b *testing.B, exp string, fig func(*experiments.Suite) (*experiments.AccuracyFigure, error)) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		s := experiments.NewDefaultSuite()
-		f, err := fig(s)
+		f, err := fig(ranSuite(b, exp))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -120,16 +128,16 @@ func reportAccuracy(b *testing.B, fig func(*experiments.Suite) (*experiments.Acc
 }
 
 func BenchmarkFig6(b *testing.B) {
-	reportAccuracy(b, (*experiments.Suite).Fig6)
+	reportAccuracy(b, "fig6", (*experiments.Suite).Fig6)
 }
 
 func BenchmarkFig7(b *testing.B) {
-	reportAccuracy(b, (*experiments.Suite).Fig7)
+	reportAccuracy(b, "fig7", (*experiments.Suite).Fig7)
 }
 
 func BenchmarkFig8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := experiments.NewDefaultSuite()
+		s := ranSuite(b, "fig8")
 		f, err := s.Fig8()
 		if err != nil {
 			b.Fatal(err)
@@ -143,12 +151,12 @@ func BenchmarkFig8(b *testing.B) {
 }
 
 func BenchmarkFig9(b *testing.B) {
-	reportAccuracy(b, (*experiments.Suite).Fig9)
+	reportAccuracy(b, "fig9", (*experiments.Suite).Fig9)
 }
 
 func BenchmarkFig10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := experiments.NewDefaultSuite()
+		s := ranSuite(b, "fig10")
 		f, err := s.Fig10()
 		if err != nil {
 			b.Fatal(err)
@@ -163,7 +171,7 @@ func BenchmarkFig10(b *testing.B) {
 
 func BenchmarkTPTimeoutSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := experiments.NewDefaultSuite()
+		s := ranSuite(b, "tpsweep")
 		rows, err := s.TPSweep()
 		if err != nil {
 			b.Fatal(err)
@@ -178,7 +186,7 @@ func BenchmarkTPTimeoutSweep(b *testing.B) {
 
 func BenchmarkMultiState(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := experiments.NewDefaultSuite()
+		s := ranSuite(b, "multistate")
 		rows, err := s.MultiState()
 		if err != nil {
 			b.Fatal(err)
@@ -370,9 +378,12 @@ func BenchmarkFSCacheReadHit(b *testing.B) {
 	}
 	warm := fscache.DefaultConfig().Blocks()
 	ev := trace.Event{Kind: trace.KindIO, Access: trace.AccessRead, Pid: 1, PC: 0x1000, FD: 3, Size: 4096}
+	in := make([]trace.Event, 1)
+	var out []trace.Event
 	for i := 0; i < warm; i++ {
 		ev.Block = int64(i)
-		if _, err := c.Apply(ev); err != nil {
+		in[0] = ev
+		if out, err = c.FilterInto(out[:0], in); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -381,7 +392,8 @@ func BenchmarkFSCacheReadHit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ev.Time = trace.Time(i)
 		ev.Block = int64(i % warm)
-		out, err := c.Apply(ev)
+		in[0] = ev
+		out, err = c.FilterInto(out[:0], in)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -765,7 +777,7 @@ func BenchmarkFullSimulation(b *testing.B) {
 
 func BenchmarkPredictorComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := experiments.NewDefaultSuite()
+		s := ranSuite(b, "predictors")
 		rows, err := s.Predictors()
 		if err != nil {
 			b.Fatal(err)
@@ -780,7 +792,7 @@ func BenchmarkPredictorComparison(b *testing.B) {
 
 func BenchmarkDeviceSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := experiments.NewDefaultSuite()
+		s := ranSuite(b, "devices")
 		rows, err := s.DevicesExperiment()
 		if err != nil {
 			b.Fatal(err)

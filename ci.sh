@@ -79,14 +79,15 @@ echo "== perfbench: go vet + go test -short"
 (cd perfbench && go vet ./... && go test -short ./...)
 
 if [[ "${1:-}" != "quick" ]]; then
-	# -short trims the differential determinism test to one worker count
-	# and the streaming differential test to a reduced app × policy matrix
-	# (the race detector is 5-20x slower and the full matrix blows the
-	# default 10m per-package budget on small machines); every concurrent
-	# code path — including the streamed RunSource pipeline — still runs
-	# under the detector.
+	# -short trims the differential determinism test to 1 and 8 workers,
+	# the per-experiment declaration test to four experiments and the
+	# streaming differential test to a reduced app × policy matrix (the
+	# race detector is 5-20x slower); the shape tests share one matrix
+	# run. Every concurrent code path — the matrix passes and the suite's
+	# result table, the streamed RunSource pipeline — still runs under
+	# the detector.
 	echo "== go test -race -short ./..."
-	go test -race -short -timeout 30m ./...
+	go test -race -short ./...
 fi
 
 # Server smoke: boot a real pcapd, drive it with pcapload at 32

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -23,20 +24,16 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files from this ru
 // goldenPath is the full default-seed suite output, byte for byte.
 const goldenPath = "testdata/suite.golden"
 
-// renderFullSuite builds a fresh suite over the default seed and renders
-// every experiment. When parallel > 0 the evaluation matrix is warmed by
-// RunMatrix on that many workers first; parallel == 0 is the fully serial
-// reference path.
+// renderFullSuite builds a fresh suite over the default seed, runs the
+// evaluation matrix on parallel workers and renders every experiment.
 func renderFullSuite(t testing.TB, parallel int) string {
 	t.Helper()
 	s, err := NewSuite(DefaultSeed, sim.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parallel > 0 {
-		if err := s.RunMatrix(parallel); err != nil {
-			t.Fatalf("RunMatrix(%d): %v", parallel, err)
-		}
+	if err := s.RunMatrix(parallel); err != nil {
+		t.Fatalf("RunMatrix(%d): %v", parallel, err)
 	}
 	out, err := s.RenderAll(false)
 	if err != nil {
@@ -81,24 +78,26 @@ func diffPosition(a, b string) string {
 
 // TestDifferentialDeterminism is the engine's core contract: the full
 // suite rendered from the same seed is byte-identical whether the
-// evaluation matrix ran serially or across 1, 4 or 8 workers.
+// evaluation matrix ran on 1, 2, 4 or 8 workers, and equal to the golden
+// file. -short (the race pass) compares 1 and 8 workers.
 func TestDifferentialDeterminism(t *testing.T) {
-	serial := renderFullSuite(t, 0)
-	if len(serial) < 5000 {
-		t.Fatalf("implausibly short suite output (%d bytes)", len(serial))
-	}
-	workerCounts := []int{1, 4, 8}
+	workerCounts := []int{1, 2, 4, 8}
 	if testing.Short() {
-		workerCounts = []int{8}
+		workerCounts = []int{1, 8}
 	}
+	var first string
 	for _, workers := range workerCounts {
-		workers := workers
 		t.Run(fmt.Sprintf("parallel=%d", workers), func(t *testing.T) {
 			got := renderFullSuite(t, workers)
-			if got != serial {
-				t.Errorf("parallel=%d output differs from serial run\n%s", workers, diffPosition(serial, got))
+			if first == "" {
+				first = got
+			} else if got != first {
+				t.Errorf("parallel=%d output differs from parallel=%d\n%s", workers, workerCounts[0], diffPosition(first, got))
 			}
 		})
+	}
+	if len(first) < 5000 {
+		t.Fatalf("implausibly short suite output (%d bytes)", len(first))
 	}
 
 	t.Run("golden", func(t *testing.T) {
@@ -106,21 +105,58 @@ func TestDifferentialDeterminism(t *testing.T) {
 			if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(goldenPath, []byte(serial), 0o644); err != nil {
+			if err := os.WriteFile(goldenPath, []byte(first), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("wrote %s (%d bytes)", goldenPath, len(serial))
+			t.Logf("wrote %s (%d bytes)", goldenPath, len(first))
 			return
 		}
 		want, err := os.ReadFile(goldenPath)
 		if err != nil {
 			t.Fatalf("%v (regenerate with: go test ./internal/experiments -run TestDifferentialDeterminism -update)", err)
 		}
-		if serial != string(want) {
+		if first != string(want) {
 			t.Errorf("suite output diverged from %s — if the workloads or renderers changed deliberately, rerun with -update\n%s",
-				goldenPath, diffPosition(string(want), serial))
+				goldenPath, diffPosition(string(want), first))
 		}
 	})
+}
+
+// TestEachExperimentDeclaresItsCells renders every experiment on a fresh
+// suite of its own. RenderExperiment runs only the cells and rows the
+// experiment declares, and a renderer that reads anything else fails, so
+// the outputs, joined as RenderAll joins them, equal the golden file only
+// if every declaration is complete. -short renders table2 (which declares
+// nothing) and the three experiments whose rows or cells lie outside the
+// main suite's grid, and requires each output to appear verbatim in the
+// golden file.
+func TestEachExperimentDeclaresItsCells(t *testing.T) {
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewDefaultSuite().Table1(); err == nil {
+		t.Error("Table1 on a suite that ran nothing succeeded")
+	}
+	names := ExperimentNames()
+	if testing.Short() {
+		names = []string{"table2", "multistate", "devices", "prefetch"}
+	}
+	var all strings.Builder
+	for _, name := range names {
+		out, err := NewDefaultSuite().RenderExperiment(name, false)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !strings.Contains(string(want), out+"\n") {
+			t.Errorf("%s on its own suite renders output absent from %s:\n%s", name, goldenPath, out)
+		}
+		all.WriteString(out)
+		all.WriteString("\n")
+	}
+	if !testing.Short() && all.String() != string(want) {
+		t.Errorf("experiments rendered one per suite differ from %s\n%s", goldenPath, diffPosition(string(want), all.String()))
+	}
 }
 
 // pullCounter counts, per application, the sources that simulation
@@ -155,12 +191,12 @@ func (c *pullCounter) wrap(src trace.Source) trace.Source { return &countedSourc
 
 // TestRunMatrixSharedCells races RunMatrix against direct Suite.Run calls
 // on the main-suite and dev/* cells of nedit and mplayer. Every caller of
-// a cell must observe the same memoized result object. At GOMAXPROCS
-// procs each app's cells split into procs passes, and each pass must
-// pull — and so prepare — every execution exactly once: direct calls
-// wait for their cell's pass instead of simulating it again. -short (the
-// race pass) trims it to Table 1's cells plus the devices and to one
-// worker count.
+// a cell must observe the same result object. At GOMAXPROCS procs each
+// app's cells split into procs passes, and each pass must pull — and so
+// prepare — every execution exactly once: direct calls wait for their
+// cell's pass instead of simulating it again, and rendering the warm
+// suite opens no source. -short (the race pass) trims it to Table 1's
+// cells plus the devices and to one worker count.
 func TestRunMatrixSharedCells(t *testing.T) {
 	exps, workerCounts := []string{"fig8", "devices"}, []int{2, 8}
 	if testing.Short() {
@@ -220,11 +256,11 @@ func TestRunMatrixSharedCells(t *testing.T) {
 					// Start once the matrix has registered the cell with
 					// its pass: from there on, a direct call must never
 					// simulate.
-					key := "run/" + c.app.Name + "/" + c.pol.Name
-					for !c.suite.memo.has(key) {
+					key := cellKey{c.app.Name, c.pol.Name}
+					for _, ok := c.suite.lookup(key); !ok; _, ok = c.suite.lookup(key) {
 						select {
 						case <-matrixDone:
-							t.Errorf("RunMatrix never registered %s", key)
+							t.Errorf("RunMatrix never registered %v", key)
 							return
 						default:
 							runtime.Gosched()
@@ -253,6 +289,11 @@ func TestRunMatrixSharedCells(t *testing.T) {
 					t.Errorf("%s under %s (caller %d): distinct result object", c.app.Name, c.pol.Name, i%callers)
 				}
 			}
+			for _, name := range exps {
+				if _, err := s.RenderExperiment(name, false); err != nil {
+					t.Fatal(err)
+				}
+			}
 			for _, app := range s.Apps() {
 				if n := pulls.sources[app.Name]; n != procs {
 					t.Errorf("%s: %d sources opened, want one per pass (%d)", app.Name, n, procs)
@@ -265,7 +306,59 @@ func TestRunMatrixSharedCells(t *testing.T) {
 	}
 }
 
-// TestGroupCellErrors checks that a failing cell fails only its own memo
+// TestConcurrentRendersShareRows renders the prefetch experiment from
+// several goroutines at once on a cold suite while they also fetch the
+// device sub-suites: every goroutine gets the same output and the same
+// sub-suites, and each application's row is evaluated once, from one
+// source.
+func TestConcurrentRendersShareRows(t *testing.T) {
+	s := NewDefaultSuite()
+	pulls := &pullCounter{sources: make(map[string]int), pulls: make(map[string]int)}
+	s.sourceHook = pulls.wrap
+	const callers = 4
+	outs := make([]string, callers)
+	subs := make([][]*Suite, callers)
+	var wg sync.WaitGroup
+	for g := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, dev := range disk.Devices() {
+				ds, err := s.deviceSuite(dev)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				subs[g] = append(subs[g], ds)
+			}
+			out, err := s.RenderExperiment("prefetch", false)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			outs[g] = out
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for g := 1; g < callers; g++ {
+		if outs[g] != outs[0] {
+			t.Errorf("caller %d rendered different output", g)
+		}
+		if !slices.Equal(subs[g], subs[0]) {
+			t.Errorf("caller %d got different device sub-suites", g)
+		}
+	}
+	for _, app := range s.Apps() {
+		if n := pulls.sources[app.Name]; n != 1 {
+			t.Errorf("%s: %d sources opened, want the one row evaluation", app.Name, n)
+		}
+	}
+}
+
+// TestGroupCellErrors checks that a failing cell fails only its own table
 // entry and its own task, at any worker count: the rest of its passes
 // compute the same results as solo runs.
 func TestGroupCellErrors(t *testing.T) {
@@ -356,9 +449,31 @@ func TestTasksDeduplicate(t *testing.T) {
 	}
 }
 
+// TestMatrixTaskNames pins the full matrix's task list, whose names the
+// benchmark counts as work: 114 main-suite cells, 72 device cells, and a
+// multistate and a prefetch row per application.
+func TestMatrixTaskNames(t *testing.T) {
+	tasks, err := NewDefaultSuite().TasksFor(ExperimentNames()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[string]int)
+	for _, task := range tasks {
+		kind, _, _ := strings.Cut(task.Name, "/")
+		if kind == "dev" && strings.Contains(task.Name, "/run/") {
+			kind = "dev/run"
+		}
+		got[kind]++
+	}
+	want := map[string]int{"run": 114, "dev/run": 72, "multistate": 6, "prefetch": 6}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%d tasks by kind %v, want %v", len(tasks), got, want)
+	}
+}
+
 // TestMatrixCellsSimulatedOnce: no cell of the full matrix is simulated
 // twice. The sweep's 10 s timer is the TP cell, the suite's own drive in
-// the device sweep is the suite itself, and each (suite, memo key) joins
+// the device sweep is the suite itself, and each (suite, cell key) joins
 // the passes once. Both reuses return what the cells they replace did.
 func TestMatrixCellsSimulatedOnce(t *testing.T) {
 	s, err := NewSuite(DefaultSeed, sim.DefaultConfig())
@@ -366,20 +481,18 @@ func TestMatrixCellsSimulatedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	var l taskList
-	for _, e := range ExperimentNames() {
-		if err := s.appendTasks(&l, e); err != nil {
-			t.Fatal(err)
-		}
+	if err := s.plan(&l, ExperimentNames()...); err != nil {
+		t.Fatal(err)
 	}
 	type cellID struct {
 		s   *Suite
-		key string
+		key cellKey
 	}
 	seen := make(map[cellID]bool)
 	for _, c := range l.cells {
-		id := cellID{c.s, c.key}
+		id := cellID{c.s, c.key()}
 		if seen[id] {
-			t.Errorf("cell %s of suite %s listed twice", c.key, c.s.cfg.Disk.Name)
+			t.Errorf("cell %v of suite %s listed twice", id.key, c.s.cfg.Disk.Name)
 		}
 		seen[id] = true
 	}
@@ -403,7 +516,7 @@ func TestMatrixCellsSimulatedOnce(t *testing.T) {
 	if !reflect.DeepEqual(ten, tp) {
 		t.Errorf("TP10s differs from TP apart from its name:\n%+v\nvs\n%+v", ten, tp)
 	}
-	sub, err := newSharedSuite(s.seed, s.cfg, s.traces)
+	sub, err := NewSuite(s.seed, s.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,30 +23,49 @@ type DeviceRow struct {
 	PCAPMiss float64
 }
 
-// deviceSuite returns the memoized per-device sub-suite. A sub-suite
-// keeps memoization and predictor breakeven configuration consistent with
-// the device, while sharing the parent's trace cache: traces are device
-// independent, so they are generated once for all devices. The suite's
-// own drive needs no sub-suite: s already simulates it.
+// deviceSuite returns the per-device sub-suite, made on first use. A
+// sub-suite keeps its table and predictor breakeven configuration
+// consistent with the device, while getting its workloads the way the
+// parent does: traces are device independent. The suite's own drive
+// needs no sub-suite: s already simulates it.
 func (s *Suite) deviceSuite(dev disk.Params) (*Suite, error) {
 	if dev == s.cfg.Disk {
 		return s, nil
 	}
-	v, err := s.memo.do("devsuite/"+dev.Name, func() (any, error) {
-		cfg := s.cfg
-		cfg.Disk = dev
-		ds, err := newSharedSuite(s.seed, cfg, s.traces)
-		if err != nil {
-			return nil, err
-		}
-		ds.scale = s.scale // sub-suites simulate the same scaled workload
-		ds.sourceHook = s.sourceHook
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if ds := s.devs[dev.Name]; ds != nil {
 		return ds, nil
-	})
+	}
+	cfg := s.cfg
+	cfg.Disk = dev
+	ds, err := NewSuite(s.seed, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return v.(*Suite), nil
+	// Sub-suites simulate the same scaled workload, got the same way.
+	ds.scale, ds.traces, ds.sourceHook = s.scale, s.traces, s.sourceHook
+	if s.devs == nil {
+		s.devs = make(map[string]*Suite)
+	}
+	s.devs[dev.Name] = ds
+	return ds, nil
+}
+
+// planDevices plans every device's cells on its sub-suite.
+func (s *Suite) planDevices(l *taskList) error {
+	for _, dev := range disk.Devices() {
+		ds, err := s.deviceSuite(dev)
+		if err != nil {
+			return err
+		}
+		for _, app := range ds.Apps() {
+			for _, p := range ds.devicePolicies() {
+				l.addRun("dev/"+dev.Name+"/", ds, app, p)
+			}
+		}
+	}
+	return nil
 }
 
 // devicePolicies are the policies evaluated per device.
@@ -71,22 +90,11 @@ func (s *Suite) DevicesExperiment() ([]DeviceRow, error) {
 		row := DeviceRow{Device: dev.Name, Breakeven: dev.Breakeven.Seconds()}
 		n := 0
 		for _, app := range ds.Apps() {
-			base, err := ds.Run(app, ds.PolicyBase())
+			res, err := ds.results(app, ds.devicePolicies()...)
 			if err != nil {
 				return nil, err
 			}
-			tp, err := ds.Run(app, ds.PolicyTP())
-			if err != nil {
-				return nil, err
-			}
-			pcap, err := ds.Run(app, ds.PolicyPCAP(core.VariantBase))
-			if err != nil {
-				return nil, err
-			}
-			ideal, err := ds.Run(app, ds.PolicyIdeal())
-			if err != nil {
-				return nil, err
-			}
+			base, tp, pcap, ideal := res[0], res[1], res[2], res[3]
 			bt := base.Energy.Total()
 			if bt > 0 {
 				row.TPSaved += 1 - tp.Energy.Total()/bt

@@ -8,99 +8,107 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"pcapsim/internal/core"
-	"pcapsim/internal/disk"
 	"pcapsim/internal/sim"
 	"pcapsim/internal/workload"
 )
 
-// The parallel experiment engine.
+// The experiment engine.
 //
-// Every result in the suite is memoized behind a singleflight cache keyed
-// by a deterministic name, and every experiment decomposes into Tasks that
-// do nothing but warm those caches. RunMatrix fans the tasks across a
-// worker pool; the renderers then read exclusively from warm caches in a
-// fixed serial order. Because each task is a pure function of (seed,
-// config) and tasks share no mutable state, the rendered output is
-// byte-identical at any worker count — same seed, same bytes, whether the
-// suite ran serially or on every core.
+// Each experiment is declared once, in experimentTable: its name, the
+// cells and rows its renderer reads, and the renderer. A cell is one
+// (application, policy) simulation of a suite. The suite's table maps
+// each cell to its index in a cellPass, one sim.RunCells pass over the
+// application's executions, and nothing else computes a cell. TasksFor
+// groups the named experiments' missing cells into passes and returns a
+// Task per cell and per derived row; RunMatrix runs the tasks on a
+// worker pool. The renderers only read the table, serially and in a
+// fixed order, so the output is byte-identical at any worker count.
 
-// memo is a singleflight-style result cache: the first caller of a key
-// computes it, concurrent callers of the same key block on that
-// computation, and every caller observes the same value and error.
-type memo struct {
-	mu sync.Mutex
-	m  map[string]*memoEntry
+// experiment declares one experiment. plan adds the cells and rows its
+// renderer reads to a task list (nil: it reads none); render reads them
+// back from the suite's table.
+type experiment struct {
+	name   string
+	plan   func(s *Suite, l *taskList) error
+	render func(s *Suite, bars bool) (string, error)
 }
 
-type memoEntry struct {
-	once sync.Once
-	fn   func() (any, error) // set by register: computes in place of do's fn
-	val  any
-	err  error
+// experimentTable is every experiment, in the canonical order the CLI
+// renders them.
+var experimentTable = []experiment{
+	{"table1", grid((*Suite).basePolicies), text((*Suite).RenderTable1)},
+	{"table2", nil, func(s *Suite, _ bool) (string, error) { return s.RenderTable2(), nil }},
+	{"table3", grid((*Suite).table3Policies), text((*Suite).RenderTable3)},
+	{"fig6", grid((*Suite).fig67Policies), figure((*Suite).Fig6)},
+	{"fig7", grid((*Suite).fig67Policies), figure((*Suite).Fig7)},
+	{"fig8", grid((*Suite).fig8Policies), figure((*Suite).Fig8)},
+	{"fig9", grid((*Suite).fig9Policies), figure((*Suite).Fig9)},
+	{"fig10", grid((*Suite).fig10Policies), figure((*Suite).Fig10)},
+	{"tpsweep", grid((*Suite).basePolicies, (*Suite).tpSweepPolicies), text((*Suite).RenderTPSweep)},
+	{"multistate", (*Suite).planMultiState, text((*Suite).RenderMultiState)},
+	{"predictors", grid((*Suite).basePolicies, (*Suite).predictorPolicies), text((*Suite).RenderPredictors)},
+	{"devices", (*Suite).planDevices, text((*Suite).RenderDevices)},
+	{"prefetch", (*Suite).planPrefetch, text((*Suite).RenderPrefetch)},
 }
 
-// has reports whether key has an entry.
-func (c *memo) has(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.m[key]
-	return ok
-}
-
-// register makes fn the computation of key unless key already has an
-// entry.
-func (c *memo) register(key string, fn func() (any, error)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.m == nil {
-		c.m = make(map[string]*memoEntry)
-	}
-	if _, ok := c.m[key]; !ok {
-		c.m[key] = &memoEntry{fn: fn}
-	}
-}
-
-// do returns the memoized value for key, computing it with the registered
-// computation, else fn, on first use — exactly once even under concurrent
-// callers.
-func (c *memo) do(key string, fn func() (any, error)) (any, error) {
-	c.mu.Lock()
-	if c.m == nil {
-		c.m = make(map[string]*memoEntry)
-	}
-	e, ok := c.m[key]
-	if !ok {
-		e = &memoEntry{}
-		c.m[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() {
-		if e.fn != nil {
-			fn = e.fn
+// grid plans every application's cells under the policies pols list, in
+// that order, on the suite's own runner.
+func grid(pols ...func(*Suite) []sim.Policy) func(*Suite, *taskList) error {
+	return func(s *Suite, l *taskList) error {
+		var all []sim.Policy
+		for _, p := range pols {
+			all = append(all, p(s)...)
 		}
-		e.val, e.err = fn()
-	})
-	return e.val, e.err
+		l.grid(s, all)
+		return nil
+	}
 }
 
-// Task is one memoizable unit of the evaluation matrix — typically one
-// (application, policy) simulation cell or one derived per-application
-// experiment row.
-type Task struct {
-	// Name identifies the unit ("run/mozilla/PCAP", "prefetch/nedit", …).
-	Name string
-	run  func() error
+// text adapts a renderer that has no bar form.
+func text(render func(*Suite) (string, error)) func(*Suite, bool) (string, error) {
+	return func(s *Suite, _ bool) (string, error) { return render(s) }
+}
+
+// figure renders a figure as a table, or as stacked bars when bars is
+// set and the figure has a bar form (the accuracy figures).
+func figure[F interface{ Render() string }](fig func(*Suite) (F, error)) func(*Suite, bool) (string, error) {
+	return func(s *Suite, bars bool) (string, error) {
+		f, err := fig(s)
+		if err != nil {
+			return "", err
+		}
+		if b, ok := any(f).(interface{ RenderBars() string }); ok && bars {
+			return b.RenderBars(), nil
+		}
+		return f.Render(), nil
+	}
 }
 
 // ExperimentNames returns every experiment in the canonical order the CLI
 // renders them.
 func ExperimentNames() []string {
-	return []string{
-		"table1", "table2", "table3",
-		"fig6", "fig7", "fig8", "fig9", "fig10",
-		"tpsweep", "multistate", "predictors", "devices", "prefetch",
+	names := make([]string, len(experimentTable))
+	for i, e := range experimentTable {
+		names[i] = e.name
 	}
+	return names
+}
+
+// findExperiment returns the named experiment's declaration.
+func findExperiment(name string) (*experiment, error) {
+	i := slices.IndexFunc(experimentTable, func(e experiment) bool { return e.name == name })
+	if i < 0 {
+		return nil, fmt.Errorf("experiments: unknown experiment %q", name)
+	}
+	return &experimentTable[i], nil
+}
+
+// Task is one unit of the evaluation matrix — one (application, policy)
+// simulation cell or one derived per-application experiment row.
+type Task struct {
+	// Name identifies the unit ("run/mozilla/PCAP", "prefetch/nedit", …).
+	Name string
+	run  func() error
 }
 
 // taskList accumulates tasks, deduplicating by name so experiments that
@@ -114,13 +122,14 @@ type taskList struct {
 	next   atomic.Int64 // index of the next pass to start
 }
 
-// listCell is a simulation cell that suite s memoizes under key.
+// listCell is a simulation cell of suite s.
 type listCell struct {
 	s    *Suite
 	app  *workload.App
-	key  string
 	cell sim.Cell
 }
+
+func (c listCell) key() cellKey { return cellKey{c.app.Name, c.cell.Policy.Name} }
 
 // add enqueues a task unless one of that name exists, and reports
 // whether it did.
@@ -136,34 +145,46 @@ func (l *taskList) add(name string, run func() error) bool {
 	return true
 }
 
+// grid enqueues every application's cells under pols on suite s.
+func (l *taskList) grid(s *Suite, pols []sim.Policy) {
+	for _, app := range s.Apps() {
+		for _, p := range pols {
+			l.addRun("", s, app, p)
+		}
+	}
+}
+
 // addRun enqueues one simulation cell on suite target (the main suite or a
 // per-device sub-suite, disambiguated by prefix) unless target already
 // has that cell under another prefix. The task runs passes until none is
 // left to start, then returns its own cell's result.
 func (l *taskList) addRun(prefix string, target *Suite, app *workload.App, pol sim.Policy) {
-	key := "run/" + app.Name + "/" + pol.Name
-	if slices.ContainsFunc(l.cells, func(c listCell) bool { return c.s == target && c.key == key }) {
+	c := listCell{target, app, sim.Cell{Runner: target.runner, Policy: pol}}
+	if slices.ContainsFunc(l.cells, func(o listCell) bool { return o.s == target && o.key() == c.key() }) {
 		return
 	}
-	l.add(prefix+key, func() error {
+	l.add(prefix+"run/"+app.Name+"/"+pol.Name, func() error {
 		l.work()
-		_, err := target.Run(app, pol)
+		_, err := target.results(app, pol)
 		return err
 	})
-	l.cells = append(l.cells, listCell{target, app, key, sim.Cell{Runner: target.runner, Policy: pol}})
+	l.cells = append(l.cells, c)
 }
 
-// split divides each application's cells that have no memo entry yet into
-// at most workers passes of consecutive cells, so one application's cells
-// can run side by side. Main-suite, dev/* and PCAP+lp cells share the
-// file-cache config, so a pass prepares each execution once for all its
-// cells (DESIGN.md §8). Each cell's memo entry takes its result from its
-// pass.
+// split divides each application's cells that are not in their suite's
+// table yet into at most workers passes of consecutive cells, so one
+// application's cells can run side by side. Main-suite, dev/* and
+// PCAP+lp cells share the file-cache config, so a pass prepares each
+// execution once for all its cells (DESIGN.md §8). Each cell's table
+// entry is its slot in its pass.
 func (l *taskList) split(workers int) {
 	for _, app := range workload.Apps() {
 		var cells []listCell
 		for _, c := range l.cells {
-			if c.app == app && !c.s.memo.has(c.key) {
+			if c.app != app {
+				continue
+			}
+			if _, ok := c.s.lookup(c.key()); !ok {
 				cells = append(cells, c)
 			}
 		}
@@ -174,11 +195,20 @@ func (l *taskList) split(workers int) {
 				p.cells = append(p.cells, c.cell)
 			}
 			for i, c := range part {
-				c.s.memo.register(c.key, func() (any, error) { return p.result(i) })
+				c.s.register(c.key(), slot{p, i})
 			}
 			l.passes = append(l.passes, p)
 		}
 	}
+}
+
+// cellKey names a cell in its suite's table.
+type cellKey struct{ app, policy string }
+
+// slot locates a cell's result: index i of pass p.
+type slot struct {
+	p *cellPass
+	i int
 }
 
 // cellPass is one sim.RunCells pass over cells of app.
@@ -192,17 +222,12 @@ type cellPass struct {
 }
 
 // result runs the pass, or waits for it, and returns cell i's outcome.
-func (p *cellPass) result(i int) (any, error) {
+func (p *cellPass) result(i int) (*sim.AppResult, error) {
 	p.once.Do(func() { p.res, p.errs = sim.RunCells(p.s.SourceFor(p.app), p.cells) })
 	if p.errs[i] != nil {
-		return nil, cellError(p.app, p.cells[i].Policy, p.errs[i])
+		return nil, fmt.Errorf("experiments: %s under %s: %w", p.app.Name, p.cells[i].Policy.Name, p.errs[i])
 	}
 	return p.res[i], nil
-}
-
-// cellError labels a failed cell's error with its app and policy.
-func cellError(app *workload.App, pol sim.Policy, err error) error {
-	return fmt.Errorf("experiments: %s under %s: %w", app.Name, pol.Name, err)
 }
 
 // work runs the passes nobody has started, in registration order, until
@@ -213,98 +238,38 @@ func (l *taskList) work() {
 	}
 }
 
-// TasksFor returns the cells needed by the named experiments.
+// plan enqueues the named experiments' cells and rows.
+func (s *Suite) plan(l *taskList, exps ...string) error {
+	for _, name := range exps {
+		e, err := findExperiment(name)
+		if err != nil {
+			return err
+		}
+		if e.plan != nil {
+			if err := e.plan(s, l); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// TasksFor returns the cells and rows the named experiments read. Cells
+// the suite's table lacks are grouped into passes that the tasks run.
 func (s *Suite) TasksFor(exps ...string) ([]Task, error) {
 	var l taskList
-	for _, e := range exps {
-		if err := s.appendTasks(&l, e); err != nil {
-			return nil, err
-		}
+	if err := s.plan(&l, exps...); err != nil {
+		return nil, err
 	}
 	// No more passes than CPUs can run at once.
 	l.split(runtime.GOMAXPROCS(0))
 	return l.tasks, nil
 }
 
-// appendTasks enqueues one experiment's cells.
-func (s *Suite) appendTasks(l *taskList, exp string) error {
-	grid := func(pols []sim.Policy) {
-		for _, app := range s.Apps() {
-			for _, p := range pols {
-				l.addRun("", s, app, p)
-			}
-		}
-	}
-	perApp := func(kind string, run func(app *workload.App) error) {
-		for _, app := range s.Apps() {
-			app := app
-			l.add(kind+"/"+app.Name, func() error { return run(app) })
-		}
-	}
-	switch exp {
-	case "table1":
-		grid([]sim.Policy{s.PolicyBase()})
-	case "table2":
-		// Pure configuration rendering: nothing to simulate.
-	case "table3":
-		grid(s.table3Policies())
-	case "fig6", "fig7":
-		grid(s.fig67Policies())
-	case "fig8":
-		grid(s.fig8Policies())
-	case "fig9":
-		grid(s.fig9Policies())
-	case "fig10":
-		grid(s.fig10Policies())
-	case "tpsweep":
-		pols := []sim.Policy{s.PolicyBase()}
-		pols = append(pols, s.tpSweepPolicies()...)
-		grid(pols)
-	case "multistate":
-		grid([]sim.Policy{s.PolicyBase(), s.PolicyPCAP(core.VariantBase)})
-		lp, err := s.lowPowerRunner()
-		if err != nil {
-			return err
-		}
-		for _, app := range s.Apps() {
-			app := app
-			if l.add("multistate/"+app.Name, func() error {
-				_, err := s.multiStateRow(app)
-				return err
-			}) {
-				l.cells = append(l.cells, listCell{s, app, lowPowerKey(app), sim.Cell{Runner: lp, Policy: s.policyLowPower()}})
-			}
-		}
-	case "predictors":
-		grid(append([]sim.Policy{s.PolicyBase()}, s.predictorPolicies()...))
-	case "devices":
-		for _, dev := range disk.Devices() {
-			ds, err := s.deviceSuite(dev)
-			if err != nil {
-				return err
-			}
-			for _, app := range ds.Apps() {
-				for _, p := range ds.devicePolicies() {
-					l.addRun("dev/"+dev.Name+"/", ds, app, p)
-				}
-			}
-		}
-	case "prefetch":
-		perApp("prefetch", func(app *workload.App) error {
-			_, err := s.prefetchRow(app)
-			return err
-		})
-	default:
-		return fmt.Errorf("experiments: unknown experiment %q", exp)
-	}
-	return nil
-}
-
 // RunMatrix fans the evaluation matrix of the named experiments (all of
-// them when none are given) across parallel workers, warming every
-// memoized cell. parallel < 1 selects GOMAXPROCS. The subsequent
-// renderers read the warm caches serially, so output is byte-identical to
-// a fully serial run.
+// them when none are given) across parallel workers, filling the suite's
+// table. parallel < 1 selects GOMAXPROCS. The renderers then read the
+// table serially, so output is the same at any worker count.
 func (s *Suite) RunMatrix(parallel int, exps ...string) error {
 	if len(exps) == 0 {
 		exps = ExperimentNames()
@@ -359,60 +324,32 @@ func RunTasks(tasks []Task, parallel int) error {
 	return nil
 }
 
-// RenderExperiment renders one named experiment as text. Accuracy figures
-// render as stacked bars instead of tables when bars is set.
+// RenderExperiment renders one named experiment as text, first running
+// whatever of its matrix the suite's table lacks (nothing, once
+// RunMatrix has run it). Accuracy figures render as stacked bars instead
+// of tables when bars is set.
 func (s *Suite) RenderExperiment(name string, bars bool) (string, error) {
-	renderAcc := func(f *AccuracyFigure, err error) (string, error) {
-		if err != nil {
-			return "", err
-		}
-		if bars {
-			return f.RenderBars(), nil
-		}
-		return f.Render(), nil
+	e, err := findExperiment(name)
+	if err != nil {
+		return "", err
 	}
-	switch name {
-	case "table1":
-		return s.RenderTable1()
-	case "table2":
-		return s.RenderTable2(), nil
-	case "table3":
-		return s.RenderTable3()
-	case "fig6":
-		return renderAcc(s.Fig6())
-	case "fig7":
-		return renderAcc(s.Fig7())
-	case "fig8":
-		f, err := s.Fig8()
-		if err != nil {
-			return "", err
-		}
-		return f.Render(), nil
-	case "fig9":
-		return renderAcc(s.Fig9())
-	case "fig10":
-		return renderAcc(s.Fig10())
-	case "tpsweep":
-		return s.RenderTPSweep()
-	case "multistate":
-		return s.RenderMultiState()
-	case "predictors":
-		return s.RenderPredictors()
-	case "devices":
-		return s.RenderDevices()
-	case "prefetch":
-		return s.RenderPrefetch()
-	default:
-		return "", fmt.Errorf("experiments: unknown experiment %q", name)
+	if err := s.RunMatrix(0, name); err != nil {
+		return "", err
 	}
+	return e.render(s, bars)
 }
 
 // RenderAll renders the named experiments (all of them when none are
 // given) in canonical order, separated by blank lines — the CLI's full
-// output and the differential determinism test's unit of comparison.
+// output and the differential determinism test's unit of comparison. It
+// first runs whatever of their matrix the suite's table lacks, in one
+// RunMatrix so that the experiments share passes.
 func (s *Suite) RenderAll(bars bool, names ...string) (string, error) {
 	if len(names) == 0 {
 		names = ExperimentNames()
+	}
+	if err := s.RunMatrix(0, names...); err != nil {
+		return "", err
 	}
 	var b strings.Builder
 	for _, name := range names {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"pcapsim/internal/core"
@@ -12,9 +13,17 @@ import (
 // these tests pin the qualitative results the paper reports — the "shape"
 // of each table and figure — rather than exact percentages.
 
+// matrixSuite is the default-seed suite with its whole evaluation matrix
+// run, built once for the tests that only read results.
+var matrixSuite = sync.OnceValues(func() (*Suite, error) {
+	s := NewDefaultSuite()
+	return s, s.RunMatrix(0)
+})
+
+// newSuite returns matrixSuite.
 func newSuite(t *testing.T) *Suite {
 	t.Helper()
-	s, err := NewSuite(DefaultSeed, sim.DefaultConfig())
+	s, err := matrixSuite()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,8 +237,10 @@ func TestMultiStateGains(t *testing.T) {
 	}
 }
 
+// TestSuiteMemoization: a cold Run registers the cell, and a second Run
+// returns the same result object.
 func TestSuiteMemoization(t *testing.T) {
-	s := newSuite(t)
+	s := NewDefaultSuite()
 	app := s.Apps()[4] // nedit: cheapest
 	a, err := s.Run(app, s.PolicyTP())
 	if err != nil {
@@ -249,6 +260,9 @@ func TestSeedSensitivity(t *testing.T) {
 	// ordering — the reproduction is not an artifact of one seed.
 	s, err := NewSuite(99, sim.DefaultConfig())
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunMatrix(0, "fig7"); err != nil {
 		t.Fatal(err)
 	}
 	f, err := s.Fig7()

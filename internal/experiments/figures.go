@@ -29,8 +29,8 @@ type AccuracyFigure struct {
 	Average  map[string]sim.Fractions
 }
 
-// accuracyFigure runs all policies over all apps and extracts either the
-// local or the global counts.
+// accuracyFigure reads every app's cells under pols from the suite's
+// table and extracts either the local or the global counts.
 func (s *Suite) accuracyFigure(title string, pols []sim.Policy, local bool) (*AccuracyFigure, error) {
 	fig := &AccuracyFigure{Title: title, Average: make(map[string]sim.Fractions)}
 	for _, p := range pols {
@@ -38,11 +38,12 @@ func (s *Suite) accuracyFigure(title string, pols []sim.Policy, local bool) (*Ac
 	}
 	sums := make(map[string]*avgAcc)
 	for _, app := range s.Apps() {
-		for _, p := range pols {
-			res, err := s.Run(app, p)
-			if err != nil {
-				return nil, err
-			}
+		rs, err := s.results(app, pols...)
+		if err != nil {
+			return nil, err
+		}
+		for i, p := range pols {
+			res := rs[i]
 			c := res.Global
 			if local {
 				c = res.Local
@@ -215,8 +216,8 @@ func (s *Suite) Fig8() (*EnergyFigure, error) {
 	return s.energyFigure(s.fig8Policies())
 }
 
-// energyFigure runs the given policies and normalizes each app's bars to
-// its Base total.
+// energyFigure reads every app's cells under pols and normalizes each
+// app's bars to its Base total.
 func (s *Suite) energyFigure(pols []sim.Policy) (*EnergyFigure, error) {
 	fig := &EnergyFigure{AverageSavings: make(map[string]float64)}
 	for _, p := range pols {
@@ -224,16 +225,13 @@ func (s *Suite) energyFigure(pols []sim.Policy) (*EnergyFigure, error) {
 	}
 	counts := make(map[string]int)
 	for _, app := range s.Apps() {
-		base, err := s.Run(app, s.PolicyBase())
+		rs, err := s.results(app, append([]sim.Policy{s.PolicyBase()}, pols...)...)
 		if err != nil {
 			return nil, err
 		}
-		baseTotal := base.Energy.Total()
-		for _, p := range pols {
-			res, err := s.Run(app, p)
-			if err != nil {
-				return nil, err
-			}
+		baseTotal := rs[0].Energy.Total()
+		for i, p := range pols {
+			res := rs[i+1]
 			cell := EnergyCell{
 				App: app.Name, Policy: p.Name,
 				Energy: res.Energy, BaseTotal: baseTotal, Cycles: res.Cycles,

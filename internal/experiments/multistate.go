@@ -6,7 +6,6 @@ import (
 	"pcapsim/internal/core"
 	"pcapsim/internal/predictor"
 	"pcapsim/internal/sim"
-	"pcapsim/internal/workload"
 )
 
 // MultiStateRow compares PCAP's energy with and without the paper's
@@ -25,22 +24,7 @@ type MultiStateRow struct {
 // drives of the period).
 const DefaultLowPowerIdleWatts = 0.55
 
-// lowPowerRunner returns the memoized runner configured with the
-// intermediate low-power idle state.
-func (s *Suite) lowPowerRunner() (*sim.Runner, error) {
-	v, err := s.memo.do("multistate/runner", func() (any, error) {
-		cfg := s.cfg
-		cfg.Disk = cfg.Disk.WithLowPowerIdle(DefaultLowPowerIdleWatts)
-		cfg.LowPowerWaitWindow = true
-		return sim.NewRunner(cfg)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*sim.Runner), nil
-}
-
-// policyLowPower is PCAP with table reuse, run on lowPowerRunner.
+// policyLowPower is PCAP with table reuse, run on the low-power runner.
 func (s *Suite) policyLowPower() sim.Policy {
 	return sim.Policy{
 		Name:       "PCAP+lp",
@@ -49,50 +33,45 @@ func (s *Suite) policyLowPower() sim.Policy {
 	}
 }
 
-// lowPowerKey is the memo key of app's PCAP+lp cell.
-func lowPowerKey(app *workload.App) string { return "multistate/cell/" + app.Name }
-
-// multiStateRow computes one application's row, memoized so matrix
-// workers and the driver share the simulation.
-func (s *Suite) multiStateRow(app *workload.App) (MultiStateRow, error) {
-	v, err := s.memo.do("multistate/"+app.Name, func() (any, error) {
-		runner, err := s.lowPowerRunner()
-		if err != nil {
-			return nil, err
-		}
-		base, err := s.Run(app, s.PolicyBase())
-		if err != nil {
-			return nil, err
-		}
-		plain, err := s.Run(app, s.PolicyPCAP(core.VariantBase))
-		if err != nil {
-			return nil, err
-		}
-		multi, err := s.cell(lowPowerKey(app), runner, app, s.policyLowPower())
-		if err != nil {
-			return nil, err
-		}
-		bt := base.Energy.Total()
-		row := MultiStateRow{App: app.Name}
-		if bt > 0 {
-			row.SavedPlain = 1 - plain.Energy.Total()/bt
-			row.SavedMulti = 1 - multi.Energy.Total()/bt
-		}
-		return row, nil
-	})
+// planMultiState plans the extension experiment: Base and PCAP on the
+// suite's runner and PCAP+lp on a runner with the intermediate low-power
+// idle state, all in the suite's table, and one multistate/<app> task
+// per row.
+func (s *Suite) planMultiState(l *taskList) error {
+	l.grid(s, []sim.Policy{s.PolicyBase(), s.PolicyPCAP(core.VariantBase)})
+	cfg := s.cfg
+	cfg.Disk = cfg.Disk.WithLowPowerIdle(DefaultLowPowerIdleWatts)
+	cfg.LowPowerWaitWindow = true
+	lp, err := sim.NewRunner(cfg)
 	if err != nil {
-		return MultiStateRow{}, err
+		return err
 	}
-	return v.(MultiStateRow), nil
+	for _, app := range s.Apps() {
+		// Base and PCAP fail their own run/ tasks; the row's task reads
+		// its own cell.
+		if l.add("multistate/"+app.Name, func() error {
+			_, err := s.results(app, s.policyLowPower())
+			return err
+		}) {
+			l.cells = append(l.cells, listCell{s, app, sim.Cell{Runner: lp, Policy: s.policyLowPower()}})
+		}
+	}
+	return nil
 }
 
-// MultiState runs the extension experiment.
+// MultiState derives the extension experiment's rows, one per
+// application, from each application's three cells.
 func (s *Suite) MultiState() ([]MultiStateRow, error) {
 	var rows []MultiStateRow
 	for _, app := range s.Apps() {
-		row, err := s.multiStateRow(app)
+		res, err := s.results(app, s.PolicyBase(), s.PolicyPCAP(core.VariantBase), s.policyLowPower())
 		if err != nil {
 			return nil, err
+		}
+		row := MultiStateRow{App: app.Name}
+		if bt := res[0].Energy.Total(); bt > 0 {
+			row.SavedPlain = 1 - res[1].Energy.Total()/bt
+			row.SavedMulti = 1 - res[2].Energy.Total()/bt
 		}
 		rows = append(rows, row)
 	}

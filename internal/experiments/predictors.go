@@ -77,14 +77,11 @@ func (s *Suite) Predictors() ([]PredictorRow, error) {
 		row := PredictorRow{Policy: pol.Name}
 		n := 0
 		for _, app := range s.Apps() {
-			base, err := s.Run(app, s.PolicyBase())
+			rs, err := s.results(app, s.PolicyBase(), pol)
 			if err != nil {
 				return nil, err
 			}
-			res, err := s.Run(app, pol)
-			if err != nil {
-				return nil, err
-			}
+			base, res := rs[0], rs[1]
 			f := res.Global.Fractions()
 			row.Hit += f.Hit
 			row.Miss += f.Miss

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"pcapsim/internal/prefetch"
 	"pcapsim/internal/workload"
@@ -25,30 +26,60 @@ const prefetchCacheBlocks = 256
 // prefetchDegree is how many blocks a confident stream fetches ahead.
 const prefetchDegree = 8
 
-// prefetchRow evaluates one application's readahead comparison, memoized
-// so matrix workers and the driver share the evaluation.
-func (s *Suite) prefetchRow(app *workload.App) (PrefetchRow, error) {
-	v, err := s.memo.do("prefetch/"+app.Name, func() (any, error) {
+// prefetchEntry is one application's stored row, evaluated once.
+type prefetchEntry struct {
+	once sync.Once
+	row  PrefetchRow
+	err  error
+}
+
+// planPrefetch plans one prefetch/<app> row per application.
+func (s *Suite) planPrefetch(l *taskList) error {
+	for _, app := range s.Apps() {
+		l.add("prefetch/"+app.Name, func() error {
+			_, err := s.prefetchRow(app, true)
+			return err
+		})
+	}
+	return nil
+}
+
+// prefetchRow returns one application's row, evaluating it once. Only a
+// prefetch task adds a row; a reader (add unset) of a row no task added
+// gets an error.
+func (s *Suite) prefetchRow(app *workload.App, add bool) (PrefetchRow, error) {
+	s.mu.Lock()
+	e := s.prefetched[app.Name]
+	if e == nil && add {
+		if s.prefetched == nil {
+			s.prefetched = make(map[string]*prefetchEntry)
+		}
+		e = new(prefetchEntry)
+		s.prefetched[app.Name] = e
+	}
+	s.mu.Unlock()
+	if e == nil {
+		return PrefetchRow{}, notRun("prefetch for " + app.Name)
+	}
+	e.once.Do(func() {
 		rs, err := prefetch.EvaluateSource(s.SourceFor(app), prefetchCacheBlocks, prefetch.None{},
 			prefetch.NewGlobalReadahead(prefetchDegree), prefetch.NewPCReadahead(prefetchDegree))
 		if err != nil {
-			return nil, err
+			e.err = err
+			return
 		}
-		return PrefetchRow{App: app.Name, BaseMiss: rs[0].MissRate(), Global: rs[1], PC: rs[2]}, nil
+		e.row = PrefetchRow{App: app.Name, BaseMiss: rs[0].MissRate(), Global: rs[1], PC: rs[2]}
 	})
-	if err != nil {
-		return PrefetchRow{}, err
-	}
-	return v.(PrefetchRow), nil
+	return e.row, e.err
 }
 
-// Prefetch evaluates the paper's §7 prefetching direction on every
-// application: per-PC stream contexts against a PC-blind sequential
-// readahead.
+// Prefetch returns the §7 prefetching comparison on every application
+// from the suite's rows: per-PC stream contexts against a PC-blind
+// sequential readahead.
 func (s *Suite) Prefetch() ([]PrefetchRow, error) {
 	var rows []PrefetchRow
 	for _, app := range s.Apps() {
-		row, err := s.prefetchRow(app)
+		row, err := s.prefetchRow(app, false)
 		if err != nil {
 			return nil, err
 		}

@@ -120,13 +120,10 @@ func TestRetainedPreparesOnceConcurrently(t *testing.T) {
 }
 
 // TestRunMatrixRetainsNothing: the CLI's matrix runs on suites that
-// leave retention off, so a full pass keeps no prepared execution in
+// leave retention off, so the full matrix keeps no prepared execution in
 // the suite or in its per-device sub-suites.
 func TestRunMatrixRetainsNothing(t *testing.T) {
-	s := NewDefaultSuite()
-	if err := s.RunMatrix(2, "devices"); err != nil {
-		t.Fatal(err)
-	}
+	s := newSuite(t)
 	if got := s.runner.RetainedPrepares(); got != 0 {
 		t.Errorf("RunMatrix retained %d executions on a default suite", got)
 	}

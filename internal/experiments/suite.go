@@ -5,6 +5,9 @@
 package experiments
 
 import (
+	"fmt"
+	"sync"
+
 	"pcapsim/internal/core"
 	"pcapsim/internal/ltree"
 	"pcapsim/internal/predictor"
@@ -17,14 +20,14 @@ import (
 // All numbers in EXPERIMENTS.md are produced with this seed.
 const DefaultSeed uint64 = 20040214 // HPCA-10 opened February 14, 2004
 
-// Suite runs policies over the paper's workloads, memoizing
-// per-(app, policy) results so that figures sharing runs (6/7, 8, 9, 10)
-// do not recompute them.
+// Suite runs policies over the paper's workloads and keeps every result
+// in its table, so that figures sharing runs (6/7, 8, 9, 10) do not
+// recompute them.
 //
-// A Suite is safe for concurrent use: every result computation sits
-// behind a singleflight cache (see engine.go), so RunMatrix can fan the
-// evaluation matrix across workers while the renderers keep reading
-// memoized values.
+// A Suite is safe for concurrent use. Its table maps each simulation cell
+// to its slot in one sim.RunCells pass, which runs once however many
+// callers want its cells (see engine.go), so RunMatrix can fan the
+// evaluation matrix across workers while the renderers read the table.
 type Suite struct {
 	seed   uint64
 	cfg    sim.Config
@@ -39,34 +42,27 @@ type Suite struct {
 	// executions. Device sub-suites share it with their parent, since
 	// traces are device independent.
 	traces *workload.TraceCache
-	// memo memoizes every derived result: simulation cells, per-app
-	// experiment rows, and per-device sub-suites.
-	memo memo
 	// sourceHook, if set, wraps every SourceFor source (a test seam).
 	sourceHook func(trace.Source) trace.Source
+
+	// mu guards the maps below, which fill as experiments are planned.
+	mu sync.Mutex
+	// cells is the suite's table: every simulation cell's slot.
+	cells map[cellKey]slot
+	// devs holds the device sweep's sub-suites by device name.
+	devs map[string]*Suite
+	// prefetched holds the prefetch experiment's rows by application.
+	prefetched map[string]*prefetchEntry
 }
 
 // NewSuite returns a Suite over the given workload seed and simulator
 // configuration. It streams its workloads until RetainPrepared.
 func NewSuite(seed uint64, cfg sim.Config) (*Suite, error) {
-	return newSharedSuite(seed, cfg, nil)
-}
-
-// newSharedSuite builds a Suite around an existing trace cache (nil
-// streams), so derived suites (the per-device sub-suites) get their
-// workloads the way their parent does.
-func newSharedSuite(seed uint64, cfg sim.Config, traces *workload.TraceCache) (*Suite, error) {
 	r, err := sim.NewRunner(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Suite{
-		seed:   seed,
-		cfg:    cfg,
-		runner: r,
-		scale:  1,
-		traces: traces,
-	}, nil
+	return &Suite{seed: seed, cfg: cfg, runner: r, scale: 1}, nil
 }
 
 // NewDefaultSuite returns a Suite with the paper's configuration and the
@@ -108,7 +104,7 @@ func (s *Suite) SourceFor(app *workload.App) trace.Source {
 
 // SetScale makes every policy run consume the workload scale times over
 // (see trace.Scale; scale 1 — the default — is byte-for-byte the paper's
-// workload). Set it before the first run: results are memoized, so
+// workload). Set it before the first run: results are kept, so
 // changing the scale mid-suite would mix scales in one output.
 func (s *Suite) SetScale(scale int) {
 	if scale < 1 {
@@ -132,27 +128,61 @@ func (s *Suite) RetainPrepared() {
 	s.runner.RetainPrepared()
 }
 
-// Run simulates app under pol, memoized by (app, policy name). Concurrent
-// callers of the same cell block on one simulation and share its result.
-// A cell in a TasksFor pass is computed by that pass, which Run starts or
-// waits for (see cellPass).
+// Run returns app's result under pol from the suite's table, running or
+// waiting for the pass that holds the cell. A cell the table lacks is
+// registered as a one-cell pass first, so concurrent callers of a cell
+// share one simulation and one result.
 func (s *Suite) Run(app *workload.App, pol sim.Policy) (*sim.AppResult, error) {
-	return s.cell("run/"+app.Name+"/"+pol.Name, s.runner, app, pol)
+	one := &cellPass{s: s, app: app, cells: []sim.Cell{{Runner: s.runner, Policy: pol}}}
+	sl := s.register(cellKey{app.Name, pol.Name}, slot{one, 0})
+	return sl.p.result(sl.i)
 }
 
-// cell is Run on runner, memoized under key.
-func (s *Suite) cell(key string, runner *sim.Runner, app *workload.App, pol sim.Policy) (*sim.AppResult, error) {
-	v, err := s.memo.do(key, func() (any, error) {
-		res, err := runner.RunSource(s.SourceFor(app), pol)
-		if err != nil {
-			return nil, cellError(app, pol, err)
-		}
-		return res, nil
-	})
-	if err != nil {
-		return nil, err
+// register makes sl the slot of key k unless k has one, and returns k's
+// slot.
+func (s *Suite) register(k cellKey, sl slot) slot {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if have, ok := s.cells[k]; ok {
+		return have
 	}
-	return v.(*sim.AppResult), nil
+	if s.cells == nil {
+		s.cells = make(map[cellKey]slot)
+	}
+	s.cells[k] = sl
+	return sl
+}
+
+// lookup returns the slot of key k, if the table has one.
+func (s *Suite) lookup(k cellKey) (slot, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sl, ok := s.cells[k]
+	return sl, ok
+}
+
+// results is how the renderers read cells: app's results under pols, in
+// order, from the table, running or waiting for their passes. Unlike Run
+// it never adds a cell, so a renderer that reads a cell its experiment
+// does not declare fails.
+func (s *Suite) results(app *workload.App, pols ...sim.Policy) ([]*sim.AppResult, error) {
+	res := make([]*sim.AppResult, len(pols))
+	for i, pol := range pols {
+		sl, ok := s.lookup(cellKey{app.Name, pol.Name})
+		if !ok {
+			return nil, notRun(app.Name + " under " + pol.Name)
+		}
+		var err error
+		if res[i], err = sl.p.result(sl.i); err != nil {
+			return nil, err
+		}
+	}
+	return res, nil
+}
+
+// notRun rejects a read of a result that no run of the suite has planned.
+func notRun(what string) error {
+	return fmt.Errorf("experiments: %s has not been run (RunMatrix or render its experiment first)", what)
 }
 
 // --- Standard policies -----------------------------------------------

@@ -18,16 +18,20 @@ type Table1Row struct {
 	TotalIOs   int
 }
 
+// basePolicies is Table 1's one run, Base, which the sweeps also read.
+func (s *Suite) basePolicies() []sim.Policy { return []sim.Policy{s.PolicyBase()} }
+
 // Table1 reproduces the paper's Table 1: applications and execution
 // details. Idle-period counts are policy-independent, so they are taken
 // from the Base run.
 func (s *Suite) Table1() ([]Table1Row, error) {
 	var rows []Table1Row
 	for _, app := range s.Apps() {
-		res, err := s.Run(app, s.PolicyBase())
+		rs, err := s.results(app, s.PolicyBase())
 		if err != nil {
 			return nil, err
 		}
+		res := rs[0]
 		rows = append(rows, Table1Row{
 			App:        app.Name,
 			Executions: res.Executions,
@@ -92,13 +96,13 @@ func (s *Suite) table3Policies() []sim.Policy {
 func (s *Suite) Table3() ([]Table3Row, error) {
 	var rows []Table3Row
 	for _, app := range s.Apps() {
+		rs, err := s.results(app, s.table3Policies()...)
+		if err != nil {
+			return nil, err
+		}
 		row := Table3Row{App: app.Name, Entries: make(map[core.Variant]int)}
-		for _, v := range table3Variants {
-			res, err := s.Run(app, s.PolicyPCAP(v))
-			if err != nil {
-				return nil, err
-			}
-			row.Entries[v] = res.StateEntries
+		for i, v := range table3Variants {
+			row.Entries[v] = rs[i].StateEntries
 		}
 		rows = append(rows, row)
 	}

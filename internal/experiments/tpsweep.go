@@ -22,9 +22,9 @@ type TPSweepRow struct {
 // paper's 5.43 s and 10 s points.
 var TPSweepTimeouts = []float64{1, 2, 5.43, 10, 20, 30, 60}
 
-// tpSweepPolicy is the sweep's policy for one timer value; the engine and
-// the driver must agree on the name for memoized cells to be shared. The
-// paper's own timer value is PolicyTP, so its cell is simulated once.
+// tpSweepPolicy is the sweep's policy for one timer value; the plan and
+// the renderer name its cell alike. The paper's own timer value is
+// PolicyTP, so its cell is simulated once.
 func (s *Suite) tpSweepPolicy(sec float64) sim.Policy {
 	if timeout := trace.FromSeconds(sec); timeout != tpTimeout {
 		return s.PolicyTPWith(fmt.Sprintf("TP%.4gs", sec), timeout)
@@ -49,14 +49,11 @@ func (s *Suite) TPSweep() ([]TPSweepRow, error) {
 		row := TPSweepRow{Timeout: trace.FromSeconds(sec)}
 		n := 0
 		for _, app := range s.Apps() {
-			base, err := s.Run(app, s.PolicyBase())
+			rs, err := s.results(app, s.PolicyBase(), pol)
 			if err != nil {
 				return nil, err
 			}
-			res, err := s.Run(app, pol)
-			if err != nil {
-				return nil, err
-			}
+			base, res := rs[0], rs[1]
 			if bt := base.Energy.Total(); bt > 0 {
 				row.AvgSavings += 1 - res.Energy.Total()/bt
 			}

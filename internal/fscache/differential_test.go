@@ -290,14 +290,18 @@ func TestDifferentialRandomized(t *testing.T) {
 					e := ioEvent(now, trace.PID(1+r.Intn(3)), acc,
 						int64(r.Intn(3*blocks+4)), int32(r.Intn(4*cfg.BlockSize+1)))
 					e.FD = trace.FD(r.Intn(5))
-					gotOut, err := c.Apply(e)
+					// A one-event FilterInto is the flush daemon up to the
+					// event's time, then the event.
+					gotOut, err := filterOne(c, e)
 					if err != nil {
 						t.Fatal(err)
 					}
-					wantOut, err := ref.Apply(e)
+					wantOut := ref.Advance(now)
+					applied, err := ref.Apply(e)
 					if err != nil {
 						t.Fatal(err)
 					}
+					wantOut = append(wantOut, applied...)
 					checkAgainstRef(t, step, c, ref, gotOut, wantOut)
 				}
 			})
@@ -332,7 +336,7 @@ func TestDifferentialFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Filter(events)
+	got, err := c.FilterInto(nil, events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,10 +372,10 @@ func TestCapacityOneCache(t *testing.T) {
 	}
 	// Dirty block 1, then read block 2: the eviction must write block 1
 	// back before the read's disk access.
-	if _, err := c.Apply(ioEvent(0, 1, trace.AccessWrite, 1, 4096)); err != nil {
+	if _, err := filterOne(c, ioEvent(0, 1, trace.AccessWrite, 1, 4096)); err != nil {
 		t.Fatal(err)
 	}
-	out, err := c.Apply(ioEvent(1, 1, trace.AccessRead, 2, 4096))
+	out, err := filterOne(c, ioEvent(1, 1, trace.AccessRead, 2, 4096))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,13 +404,13 @@ func TestRetouchMRUKeepsOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for b := int64(0); b < 4; b++ {
-		if _, err := c.Apply(ioEvent(trace.Time(b), 1, trace.AccessRead, b, 4096)); err != nil {
+		if _, err := filterOne(c, ioEvent(trace.Time(b), 1, trace.AccessRead, b, 4096)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	want := []int64{3, 2, 1, 0}
 	for i := 0; i < 5; i++ {
-		if _, err := c.Apply(ioEvent(trace.Time(10+i), 1, trace.AccessRead, 3, 4096)); err != nil {
+		if _, err := filterOne(c, ioEvent(trace.Time(10+i), 1, trace.AccessRead, 3, 4096)); err != nil {
 			t.Fatal(err)
 		}
 		if got := c.lruOrder(); !reflect.DeepEqual(got, want) {
@@ -430,13 +434,13 @@ func TestEvictionUnderFullArena(t *testing.T) {
 	// Dirty the first `blocks` ids so each later eviction is observable as
 	// a write-back, in insertion (LRU) order.
 	for b := int64(0); b < blocks; b++ {
-		if _, err := c.Apply(ioEvent(trace.Time(b), 1, trace.AccessWrite, b, 4096)); err != nil {
+		if _, err := filterOne(c, ioEvent(trace.Time(b), 1, trace.AccessWrite, b, 4096)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var victims []int64
 	for b := int64(blocks); b < 3*blocks; b++ {
-		out, err := c.Apply(ioEvent(trace.Time(b), 1, trace.AccessRead, b, 4096))
+		out, err := filterOne(c, ioEvent(trace.Time(b), 1, trace.AccessRead, b, 4096))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -471,7 +475,7 @@ func TestResetMatchesFresh(t *testing.T) {
 		if r.Intn(2) == 0 {
 			acc = trace.AccessWrite
 		}
-		if _, err := used.Apply(ioEvent(now, 1, acc, int64(r.Intn(12)), 4096)); err != nil {
+		if _, err := filterOne(used, ioEvent(now, 1, acc, int64(r.Intn(12)), 4096)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -489,18 +493,20 @@ func TestResetMatchesFresh(t *testing.T) {
 			acc = trace.AccessWrite
 		}
 		e := ioEvent(now, 1, acc, int64(r.Intn(12)), 4096)
-		a, err := used.Apply(e)
+		a, err := filterOne(used, e)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := fresh.Apply(e)
+		b, err := filterOne(fresh, e)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, err := ref.Apply(e)
+		w := ref.Advance(now)
+		applied, err := ref.Apply(e)
 		if err != nil {
 			t.Fatal(err)
 		}
+		w = append(w, applied...)
 		if !reflect.DeepEqual(a, b) || !reflect.DeepEqual(a, w) {
 			t.Fatalf("step %d: reset cache diverges from fresh/reference", i)
 		}

@@ -171,18 +171,13 @@ func (c *Cache) DirtyLen() int {
 // hash spreads a block id over the index (Fibonacci multiplicative hash).
 func hash(id int64) uint64 { return uint64(id) * 0x9E3779B97F4A7C15 >> 32 }
 
-// Filter runs the events of one execution trace through the cache and
-// returns the resulting disk accesses in time order. Non-I/O events
-// (fork/exit) pass through unchanged so downstream consumers keep process
-// lifetimes. Open operations are modelled as metadata reads of the file's
-// first block; close operations generate no disk traffic.
-func (c *Cache) Filter(events []trace.Event) ([]trace.Event, error) {
-	return c.FilterInto(make([]trace.Event, 0, len(events)), events)
-}
-
-// FilterInto is Filter appending into out (reusing its capacity) — the
-// allocation-free variant for callers that recycle a buffer across
-// executions. It returns the extended slice.
+// FilterInto runs the events of one execution trace through the cache
+// and appends the resulting disk accesses, in time order, to out
+// (reusing its capacity, so a caller can recycle one buffer across
+// executions). It returns the extended slice. Non-I/O events (fork/exit)
+// pass through unchanged so downstream consumers keep process lifetimes.
+// Open operations are modelled as metadata reads of the file's first
+// block; close operations generate no disk traffic.
 func (c *Cache) FilterInto(out []trace.Event, events []trace.Event) ([]trace.Event, error) {
 	for _, e := range events {
 		// Flush wakes scheduled before this event come first, keeping the
@@ -193,7 +188,7 @@ func (c *Cache) FilterInto(out []trace.Event, events []trace.Event) ([]trace.Eve
 			continue
 		}
 		var err error
-		out, err = c.applyInto(out, e)
+		out, err = c.apply(out, e)
 		if err != nil {
 			return nil, err
 		}
@@ -201,17 +196,10 @@ func (c *Cache) FilterInto(out []trace.Event, events []trace.Event) ([]trace.Eve
 	return out, nil
 }
 
-// Apply presents one I/O event to the cache and returns the disk accesses
-// it generates (zero or more), all timestamped at the event time.
-func (c *Cache) Apply(e trace.Event) ([]trace.Event, error) {
-	return c.applyInto(nil, e)
-}
-
-// applyInto is Apply appending into out.
-func (c *Cache) applyInto(out []trace.Event, e trace.Event) ([]trace.Event, error) {
-	if e.Kind != trace.KindIO {
-		return nil, fmt.Errorf("fscache: Apply on non-IO event %v", e)
-	}
+// apply presents one I/O event to the cache and appends the disk
+// accesses it generates (zero or more), all timestamped at the event
+// time.
+func (c *Cache) apply(out []trace.Event, e trace.Event) ([]trace.Event, error) {
 	switch e.Access {
 	case trace.AccessClose:
 		return out, nil

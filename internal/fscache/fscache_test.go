@@ -17,6 +17,12 @@ func newTestCache(t *testing.T) *Cache {
 	return c
 }
 
+// filterOne runs a one-event trace through c: the flush daemon up to the
+// event's time, then the event.
+func filterOne(c *Cache, e trace.Event) ([]trace.Event, error) {
+	return c.FilterInto(nil, []trace.Event{e})
+}
+
 func ioEvent(at trace.Time, pid trace.PID, acc trace.Access, block int64, size int32) trace.Event {
 	return trace.Event{
 		Time: at, Pid: pid, Kind: trace.KindIO,
@@ -72,14 +78,14 @@ func TestConfigRejectsPartialBlocks(t *testing.T) {
 
 func TestReadMissThenHit(t *testing.T) {
 	c := newTestCache(t)
-	out, err := c.Apply(ioEvent(0, 1, trace.AccessRead, 10, 4096))
+	out, err := filterOne(c, ioEvent(0, 1, trace.AccessRead, 10, 4096))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 1 {
 		t.Fatalf("cold read produced %d accesses", len(out))
 	}
-	out, err = c.Apply(ioEvent(1000, 1, trace.AccessRead, 10, 4096))
+	out, err = filterOne(c, ioEvent(1000, 1, trace.AccessRead, 10, 4096))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +100,7 @@ func TestReadMissThenHit(t *testing.T) {
 
 func TestMultiBlockReadSpans(t *testing.T) {
 	c := newTestCache(t)
-	out, err := c.Apply(ioEvent(0, 1, trace.AccessRead, 100, 3*4096))
+	out, err := filterOne(c, ioEvent(0, 1, trace.AccessRead, 100, 3*4096))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +116,7 @@ func TestMultiBlockReadSpans(t *testing.T) {
 
 func TestWriteIsAbsorbed(t *testing.T) {
 	c := newTestCache(t)
-	out, err := c.Apply(ioEvent(0, 1, trace.AccessWrite, 5, 4096))
+	out, err := filterOne(c, ioEvent(0, 1, trace.AccessWrite, 5, 4096))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,12 +131,12 @@ func TestWriteIsAbsorbed(t *testing.T) {
 func TestLRUEvictionWritesBackDirty(t *testing.T) {
 	c := newTestCache(t)
 	// Dirty one block, then stream reads through the whole cache.
-	if _, err := c.Apply(ioEvent(0, 7, trace.AccessWrite, 999, 4096)); err != nil {
+	if _, err := filterOne(c, ioEvent(0, 7, trace.AccessWrite, 999, 4096)); err != nil {
 		t.Fatal(err)
 	}
 	var wb []trace.Event
 	for i := 0; i < 64; i++ {
-		out, err := c.Apply(ioEvent(trace.Time(i+1), 1, trace.AccessRead, int64(i), 4096))
+		out, err := filterOne(c, ioEvent(trace.Time(i+1), 1, trace.AccessRead, int64(i), 4096))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +162,7 @@ func TestLRUEvictionWritesBackDirty(t *testing.T) {
 
 func TestFlushDaemonAgesDirtyBlocks(t *testing.T) {
 	c := newTestCache(t)
-	if _, err := c.Apply(ioEvent(trace.Second, 4, trace.AccessWrite, 50, 4096)); err != nil {
+	if _, err := filterOne(c, ioEvent(trace.Second, 4, trace.AccessWrite, 50, 4096)); err != nil {
 		t.Fatal(err)
 	}
 	// Before the age threshold nothing flushes.
@@ -189,10 +195,10 @@ func TestRedirtyResetsNothing(t *testing.T) {
 	// Re-dirtying an already-dirty block keeps the original age (the
 	// paper's 30-second timer flushes data that has been dirty that long).
 	c := newTestCache(t)
-	if _, err := c.Apply(ioEvent(0, 1, trace.AccessWrite, 9, 4096)); err != nil {
+	if _, err := filterOne(c, ioEvent(0, 1, trace.AccessWrite, 9, 4096)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Apply(ioEvent(25*trace.Second, 1, trace.AccessWrite, 9, 4096)); err != nil {
+	if _, err := filterOne(c, ioEvent(25*trace.Second, 1, trace.AccessWrite, 9, 4096)); err != nil {
 		t.Fatal(err)
 	}
 	out := c.Advance(40 * trace.Second)
@@ -203,7 +209,7 @@ func TestRedirtyResetsNothing(t *testing.T) {
 
 func TestOpenIsMetadataRead(t *testing.T) {
 	c := newTestCache(t)
-	out, err := c.Apply(ioEvent(0, 1, trace.AccessOpen, 200, 4096))
+	out, err := filterOne(c, ioEvent(0, 1, trace.AccessOpen, 200, 4096))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +217,7 @@ func TestOpenIsMetadataRead(t *testing.T) {
 		t.Fatalf("open produced %v", out)
 	}
 	// Second open of the same file hits the cached metadata.
-	out, err = c.Apply(ioEvent(1, 1, trace.AccessOpen, 200, 4096))
+	out, err = filterOne(c, ioEvent(1, 1, trace.AccessOpen, 200, 4096))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +228,7 @@ func TestOpenIsMetadataRead(t *testing.T) {
 
 func TestCloseIsFree(t *testing.T) {
 	c := newTestCache(t)
-	out, err := c.Apply(ioEvent(0, 1, trace.AccessClose, 1, 0))
+	out, err := filterOne(c, ioEvent(0, 1, trace.AccessClose, 1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,10 +237,10 @@ func TestCloseIsFree(t *testing.T) {
 	}
 }
 
-func TestApplyRejectsNonIO(t *testing.T) {
+func TestFilterRejectsUnknownAccess(t *testing.T) {
 	c := newTestCache(t)
-	if _, err := c.Apply(trace.Event{Kind: trace.KindFork}); err == nil {
-		t.Fatal("fork accepted by Apply")
+	if _, err := filterOne(c, ioEvent(0, 1, trace.Access(99), 1, 4096)); err == nil {
+		t.Fatal("unknown access accepted by FilterInto")
 	}
 }
 
@@ -247,7 +253,7 @@ func TestFilterPreservesOrderAndLifecycle(t *testing.T) {
 		{Time: 50 * trace.Second, Pid: 2, Kind: trace.KindExit},
 		ioEvent(60*trace.Second, 1, trace.AccessRead, 3, 4096),
 	}
-	out, err := c.Filter(events)
+	out, err := c.FilterInto(nil, events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +294,7 @@ func TestQuickCacheInvariants(t *testing.T) {
 			if r.Intn(3) == 0 {
 				acc = trace.AccessWrite
 			}
-			out, err := c.Apply(ioEvent(now, 1, acc, int64(r.Intn(200)), 4096))
+			out, err := filterOne(c, ioEvent(now, 1, acc, int64(r.Intn(200)), 4096))
 			if err != nil {
 				return false
 			}

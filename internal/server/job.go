@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 	"sync"
 	"sync/atomic"
 
@@ -87,6 +88,9 @@ func decodeJobSpec(r io.Reader) (*JobSpec, error) {
 	// Only the end of the body may follow: a second document, or stray
 	// bytes, mean the client sent something other than one spec.
 	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		if errors.As(err, new(*http.MaxBytesError)) {
+			return nil, fmt.Errorf("decoding job spec: %w", err)
+		}
 		return nil, errors.New("decoding job spec: trailing data after JSON document")
 	}
 	if err := spec.validate(); err != nil {

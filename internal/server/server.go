@@ -233,13 +233,35 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 }
 
+// Request body caps. A body over its cap gets 413 and leaves nothing
+// behind.
+const (
+	// maxJobSpecBytes caps a POST /jobs body. A job spec is a JSON
+	// document of a few hundred bytes.
+	maxJobSpecBytes = 1 << 20
+	// maxTraceBytes caps a POST /traces body. Every execution of the six
+	// applications at the default seed encodes to 5.3 MB of v2 trace, so
+	// the cap leaves room for far larger recordings while a runaway or
+	// hostile client cannot fill the upload directory's disk.
+	maxTraceBytes = 256 << 20
+)
+
+// bodyError answers a request whose body failed to read or decode: 413
+// for a body past its cap, else status.
+func bodyError(w http.ResponseWriter, status int, err error) {
+	if errors.As(err, new(*http.MaxBytesError)) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	httpError(w, status, err.Error())
+}
+
 // handleSubmit accepts a job spec. With ?wait=1 the response is written
 // only when the job finishes (and a client disconnect cancels it);
 // otherwise the job is accepted with 202 and polled via /jobs/{id}.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, err := decodeJobSpec(r.Body)
+	spec, err := decodeJobSpec(http.MaxBytesReader(w, r.Body, maxJobSpecBytes))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		bodyError(w, http.StatusBadRequest, err)
 		return
 	}
 	job, err := s.enqueue(spec)
@@ -330,14 +352,14 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	_, cpErr := io.Copy(f, r.Body)
+	_, cpErr := io.Copy(f, http.MaxBytesReader(w, r.Body, maxTraceBytes))
 	clErr := f.Close()
 	if cpErr == nil {
 		cpErr = clErr
 	}
 	if cpErr != nil {
 		_ = os.Remove(f.Name()) //pcaplint:ignore errcheck-lite best-effort cleanup of a failed upload; the copy error below is authoritative
-		httpError(w, http.StatusInternalServerError, fmt.Sprintf("storing trace: %v", cpErr))
+		bodyError(w, http.StatusInternalServerError, fmt.Errorf("storing trace: %w", cpErr))
 		return
 	}
 	s.mu.Lock()

@@ -549,6 +549,67 @@ func TestTraceDirEscapeRejected(t *testing.T) {
 	}
 }
 
+// repeated reads one byte value forever.
+type repeated byte
+
+func (r repeated) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(r)
+	}
+	return len(p), nil
+}
+
+// TestUploadBodyCapped: a trace upload one byte over maxTraceBytes, sent
+// without a length so the server must read to learn its size, gets 413
+// and leaves no file in the upload directory; the next upload is stored.
+func TestUploadBodyCapped(t *testing.T) {
+	srv, hs := newTestServer(t, Config{Workers: 1})
+	resp, err := http.Post(hs.URL+"/traces", "application/octet-stream", io.LimitReader(repeated(0), maxTraceBytes+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized upload: status %d, want 413", resp.StatusCode)
+	}
+	dir, err := srv.uploadDir()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files, err := os.ReadDir(dir); err != nil || len(files) != 0 {
+		t.Errorf("upload directory after a rejected upload: %v, %v; want empty", files, err)
+	}
+	resp, err = http.Post(hs.URL+"/traces", "application/octet-stream", strings.NewReader("small"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Errorf("upload after a rejected one: status %d, want 201", resp.StatusCode)
+	}
+}
+
+// TestJobSpecBodyCapped: a job spec over maxJobSpecBytes gets 413, not
+// 400, and queues nothing.
+func TestJobSpecBodyCapped(t *testing.T) {
+	srv, hs := newTestServer(t, Config{Workers: 1})
+	body := io.MultiReader(strings.NewReader(`{"kind":"`),
+		io.LimitReader(repeated('a'), maxJobSpecBytes), strings.NewReader(`"}`))
+	resp, err := http.Post(hs.URL+"/jobs", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized job spec: status %d, want 413", resp.StatusCode)
+	}
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	if len(srv.jobs) != 0 {
+		t.Errorf("%d jobs registered from an oversized spec", len(srv.jobs))
+	}
+}
+
 // TestGracefulShutdown: Shutdown rejects new work, finishes the backlog,
 // and leaves no workers behind. A draining server's 503 invites no
 // retry.

@@ -115,9 +115,10 @@ type AppResult struct {
 // pass or machine owns at a time: the file cache and prepared execution
 // in a prepState, the predictors in a runState (see prepState). Traces,
 // and the executions a retaining runner keeps (RetainPrepared), are read
-// only. The parallel experiment engine
-// (internal/experiments.RunMatrix) relies on this. Sources are
-// single-goroutine iterators, so concurrent runs need distinct Sources.
+// only. The experiment engine (internal/experiments.RunMatrix) relies on
+// this: its per-application RunCells passes share one Runner across
+// workers. Sources are single-goroutine iterators, so concurrent runs
+// need distinct Sources.
 type Runner struct {
 	cfg Config
 	// statePool recycles machines' step state (slot-indexed slices)
