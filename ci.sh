@@ -102,8 +102,15 @@ smoke_dir="$(mktemp -d)"
 trap 'rm -rf "${smoke_dir}"' EXIT
 go build -o "${smoke_dir}/pcapd" ./cmd/pcapd
 go build -o "${smoke_dir}/pcapload" ./cmd/pcapload
-"${smoke_dir}/pcapd" -addr 127.0.0.1:0 -addrfile "${smoke_dir}/addr" 2>"${smoke_dir}/pcapd.log" &
+go build -o "${smoke_dir}/pcapsim" ./cmd/pcapsim
+go build -o "${smoke_dir}/tracegen" ./cmd/tracegen
+mkdir "${smoke_dir}/traces"
+"${smoke_dir}/tracegen" -app mozilla -exec 0 -out "${smoke_dir}/traces" >/dev/null
+"${smoke_dir}/pcapd" -addr 127.0.0.1:0 -addrfile "${smoke_dir}/addr" -traces "${smoke_dir}/traces" \
+	2>"${smoke_dir}/pcapd.log" &
 pcapd_pid=$!
+# A failed step below exits with pcapd still running: stop it on the way out.
+trap 'kill "${pcapd_pid}" 2>/dev/null || true; rm -rf "${smoke_dir}"' EXIT
 for _ in $(seq 1 100); do
 	[[ -s "${smoke_dir}/addr" ]] && break
 	kill -0 "${pcapd_pid}" 2>/dev/null || break
@@ -116,6 +123,30 @@ if [[ ! -s "${smoke_dir}/addr" ]]; then
 fi
 "${smoke_dir}/pcapload" -addr "$(cat "${smoke_dir}/addr")" -c 32 \
 	-duration "${LOAD_TIME:-3s}" -benchline | tee "${smoke_dir}/load.txt"
+# Blocking: a replay job and a fleet job print exactly what pcapsim
+# prints for the same run at one worker and at two. Both call
+# experiments.RunSpec.Run; this pins the CLI's flag-to-RunSpec mapping and
+# the daemon's JSON-to-RunSpec decoding against each other.
+echo "== pcapd jobs vs pcapsim -replay|-fleet -parallel 1|2"
+pcapd_url="http://$(cat "${smoke_dir}/addr")"
+for workers in 1 2; do
+	curl -sf "${pcapd_url}/jobs?wait=1" -d "{\"kind\":\"replay\",\"trace\":\"mozilla-000.pct2\",\"pid\":2,\"from_sec\":10,\"workers\":${workers},\"policies\":[\"base\",\"tp\",\"pcap\"]}" |
+		jq -r .output >"${smoke_dir}/job.txt"
+	"${smoke_dir}/pcapsim" -replay "${smoke_dir}/traces/mozilla-000.pct2" -pid 2 -from 10s \
+		-parallel "${workers}" -policies base,tp,pcap >"${smoke_dir}/cli.txt"
+	if ! cmp "${smoke_dir}/job.txt" "${smoke_dir}/cli.txt"; then
+		echo "ci: pcapd replay job differs from pcapsim -replay -parallel ${workers}" >&2
+		exit 1
+	fi
+	curl -sf "${pcapd_url}/jobs?wait=1" -d "{\"kind\":\"fleet\",\"machines\":24,\"duration_sec\":120,\"workers\":${workers},\"policies\":[\"base\",\"tp\",\"pcap\"]}" |
+		jq -r .output >"${smoke_dir}/job.txt"
+	"${smoke_dir}/pcapsim" -fleet 24 -duration 2m -parallel "${workers}" -policies base,tp,pcap \
+		>"${smoke_dir}/cli.txt"
+	if ! cmp "${smoke_dir}/job.txt" "${smoke_dir}/cli.txt"; then
+		echo "ci: pcapd fleet job differs from pcapsim -fleet -parallel ${workers}" >&2
+		exit 1
+	fi
+done
 # pcapd's peak resident set (VmHWM), read while the process still lives.
 # It rides the bench artifact as peak-rss-MB for trend visibility and
 # stays out of the gate metric list; where /proc is unreadable it is

@@ -14,7 +14,8 @@
 // sequences. Throughput (jobs/s) is completed jobs over the measurement
 // wall clock; events/s is the delta of the server's own /stats event
 // counter over the same window, so it measures simulation throughput,
-// not transport. Latency percentiles are per-job round-trip times.
+// not transport. Latency percentiles are per-job round-trip times. Each
+// job is an experiments.RunSpec, the body POST /jobs decodes.
 package main
 
 import (
@@ -30,19 +31,9 @@ import (
 	"strings"
 	"sync"
 	"time"
-)
 
-// jobSpec mirrors internal/server.JobSpec; pcapload speaks only the wire
-// format, like any external client would.
-type jobSpec struct {
-	Kind        string   `json:"kind"`
-	Policies    []string `json:"policies,omitempty"`
-	App         string   `json:"app,omitempty"`
-	Execs       int      `json:"execs,omitempty"`
-	Machines    int      `json:"machines,omitempty"`
-	DurationSec float64  `json:"duration_sec,omitempty"`
-	TimeoutSec  float64  `json:"timeout_sec,omitempty"`
-}
+	"pcapsim/internal/experiments"
+)
 
 // statsSnap is the subset of /stats pcapload reads.
 type statsSnap struct {
@@ -86,14 +77,14 @@ func main() {
 	base := "http://" + strings.TrimPrefix(*addrFlag, "http://")
 	policies := splitList(*policiesFlag)
 
-	schedule, err := buildSchedule(*jobsFlag, func(kind string) jobSpec {
+	schedule, err := buildSchedule(*jobsFlag, func(kind string) experiments.RunSpec {
 		switch kind {
-		case "eval":
-			return jobSpec{Kind: "eval", App: *appFlag, Policies: policies, Execs: *execsFlag}
-		case "fleet":
-			return jobSpec{Kind: "fleet", Machines: *machinesFlag, DurationSec: *sessionFlag, Policies: policies}
+		case experiments.KindEval:
+			return experiments.RunSpec{Kind: kind, App: *appFlag, Policies: policies, Execs: *execsFlag}
+		case experiments.KindFleet:
+			return experiments.RunSpec{Kind: kind, Machines: *machinesFlag, DurationSec: *sessionFlag, Policies: policies}
 		}
-		return jobSpec{}
+		return experiments.RunSpec{}
 	})
 	if err != nil {
 		fatal(err)
@@ -186,8 +177,8 @@ func main() {
 
 // buildSchedule expands a kind:weight mix into a repeating schedule of
 // specs, e.g. "eval:3,fleet:1" → [eval eval eval fleet].
-func buildSchedule(mix string, build func(kind string) jobSpec) ([]jobSpec, error) {
-	var schedule []jobSpec
+func buildSchedule(mix string, build func(kind string) experiments.RunSpec) ([]experiments.RunSpec, error) {
+	var schedule []experiments.RunSpec
 	for _, part := range splitList(mix) {
 		kind, weightStr, hasWeight := strings.Cut(part, ":")
 		kind = strings.TrimSpace(kind)
@@ -214,7 +205,7 @@ func buildSchedule(mix string, build func(kind string) jobSpec) ([]jobSpec, erro
 }
 
 // runJob submits one synchronous job and returns its terminal state.
-func runJob(base string, spec jobSpec) (string, error) {
+func runJob(base string, spec experiments.RunSpec) (string, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return "", err

@@ -38,6 +38,13 @@
 // is sniffed from the leading bytes) through the simulator
 // under the -policies list instead of the generated workloads.
 //
+// -replay and -fleet describe their run as an experiments.RunSpec, the
+// job spec pcapd accepts, and execute it through RunSpec.Run, as pcapd
+// does: their output equals the matching pcapd job's byte for byte.
+// -scale applies to -exp only; -scale above 1 with -replay or -fleet is
+// an error, as are the -from/-to/-pid/-pcfrom/-pcto filters on a fleet
+// that replays no trace.
+//
 // For profiling the simulation hot path, -cpuprofile and -memprofile
 // write pprof files covering the whole run:
 //
@@ -46,6 +53,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -56,10 +64,8 @@ import (
 
 	"pcapsim/internal/cliutil"
 	"pcapsim/internal/experiments"
-	"pcapsim/internal/fleet"
 	"pcapsim/internal/hypothesis"
 	"pcapsim/internal/sim"
-	"pcapsim/internal/trace"
 )
 
 func main() {
@@ -144,49 +150,40 @@ func main() {
 		return
 	}
 
-	pred, err := predFlags.Predicate()
-	if err != nil {
-		fatal(err)
-	}
-
-	if *fleetFlag != 0 {
-		if *fleetFlag < 0 {
-			fatal(fmt.Errorf("fleet: machine count must be positive, got %d", *fleetFlag))
-		}
-		mix, err := fleet.ParseMix(*mixFlag)
-		if err != nil {
-			fatal(fmt.Errorf("-mix: %w", err))
-		}
-		cfg := fleet.Config{
-			Machines: *fleetFlag,
-			Seed:     *seedFlag,
-			Session:  trace.FromSeconds(durationFlag.Seconds()),
-			Mix:      mix,
-			Workers:  *parallelFlag,
-		}
-		if *replayFlag != "" {
-			// Fleet trace replay: the file's executions (decoded in
-			// parallel, predicate pushed down to the block index) become
-			// the fleet's workload instead of the synthetic generators.
-			fs, err := trace.OpenTraceFileOpts(*replayFlag, trace.OpenOptions{Workers: *parallelFlag, Pred: pred})
-			if err != nil {
-				fatal(cliutil.TraceFileError(*replayFlag, err))
-			}
-			traces, err := trace.Collect(fs)
-			_ = fs.Close() // read-only handle; the decode error below is authoritative
-			if err != nil {
-				fatal(cliutil.TraceFileError(*replayFlag, err))
-			}
-			cfg.Replay = traces
-		}
-		start := time.Now()
-		out, err := experiments.FleetComparison(cfg, splitList(*policiesFlag))
+	if *fleetFlag != 0 || *replayFlag != "" {
+		// The run a pcapd job with these parameters describes, run as pcapd
+		// runs it, minus the daemon's shared suites, trace directory and
+		// accounting.
+		pred, err := predFlags.Predicate()
 		if err != nil {
 			fatal(err)
 		}
+		spec := experiments.RunSpec{
+			Kind: experiments.KindReplay, Seed: *seedFlag, Policies: splitList(*policiesFlag),
+			Trace: *replayFlag, Workers: *parallelFlag,
+			FromSec: predFlags.From.Seconds(), ToSec: predFlags.To.Seconds(), Pid: predFlags.Pid,
+			PCFrom: uint64(pred.PCFrom), PCTo: uint64(pred.PCTo),
+		}
+		if *scaleFlag > 1 {
+			spec.Scale = *scaleFlag // neither kind reads it, so Validate rejects it
+		}
+		if *fleetFlag != 0 {
+			spec.Kind, spec.Machines, spec.DurationSec, spec.Mix = experiments.KindFleet, *fleetFlag, durationFlag.Seconds(), *mixFlag
+		}
+		if err := spec.Validate(); err != nil {
+			fatal(err)
+		}
+		start := time.Now()
+		out, err := spec.Run(context.Background(), experiments.RunEnv{})
+		if err != nil {
+			if spec.Trace != "" {
+				err = cliutil.TraceFileError(spec.Trace, err)
+			}
+			fatal(err)
+		}
 		fmt.Println(out)
-		fmt.Fprintf(os.Stderr, "pcapsim: fleet of %d machines in %s (parallel=%d)\n",
-			*fleetFlag, time.Since(start).Round(time.Millisecond), *parallelFlag)
+		fmt.Fprintf(os.Stderr, "pcapsim: %s run in %s (parallel=%d)\n",
+			spec.Kind, time.Since(start).Round(time.Millisecond), *parallelFlag)
 		return
 	}
 
@@ -195,19 +192,6 @@ func main() {
 		fatal(err)
 	}
 	suite.SetScale(*scaleFlag)
-
-	if *replayFlag != "" {
-		start := time.Now()
-		out, err := suite.ReplayFileOpts(*replayFlag, splitList(*policiesFlag),
-			experiments.ReplayOptions{Workers: *parallelFlag, Pred: pred})
-		if err != nil {
-			fatal(cliutil.TraceFileError(*replayFlag, err))
-		}
-		fmt.Println(out)
-		fmt.Fprintf(os.Stderr, "pcapsim: replay of %s in %s\n",
-			*replayFlag, time.Since(start).Round(time.Millisecond))
-		return
-	}
 
 	order := experiments.ExperimentNames()
 	known := map[string]bool{}

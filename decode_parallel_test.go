@@ -7,6 +7,7 @@ package pcapsim
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -96,7 +97,7 @@ func writeReplayFiles(t *testing.T) (indexed, plain string) {
 	return indexed, plain
 }
 
-// replayTable strips ReplayFileOpts' per-path header so results from
+// replayTable strips a replay report's per-path header so results from
 // different file names compare directly.
 func replayTable(t *testing.T, out string) string {
 	t.Helper()
@@ -112,21 +113,22 @@ func replayTable(t *testing.T, out string) string {
 // pushdown-armed and footerless fallback — and requires identical
 // policy results. This is the end-to-end soundness check: skipping
 // non-matching blocks via the index must be invisible to the simulation.
+// Each replay is the run pcapsim -replay makes: RunSpec.Run with a zero
+// environment.
 func TestPushdownReplaySimEquivalence(t *testing.T) {
 	indexed, plain := writeReplayFiles(t)
-	s := experiments.NewDefaultSuite()
-	policies := []string{"base", "tp", "pcap"}
-	replay := func(path string, opts experiments.ReplayOptions) string {
-		out, err := s.ReplayFileOpts(path, policies, opts)
+	replay := func(path string, spec experiments.RunSpec) string {
+		spec.Kind, spec.Trace, spec.Policies = experiments.KindReplay, path, []string{"base", "tp", "pcap"}
+		out, err := spec.Run(context.Background(), experiments.RunEnv{})
 		if err != nil {
-			t.Fatalf("replay %s %+v: %v", path, opts, err)
+			t.Fatalf("replay %+v: %v", spec, err)
 		}
 		return replayTable(t, out)
 	}
 
 	// Full replay: parallel must match sequential exactly.
-	full := replay(indexed, experiments.ReplayOptions{})
-	if got := replay(indexed, experiments.ReplayOptions{Workers: 4}); got != full {
+	full := replay(indexed, experiments.RunSpec{})
+	if got := replay(indexed, experiments.RunSpec{Workers: 4}); got != full {
 		t.Fatalf("parallel full replay diverged:\n got:\n%s\nwant:\n%s", got, full)
 	}
 
@@ -142,7 +144,8 @@ func TestPushdownReplaySimEquivalence(t *testing.T) {
 			maxTime = last
 		}
 	}
-	pred := trace.Predicate{From: maxTime / 4, To: maxTime / 2}
+	window := experiments.RunSpec{FromSec: maxTime.Seconds() / 4, ToSec: maxTime.Seconds() / 2}
+	pred := trace.Predicate{From: trace.FromSeconds(window.FromSec), To: trace.FromSeconds(window.ToSec)}
 	kept, total := 0, 0
 	for _, tr := range traces {
 		for _, e := range tr.Events {
@@ -155,12 +158,14 @@ func TestPushdownReplaySimEquivalence(t *testing.T) {
 	if kept == 0 || kept == total {
 		t.Fatalf("degenerate predicate window: keeps %d of %d events", kept, total)
 	}
-	ref := replay(plain, experiments.ReplayOptions{Pred: pred})
-	for name, opts := range map[string]experiments.ReplayOptions{
-		"sequential pushdown": {Pred: pred},
-		"parallel pushdown":   {Workers: 4, Pred: pred},
+	ref := replay(plain, window)
+	parallel := window
+	parallel.Workers = 4
+	for name, spec := range map[string]experiments.RunSpec{
+		"sequential pushdown": window,
+		"parallel pushdown":   parallel,
 	} {
-		if got := replay(indexed, opts); got != ref {
+		if got := replay(indexed, spec); got != ref {
 			t.Fatalf("%s diverged from filtered reference:\n got:\n%s\nwant:\n%s", name, got, ref)
 		}
 	}

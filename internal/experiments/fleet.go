@@ -55,14 +55,6 @@ func FleetPolicy(name string, base sim.Config) (func(disk.Params) (sim.Policy, e
 // untouched, so callers wire Observe (per-machine accounting) and
 // Interrupt (cancellation) straight into the engine.
 func FleetResults(cfg fleet.Config, policyNames []string) ([]*fleet.Result, error) {
-	return FleetResultsObserved(cfg, policyNames, nil)
-}
-
-// FleetResultsObserved is FleetResults with a per-policy completion hook:
-// observe (when non-nil) receives each policy's aggregate result as soon
-// as its fleet run finishes, on the calling goroutine — the daemon's
-// per-policy progress stream.
-func FleetResultsObserved(cfg fleet.Config, policyNames []string, observe func(name string, res *fleet.Result)) ([]*fleet.Result, error) {
 	if len(policyNames) == 0 {
 		return nil, fmt.Errorf("experiments: fleet comparison needs at least one policy")
 	}
@@ -83,9 +75,6 @@ func FleetResultsObserved(cfg fleet.Config, policyNames []string, observe func(n
 			return nil, err
 		}
 		results = append(results, res)
-		if observe != nil {
-			observe(name, res)
-		}
 	}
 	return results, nil
 }
@@ -124,14 +113,4 @@ func RenderFleetComparison(policyNames []string, results []*fleet.Result) string
 			res.Global.Shutdowns(), hitPct, res.Wakeups, res.WaitTime.Seconds())
 	}
 	return b.String()
-}
-
-// FleetComparison is FleetResults followed by RenderFleetComparison —
-// the CLI's -fleet output.
-func FleetComparison(cfg fleet.Config, policyNames []string) (string, error) {
-	results, err := FleetResults(cfg, policyNames)
-	if err != nil {
-		return "", err
-	}
-	return RenderFleetComparison(policyNames, results), nil
 }

@@ -124,43 +124,3 @@ func RenderReplayRows(rows []ReplayRow) string {
 	}
 	return tbl.String()
 }
-
-// ReplaySource runs every named policy over the source and renders one
-// result row per policy — ReplayRows followed by RenderReplayRows.
-func (s *Suite) ReplaySource(src trace.Source, policies []string) (string, error) {
-	rows, err := s.ReplayRows(src, policies)
-	if err != nil {
-		return "", err
-	}
-	return RenderReplayRows(rows), nil
-}
-
-// ReplayOptions tune how ReplayFileOpts decodes the trace before it
-// reaches the simulator.
-type ReplayOptions struct {
-	// Workers selects parallel block decode for v2 files (see
-	// trace.OpenOptions.Workers): 0 is the sequential reference path,
-	// < 0 means one worker per CPU.
-	Workers int
-	// Pred restricts the replay to matching events. Index-bearing v2
-	// files skip non-matching blocks without reading them; the stream
-	// is always filtered exactly, so every format and decode path
-	// simulates the same events.
-	Pred trace.Predicate
-}
-
-// ReplayFileOpts opens a trace file (v2 columnar or text — the format is
-// sniffed from the leading bytes) with the given decode options and
-// replays it under the named policies; see ReplaySource.
-func (s *Suite) ReplayFileOpts(path string, policies []string, opts ReplayOptions) (string, error) {
-	fs, err := trace.OpenTraceFileOpts(path, trace.OpenOptions{Workers: opts.Workers, Pred: opts.Pred})
-	if err != nil {
-		return "", err
-	}
-	defer fs.Close()
-	out, err := s.ReplaySource(fs, policies)
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("replay %s\n\n%s", path, out), nil
-}

@@ -114,7 +114,7 @@ func encodeV2(t *testing.T, traces []*trace.Trace) []byte {
 
 // TestReplayFileMatchesRunApp closes the loop on the CLI replay path: a
 // v2 file written by the tracegen path and replayed through
-// Suite.ReplaySource yields the same table as replaying the in-memory
+// Suite.ReplayRows yields the same table as replaying the in-memory
 // slice source.
 func TestReplayFileMatchesRunApp(t *testing.T) {
 	s, err := NewSuite(DefaultSeed, sim.DefaultConfig())
@@ -126,19 +126,21 @@ func TestReplayFileMatchesRunApp(t *testing.T) {
 	v2 := encodeV2(t, traces)
 
 	policies := []string{"base", "tp", "pcap", "ideal"}
-	fromFile, err := s.ReplaySource(trace.NewBlockSource(bytes.NewReader(v2)), policies)
-	if err != nil {
-		t.Fatal(err)
+	table := func(src trace.Source) string {
+		t.Helper()
+		rows, err := s.ReplayRows(src, policies)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return RenderReplayRows(rows)
 	}
-	fromSlice, err := s.ReplaySource(trace.NewSliceSource(traces...), policies)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fromFile := table(trace.NewBlockSource(bytes.NewReader(v2)))
+	fromSlice := table(trace.NewSliceSource(traces...))
 	if fromFile != fromSlice {
 		t.Errorf("replay over v2 bytes diverges from replay over the slice source:\n%s\nvs\n%s", fromFile, fromSlice)
 	}
-	if _, err := s.ReplaySource(trace.NewSliceSource(traces...), []string{"nope"}); err == nil {
-		t.Error("ReplaySource accepted an unknown policy name")
+	if _, err := s.ReplayRows(trace.NewSliceSource(traces...), []string{"nope"}); err == nil {
+		t.Error("ReplayRows accepted an unknown policy name")
 	}
 }
 

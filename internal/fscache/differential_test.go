@@ -9,6 +9,7 @@ package fscache
 import (
 	"container/list"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -359,6 +360,54 @@ func TestDifferentialFilter(t *testing.T) {
 	}
 	if c.Stats() != ref.Stats() {
 		t.Fatalf("stats diverge: %+v vs %+v", c.Stats(), ref.Stats())
+	}
+}
+
+// TestDifferentialFarApart drives both caches through events whose gaps
+// span same-time bursts, exact wake-grid and flush-age boundaries and
+// idle stretches of up to a day, so the flush daemon's skip over idle
+// wakes is checked against the reference's one-wake-at-a-time loop: every
+// flush must land on the same wake with the same block.
+func TestDifferentialFarApart(t *testing.T) {
+	for _, blocks := range []int{1, 4, 64} {
+		for seed := int64(0); seed < 4; seed++ {
+			t.Run(fmt.Sprintf("blocks=%d/seed=%d", blocks, seed), func(t *testing.T) {
+				cfg := cacheConfigBlocks(blocks)
+				c, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref := newRefCache(cfg)
+				r := rand.New(rand.NewSource(seed))
+				now := trace.Time(0)
+				for step := 0; step < 400; step++ {
+					switch r.Intn(6) {
+					case 0: // same time
+					case 1:
+						now += trace.Time(1+r.Intn(4)) * cfg.WakeInterval
+					case 2:
+						now += cfg.FlushInterval + trace.Time(r.Intn(3)-1)
+					default: // log-uniform, 1 µs to about a day
+						now += trace.Time(math.Exp(r.Float64() * math.Log(float64(24*3600*trace.Second))))
+					}
+					acc := trace.AccessRead
+					if r.Intn(2) == 0 {
+						acc = trace.AccessWrite
+					}
+					e := ioEvent(now, 1, acc, int64(r.Intn(2*blocks+2)), 4096)
+					gotOut, err := filterOne(c, e)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantOut := ref.Advance(now)
+					applied, err := ref.Apply(e)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkAgainstRef(t, step, c, ref, gotOut, append(wantOut, applied...))
+				}
+			})
+		}
 	}
 }
 

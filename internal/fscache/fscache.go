@@ -23,6 +23,7 @@ package fscache
 
 import (
 	"fmt"
+	"math"
 
 	"pcapsim/internal/lru"
 	"pcapsim/internal/trace"
@@ -235,13 +236,6 @@ func (c *Cache) apply(out []trace.Event, e trace.Event) ([]trace.Event, error) {
 	}
 }
 
-// Advance runs the flush daemon up to time t (exclusive of future wakes)
-// and returns any flush disk accesses. Call it with the trace's end time
-// to drain trailing flushes.
-func (c *Cache) Advance(t trace.Time) []trace.Event {
-	return c.runFlushDaemon(nil, t)
-}
-
 // SpanBlocks returns how many blockSize blocks a request of size bytes
 // covers from its first block: the size rounded up to whole blocks, and
 // at least one. The prefetch evaluation splits reads by the same rule.
@@ -316,19 +310,34 @@ func (c *Cache) kernelWrite(t trace.Time, id int64, fd trace.FD) trace.Event {
 // runFlushDaemon performs every flush wake scheduled strictly before t,
 // appending a write for each block dirty for at least one interval. Blocks
 // are visited in LRU-list order (MRU first), matching the reference
-// implementation's list traversal.
+// implementation's list traversal. A wake at which no dirty block can
+// come due flushes nothing, so after each wake the daemon jumps straight
+// to the first wake at or after the oldest remaining dirty block comes
+// due (or t, if that is sooner): an idle gap of any length costs one
+// scan, and every flush keeps its wake-grid timestamp.
 func (c *Cache) runFlushDaemon(out []trace.Event, t trace.Time) []trace.Event {
 	for c.nextFlush < t {
 		wake := c.nextFlush
+		next := t // when the first block still dirty after this wake comes due
 		for s := c.blocks.Newest(); s != 0; s = c.blocks.Older(s) {
 			b := &c.meta[s]
-			if b.dirty && wake-b.dirtied >= c.cfg.FlushInterval {
+			switch {
+			case !b.dirty:
+			case b.dirtied <= wake-c.cfg.FlushInterval: // not wake-dirtied, which can overflow
 				b.dirty = false
 				c.stats.FlushWrites++
 				out = append(out, c.kernelWrite(wake, c.blocks.Key(s), b.fd))
+			case b.dirtied < next-c.cfg.FlushInterval:
+				next = b.dirtied + c.cfg.FlushInterval
 			}
 		}
-		c.nextFlush += c.cfg.WakeInterval
+		// next > wake, so this is at least one wake interval on.
+		steps := (next-wake-1)/c.cfg.WakeInterval + 1
+		if steps > (math.MaxInt64-wake)/c.cfg.WakeInterval {
+			c.nextFlush = math.MaxInt64 // the next wake lies past the clock's range
+		} else {
+			c.nextFlush = wake + steps*c.cfg.WakeInterval
+		}
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package fscache
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -21,6 +22,13 @@ func newTestCache(t *testing.T) *Cache {
 // event's time, then the event.
 func filterOne(c *Cache, e trace.Event) ([]trace.Event, error) {
 	return c.FilterInto(nil, []trace.Event{e})
+}
+
+// Advance runs the flush daemon up to time t (exclusive of future wakes)
+// and returns any flush disk accesses; FilterInto does the same before
+// each event.
+func (c *Cache) Advance(t trace.Time) []trace.Event {
+	return c.runFlushDaemon(nil, t)
 }
 
 func ioEvent(at trace.Time, pid trace.PID, acc trace.Access, block int64, size int32) trace.Event {
@@ -188,6 +196,34 @@ func TestFlushDaemonAgesDirtyBlocks(t *testing.T) {
 	// Once flushed, the block is clean: no further flushes.
 	if out := c.Advance(120 * trace.Second); len(out) != 0 {
 		t.Fatalf("re-flush of clean block: %d events", len(out))
+	}
+}
+
+// TestFlushDaemonSkipsIdleWakes: a write followed by a read 9×10¹⁷ µs
+// later (or at the end of the clock's range) flushes the block once, at
+// its wake-grid time, without stepping through the idle wakes between.
+// A write at the start of the clock's range flushes at the first wake.
+func TestFlushDaemonSkipsIdleWakes(t *testing.T) {
+	for _, tc := range []struct{ write, far, flush trace.Time }{
+		{1000, 9e17, 35 * trace.Second},
+		{1000, math.MaxInt64, 35 * trace.Second},
+		{math.MinInt64, 9e17, 5 * trace.Second},
+	} {
+		c := newTestCache(t)
+		out, err := c.FilterInto(nil, []trace.Event{
+			ioEvent(tc.write, 4, trace.AccessWrite, 50, 4096),
+			ioEvent(tc.far, 4, trace.AccessRead, 7, 4096),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != 2 || out[0].Pid != KernelFlushPID || out[0].Time != tc.flush ||
+			out[1].Time != tc.far || out[1].Block != 7 {
+			t.Fatalf("write at %d, read at %d: disk accesses %+v, want the flush at %d then the read", tc.write, tc.far, out, tc.flush)
+		}
+		if c.Stats().FlushWrites != 1 {
+			t.Errorf("write at %d, read at %d: flush writes = %d, want 1", tc.write, tc.far, c.Stats().FlushWrites)
+		}
 	}
 }
 

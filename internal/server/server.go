@@ -6,12 +6,15 @@
 // prints — byte for byte, at any worker count. Three design rules keep it
 // honest:
 //
-//   - Determinism across the network boundary. A job's Output string is
-//     produced by the same library entry points the CLI calls
-//     (experiments.ReplayRows/RenderReplayRows and experiments.FleetResults/
-//     RenderFleetComparison), over the same sources, so a server response
-//     is byte-identical to the equivalent local run. The differential
-//     tests pin this. An eval or replay job is one ReplayRows pass.
+//   - Determinism across the network boundary. A job's spec is an
+//     experiments.RunSpec, the run description pcapsim's -replay and
+//     -fleet modes build from their flags, and a job's Output is that
+//     spec's RunSpec.Run, the call pcapsim makes. The daemon lends Run
+//     only its shared suites, its trace references and its accounting,
+//     none of which changes a result, so a server response is
+//     byte-identical to the equivalent local run. The differential tests
+//     and ci.sh's pcapd smoke pin this. An eval or replay job is one
+//     ReplayRows pass.
 //
 //   - One shared suite per seed. A server-wide registry holds one
 //     experiment suite per (seed, scale), at most eight, shared by every
@@ -28,10 +31,10 @@
 //
 // Cancellation is cooperative and complete: every job runs under a
 // context bounded by its own timeout, a cancel endpoint, and — for
-// synchronous requests — the client connection, and that context is
-// threaded through the simulation itself (the meter source for
-// eval/replay, fleet.Config.Interrupt for fleets), so a disconnected
-// client frees its worker promptly.
+// synchronous requests — the client connection, and RunSpec.Run threads
+// that context through the simulation itself (checked between
+// executions for eval and replay, through fleet.Config.Interrupt for
+// fleets), so a disconnected client frees its worker promptly.
 package server
 
 import (
@@ -340,8 +343,14 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleUpload stores a raw trace file (any on-disk format) and returns
-// its reference ID for job specs.
+// its reference ID for job specs. A body that declares a length over
+// maxTraceBytes is refused unread; one sent without a length is copied
+// up to the cap.
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
+	if r.ContentLength > maxTraceBytes {
+		httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("trace upload over %d bytes", maxTraceBytes))
+		return
+	}
 	dir, err := s.uploadDir()
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err.Error())

@@ -18,8 +18,6 @@ import (
 	"time"
 
 	"pcapsim/internal/experiments"
-	"pcapsim/internal/fleet"
-	"pcapsim/internal/server/stats"
 	"pcapsim/internal/sim"
 	"pcapsim/internal/trace"
 	"pcapsim/internal/workload"
@@ -167,25 +165,28 @@ func writeAppTraceFile(t *testing.T, dir, name string, copies int) string {
 // evalPolicies keeps test jobs fast.
 var evalPolicies = []string{"base", "tp", "pcap"}
 
+// runLocal runs spec as pcapsim does, through RunSpec.Run with a zero
+// environment, and returns its output.
+func runLocal(t *testing.T, spec JobSpec) string {
+	t.Helper()
+	out, err := spec.Run(context.Background(), experiments.RunEnv{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestEvalMatchesLocalAtAnyPoolSize is the determinism contract across
 // the network boundary: an eval job's Output must be byte-identical to
 // the local library run, at every worker-pool size.
 func TestEvalMatchesLocalAtAnyPoolSize(t *testing.T) {
-	suite, err := experiments.NewSuite(experiments.DefaultSeed, sim.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	app, _ := workload.ByName("nedit")
-	rows, err := suite.ReplayRows(suite.SourceFor(app), evalPolicies)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fmt.Sprintf("eval %s\n\n%s", "nedit", experiments.RenderReplayRows(rows))
+	spec := JobSpec{Kind: KindEval, App: "nedit", Policies: evalPolicies}
+	want := runLocal(t, spec)
 
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			_, hs := newTestServer(t, Config{Workers: workers})
-			v := submitWait(t, hs.URL, JobSpec{Kind: KindEval, App: "nedit", Policies: evalPolicies})
+			v := submitWait(t, hs.URL, spec)
 			if v.State != StateDone {
 				t.Fatalf("state = %q, error = %q", v.State, v.Error)
 			}
@@ -198,29 +199,31 @@ func TestEvalMatchesLocalAtAnyPoolSize(t *testing.T) {
 
 // TestReplayMatchesLocal covers both trace reference styles — an upload
 // and a path inside the server's trace directory — against the local
-// ReplayFileOpts rendering, including a predicate and parallel decode.
+// run of the same spec over the resolved path, including a predicate and
+// parallel decode.
 func TestReplayMatchesLocal(t *testing.T) {
 	dir := t.TempDir()
 	path := writeTraceFile(t, dir)
-	suite, err := experiments.NewSuite(experiments.DefaultSeed, sim.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	srv, hs := newTestServer(t, Config{Workers: 2, TraceDir: dir})
 
-	t.Run("path", func(t *testing.T) {
-		want, err := suite.ReplayFileOpts(path, evalPolicies, experiments.ReplayOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		v := submitWait(t, hs.URL, JobSpec{Kind: KindReplay, Trace: "nedit.pct2", Policies: evalPolicies})
+	// check submits spec and compares the job's output with the local run
+	// of the same spec over path, the reference's resolved file.
+	check := func(t *testing.T, spec JobSpec, path string) {
+		t.Helper()
+		local := spec
+		local.Trace = path
+		want := runLocal(t, local)
+		v := submitWait(t, hs.URL, spec)
 		if v.State != StateDone {
 			t.Fatalf("state = %q, error = %q", v.State, v.Error)
 		}
 		if v.Output != want {
 			t.Errorf("server replay differs from local:\n--- server ---\n%s\n--- local ---\n%s", v.Output, want)
 		}
+	}
+
+	t.Run("path", func(t *testing.T) {
+		check(t, JobSpec{Kind: KindReplay, Trace: "nedit.pct2", Policies: evalPolicies}, path)
 	})
 
 	t.Run("upload", func(t *testing.T) {
@@ -246,53 +249,22 @@ func TestReplayMatchesLocal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := suite.ReplayFileOpts(storedPath, evalPolicies, experiments.ReplayOptions{Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		v := submitWait(t, hs.URL, JobSpec{Kind: KindReplay, Trace: up.ID, Policies: evalPolicies, Workers: 2})
-		if v.State != StateDone {
-			t.Fatalf("state = %q, error = %q", v.State, v.Error)
-		}
-		if v.Output != want {
-			t.Errorf("server replay differs from local:\n--- server ---\n%s\n--- local ---\n%s", v.Output, want)
-		}
+		check(t, JobSpec{Kind: KindReplay, Trace: up.ID, Policies: evalPolicies, Workers: 2}, storedPath)
 	})
 
 	t.Run("predicate", func(t *testing.T) {
-		pred := trace.Predicate{To: 30 * trace.Second}
-		want, err := suite.ReplayFileOpts(path, evalPolicies, experiments.ReplayOptions{Pred: pred})
-		if err != nil {
-			t.Fatal(err)
-		}
-		v := submitWait(t, hs.URL, JobSpec{Kind: KindReplay, Trace: "nedit.pct2", Policies: evalPolicies, ToSec: 30})
-		if v.State != StateDone {
-			t.Fatalf("state = %q, error = %q", v.State, v.Error)
-		}
-		if v.Output != want {
-			t.Errorf("server replay with predicate differs from local:\n--- server ---\n%s\n--- local ---\n%s", v.Output, want)
-		}
+		check(t, JobSpec{Kind: KindReplay, Trace: "nedit.pct2", Policies: evalPolicies, ToSec: 30}, path)
 	})
 }
 
-// TestFleetMatchesLocal pins fleet jobs to the local FleetComparison
-// rendering.
+// TestFleetMatchesLocal pins fleet jobs to the local run of the same
+// spec.
 func TestFleetMatchesLocal(t *testing.T) {
 	policies := []string{"base", "tp"}
-	cfg := fleet.Config{
-		Machines: 20,
-		Seed:     experiments.DefaultSeed,
-		Session:  trace.FromSeconds(120),
-		Workers:  2,
-	}
-	want, err := experiments.FleetComparison(cfg, policies)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := JobSpec{Kind: KindFleet, Machines: 20, DurationSec: 120, Policies: policies, Workers: 2}
+	want := runLocal(t, spec)
 	_, hs := newTestServer(t, Config{Workers: 2})
-	v := submitWait(t, hs.URL, JobSpec{
-		Kind: KindFleet, Machines: 20, DurationSec: 120, Policies: policies, Workers: 2,
-	})
+	v := submitWait(t, hs.URL, spec)
 	if v.State != StateDone {
 		t.Fatalf("state = %q, error = %q", v.State, v.Error)
 	}
@@ -301,6 +273,29 @@ func TestFleetMatchesLocal(t *testing.T) {
 	}
 	if v.Machines != 20*int64(len(policies)) {
 		t.Errorf("Machines progress = %d, want %d", v.Machines, 20*len(policies))
+	}
+}
+
+// TestFarFutureReplayFinishes: a replay of a trace whose second I/O lies
+// 9×10¹⁷ µs after its first ends done within its timeout, the flush
+// daemon's idle wakes between them skipped rather than stepped.
+func TestFarFutureReplayFinishes(t *testing.T) {
+	dir := t.TempDir()
+	var buf bytes.Buffer
+	err := trace.WriteText(&buf, &trace.Trace{App: "far", Events: []trace.Event{
+		{Time: 1000, Pid: 1, Kind: trace.KindIO, Access: trace.AccessWrite, PC: 0x1000, FD: 3, Block: 5, Size: 4096},
+		{Time: 9e17, Pid: 1, Kind: trace.KindIO, Access: trace.AccessRead, PC: 0x2000, FD: 3, Block: 9, Size: 4096},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "far.txt"), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, hs := newTestServer(t, Config{Workers: 1, TraceDir: dir})
+	v := submitWait(t, hs.URL, JobSpec{Kind: KindReplay, Trace: "far.txt", TimeoutSec: 10})
+	if v.State != StateDone {
+		t.Fatalf("state = %q, error = %q; want done within the 10 s timeout", v.State, v.Error)
 	}
 }
 
@@ -500,6 +495,20 @@ func TestQueueBoundsAndValidation(t *testing.T) {
 		{Kind: KindReplay, Trace: "t", Pid: 1<<31 + 7},
 		{Kind: KindReplay, Trace: "t", FromSec: 1e300},
 		{Kind: KindReplay, Trace: "t", ToSec: 1e13},
+		// Fields the spec's kind never reads.
+		{Kind: KindReplay, Trace: "t", Scale: 2},
+		{Kind: KindFleet, Machines: 4, Scale: 2},
+		{Kind: KindFleet, Machines: 4, Execs: 3},
+		{Kind: KindFleet, Machines: 4, App: "nedit"},
+		{Kind: KindFleet, Machines: 4, FromSec: 1}, // a predicate without a trace
+		{Kind: KindEval, App: "nedit", Mix: "nedit:1"},
+		{Kind: KindEval, App: "nedit", Machines: 4},
+		{Kind: KindEval, App: "nedit", Pid: 3},
+		{Kind: KindEval, App: "nedit", PCTo: 4096},
+		{Kind: KindEval, App: "nedit", Workers: 2},
+		{Kind: KindEval, App: "nedit", Trace: "t"},
+		{Kind: KindReplay, Trace: "t", DurationSec: 60},
+		{Kind: KindFleet, Machines: 4, Trace: "t", Mix: "nedit:1"},
 	} {
 		body, _ := json.Marshal(spec)
 		resp, err := http.Post(hs.URL+"/jobs", "application/json", bytes.NewReader(body))
@@ -559,34 +568,79 @@ func (r repeated) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestUploadBodyCapped: a trace upload one byte over maxTraceBytes, sent
-// without a length so the server must read to learn its size, gets 413
-// and leaves no file in the upload directory; the next upload is stored.
+// readCounter counts the bytes read through it.
+type readCounter struct {
+	r io.Reader
+	n int64
+}
+
+func (c *readCounter) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// TestUploadBodyCapped: a trace upload over maxTraceBytes gets 413 and
+// leaves no file in the upload directory. A body that declares its
+// length is refused unread, before the upload directory exists; one sent
+// without a length (chunked) is copied up to the cap and its file
+// removed. The next upload is stored.
 func TestUploadBodyCapped(t *testing.T) {
-	srv, hs := newTestServer(t, Config{Workers: 1})
-	resp, err := http.Post(hs.URL+"/traces", "application/octet-stream", io.LimitReader(repeated(0), maxTraceBytes+1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Errorf("oversized upload: status %d, want 413", resp.StatusCode)
-	}
-	dir, err := srv.uploadDir()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if files, err := os.ReadDir(dir); err != nil || len(files) != 0 {
-		t.Errorf("upload directory after a rejected upload: %v, %v; want empty", files, err)
-	}
-	resp, err = http.Post(hs.URL+"/traces", "application/octet-stream", strings.NewReader("small"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Errorf("upload after a rejected one: status %d, want 201", resp.StatusCode)
-	}
+	t.Run("declared", func(t *testing.T) {
+		checkGoroutines(t)
+		srv, err := New(Config{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			if err := srv.Shutdown(context.Background()); err != nil {
+				t.Errorf("Shutdown: %v", err)
+			}
+		})
+		body := &readCounter{r: repeated(0)}
+		req := httptest.NewRequest(http.MethodPost, "/traces", body)
+		req.ContentLength = maxTraceBytes + 1
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("oversized upload: status %d, want 413", rec.Code)
+		}
+		if body.n != 0 {
+			t.Errorf("the server read %d bytes of a body declared over the cap", body.n)
+		}
+		srv.mu.Lock()
+		dir := srv.upDir
+		srv.mu.Unlock()
+		if dir != "" {
+			t.Errorf("an upload directory %s was created for a refused upload", dir)
+		}
+	})
+	t.Run("chunked", func(t *testing.T) {
+		srv, hs := newTestServer(t, Config{Workers: 1})
+		resp, err := http.Post(hs.URL+"/traces", "application/octet-stream", io.LimitReader(repeated(0), maxTraceBytes+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("oversized upload: status %d, want 413", resp.StatusCode)
+		}
+		dir, err := srv.uploadDir()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if files, err := os.ReadDir(dir); err != nil || len(files) != 0 {
+			t.Errorf("upload directory after a rejected upload: %v, %v; want empty", files, err)
+		}
+		resp, err = http.Post(hs.URL+"/traces", "application/octet-stream", strings.NewReader("small"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			t.Errorf("upload after a rejected one: status %d, want 201", resp.StatusCode)
+		}
+	})
 }
 
 // TestJobSpecBodyCapped: a job spec over maxJobSpecBytes gets 413, not
@@ -814,40 +868,6 @@ func TestCancelReplayMidPass(t *testing.T) {
 	next := submitWait(t, hs.URL, JobSpec{Kind: KindEval, App: "nedit", Policies: []string{"base"}, Execs: 2})
 	if next.State != StateDone {
 		t.Errorf("follow-up job state = %q, error = %q", next.State, next.Error)
-	}
-}
-
-// TestMeterForwardsPinnedTrace: the meter lends the pinned traces of the
-// capped eval source it wraps, so a shared (retaining) suite's retained
-// executions serve metered jobs.
-func TestMeterForwardsPinnedTrace(t *testing.T) {
-	suite, err := experiments.NewSuite(experiments.DefaultSeed, sim.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	suite.RetainPrepared()
-	app, _ := workload.ByName("nedit")
-	var all []*trace.Trace
-	for src := suite.SourceFor(app); ; {
-		if _, _, ok := src.NextExec(); !ok {
-			break
-		}
-		all = append(all, trace.PinnedTrace(src))
-	}
-	var counters stats.Counters
-	m := newMeter(context.Background(), trace.LimitExecs(suite.SourceFor(app), 2),
-		stats.NewLocal(&counters, stats.Options{}), newJob("j1", &JobSpec{}), 1)
-	n := 0
-	for ; ; n++ {
-		if _, _, ok := m.NextExec(); !ok {
-			break
-		}
-		if p := trace.PinnedTrace(m); p != all[n] || &p.Events[0] != &m.ExecEvents()[0] {
-			t.Fatalf("execution %d: meter lends pinned trace %p, want the suite's %p", n, p, all[n])
-		}
-	}
-	if n != 2 {
-		t.Errorf("metered %d executions, want 2", n)
 	}
 }
 

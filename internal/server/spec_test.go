@@ -45,6 +45,10 @@ func FuzzJobSpec(f *testing.F) {
 	f.Add([]byte(`{"kind":"eval","app":"nedit"}{"kind":"eval","app":"nedit"}`))
 	f.Add([]byte(`{"kind":"eval","app":"nedit","bogus":1}`))
 	f.Add([]byte(`{"kind":"replay","trace":"t","pc_to":1099511627776}`))
+	f.Add([]byte(`{"kind":"replay","trace":"t","scale":2}`))
+	f.Add([]byte(`{"kind":"fleet","machines":3,"execs":2,"app":"nedit"}`))
+	f.Add([]byte(`{"kind":"fleet","machines":3,"trace":"t","pid":4,"workers":2}`))
+	f.Add([]byte(`{"kind":"eval","app":"nedit","mix":"nedit:1","machines":2,"from_sec":1,"workers":2}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := decodeJobSpec(bytes.NewReader(data))
 		if err != nil {
@@ -53,7 +57,7 @@ func FuzzJobSpec(f *testing.F) {
 			}
 			return
 		}
-		if err := spec.validate(); err != nil {
+		if err := spec.Validate(); err != nil {
 			t.Fatalf("decoded spec does not validate: %v", err)
 		}
 		e1, err := json.Marshal(spec)
