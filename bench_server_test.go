@@ -1,12 +1,7 @@
-// pcapd benchmarks: the coalesced counter layer against its naive
-// shared-atomic and mutex baselines, and the daemon's sustained job
-// throughput under 32 concurrent closed-loop clients. The counter
-// benches quantify the VSA-style "commit information, not traffic"
-// claim: a shard pays one plain add per event and one atomic commit per
-// threshold batch, so its per-add cost should sit well below a shared
-// atomic's and far below a mutex's. The sustained bench is the recorded
-// jobs/s / events/s headline in BENCH_PR9.json and feeds the benchjson
-// gate in ci.sh.
+// pcapd benchmark: the daemon's sustained job throughput under 32
+// concurrent closed-loop clients, live counters included. It is the
+// recorded jobs/s / events/s headline in BENCH_PR9.json and feeds the
+// benchjson gate in ci.sh.
 package pcapsim
 
 import (
@@ -22,73 +17,13 @@ import (
 	"time"
 
 	"pcapsim/internal/server"
-	"pcapsim/internal/server/stats"
 )
-
-// benchParallelism fans each counter benchmark out to this many
-// goroutines per GOMAXPROCS so the shared-state baselines feel
-// contention even on small CI machines.
-const benchParallelism = 8
-
-// BenchmarkCountersCoalesced measures the per-add cost of the sharded
-// counter layer: each goroutine owns a stats.Local committing to one
-// shared stats.Counters. The exactness contract is asserted after the
-// timer stops — the global view must equal b.N exactly.
-func BenchmarkCountersCoalesced(b *testing.B) {
-	var c stats.Counters
-	b.SetParallelism(benchParallelism)
-	b.RunParallel(func(pb *testing.PB) {
-		l := stats.NewLocal(&c, stats.Options{})
-		for pb.Next() {
-			l.AddEvents(1)
-		}
-		l.Flush()
-	})
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "adds/s")
-	if got := c.Snapshot().Events; got != int64(b.N) {
-		b.Fatalf("coalesced counters lost deltas: %d adds, global view %d", b.N, got)
-	}
-}
-
-// BenchmarkCountersAtomic is the naive baseline the coalesced layer
-// replaces: every add is an atomic RMW on one shared cache line.
-func BenchmarkCountersAtomic(b *testing.B) {
-	var c stats.AtomicCounters
-	b.SetParallelism(benchParallelism)
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			c.AddEvents(1)
-		}
-	})
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "adds/s")
-	if got := c.Events(); got != int64(b.N) {
-		b.Fatalf("atomic counters lost adds: %d adds, view %d", b.N, got)
-	}
-}
-
-// BenchmarkCountersMutex is the lock-per-add strawman.
-func BenchmarkCountersMutex(b *testing.B) {
-	var c stats.MutexCounters
-	b.SetParallelism(benchParallelism)
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			c.AddEvents(1)
-		}
-	})
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "adds/s")
-	if got := c.Events(); got != int64(b.N) {
-		b.Fatalf("mutex counters lost adds: %d adds, view %d", b.N, got)
-	}
-}
 
 // BenchmarkPcapdSustained drives a full in-process pcapd (HTTP transport
 // included) with 32 concurrent closed-loop clients submitting small
 // synchronous eval jobs — the same shape as the recorded pcapload run.
 // One iteration is one completed job round-trip; events/s comes from the
-// server's own coalesced counters over the measured window, so it
+// server's own live counters over the measured window, so it
 // reflects simulation throughput rather than transport overhead.
 func BenchmarkPcapdSustained(b *testing.B) {
 	srv, err := server.New(server.Config{QueueDepth: 256, DefaultTimeout: time.Minute})

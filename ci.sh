@@ -187,7 +187,7 @@ wait "${pcapd_pid}"
 # suite, without HTTP) are recorded in the artifact but stay out of the
 # gate metric list.
 bench_artifact="${BENCH_ARTIFACT:-bench.txt}"
-bench_filter="${BENCH_FILTER:-FSCache|TableTrain|TableLookup|CacheFilter|RunApp(Materialized|Streaming)\$|FullSimulation|PCAPOnAccess\$|DecodeV2\$|DecodeV2(Parallel|Pushdown)\$|Fleet(1k|10k)\$|FleetReplay1k\$|FleetPeakHeap1k\$|PcapdSustained\$|Counters(Coalesced|Atomic|Mutex)\$|SuiteParallel\$|Prefetch\$|ReplayFourPolicies\$|EvalRetained\$}"
+bench_filter="${BENCH_FILTER:-FSCache|TableTrain|TableLookup|CacheFilter|RunApp(Materialized|Streaming)\$|FullSimulation|PCAPOnAccess\$|DecodeV2\$|DecodeV2(Parallel|Pushdown)\$|Fleet(1k|10k)\$|FleetReplay1k\$|FleetPeakHeap1k\$|PcapdSustained\$|SuiteParallel\$|Prefetch\$|ReplayFourPolicies\$|EvalRetained\$}"
 echo "== go test -bench (hot path) -benchmem (artifact: ${bench_artifact})"
 if go test -run '^$' -bench "${bench_filter}" -benchmem -benchtime "${BENCH_TIME:-1s}" . >"${bench_artifact}" 2>&1; then
 	# PcaplintFull runs in its own process, appended to the artifact: it
@@ -216,7 +216,7 @@ if go test -run '^$' -bench "${bench_filter}" -benchmem -benchtime "${BENCH_TIME
 		if [[ "${BENCH_GATE:-on}" != "off" && -f "${bench_baseline}" ]]; then
 			echo "== benchjson -gate ${bench_baseline} (blocking)"
 			go run ./cmd/benchjson -gate "${bench_baseline}" \
-				-metrics "BenchmarkFullSimulation:ios/s,BenchmarkDecodeV2:events/s,BenchmarkDecodeV2Parallel:events/s,BenchmarkFleet1k:machines/s,BenchmarkPcapdSustained:jobs/s,BenchmarkCountersCoalesced:adds/s" \
+				-metrics "BenchmarkFullSimulation:ios/s,BenchmarkDecodeV2:events/s,BenchmarkDecodeV2Parallel:events/s,BenchmarkFleet1k:machines/s,BenchmarkPcapdSustained:jobs/s" \
 				-threshold 0.10 "${bench_json}"
 		fi
 	else

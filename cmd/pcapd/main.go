@@ -1,6 +1,6 @@
 // Command pcapd serves the simulator over HTTP: policy evaluation,
 // trace replay and fleet jobs as JSON, on a bounded worker pool with
-// shared per-seed suites and coalesced live counters (internal/server).
+// shared per-seed suites and live counters (internal/server).
 //
 // Usage:
 //

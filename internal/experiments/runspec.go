@@ -27,7 +27,11 @@ const (
 type RunSpec struct {
 	// Kind selects the run family: "eval", "replay" or "fleet".
 	Kind string `json:"kind"`
-	// Seed is the workload seed; 0 means DefaultSeed.
+	// Seed is the workload seed; 0 means DefaultSeed. A replay run reads
+	// its workload from the trace, and a suite's seed never changes a
+	// replay's rows, so a replay ignores the seed and runs on the default
+	// seed's suite. Replay specs still accept it because clients such as
+	// perfbench send a seed with every job.
 	Seed uint64 `json:"seed,omitempty"`
 	// Policies is the policy list (default: DefaultReplayPolicies).
 	Policies []string `json:"policies,omitempty"`
@@ -203,7 +207,12 @@ func (spec *RunSpec) Run(ctx context.Context, env RunEnv) (string, error) {
 		return spec.runFleet(ctx, env, seed, policies)
 	}
 
-	// An eval or replay run is one metered ReplayRows pass.
+	// An eval or replay run is one metered ReplayRows pass. A replay
+	// ignores the seed (see Seed), so replays of every seed share one
+	// suite.
+	if spec.Kind == KindReplay {
+		seed = DefaultSeed
+	}
 	suite, err := env.Suite(seed, max(spec.Scale, 1))
 	if err != nil {
 		return "", err

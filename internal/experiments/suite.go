@@ -128,6 +128,10 @@ func (s *Suite) RetainPrepared() {
 	s.runner.RetainPrepared()
 }
 
+// RetainedPrepares reports how many executions a retaining suite has
+// prepared (sim.Runner.RetainedPrepares).
+func (s *Suite) RetainedPrepares() int64 { return s.runner.RetainedPrepares() }
+
 // Run returns app's result under pol from the suite's table, running or
 // waiting for the pass that holds the cell. A cell the table lacks is
 // registered as a one-cell pass first, so concurrent callers of a cell

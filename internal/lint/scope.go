@@ -9,19 +9,18 @@ import "strings"
 // deliberately outside (a CLI may read the clock for progress output, and
 // internal/rng is the one sanctioned randomness seam).
 var resultAffectingPackages = map[string]bool{
-	"internal/sim":          true,
-	"internal/core":         true,
-	"internal/fscache":      true,
-	"internal/experiments":  true,
-	"internal/workload":     true,
-	"internal/trace":        true,
-	"internal/predictor":    true,
-	"internal/prefetch":     true,
-	"internal/ltree":        true,
-	"internal/hypothesis":   true,
-	"internal/fleet":        true,
-	"internal/server":       true,
-	"internal/server/stats": true,
+	"internal/sim":         true,
+	"internal/core":        true,
+	"internal/fscache":     true,
+	"internal/experiments": true,
+	"internal/workload":    true,
+	"internal/trace":       true,
+	"internal/predictor":   true,
+	"internal/prefetch":    true,
+	"internal/ltree":       true,
+	"internal/hypothesis":  true,
+	"internal/fleet":       true,
+	"internal/server":      true,
 }
 
 // resultAffecting reports whether the module-relative package path is in
@@ -37,6 +36,6 @@ func resultAffecting(relPath string) bool {
 // streaming), and every command.
 func errcheckScope(relPath string) bool {
 	return relPath == "internal/trace" || relPath == "internal/persist" ||
-		relPath == "internal/server" || relPath == "internal/server/stats" ||
+		relPath == "internal/server" ||
 		strings.HasPrefix(relPath, "cmd/")
 }

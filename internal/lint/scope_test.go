@@ -18,7 +18,7 @@ func TestResultAffectingScope(t *testing.T) {
 	for _, p := range []string{
 		"internal/sim", "internal/trace", "internal/experiments",
 		"internal/hypothesis", "internal/workload", "internal/predictor",
-		"internal/fleet", "internal/server", "internal/server/stats",
+		"internal/fleet", "internal/server",
 	} {
 		if !resultAffecting(p) {
 			t.Errorf("%s not in the result-affecting scope", p)
@@ -38,7 +38,7 @@ func TestErrcheckScope(t *testing.T) {
 	for _, p := range []string{
 		"internal/trace", "internal/persist", "cmd/benchjson",
 		"cmd/pcapd", "cmd/pcapload",
-		"internal/server", "internal/server/stats",
+		"internal/server",
 	} {
 		if !errcheckScope(p) {
 			t.Errorf("%s not in the errcheck-lite scope", p)

@@ -6,13 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"sync"
 	"sync/atomic"
 
 	"pcapsim/internal/experiments"
-	"pcapsim/internal/server/stats"
 )
 
 // Job kinds, as experiments names them.
@@ -69,13 +67,10 @@ type Job struct {
 	ID   string
 	Spec JobSpec
 
-	// Progress counters, written by the running job and read by views
-	// and the SSE stream.
-	events     atomic.Int64
-	execs      atomic.Int64
-	machines   atomic.Int64
-	energyBits atomic.Uint64
-	polsDone   atomic.Int64
+	// Progress, written by the running job and read by views and the
+	// SSE stream.
+	work     tally
+	polsDone atomic.Int64
 
 	mu      sync.Mutex
 	state   string
@@ -175,32 +170,10 @@ func (j *Job) bumpLocked() {
 	j.changed = make(chan struct{})
 }
 
-// progressed records one increment of the job's work in the worker's
-// stats shard and in the job's live counters; a finished policy also
-// wakes watchers. It runs on the worker's goroutine, which owns local.
-func (j *Job) progressed(local *stats.Local, p experiments.Progress) {
-	if p.Events != 0 {
-		local.AddEvents(p.Events)
-		j.events.Add(p.Events)
-	}
-	if p.Execs != 0 {
-		local.AddExecs(p.Execs)
-		j.execs.Add(p.Execs)
-	}
-	if p.Machines != 0 {
-		local.AddMachines(p.Machines)
-		j.machines.Add(p.Machines)
-	}
-	if p.EnergyJ != 0 {
-		local.AddEnergy(p.EnergyJ)
-		for {
-			old := j.energyBits.Load()
-			val := math.Float64frombits(old) + p.EnergyJ
-			if j.energyBits.CompareAndSwap(old, math.Float64bits(val)) {
-				break
-			}
-		}
-	}
+// progressed records one increment of the job's work in its live view;
+// a finished policy also wakes watchers.
+func (j *Job) progressed(p experiments.Progress) {
+	j.work.add(p)
 	if p.PolicyDone {
 		j.polsDone.Add(1)
 		j.mu.Lock()
@@ -245,21 +218,24 @@ func (j *Job) view() View {
 		State:        state,
 		Output:       output,
 		Error:        errMsg,
-		Events:       j.events.Load(),
-		Execs:        j.execs.Load(),
-		Machines:     j.machines.Load(),
-		EnergyJ:      math.Float64frombits(j.energyBits.Load()),
+		Events:       j.work.events.Load(),
+		Execs:        j.work.execs.Load(),
+		Machines:     j.work.machines.Load(),
+		EnergyJ:      j.work.energyJ(),
 		PoliciesDone: j.polsDone.Load(),
 	}
 }
 
 // execute runs a job's spec over the server's shared suites and trace
-// references, accounting its progress as it goes. The returned string is
-// the job's Output.
-func (s *Server) execute(ctx context.Context, job *Job, local *stats.Local) (string, error) {
+// references, adding its progress to the job's view and to the server's
+// counters as it goes. The returned string is the job's Output.
+func (s *Server) execute(ctx context.Context, job *Job) (string, error) {
 	return job.Spec.Run(ctx, experiments.RunEnv{
-		Suite:    s.suites.get,
-		Resolve:  s.resolveTrace,
-		Progress: func(p experiments.Progress) { job.progressed(local, p) },
+		Suite:   s.suites.get,
+		Resolve: s.resolveTrace,
+		Progress: func(p experiments.Progress) {
+			s.counters.work.add(p)
+			job.progressed(p)
+		},
 	})
 }

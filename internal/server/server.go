@@ -21,13 +21,15 @@
 //     worker. Each suite retains the prepared execution of every pinned
 //     trace it replays (Suite.RetainPrepared), so jobs against the same
 //     seed reuse generated and cache-filtered workloads instead of
-//     redoing that work per request. Each worker owns its stats shard.
+//     redoing that work per request. Replay jobs read no workload, so
+//     they all share the default seed's suite whatever seed they carry.
 //
-//   - Contention-free live counters. Per-job accounting flows through
-//     internal/server/stats Local shards (VSA-style delta coalescing) and
-//     commits to one global atomic view, so /stats stays cheap to serve
-//     and free of hot-path contention no matter how many workers run.
-//     Events and executions count once per policy, as in a solo run.
+//   - Live counters at run boundaries. A run reports its progress per
+//     execution and per policy, never per event, and each report is one
+//     atomic add to the job's view and one to the server's /stats
+//     counters (Counters), before the job finishes: a client that waited
+//     for its job finds it counted. Events and executions count once per
+//     policy, as in a solo run.
 //
 // Cancellation is cooperative and complete: every job runs under a
 // context bounded by its own timeout, a cancel endpoint, and — for
@@ -52,7 +54,6 @@ import (
 	"time"
 
 	"pcapsim/internal/experiments"
-	"pcapsim/internal/server/stats"
 	"pcapsim/internal/sim"
 )
 
@@ -78,7 +79,7 @@ type Server struct {
 	mux      *http.ServeMux
 	queue    chan *Job
 	suites   suiteRegistry
-	counters stats.Counters
+	counters Counters
 
 	// baseCtx parents every job context; cancel it to abort running jobs.
 	baseCtx   context.Context
@@ -86,7 +87,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
-	jobOrder []string // job IDs in submission order, for deterministic listings
+	finished []string // IDs of retired jobs still in jobs, oldest first
 	jobSeq   int
 	uploads  map[string]string // upload ID -> stored file path
 	upSeq    int
@@ -130,28 +131,27 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Config returns the server's configuration after defaulting.
 func (s *Server) Config() Config { return s.cfg }
 
-// Counters exposes the live counter view (tests, /stats).
-func (s *Server) Counters() *stats.Counters { return &s.counters }
+// Counters exposes the live counters (tests, /stats).
+func (s *Server) Counters() *Counters { return &s.counters }
 
 // worker is one pool goroutine: it drains the job queue until the queue
-// closes, running each job with the worker's own stats shard.
+// closes.
 func (s *Server) worker() {
 	defer s.wg.Done()
-	local := stats.NewLocal(&s.counters, stats.Options{MaxLag: time.Second})
 	for job := range s.queue {
-		s.runJob(job, local)
+		s.runJob(job)
 	}
 }
 
-// runJob executes one job, counting into the worker's stats shard. The
-// shard is flushed and the job's completion counted before finish wakes
-// the job's waiters, so a client that waited for the job sees it in
-// /stats, and an idle worker holds no uncommitted counter deltas.
-func (s *Server) runJob(job *Job, local *stats.Local) {
+// runJob executes one job. Its work and completion are counted, and the
+// job retired, before finish wakes the job's waiters, so a client that
+// waited for the job sees it in /stats.
+func (s *Server) runJob(job *Job) {
 	if !job.start() {
-		return // canceled while queued
+		s.retire(job) // canceled while queued
+		return
 	}
-	s.counters.JobStarted()
+	s.counters.jobsStarted.Add(1)
 
 	timeout := s.cfg.DefaultTimeout
 	if job.Spec.TimeoutSec > 0 {
@@ -159,7 +159,7 @@ func (s *Server) runJob(job *Job, local *stats.Local) {
 	}
 	ctx, cancel := context.WithTimeout(s.baseCtx, timeout)
 	job.bindCancel(cancel)
-	out, err := s.execute(ctx, job, local)
+	out, err := s.execute(ctx, job)
 	cancel()
 
 	state, msg := StateDone, ""
@@ -172,9 +172,26 @@ func (s *Server) runJob(job *Job, local *stats.Local) {
 	default:
 		state, out, msg = StateFailed, "", err.Error()
 	}
-	local.Flush()
-	s.counters.JobDone(err != nil)
+	s.counters.jobDone(err != nil)
+	s.retire(job)
 	job.finish(state, out, msg)
+}
+
+// maxFinishedJobs bounds how many retired jobs the server keeps for
+// GET, cancel and SSE requests, about 1 KB each; queued and running jobs
+// are always kept.
+const maxFinishedJobs = 4096
+
+// retire records a job the worker is done with, forgetting the oldest
+// retired job once more than maxFinishedJobs are kept.
+func (s *Server) retire(job *Job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.finished = append(s.finished, job.ID)
+	if len(s.finished) > maxFinishedJobs {
+		delete(s.jobs, s.finished[0])
+		s.finished = s.finished[1:]
+	}
 }
 
 // suiteKey identifies a shared experiment suite. Scale is part of the
@@ -311,7 +328,6 @@ func (s *Server) enqueue(spec *JobSpec) (*Job, error) {
 		return nil, fmt.Errorf("%w (%d queued)", errQueueFull, cap(s.queue))
 	}
 	s.jobs[job.ID] = job
-	s.jobOrder = append(s.jobOrder, job.ID)
 	return job, nil
 }
 
@@ -416,7 +432,7 @@ func (s *Server) resolveTrace(ref string) (string, error) {
 // statsView is the /stats response: the live counter snapshot plus the
 // pool's occupancy.
 type statsView struct {
-	stats.Snapshot
+	Snapshot
 	Workers int `json:"workers"`
 	Queued  int `json:"queued"`
 }

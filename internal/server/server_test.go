@@ -301,8 +301,8 @@ func TestFarFutureReplayFinishes(t *testing.T) {
 
 // TestConcurrentJobsExactCounters is the server-level exactness test:
 // many identical jobs race across the pool (run under -race by ci.sh),
-// and the coalesced global counters must equal per-job totals times the
-// job count — no delta lost or doubled across worker shards.
+// and the global counters must equal per-job totals times the job count
+// — no add lost or doubled across workers.
 func TestConcurrentJobsExactCounters(t *testing.T) {
 	srv, hs := newTestServer(t, Config{Workers: 4, QueueDepth: 64})
 
@@ -342,9 +342,6 @@ func TestConcurrentJobsExactCounters(t *testing.T) {
 	}
 	if snap.JobsStarted != jobs || snap.JobsDone != jobs || snap.JobsFailed != 0 {
 		t.Errorf("job counters: %+v, want %d started/done, 0 failed", snap, jobs)
-	}
-	if snap.Commits == 0 || snap.Commits >= snap.Adds {
-		t.Errorf("Commits = %d for %d adds; coalescing not effective", snap.Commits, snap.Adds)
 	}
 	// Energy sums float deltas in scheduling order; per-policy totals are
 	// identical across identical jobs, so the global total still must be
@@ -784,7 +781,9 @@ func sourceCounts(t *testing.T, app string, execs int) (events, n int64) {
 // TestMeterCountsEveryPolicy: an eval or replay job reads each execution
 // once for all its policies, yet /stats and the job's view count its
 // events and executions once per policy — with the policies listed or
-// left to the default list.
+// left to the default list. A fleet job counts every machine of every
+// policy's fleet. Whatever the kind, /stats moves by exactly the job's
+// view.
 func TestMeterCountsEveryPolicy(t *testing.T) {
 	dir := t.TempDir()
 	srv, hs := newTestServer(t, Config{Workers: 2, TraceDir: dir})
@@ -793,13 +792,17 @@ func TestMeterCountsEveryPolicy(t *testing.T) {
 	allEvents, allExecs := sourceCounts(t, "nedit", math.MaxInt)
 	four := []string{"base", "tp", "pcap", "ideal"}
 	for _, tc := range []struct {
-		name          string
-		spec          JobSpec
-		events, execs int64
+		name     string
+		spec     JobSpec
+		policies int64
+		// Per policy. A fleet's events and executions are not known in
+		// advance (0); they must still be positive.
+		events, execs, machines int64
 	}{
-		{"eval four", JobSpec{Kind: KindEval, App: "nedit", Execs: 3, Policies: four}, events, execs},
-		{"eval default", JobSpec{Kind: KindEval, App: "nedit", Execs: 3}, events, execs},
-		{"replay default", JobSpec{Kind: KindReplay, Trace: "nedit.pct2"}, allEvents, allExecs},
+		{"eval four", JobSpec{Kind: KindEval, App: "nedit", Execs: 3, Policies: four}, 4, events, execs, 0},
+		{"eval default", JobSpec{Kind: KindEval, App: "nedit", Execs: 3}, 4, events, execs, 0},
+		{"replay default", JobSpec{Kind: KindReplay, Trace: "nedit.pct2"}, 4, allEvents, allExecs, 0},
+		{"fleet three", JobSpec{Kind: KindFleet, Machines: 24, DurationSec: 120, Policies: evalPolicies}, 3, 0, 0, 24},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := srv.Counters().Snapshot()
@@ -808,14 +811,23 @@ func TestMeterCountsEveryPolicy(t *testing.T) {
 				t.Fatalf("state = %q, error = %q", v.State, v.Error)
 			}
 			after := srv.Counters().Snapshot()
-			if got, want := after.Events-before.Events, 4*tc.events; got != want || v.Events != want {
-				t.Errorf("/stats events moved by %d, view reports %d; want 4 × %d = %d", got, v.Events, tc.events, want)
+			if after.Events-before.Events != v.Events || after.Execs-before.Execs != v.Execs ||
+				after.Machines-before.Machines != v.Machines {
+				t.Errorf("/stats moved by %d events, %d execs, %d machines; the view reports %d, %d, %d",
+					after.Events-before.Events, after.Execs-before.Execs, after.Machines-before.Machines,
+					v.Events, v.Execs, v.Machines)
 			}
-			if got, want := after.Execs-before.Execs, 4*tc.execs; got != want || v.Execs != want {
-				t.Errorf("/stats execs moved by %d, view reports %d; want 4 × %d = %d", got, v.Execs, tc.execs, want)
+			if v.Events <= 0 || v.Execs <= 0 {
+				t.Errorf("view reports %d events, %d execs; want some", v.Events, v.Execs)
 			}
-			if v.PoliciesDone != 4 {
-				t.Errorf("policies_done = %d, want 4", v.PoliciesDone)
+			if tc.events != 0 && (v.Events != tc.policies*tc.events || v.Execs != tc.policies*tc.execs) {
+				t.Errorf("view reports %d events, %d execs; want %d × (%d, %d)", v.Events, v.Execs, tc.policies, tc.events, tc.execs)
+			}
+			if want := tc.policies * tc.machines; v.Machines != want {
+				t.Errorf("view reports %d machines, want %d", v.Machines, want)
+			}
+			if v.PoliciesDone != tc.policies {
+				t.Errorf("policies_done = %d, want %d", v.PoliciesDone, tc.policies)
 			}
 		})
 	}
@@ -834,7 +846,7 @@ func TestCancelReplayMidPass(t *testing.T) {
 		t.Fatalf("no job %s", v.ID)
 	}
 	// The meter has handed the pass its first execution: cancel now.
-	for j.execs.Load() == 0 {
+	for j.work.execs.Load() == 0 {
 		select {
 		case <-j.Done():
 			t.Fatalf("job ended before its pass started: %+v", j.view())
@@ -893,5 +905,106 @@ func TestSuiteRegistry(t *testing.T) {
 		if len(sr.suites) > maxSuites {
 			t.Fatalf("registry holds %d suites, cap %d", len(sr.suites), maxSuites)
 		}
+	}
+}
+
+// TestFinishedJobsBounded: the server keeps at most maxFinishedJobs
+// retired jobs. Once more have finished, the oldest answer 404 on GET,
+// cancel and SSE, and every newer one is still found.
+func TestFinishedJobsBounded(t *testing.T) {
+	srv, hs := newTestServer(t, Config{Workers: 1})
+	spec := &JobSpec{Kind: KindEval, App: "nedit", Policies: []string{"base"}, Execs: 1}
+	const evicted = 10
+	ids := make([]string, maxFinishedJobs+evicted)
+	// One worker retires jobs in submission order; batches keep the
+	// queue under its depth.
+	for i := 0; i < len(ids); {
+		var batch []*Job
+		for ; i < len(ids) && len(batch) < 32; i++ {
+			job, err := srv.enqueue(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids[i] = job.ID
+			batch = append(batch, job)
+		}
+		for _, job := range batch {
+			<-job.Done()
+		}
+	}
+	for i, id := range ids {
+		if _, ok := srv.job(id); ok != (i >= evicted) {
+			t.Fatalf("job %d (%s): found = %v, want %v", i, id, ok, i >= evicted)
+		}
+	}
+	for _, req := range []struct {
+		method, path string
+		want         int
+	}{
+		{http.MethodGet, "/jobs/" + ids[0], http.StatusNotFound},
+		{http.MethodPost, "/jobs/" + ids[evicted-1] + "/cancel", http.StatusNotFound},
+		{http.MethodGet, "/jobs/" + ids[evicted-1] + "/events", http.StatusNotFound},
+		{http.MethodGet, "/jobs/" + ids[evicted], http.StatusOK},
+	} {
+		r, err := http.NewRequest(req.method, hs.URL+req.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != req.want {
+			t.Errorf("%s %s: status %d, want %d", req.method, req.path, resp.StatusCode, req.want)
+		}
+	}
+	// A job canceled while queued is retired without running, and
+	// pushes the oldest kept job out like any other.
+	queued := newJob("queued", spec)
+	queued.Cancel("test")
+	srv.runJob(queued)
+	if _, ok := srv.job(ids[evicted]); ok {
+		t.Errorf("job %s still kept after a canceled queued job retired", ids[evicted])
+	}
+}
+
+// TestReplaySeedsShareOneSuite: replay jobs at any number of distinct
+// seeds share the default seed's suite, so they cannot crowd an eval
+// suite out of the registry: a repeat of the eval job finds its retained
+// executions and prepares nothing new.
+func TestReplaySeedsShareOneSuite(t *testing.T) {
+	dir := t.TempDir()
+	srv, hs := newTestServer(t, Config{Workers: 1, TraceDir: dir})
+	writeTraceFile(t, dir)
+	eval := JobSpec{Kind: KindEval, App: "nedit", Seed: 7, Execs: 2, Policies: evalPolicies}
+	if v := submitWait(t, hs.URL, eval); v.State != StateDone {
+		t.Fatalf("eval job: state = %q, error = %q", v.State, v.Error)
+	}
+	suite, err := srv.suites.get(7, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepared := suite.RetainedPrepares()
+	if prepared == 0 {
+		t.Fatal("the eval job retained no prepared executions")
+	}
+	for seed := uint64(1); seed <= maxSuites+1; seed++ {
+		v := submitWait(t, hs.URL, JobSpec{Kind: KindReplay, Trace: "nedit.pct2", Seed: seed, Policies: []string{"base"}})
+		if v.State != StateDone {
+			t.Fatalf("replay at seed %d: state = %q, error = %q", seed, v.State, v.Error)
+		}
+	}
+	srv.suites.mu.Lock()
+	kept := srv.suites.suites[suiteKey{seed: 7, scale: 1}]
+	srv.suites.mu.Unlock()
+	if kept != suite {
+		t.Fatal("replay jobs dropped the eval job's suite from the registry")
+	}
+	if v := submitWait(t, hs.URL, eval); v.State != StateDone {
+		t.Fatalf("repeat eval job: state = %q, error = %q", v.State, v.Error)
+	}
+	if got := suite.RetainedPrepares(); got != prepared {
+		t.Errorf("repeat eval job prepared %d executions, want 0", got-prepared)
 	}
 }
