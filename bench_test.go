@@ -948,25 +948,20 @@ func BenchmarkScalePeakStreaming10(b *testing.B)    { benchScalePeak(b, 10, true
 // virtual seconds), so the concurrently active set the report's peak
 // concurrency counts — sessions run tens of virtual minutes — is a few
 // dozen machines regardless of fleet size.
-func fleetBenchConfig(b *testing.B, n int) fleet.Config {
-	b.Helper()
-	pf, err := experiments.FleetPolicy("pcap", sim.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
+func fleetBenchConfig(n int) fleet.Config {
 	return fleet.Config{
 		Machines:   n,
 		Seed:       experiments.DefaultSeed,
 		Executions: 1,
 		Stagger:    trace.Time(n) * 30 * trace.Second,
-		Policy:     pf,
+		Policy:     experiments.FleetPolicies([]string{"pcap"}, sim.DefaultConfig()),
 	}
 }
 
 // benchFleet measures fleet throughput (machines/s, events/s).
 func benchFleet(b *testing.B, n int) {
 	b.Helper()
-	cfg := fleetBenchConfig(b, n)
+	cfg := fleetBenchConfig(n)
 	var events, machines int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -974,10 +969,11 @@ func benchFleet(b *testing.B, n int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := f.Run()
+		results, err := f.Run()
 		if err != nil {
 			b.Fatal(err)
 		}
+		res := results[0]
 		if res.Machines != n || res.Executions != int64(n) {
 			b.Fatalf("fleet ran %d machines / %d executions, want %d / %d",
 				res.Machines, res.Executions, n, n)
@@ -1001,7 +997,7 @@ func BenchmarkFleetReplay1k(b *testing.B) {
 	for _, app := range workload.Apps() {
 		recorded = append(recorded, app.Trace(experiments.DefaultSeed, 0))
 	}
-	cfg := fleetBenchConfig(b, 1000)
+	cfg := fleetBenchConfig(1000)
 	cfg.Replay = recorded
 	var machines int64
 	b.ResetTimer()
@@ -1010,10 +1006,11 @@ func BenchmarkFleetReplay1k(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := f.Run()
+		results, err := f.Run()
 		if err != nil {
 			b.Fatal(err)
 		}
+		res := results[0]
 		if res.Machines != 1000 {
 			b.Fatalf("fleet ran %d machines, want 1000", res.Machines)
 		}
@@ -1030,7 +1027,7 @@ func BenchmarkFleetReplay1k(b *testing.B) {
 // forced GCs distort timing.
 func benchFleetPeakHeap(b *testing.B, n int) {
 	b.Helper()
-	cfg := fleetBenchConfig(b, n)
+	cfg := fleetBenchConfig(n)
 	for i := 0; i < b.N; i++ {
 		stop := make(chan struct{})
 		sampled := make(chan struct{})
@@ -1055,10 +1052,11 @@ func benchFleetPeakHeap(b *testing.B, n int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := f.Run()
+		results, err := f.Run()
 		if err != nil {
 			b.Fatal(err)
 		}
+		res := results[0]
 		close(stop)
 		<-sampled
 		if i == b.N-1 {

@@ -138,14 +138,18 @@ for workers in 1 2; do
 		echo "ci: pcapd replay job differs from pcapsim -replay -parallel ${workers}" >&2
 		exit 1
 	fi
-	curl -sf "${pcapd_url}/jobs?wait=1" -d "{\"kind\":\"fleet\",\"machines\":24,\"duration_sec\":120,\"workers\":${workers},\"policies\":[\"base\",\"tp\",\"pcap\"]}" |
-		jq -r .output >"${smoke_dir}/job.txt"
-	"${smoke_dir}/pcapsim" -fleet 24 -duration 2m -parallel "${workers}" -policies base,tp,pcap \
-		>"${smoke_dir}/cli.txt"
-	if ! cmp "${smoke_dir}/job.txt" "${smoke_dir}/cli.txt"; then
-		echo "ci: pcapd fleet job differs from pcapsim -fleet -parallel ${workers}" >&2
-		exit 1
-	fi
+	# A fleet runs every policy in one pass; the one-policy fleet is its
+	# one-cell case.
+	for policies in base,tp,pcap pcap; do
+		curl -sf "${pcapd_url}/jobs?wait=1" -d "{\"kind\":\"fleet\",\"machines\":24,\"duration_sec\":120,\"workers\":${workers},\"policies\":[\"${policies//,/\",\"}\"]}" |
+			jq -r .output >"${smoke_dir}/job.txt"
+		"${smoke_dir}/pcapsim" -fleet 24 -duration 2m -parallel "${workers}" -policies "${policies}" \
+			>"${smoke_dir}/cli.txt"
+		if ! cmp "${smoke_dir}/job.txt" "${smoke_dir}/cli.txt"; then
+			echo "ci: pcapd fleet job (${policies}) differs from pcapsim -fleet -parallel ${workers}" >&2
+			exit 1
+		fi
+	done
 done
 # pcapd's peak resident set (VmHWM), read while the process still lives.
 # It rides the bench artifact as peak-rss-MB for trend visibility and

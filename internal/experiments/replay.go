@@ -55,6 +55,21 @@ func (s *Suite) PolicyByName(name string) (sim.Policy, bool) {
 	}
 }
 
+// policiesByName resolves every name with PolicyByName, failing on the
+// first unknown one.
+func (s *Suite) policiesByName(names []string) ([]sim.Policy, error) {
+	pols := make([]sim.Policy, len(names))
+	for i, name := range names {
+		pol, ok := s.PolicyByName(name)
+		if !ok {
+			return nil, fmt.Errorf("experiments: unknown policy %q (known: %s)",
+				name, strings.Join(replayPolicyNames, ", "))
+		}
+		pols[i] = pol
+	}
+	return pols, nil
+}
+
 // DefaultReplayPolicies is the policy list replay runs use when none is
 // given: the paper's base/timeout/PCAP/oracle comparison.
 var DefaultReplayPolicies = []string{"base", "tp", "pcap", "ideal"}
@@ -77,13 +92,12 @@ func (s *Suite) ReplayRows(src trace.Source, policies []string) ([]ReplayRow, er
 	if len(policies) == 0 {
 		policies = DefaultReplayPolicies
 	}
-	cells := make([]sim.Cell, len(policies))
-	for i, name := range policies {
-		pol, ok := s.PolicyByName(name)
-		if !ok {
-			return nil, fmt.Errorf("experiments: unknown policy %q (known: %s)",
-				name, strings.Join(replayPolicyNames, ", "))
-		}
+	pols, err := s.policiesByName(policies)
+	if err != nil {
+		return nil, err
+	}
+	cells := make([]sim.Cell, len(pols))
+	for i, pol := range pols {
 		cells[i] = sim.Cell{Runner: s.runner, Policy: pol}
 	}
 	res, errs := sim.RunCells(src, cells)

@@ -16,12 +16,12 @@ import (
 // pulls each execution from the source once and steps every machine
 // through it; RunCells runs one machine per cell, RunSource being its
 // one-cell case, and the fleet engine (internal/fleet) runs each fleet
-// machine's session as one RunSource. The extraction preserves the
-// original runSource/runExecution operation order bit for bit: every
-// float accumulation into the AppResult happens at the same point in the
-// same sequence, so results are byte-identical to the pre-extraction
-// simulator (enforced by the experiments suite golden and the
-// differential tests).
+// machine's session as one RunCells pass with a cell per policy. The
+// extraction preserves the original runSource/runExecution operation
+// order bit for bit: every float accumulation into the AppResult happens
+// at the same point in the same sequence, so results are byte-identical
+// to the pre-extraction simulator (enforced by the experiments suite
+// golden and the differential tests).
 //
 // Per execution, drive calls advance (the policy's factory step),
 // prepares the borrowed execution once in the pass's prepState, then
