@@ -178,10 +178,12 @@ wait "${pcapd_pid}"
 # BENCH_PR10.json. Absolute throughput drifts with the machine across
 # days (measured ~20% between the PR 5 and PR 6 recordings with
 # bit-identical code; see EXPERIMENTS.md), so on another machine the
-# gate compares hardware as well as code. Point BENCH_BASELINE at another
-# BENCH_PR*.json (or at a bench.json from the parent commit on the same
-# machine) for a different comparison, or disable with BENCH_GATE=off on
-# a known-noisy runner. The default
+# gate compares hardware as well as code. BENCH_BASELINE=parent compares
+# code alone: it runs the same filter on the parent commit (HEAD~1) on
+# this machine, in a temporary git worktree removed on exit, writes that
+# report to bench_parent.json (gitignored) and gates against it. Point
+# BENCH_BASELINE at another BENCH_PR*.json for a different comparison,
+# or disable with BENCH_GATE=off on a known-noisy runner. The default
 # filter is the allocation-sensitive hot path; BENCH_FILTER='.' sweeps
 # everything. SuiteParallel (the grouped full-matrix path),
 # FleetPeakHeap1k (the fleet's peak live heap, peak-heap-KB), Prefetch
@@ -217,6 +219,20 @@ if go test -run '^$' -bench "${bench_filter}" -benchmem -benchtime "${BENCH_TIME
 	bench_baseline="${BENCH_BASELINE:-BENCH_PR10.json}"
 	if go run ./cmd/benchjson -o "${bench_json}" "${bench_artifact}"; then
 		echo "ci: wrote ${bench_json}"
+		if [[ "${BENCH_GATE:-on}" != "off" && "${bench_baseline}" == parent ]]; then
+			parent_dir="$(mktemp -d)"
+			trap 'git worktree remove --force "${parent_dir}/tree" 2>/dev/null || true; rm -rf "${parent_dir}" "${smoke_dir}"' EXIT
+			echo "== go test -bench (hot path) on HEAD~1 (baseline: bench_parent.json)"
+			git worktree add --detach --quiet "${parent_dir}/tree" HEAD~1
+			if ! (cd "${parent_dir}/tree" && go test -run '^$' -bench "${bench_filter}" -benchmem \
+				-benchtime "${BENCH_TIME:-1s}" .) >"${parent_dir}/bench.txt" 2>&1; then
+				echo "ci: parent benchmarks failed; see below" >&2
+				cat "${parent_dir}/bench.txt" >&2
+				exit 1
+			fi
+			go run ./cmd/benchjson -o bench_parent.json "${parent_dir}/bench.txt"
+			bench_baseline=bench_parent.json
+		fi
 		if [[ "${BENCH_GATE:-on}" != "off" && -f "${bench_baseline}" ]]; then
 			echo "== benchjson -gate ${bench_baseline} (blocking)"
 			go run ./cmd/benchjson -gate "${bench_baseline}" \

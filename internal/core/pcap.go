@@ -190,8 +190,8 @@ func (c Config) Validate() error {
 
 // PCAP is the application-wide predictor: it owns the prediction table
 // shared by all of the application's processes and implements
-// predictor.Factory. It is safe for concurrent use by multiple process
-// instances.
+// predictor.Factory. Like its Table, it and its process instances have
+// one owner goroutine and are not safe for concurrent use.
 type PCAP struct {
 	cfg   Config
 	table *Table

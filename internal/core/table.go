@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"pcapsim/internal/lru"
 	"pcapsim/internal/trace"
@@ -96,8 +95,10 @@ type Stats struct {
 }
 
 // Table is a prediction table: a set of trained keys with optional LRU
-// bounding. It is safe for concurrent use; the paper shares one table
-// among all processes of an application.
+// bounding. The paper shares one table among all processes of an
+// application. A Table has one owner goroutine: it is not safe for
+// concurrent use, and the simulator steps every process of a run, and so
+// every call on the run's table, on one goroutine.
 //
 // Storage is an lru.List, so steady-state Lookup/Train/Forget perform no
 // allocations (an unbounded table grows its arena and index geometrically
@@ -106,7 +107,6 @@ type Stats struct {
 // reference list+map implementation retained in
 // table_differential_test.go.
 type Table struct {
-	mu    sync.Mutex
 	bound int
 	keys  *lru.List[Key]
 	stats Stats
@@ -127,23 +127,17 @@ func NewTable(bound int) *Table {
 
 // Len returns the number of trained entries (the paper's Table 3 metric).
 func (t *Table) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.keys.Len()
 }
 
 // Stats returns a copy of the activity counters.
 func (t *Table) Stats() Stats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.stats
 }
 
 // Lookup probes the table and reports whether key is trained, refreshing
 // its LRU position on a match.
 func (t *Table) Lookup(key Key) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.stats.Lookups++
 	s := t.keys.Find(key, key.hash())
 	if s == 0 {
@@ -157,8 +151,6 @@ func (t *Table) Lookup(key Key) bool {
 // Train records key in the table (idempotently), evicting the least
 // recently used entry if a bound is configured and exceeded.
 func (t *Table) Train(key Key) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	h := key.hash()
 	if s := t.keys.Find(key, h); s != 0 {
 		t.keys.Touch(s)
@@ -179,8 +171,6 @@ func (t *Table) Train(key Key) {
 // The base paper never unlearns, but changed application behaviour can be
 // aged out this way (or by the LRU bound).
 func (t *Table) Forget(key Key) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	s := t.keys.Find(key, key.hash())
 	if s == 0 {
 		return false
@@ -191,8 +181,6 @@ func (t *Table) Forget(key Key) bool {
 
 // Keys returns the trained keys in deterministic (sorted) order.
 func (t *Table) Keys() []Key {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	keys := make([]Key, 0, t.keys.Len())
 	for s := t.keys.Newest(); s != 0; s = t.keys.Older(s) {
 		keys = append(keys, t.keys.Key(s))

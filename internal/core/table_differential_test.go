@@ -93,8 +93,6 @@ func (t *refTable) lruKeys() []Key {
 
 // lruKeys lists the intrusive table's keys MRU-first.
 func (t *Table) lruKeys() []Key {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	var keys []Key
 	for s := t.keys.Newest(); s != 0; s = t.keys.Older(s) {
 		keys = append(keys, t.keys.Key(s))

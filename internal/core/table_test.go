@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -190,64 +189,5 @@ func TestTableQuickMatchesMapModel(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestTableConcurrentAccess hammers one shared table from many goroutines
-// (the paper's multiprocess setting); run with -race.
-func TestTableConcurrentAccess(t *testing.T) {
-	tab := NewTable(64)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 2000; i++ {
-				k := Key{Sig: Signature(i % 100)}
-				switch i % 3 {
-				case 0:
-					tab.Train(k)
-				case 1:
-					tab.Lookup(k)
-				case 2:
-					if i%30 == 2 {
-						tab.Forget(k)
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if tab.Len() > 64 {
-		t.Fatalf("bound violated under concurrency: %d", tab.Len())
-	}
-	_ = tab.Keys()
-	_ = tab.Stats()
-}
-
-// TestPCAPConcurrentProcesses drives several per-process predictors of the
-// same application concurrently; run with -race.
-func TestPCAPConcurrentProcesses(t *testing.T) {
-	p := MustNew(DefaultConfig(VariantFH))
-	var wg sync.WaitGroup
-	for g := 0; g < 6; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			proc := p.NewProcess(trace.PID(g))
-			now := 0.0
-			for i := 0; i < 1500; i++ {
-				gap := 2.0
-				if i%5 == 0 {
-					gap = 30
-				}
-				now += gap
-				proc.OnAccess(access(now, trace.PC(0x100*(i%9+1)), trace.FD(g)))
-			}
-		}(g)
-	}
-	wg.Wait()
-	if p.StateSize() == 0 {
-		t.Fatal("no training under concurrency")
 	}
 }

@@ -18,8 +18,8 @@ import (
 // report, under every policy of its one pass, exactly what
 // Runner.RunApp over the same generated traces produces — every Result
 // field the machine's run determines, floats compared exactly — for
-// every app and every suite policy. The fleet layers (mix source, shard
-// run loop, RunCells pass, fold) may add nothing and lose nothing.
+// every app and every suite policy. The fleet layers (mix source, job
+// list run loop, RunCells pass, fold) may add nothing and lose nothing.
 func TestFleetOfOneEqualsRunApp(t *testing.T) {
 	apps := workload.Apps()
 	policies := ReplayPolicyNames()

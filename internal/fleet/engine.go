@@ -2,9 +2,11 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"pcapsim/internal/disk"
 	"pcapsim/internal/sim"
@@ -13,22 +15,23 @@ import (
 
 // The engine.
 //
-// Machines are sharded across workers in contiguous ID ranges. A worker
-// simulates its shard one machine at a time: each machine's whole session
-// is one sim.RunCells pass over its mixSource with a cell per policy —
-// the same drive loop the experiment matrix and the daemon use — and
-// policy p's result lands at results[p][id]. Machines never interact, so
-// no machine's result depends on when, or next to whom, it is simulated.
+// The machines form one job list in (Spec.Device, id) order, and workers
+// claim them one at a time through an atomic cursor, so no worker idles
+// while another still has work. Each machine's whole session is one
+// sim.RunCells pass over its mixSource with a cell per policy — the same
+// drive loop the experiment matrix and the daemon use — and policy p's
+// result lands at results[p][id]. Machines never interact, so no
+// machine's result depends on when, or next to whom, it is simulated.
 //
-// Within a shard, machines run grouped by device, in (Spec.Device, id)
-// order. A machine's cells borrow their device runner's pooled runStates
-// and return them on completion; grouping hands those states, with their
-// grown file caches and event buffers, straight to the next machine on
-// the same runner. Interleaving devices would cycle states through
-// several pools, where a GC can drop them and the next machine regrows
-// every buffer from scratch. Live simulation state is therefore one
-// runState per policy per worker, whatever the fleet size or how many
-// sessions overlap on the fleet clock.
+// Device order keeps same-device machines adjacent in the list. A
+// machine's cells borrow their device runner's pooled runStates and
+// return them on completion; adjacency hands those states, with their
+// grown slices, straight to the next machine on the same runner.
+// Interleaving devices would cycle states through several pools, where a
+// GC can drop them and the next machine regrows every buffer from
+// scratch. Live simulation state is therefore one runState per policy
+// per worker, whatever the fleet size or how many sessions overlap on
+// the fleet clock.
 //
 // Determinism across worker counts comes from the fold: per-machine
 // results land in fleet-indexed slices and are committed to each
@@ -114,19 +117,16 @@ func (f *Fleet) Run() ([]*Result, error) {
 	for p := range results {
 		results[p] = make([]sim.AppResult, n)
 	}
+	ids := f.runOrder()
+	var next atomic.Int64
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		lo, hi := n*w/workers, n*(w+1)/workers
-		ids := make([]int, hi-lo)
-		for i := range ids {
-			ids[i] = lo + i
-		}
 		wg.Add(1)
-		go func(w int, ids []int) {
+		go func(w int) {
 			defer wg.Done()
-			errs[w] = f.runShard(ids, results)
-		}(w, ids)
+			errs[w] = f.runMachines(ids, &next, results)
+		}(w)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -141,29 +141,29 @@ func (f *Fleet) Run() ([]*Result, error) {
 	return out, nil
 }
 
-// runShard simulates the given machines one at a time, grouped by
-// device, writing machine id's result under policy p into results[p][id].
-// The order the ids arrive in does not matter: the run order is
-// (device, id).
-func (f *Fleet) runShard(ids []int, results [][]sim.AppResult) error {
-	type job struct{ dev, id int }
-	jobs := make([]job, len(ids))
-	for i, id := range ids {
-		jobs[i] = job{dev: f.Spec(id).Device, id: id}
+// runOrder lists every machine id in (Spec.Device, id) order.
+func (f *Fleet) runOrder() []int {
+	byDev := make([][]int, len(f.devices))
+	for id := 0; id < f.cfg.Machines; id++ {
+		d := f.Spec(id).Device
+		byDev[d] = append(byDev[d], id)
 	}
-	sort.Slice(jobs, func(i, j int) bool {
-		if jobs[i].dev != jobs[j].dev {
-			return jobs[i].dev < jobs[j].dev
-		}
-		return jobs[i].id < jobs[j].id
-	})
-	for _, j := range jobs {
-		res, errs := sim.RunCells(f.newMixSource(j.id), f.cells[j.dev])
+	return slices.Concat(byDev...)
+}
+
+// runMachines claims ids through next, one machine at a time, and
+// simulates each, writing machine id's result under policy p into
+// results[p][id]. It returns when the list runs out or at a machine's
+// first error.
+func (f *Fleet) runMachines(ids []int, next *atomic.Int64, results [][]sim.AppResult) error {
+	for k := next.Add(1) - 1; k < int64(len(ids)); k = next.Add(1) - 1 {
+		id := ids[k]
+		res, errs := sim.RunCells(f.newMixSource(id), f.cells[f.Spec(id).Device])
 		for p, err := range errs {
 			if err != nil {
-				return fmt.Errorf("fleet: machine %d: %w", j.id, err)
+				return fmt.Errorf("fleet: machine %d: %w", id, err)
 			}
-			results[p][j.id] = *res[p]
+			results[p][id] = *res[p]
 		}
 	}
 	return nil

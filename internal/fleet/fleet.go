@@ -8,19 +8,20 @@
 // application mixes, and staggered session arrivals. The engine itself
 // puts no cap on Config.Machines; runs described by an
 // experiments.RunSpec (pcapsim -fleet, pcapd jobs) are bounded by
-// experiments.MaxFleetMachines. Every machine's
-// session is generated once and run to completion on its shard's worker
-// as one sim.RunCells pass with a cell per policy; aggregate accounting
-// is kept per machine and committed in machine-ID order so the report
-// is byte-identical at any worker count.
+// experiments.MaxFleetMachines. Every machine's session is generated
+// once and run to completion on the worker that claimed it, as one
+// sim.RunCells pass with a cell per policy; aggregate accounting is kept
+// per machine and committed in machine-ID order so the report is
+// byte-identical at any worker count.
 //
 // Determinism contract: everything a machine does is a pure function of
 // (Config.Seed, machine ID) — its arrival time, its device, its workload
 // seed and its per-execution application picks all derive from one
-// splittable rng chain (see Spec). Worker count, shard assignment and run
-// order only change when independent machines are simulated, never any
-// machine's own event sequence, and the final fold walks machine IDs in
-// increasing order, fixing every floating-point accumulation order.
+// splittable rng chain (see Spec). Worker count, which worker claims a
+// machine and run order only change when independent machines are
+// simulated, never any machine's own event sequence, and the final fold
+// walks machine IDs in increasing order, fixing every floating-point
+// accumulation order.
 //
 // Memory contract: live simulation state is O(workers × policies): each
 // worker holds one machine's runStates (one per policy, from the
@@ -105,8 +106,8 @@ type Config struct {
 	// of it. Every device must return the same names in the same order,
 	// the order of Run's results.
 	Policy func(dev disk.Params) ([]sim.Policy, error)
-	// Workers is the worker count; machines are sharded across workers in
-	// contiguous ID ranges. Zero defaults to GOMAXPROCS. The rendered
+	// Workers is the worker count; workers claim machines one at a time
+	// from one shared job list. Zero defaults to GOMAXPROCS. The rendered
 	// report is byte-identical at any worker count.
 	Workers int
 	// Interrupt, if non-nil, is polled once before every execution a

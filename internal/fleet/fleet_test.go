@@ -92,10 +92,10 @@ func TestSpecDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardInsertionOrder runs the same shard of a two-policy fleet with
+// TestShardInsertionOrder runs every machine of a two-policy fleet in
 // ascending, reversed and device-grouped machine-ID orders: machines are
-// independent, so per-machine results must not depend on the order ids
-// were handed to the shard.
+// independent, so per-machine results must not depend on the order the
+// job list hands them out in.
 func TestShardInsertionOrder(t *testing.T) {
 	const n = 24
 	cfg := testConfig(n)
@@ -106,7 +106,7 @@ func TestShardInsertionOrder(t *testing.T) {
 	}
 	run := func(ids []int) [][]sim.AppResult {
 		results := [][]sim.AppResult{make([]sim.AppResult, n), make([]sim.AppResult, n)}
-		if err := f.runShard(ids, results); err != nil {
+		if err := f.runMachines(ids, new(atomic.Int64), results); err != nil {
 			t.Fatal(err)
 		}
 		return results
@@ -244,23 +244,49 @@ func TestSessionBounds(t *testing.T) {
 	}
 }
 
-// machineResults simulates every machine of f on one shard and returns
-// machine id's result under policy p at [p][id].
+// machineResults simulates every machine of f on one worker, in Run's
+// job order, and returns machine id's result under policy p at [p][id].
 func machineResults(t *testing.T, f *Fleet) [][]sim.AppResult {
 	t.Helper()
-	n := f.cfg.Machines
 	results := make([][]sim.AppResult, len(f.names))
 	for p := range results {
-		results[p] = make([]sim.AppResult, n)
+		results[p] = make([]sim.AppResult, f.cfg.Machines)
 	}
-	ids := make([]int, n)
-	for i := range ids {
-		ids[i] = i
-	}
-	if err := f.runShard(ids, results); err != nil {
+	if err := f.runMachines(f.runOrder(), new(atomic.Int64), results); err != nil {
 		t.Fatal(err)
 	}
 	return results
+}
+
+// TestRenderSameAtAnyWorkerCount pins the fold's contract under the
+// shared job list: which worker claims which machine varies from run to
+// run, yet a two-policy fleet renders the same bytes at 1, 2 and 3
+// workers.
+func TestRenderSameAtAnyWorkerCount(t *testing.T) {
+	render := func(workers int) string {
+		cfg := testConfig(30)
+		cfg.Policy = StaticPolicy(timeoutPolicy("TP", 10*trace.Second), timeoutPolicy("TP2", 2*trace.Second))
+		cfg.Workers = workers
+		f, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := f.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out string
+		for _, r := range res {
+			out += r.Render()
+		}
+		return out
+	}
+	want := render(1)
+	for _, workers := range []int{2, 3} {
+		if got := render(workers); got != want {
+			t.Errorf("%d workers render\n%s\nwant (1 worker)\n%s", workers, got, want)
+		}
+	}
 }
 
 // replayTrace builds a small recorded trace for replay tests.

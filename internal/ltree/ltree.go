@@ -17,7 +17,6 @@ package ltree
 
 import (
 	"fmt"
-	"sync"
 
 	"pcapsim/internal/predictor"
 	"pcapsim/internal/trace"
@@ -87,9 +86,10 @@ type node struct {
 }
 
 // Tree is the application-wide learning tree shared by all of the
-// application's processes. It is safe for concurrent use.
+// application's processes. A Tree has one owner goroutine: it is not safe
+// for concurrent use, and the simulator steps every process of a run, and
+// so every call on the run's tree, on one goroutine.
 type Tree struct {
-	mu    sync.Mutex
 	root  *node
 	nodes int
 }
@@ -100,8 +100,6 @@ func NewTree() *Tree { return &Tree{root: &node{}} }
 // Nodes returns the number of interior/leaf nodes excluding the root — the
 // tree's storage footprint in entries.
 func (t *Tree) Nodes() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.nodes
 }
 
@@ -117,8 +115,6 @@ const minReliableVisits = 2
 // backing off to once-visited nodes only when no reliable node exists.
 // ok is false when the path is entirely untrained.
 func (t *Tree) predict(history uint32, depth int) (counter int, ok bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	n := t.root
 	weak, haveWeak := 0, false
 	for d := 0; d < depth; d++ {
@@ -144,8 +140,6 @@ func (t *Tree) predict(history uint32, depth int) (counter int, ok bool) {
 // that just completed (long reports the observed class), growing the path
 // to the given depth.
 func (t *Tree) train(history uint32, depth int, long bool, cfg *Config) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	n := t.root
 	for d := 0; d < depth; d++ {
 		bit := history >> uint(d) & 1
@@ -163,24 +157,6 @@ func (t *Tree) train(history uint32, depth int, long bool, cfg *Config) {
 			n.counter--
 		}
 	}
-}
-
-// snapshotWalk visits every trained path for persistence; see Snapshot.
-func (t *Tree) snapshotWalk(fn func(history uint32, depth, counter, visits int)) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var walk func(n *node, history uint32, depth int)
-	walk = func(n *node, history uint32, depth int) {
-		for bit, child := range n.children {
-			if child == nil {
-				continue
-			}
-			h := history | uint32(bit)<<uint(depth)
-			fn(h, depth+1, child.counter, child.visits)
-			walk(child, h, depth+1)
-		}
-	}
-	walk(t.root, 0, 0)
 }
 
 // LT is the Learning Tree predictor factory for one application,

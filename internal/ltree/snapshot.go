@@ -14,9 +14,18 @@ type NodeState struct {
 // suitable for persisting an application's tree across executions.
 func (t *Tree) Snapshot() []NodeState {
 	var out []NodeState
-	t.snapshotWalk(func(history uint32, depth, counter, visits int) {
-		out = append(out, NodeState{History: history, Depth: depth, Counter: counter, Visits: visits})
-	})
+	var walk func(n *node, history uint32, depth int)
+	walk = func(n *node, history uint32, depth int) {
+		for bit, child := range n.children {
+			if child == nil {
+				continue
+			}
+			h := history | uint32(bit)<<uint(depth)
+			out = append(out, NodeState{History: h, Depth: depth + 1, Counter: child.counter, Visits: child.visits})
+			walk(child, h, depth+1)
+		}
+	}
+	walk(t.root, 0, 0)
 	return out
 }
 
@@ -24,8 +33,6 @@ func (t *Tree) Snapshot() []NodeState {
 // state: restored counters and visits overwrite node values, and missing
 // interior nodes are created.
 func (t *Tree) Restore(nodes []NodeState) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	for _, ns := range nodes {
 		n := t.root
 		for d := 0; d < ns.Depth; d++ {

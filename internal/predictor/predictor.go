@@ -87,7 +87,9 @@ type Process interface {
 //
 // A Factory is reused across executions of the application to model
 // prediction-table reuse; creating a fresh Factory per execution models
-// the discard variants (PCAPa, LTa).
+// the discard variants (PCAPa, LTa). The simulator steps every process
+// of a run on one goroutine, so a Factory and its processes need not be
+// safe for concurrent use.
 type Factory interface {
 	// Name returns the short policy name used in tables ("TP", "PCAP", …).
 	Name() string

@@ -45,9 +45,9 @@ func TestRunCellsCellErrors(t *testing.T) {
 	}
 	cells[1].Runner = MustNewRunner(cfg)
 	res, errs := RunCells(trace.NewSliceSource(traces...), cells)
-	var mismatch *CacheMismatchError
+	var mismatch *PassMismatchError
 	if !errors.As(errs[1], &mismatch) || res[1] != nil {
-		t.Errorf("mismatched cell: res %v, err %v; want the *CacheMismatchError alone", res[1], errs[1])
+		t.Errorf("mismatched cell: res %v, err %v; want the *PassMismatchError alone", res[1], errs[1])
 	}
 	if errs[2] == nil || !strings.Contains(errs[2].Error(), "needs a factory") || res[2] != nil {
 		t.Errorf("invalid cell: res %v, err %v; want the validation error alone", res[2], errs[2])
@@ -91,24 +91,45 @@ func TestRunCellsSourceError(t *testing.T) {
 // cache configuration gets a typed error and no result, while the cells
 // matching the pass run over the pass's own cache.
 func TestRunCellsCacheMismatch(t *testing.T) {
-	r := mustRunner(t)
 	cfg := fastCfg()
 	cfg.Cache.SizeBytes *= 2
+	checkPassMismatch(t, cfg)
+}
+
+// TestRunCellsServiceMismatch pins the same for a cell whose runner has
+// another disk service model, base or bandwidth: the pass computes one
+// service schedule per execution, so such a cell fails at set-up.
+func TestRunCellsServiceMismatch(t *testing.T) {
+	cfg := fastCfg()
+	cfg.ServiceBase *= 2
+	checkPassMismatch(t, cfg)
+	cfg = fastCfg()
+	cfg.ServiceBandwidth /= 2
+	checkPassMismatch(t, cfg)
+}
+
+// checkPassMismatch runs a pass whose middle cell's runner has cfg and
+// checks that the cell fails alone with a *PassMismatchError.
+func checkPassMismatch(t *testing.T, cfg Config) {
+	t.Helper()
+	r := mustRunner(t)
 	other := MustNewRunner(cfg)
 	traces := threeExecs()
 	pol := tpPolicy(10 * trace.Second)
 	res, errs := RunCells(trace.NewSliceSource(traces...), []Cell{
 		{Runner: r, Policy: pol},
 		{Runner: other, Policy: pol},
+		{Runner: r, Policy: basePolicy()},
 	})
-	var mismatch *CacheMismatchError
+	var mismatch *PassMismatchError
 	if !errors.As(errs[1], &mismatch) || res[1] != nil {
-		t.Fatalf("mismatched cell: res %v, err %v; want a *CacheMismatchError", res[1], errs[1])
+		t.Fatalf("mismatched cell: res %v, err %v; want a *PassMismatchError", res[1], errs[1])
 	}
-	if mismatch.Cell != 1 || mismatch.Want != r.Config().Cache || mismatch.Got != cfg.Cache {
+	if mismatch.Cell != 1 || mismatch.Want != r.cfg.pass() || mismatch.Got != cfg.pass() {
 		t.Errorf("mismatch error = %+v", mismatch)
 	}
 	sameAsSolo(t, r, pol, res[0], errs[0], traces)
+	sameAsSolo(t, r, basePolicy(), res[2], errs[2], traces)
 }
 
 // cutSource ends its workload with an error after the first execution,

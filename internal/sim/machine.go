@@ -24,11 +24,11 @@ import (
 // golden and the differential tests).
 //
 // Per execution, drive calls advance (the policy's factory step),
-// prepares the borrowed execution once in the pass's prepState, then
-// calls openExecution and step once per access on each machine.
-// openExecution runs the execution's accounting prologue; an execution
-// with no disk accesses is accounted as pure idle there and has nothing
-// to step. step processes exactly one
+// prepares the borrowed execution and its service schedule once in the
+// pass's prepState, then calls openExecution and step once per access on
+// each machine. openExecution runs the execution's accounting prologue;
+// an execution with no disk accesses is accounted as pure idle there and
+// has nothing to step. step processes exactly one
 // access: the per-process predictor update, the global combiner decision
 // for the period the access opens, its classification and its energy
 // accounting. finish validates the source, resolves StateEntries and
@@ -45,8 +45,10 @@ type machine struct {
 	newFactory func() predictor.Factory
 	f          predictor.Factory
 
-	ex *execution // current open execution, nil before the first pull
-	i  int        // next access index within ex
+	ex         *execution   // current open execution, nil before the first pull
+	i          int          // next access index within ex
+	serviceEnd []trace.Time // the pass's service schedule for ex (see prepState)
+	exit       int          // index of ex's first exit after the last combined period's start
 
 	err error
 }
@@ -90,10 +92,10 @@ func (m *machine) advance(app string) {
 }
 
 // openExecution makes ex the current execution and runs its accounting
-// prologue: totals, the FIFO busy-time schedule, the leading unmanaged
-// idle, and the reset of the slot-indexed predictor and decision working
-// set.
-func (m *machine) openExecution(ex *execution) {
+// prologue: totals, the busy energy of the pass's service schedule
+// (serviceEnd and svc, see prepState), the leading unmanaged idle, and
+// the reset of the slot-indexed predictor and decision working set.
+func (m *machine) openExecution(ex *execution, serviceEnd []trace.Time, svc []float64) {
 	r, rs, res := m.r, m.rs, m.res
 	res.Executions++
 	d := &r.cfg.Disk
@@ -109,6 +111,8 @@ func (m *machine) openExecution(ex *execution) {
 
 	m.ex = ex
 	m.i = 0
+	m.serviceEnd = serviceEnd
+	m.exit = 0
 
 	if len(ex.accesses) == 0 {
 		// A silent execution: the disk just idles; there is nothing to
@@ -117,22 +121,8 @@ func (m *machine) openExecution(ex *execution) {
 		return
 	}
 
-	// Busy-time model: accesses queue FIFO; service i starts at
-	// max(arrival, previous completion).
-	serviceEnd := rs.serviceEnd[:0]
-	for range ex.accesses {
-		serviceEnd = append(serviceEnd, 0)
-	}
-	rs.serviceEnd = serviceEnd
-	var prevEnd trace.Time
-	for i, a := range ex.accesses {
-		start := a.Time
-		if prevEnd > start {
-			start = prevEnd
-		}
-		prevEnd = start + r.serviceTime(a)
-		serviceEnd[i] = prevEnd
-		res.Energy.Busy += r.serviceTime(a).Seconds() * d.BusyPower
+	for _, t := range svc {
+		res.Energy.Busy += t * d.BusyPower
 	}
 
 	// Leading idle before the first access: the disk spins unmanaged.
@@ -143,8 +133,10 @@ func (m *machine) openExecution(ex *execution) {
 	// a process yet to access the disk this execution.
 	n := len(ex.procs)
 	rs.preds = slices.Grow(rs.preds[:0], n)[:n]
+	rs.fa = slices.Grow(rs.fa[:0], n)[:n]
 	rs.dec = slices.Grow(rs.dec[:0], n)[:n]
 	clear(rs.preds)
+	clear(rs.fa)
 	rs.decided = rs.decided[:0]
 }
 
@@ -159,13 +151,13 @@ func (m *machine) step() {
 	m.i++
 	a := ex.accesses[i]
 	preds, dec := rs.preds, rs.dec
-	serviceEnd := rs.serviceEnd
 
 	slot := ex.slot[i]
 	pred := preds[slot]
 	if pred == nil {
 		pred = f.NewProcess(a.Pid)
 		preds[slot] = pred
+		rs.fa[slot], _ = pred.(predictor.FutureAware)
 		// Insert slot at its pid's sorted position: combine walks
 		// decided in pid order, which fixes its tie-break.
 		decided := rs.decided
@@ -179,7 +171,7 @@ func (m *machine) step() {
 		rs.decided = decided
 	}
 	nextLocal := ex.nextLocal[i]
-	if fa, isFA := pred.(predictor.FutureAware); isFA {
+	if fa := rs.fa[slot]; fa != nil {
 		if nextLocal >= 0 {
 			fa.SetNextGap(ex.accesses[nextLocal].Time-a.Time, true)
 		} else {
@@ -232,17 +224,20 @@ func (m *machine) step() {
 			s, src, found = T0, predictor.SourcePrimary, true
 		}
 	} else {
-		s, src, found = r.combine(ex, dec, rs.decided, T0, T1)
+		for m.exit < len(ex.exits) && ex.exits[m.exit].Time <= T0 {
+			m.exit++
+		}
+		s, src, found = combine(ex, dec, rs.decided, m.exit, T0, T1)
 	}
 	if m.tr != nil {
-		s, src, found = m.tr.decide(r, ex, a, serviceEnd[i], T0, T1, s, src, found, terminal, long)
+		s, src, found = m.tr.decide(r, ex, a, m.serviceEnd[i], T0, T1, s, src, found, terminal, long)
 	}
 
 	if !terminal {
 		globalDecision := predictor.Decision{Shutdown: found, Delay: s - T0, Source: src}
 		classify(&res.Global, gap, globalDecision, d.Breakeven)
 	}
-	r.accountPeriod(res, serviceEnd[i], T1, s, found, long, src)
+	r.accountPeriod(res, m.serviceEnd[i], T1, s, found, long, src)
 }
 
 // finish closes the machine: it surfaces any latched or source error,

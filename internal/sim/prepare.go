@@ -56,31 +56,35 @@ type execution struct {
 
 // prepState is a pass's pooled scratch space for preparing executions:
 // the file cache (arena reset, not reallocated, between executions), the
-// filtered-event buffer, the prepared execution and the pid→slot map. A
-// pass owns one whatever its cell count, and every runner draws from
-// prepPool (prepare rebuilds the cache for another configuration), so
-// these execution-sized buffers exist once per concurrent pass. Filtering
-// copies events, so it never holds a borrowed slice.
+// filtered-event buffer, the prepared execution, the pid→slot map and
+// the execution's service schedule. A pass owns one whatever its cell
+// count, and every runner draws from prepPool (prepare rebuilds the
+// cache for another configuration), so these execution-sized buffers
+// exist once per concurrent pass. Filtering copies events, so it never
+// holds a borrowed slice. The schedule is computed here for retained
+// executions too, so it never adds to what a retaining runner keeps.
 //
 // runState is a machine's pooled step working set: slot-indexed
-// predictors and decisions, the slots with a decision and the service
-// schedule. Each Runner pools its own.
+// predictors, their FutureAware views and decisions, and the slots with
+// a decision. Each Runner pools its own.
 //
 // Either is owned by one pass or machine at a time and overwritten at the
 // next execution, so nothing reachable from it may be retained.
 type prepState struct {
-	cacheCfg fscache.Config
-	cache    *fscache.Cache
-	filtered []trace.Event
-	ex       execution
-	slots    map[trace.PID]int32 // pid → slot of the execution in ex
+	cacheCfg   fscache.Config
+	cache      *fscache.Cache
+	filtered   []trace.Event
+	ex         execution
+	slots      map[trace.PID]int32 // pid → slot of the execution in ex
+	serviceEnd []trace.Time        // when ex's access i finishes service (see schedule)
+	svc        []float64           // ex's access i's service time in seconds
 }
 
 type runState struct {
-	serviceEnd []trace.Time
-	preds      []predictor.Process
-	dec        []decisionState
-	decided    []int32 // slots with a standing decision, sorted by pid
+	preds   []predictor.Process
+	fa      []predictor.FutureAware // preds[slot] as FutureAware, or nil
+	dec     []decisionState
+	decided []int32 // slots with a standing decision, sorted by pid
 }
 
 var prepPool sync.Pool
@@ -109,7 +113,22 @@ func (r *Runner) getState() *runState {
 // containers themselves are kept.
 func (r *Runner) putState(rs *runState) {
 	clear(rs.preds[:cap(rs.preds)])
+	clear(rs.fa[:cap(rs.fa)])
 	r.statePool.Put(rs)
+}
+
+// schedule computes ex's service schedule under cfg's service model:
+// accesses queue FIFO, and service i starts at max(arrival, previous
+// completion).
+func (ps *prepState) schedule(ex *execution, cfg *Config) {
+	ps.serviceEnd, ps.svc = ps.serviceEnd[:0], ps.svc[:0]
+	var prevEnd trace.Time
+	for _, a := range ex.accesses {
+		t := cfg.ServiceBase + trace.FromSeconds(float64(a.Size)/cfg.ServiceBandwidth)
+		prevEnd = max(a.Time, prevEnd) + t
+		ps.serviceEnd = append(ps.serviceEnd, prevEnd)
+		ps.svc = append(ps.svc, t.Seconds())
+	}
 }
 
 // prepare filters one execution trace through the run's file cache and

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"pcapsim/internal/disk"
@@ -150,12 +149,6 @@ func MustNewRunner(cfg Config) *Runner {
 // Config returns the runner's configuration.
 func (r *Runner) Config() Config { return r.cfg }
 
-// serviceTime models the disk time to serve one access.
-func (r *Runner) serviceTime(e trace.Event) trace.Time {
-	transfer := trace.FromSeconds(float64(e.Size) / r.cfg.ServiceBandwidth)
-	return r.cfg.ServiceBase + transfer
-}
-
 // RunApp simulates every execution trace of one application under the
 // given policy and returns the aggregated result. It is a thin wrapper
 // over RunSource with the traces adapted to a Source.
@@ -186,15 +179,28 @@ type Cell struct {
 	Trace  TraceOptions
 }
 
-// CacheMismatchError rejects a RunCells cell whose runner's file cache
-// configuration differs from the first cell's, which prepares the pass.
-type CacheMismatchError struct {
-	Cell      int
-	Want, Got fscache.Config
+// PassConfig is the part of a runner's configuration that every cell of
+// a RunCells pass shares: the file cache that prepares each execution
+// and the disk service model that schedules its accesses.
+type PassConfig struct {
+	Cache            fscache.Config
+	ServiceBase      trace.Time
+	ServiceBandwidth float64
 }
 
-func (e *CacheMismatchError) Error() string {
-	return fmt.Sprintf("sim: cell %d: file cache config %+v differs from the pass's %+v", e.Cell, e.Got, e.Want)
+func (c *Config) pass() PassConfig {
+	return PassConfig{Cache: c.Cache, ServiceBase: c.ServiceBase, ServiceBandwidth: c.ServiceBandwidth}
+}
+
+// PassMismatchError rejects a RunCells cell whose runner's PassConfig
+// differs from the first cell's, which prepares and schedules the pass.
+type PassMismatchError struct {
+	Cell      int
+	Want, Got PassConfig
+}
+
+func (e *PassMismatchError) Error() string {
+	return fmt.Sprintf("sim: cell %d: pass config %+v differs from the pass's %+v", e.Cell, e.Got, e.Want)
 }
 
 // RunCells simulates every cell over the executions of src in one pass,
@@ -202,15 +208,15 @@ func (e *CacheMismatchError) Error() string {
 // execution once and steps every cell's machine through it in turn; cells
 // share nothing else, so each result is identical to a one-cell run's.
 // A cell fails alone only when it is set up, by an invalid policy or a
-// *CacheMismatchError; once the pass runs, a source or prepare error
+// *PassMismatchError; once the pass runs, a source or prepare error
 // fails every running cell with the same wrapped error.
 func RunCells(src trace.Source, cells []Cell) ([]*AppResult, []error) {
 	res := make([]*AppResult, len(cells))
 	errs := make([]error, len(cells))
 	ms := make([]*machine, len(cells)) // nil for a rejected cell
 	for i, c := range cells {
-		if want := cells[0].Runner.cfg.Cache; c.Runner.cfg.Cache != want {
-			errs[i] = &CacheMismatchError{Cell: i, Want: want, Got: c.Runner.cfg.Cache}
+		if want, got := cells[0].Runner.cfg.pass(), c.Runner.cfg.pass(); got != want {
+			errs[i] = &PassMismatchError{Cell: i, Want: want, Got: got}
 			continue
 		}
 		var tr *tracedRun
@@ -228,18 +234,18 @@ func RunCells(src trace.Source, cells []Cell) ([]*AppResult, []error) {
 	return res, errs
 }
 
-// drive pulls each execution of src once, prepares it under the first
-// live machine's cache configuration and steps every live (non-nil)
-// machine through it. A pinned trace (trace.Pinned) read through a
-// retaining runner reuses that runner's retained execution; any other
-// execution is prepared in one pooled prepState. The caller's finish
-// surfaces source errors.
+// drive pulls each execution of src once, prepares it and its service
+// schedule under the first live machine's PassConfig and steps every
+// live (non-nil) machine through it. A pinned trace (trace.Pinned) read
+// through a retaining runner reuses that runner's retained execution;
+// any other execution is prepared in one pooled prepState, which holds
+// the schedule either way. The caller's finish surfaces source errors.
 func drive(src trace.Source, ms []*machine) {
 	live := slices.DeleteFunc(slices.Clone(ms), func(m *machine) bool { return m == nil })
 	if len(live) == 0 {
 		return
 	}
-	cacheCfg, kept := live[0].r.cfg.Cache, live[0].r.kept
+	cfg, kept := &live[0].r.cfg, live[0].r.kept
 	ps := getPrep()
 	defer prepPool.Put(ps)
 	for {
@@ -253,9 +259,9 @@ func drive(src trace.Source, ms []*machine) {
 		var ex *execution
 		var err error
 		if tr := trace.PinnedTrace(src); kept != nil && tr != nil {
-			ex, err = kept.get(tr, cacheCfg)
+			ex, err = kept.get(tr, cfg.Cache)
 		} else {
-			ex, err = ps.prepare(&trace.Trace{App: app, Execution: exec, Events: src.ExecEvents()}, cacheCfg)
+			ex, err = ps.prepare(&trace.Trace{App: app, Execution: exec, Events: src.ExecEvents()}, cfg.Cache)
 		}
 		if err != nil {
 			for _, m := range live {
@@ -263,8 +269,9 @@ func drive(src trace.Source, ms []*machine) {
 			}
 			return
 		}
+		ps.schedule(ex, cfg)
 		for _, m := range live {
-			m.openExecution(ex)
+			m.openExecution(ex, ps.serviceEnd, ps.svc)
 			for m.i < len(ex.accesses) {
 				m.step()
 			}
@@ -283,13 +290,13 @@ type decisionState struct {
 // the earliest instant in [T0, T1) at which every live process that has
 // performed I/O is ready. Processes exiting during the window stop
 // constraining it from their exit on. dec is indexed by slot and decided
-// lists the slots with a standing decision in pid order. The returned
-// source belongs to the process that made the last (latest-ready)
-// decision, the highest pid among those ready at the same instant.
-func (r *Runner) combine(ex *execution, dec []decisionState, decided []int32, T0, T1 trace.Time) (trace.Time, predictor.Source, bool) {
+// lists the slots with a standing decision in pid order; eidx is the
+// index of the first exit after T0. The returned source belongs to the
+// process that made the last (latest-ready) decision, the highest pid
+// among those ready at the same instant.
+func combine(ex *execution, dec []decisionState, decided []int32, eidx int, T0, T1 trace.Time) (trace.Time, predictor.Source, bool) {
 	// Exit events strictly inside the window split it into segments with
 	// a fixed constraint set each.
-	eidx := sort.Search(len(ex.exits), func(i int) bool { return ex.exits[i].Time > T0 })
 	segStart := T0
 	for {
 		segEnd := T1
