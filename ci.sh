@@ -68,6 +68,21 @@ for workers in 1 2; do
 		exit 1
 	fi
 done
+# Blocking: every committed invalid trace (time running backwards, a disk
+# access after its process's exit) makes pcapsim -replay exit non-zero
+# with sim's invalid-execution error, never print a report.
+echo "== pcapsim -replay on internal/sim/testdata/invalid exits non-zero"
+for bad in internal/sim/testdata/invalid/*; do
+	if "${cli_dir}/pcapsim" -replay "${bad}" >/dev/null 2>"${cli_dir}/err.txt"; then
+		echo "ci: pcapsim -replay ${bad} exited 0" >&2
+		exit 1
+	fi
+	if ! grep -q "sim: invalid execution" "${cli_dir}/err.txt"; then
+		echo "ci: pcapsim -replay ${bad} failed without the invalid-execution error:" >&2
+		cat "${cli_dir}/err.txt" >&2
+		exit 1
+	fi
+done
 rm -rf "${cli_dir}"
 trap - EXIT
 

@@ -373,6 +373,37 @@ func TestReplayFleet(t *testing.T) {
 	}
 }
 
+// TestReplaySessionLendsOneExecution: every execution a replaying
+// session lends holds exactly its recording's events, never the events
+// of the executions drawn before it in the recycled buffer.
+func TestReplaySessionLendsOneExecution(t *testing.T) {
+	traces := []*trace.Trace{
+		replayTrace("editor", 0, 0x1000, 40),
+		replayTrace("browser", 0, 0x2000, 30),
+	}
+	cfg := testConfig(1)
+	cfg.Replay = traces
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := f.newMixSource(0)
+	n := 0
+	for app, exec, ok := s.NextExec(); ok; app, exec, ok = s.NextExec() {
+		want := len(traces[0].Events)
+		if app == "browser" {
+			want = len(traces[1].Events)
+		}
+		if got := len(s.ExecEvents()); got != want {
+			t.Fatalf("execution %d (%s/%d): %d events, want the recording's %d", n, app, exec, got, want)
+		}
+		n++
+	}
+	if n < 2 {
+		t.Fatalf("the session ran %d executions; the check needs a recycled buffer", n)
+	}
+}
+
 // TestNewValidation exercises the config error paths.
 func TestNewValidation(t *testing.T) {
 	cases := map[string]func(*Config){

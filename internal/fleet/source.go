@@ -119,7 +119,7 @@ func (s *mixSource) NextExec() (string, int, bool) {
 	exec := s.execIdx[app]
 	s.execIdx[app]++
 	s.emitted++
-	s.cur = s.f.apps[app].appendEvents(s.cur, s.seed, exec)
+	s.cur = s.f.apps[app].appendEvents(s.cur[:0], s.seed, exec)
 	return s.f.apps[app].name, exec, true
 }
 

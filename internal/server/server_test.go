@@ -299,6 +299,31 @@ func TestFarFutureReplayFinishes(t *testing.T) {
 	}
 }
 
+// TestInvalidTraceFailsJob: a replay job over a trace that the simulator
+// rejects (time running backwards, a disk access after its process's
+// exit) ends failed with sim's invalid-execution error, not done with a
+// report.
+func TestInvalidTraceFailsJob(t *testing.T) {
+	dir := t.TempDir()
+	names := []string{"io-after-exit.txt", "time-backwards.txt"}
+	for _, name := range names {
+		b, err := os.ReadFile(filepath.Join("..", "sim", "testdata", "invalid", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, hs := newTestServer(t, Config{Workers: 1, TraceDir: dir})
+	for _, name := range names {
+		v := submitWait(t, hs.URL, JobSpec{Kind: KindReplay, Trace: name, Policies: evalPolicies})
+		if v.State != StateFailed || !strings.Contains(v.Error, "sim: invalid execution") {
+			t.Errorf("%s: state = %q, error = %q; want failed with an invalid-execution error", name, v.State, v.Error)
+		}
+	}
+}
+
 // TestConcurrentJobsExactCounters is the server-level exactness test:
 // many identical jobs race across the pool (run under -race by ci.sh),
 // and the global counters must equal per-job totals times the job count

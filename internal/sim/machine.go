@@ -48,6 +48,7 @@ type machine struct {
 	ex         *execution   // current open execution, nil before the first pull
 	i          int          // next access index within ex
 	serviceEnd []trace.Time // the pass's service schedule for ex (see prepState)
+	idle       []float64    // the pass's idle table for ex (see prepState.schedule)
 	exit       int          // index of ex's first exit after the last combined period's start
 
 	err error
@@ -92,10 +93,10 @@ func (m *machine) advance(app string) {
 }
 
 // openExecution makes ex the current execution and runs its accounting
-// prologue: totals, the busy energy of the pass's service schedule
-// (serviceEnd and svc, see prepState), the leading unmanaged idle, and
-// the reset of the slot-indexed predictor and decision working set.
-func (m *machine) openExecution(ex *execution, serviceEnd []trace.Time, svc []float64) {
+// prologue: totals, the busy energy of the pass's service schedule in ps
+// (see prepState.schedule), the leading unmanaged idle, and the reset of
+// the slot-indexed predictor and decision working set.
+func (m *machine) openExecution(ex *execution, ps *prepState) {
 	r, rs, res := m.r, m.rs, m.res
 	res.Executions++
 	d := &r.cfg.Disk
@@ -111,7 +112,8 @@ func (m *machine) openExecution(ex *execution, serviceEnd []trace.Time, svc []fl
 
 	m.ex = ex
 	m.i = 0
-	m.serviceEnd = serviceEnd
+	m.serviceEnd = ps.serviceEnd
+	m.idle = ps.idle
 	m.exit = 0
 
 	if len(ex.accesses) == 0 {
@@ -121,7 +123,7 @@ func (m *machine) openExecution(ex *execution, serviceEnd []trace.Time, svc []fl
 		return
 	}
 
-	for _, t := range svc {
+	for _, t := range ps.svc {
 		res.Energy.Busy += t * d.BusyPower
 	}
 
@@ -203,15 +205,12 @@ func (m *machine) step() {
 	dec[slot] = st
 
 	// Global period from this access to the next one in the merged
-	// stream (or the tail of the execution).
+	// stream (or the tail of the execution); prepare guarantees T1 ≥ T0.
 	T0 := a.Time
 	T1 := ex.end
 	terminal := i+1 >= len(ex.accesses)
 	if !terminal {
 		T1 = ex.accesses[i+1].Time
-	}
-	if T1 < T0 {
-		T1 = T0
 	}
 	gap := T1 - T0
 	long := gap >= d.Breakeven
@@ -227,7 +226,9 @@ func (m *machine) step() {
 		for m.exit < len(ex.exits) && ex.exits[m.exit].Time <= T0 {
 			m.exit++
 		}
-		s, src, found = combine(ex, dec, rs.decided, m.exit, T0, T1)
+		if !combineSkips(ex, slot, st.ready, m.exit, T0, T1) {
+			s, src, found = combine(ex, dec, rs.decided, m.exit, T0, T1)
+		}
 	}
 	if m.tr != nil {
 		s, src, found = m.tr.decide(r, ex, a, m.serviceEnd[i], T0, T1, s, src, found, terminal, long)
@@ -237,7 +238,16 @@ func (m *machine) step() {
 		globalDecision := predictor.Decision{Shutdown: found, Delay: s - T0, Source: src}
 		classify(&res.Global, gap, globalDecision, d.Breakeven)
 	}
-	r.accountPeriod(res, m.serviceEnd[i], T1, s, found, long, src)
+	switch {
+	case found && s < T1:
+		r.accountPeriod(res, m.serviceEnd[i], T1, s, found, long, src)
+	case long:
+		// The disk spins through the period: periodCost's no-shutdown
+		// price, read from the pass's idle table.
+		res.Energy.IdleLong += m.idle[i] * d.IdlePower
+	default:
+		res.Energy.IdleShort += m.idle[i] * d.IdlePower
+	}
 }
 
 // finish closes the machine: it surfaces any latched or source error,

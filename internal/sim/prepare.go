@@ -14,8 +14,9 @@ import (
 // procInfo is the process at one slot of an execution.
 type procInfo struct {
 	pid trace.PID
-	// exit is the time of the process's last exit; hasExit reports
-	// whether the process exited within the trace.
+	// exit is the time of the process's exit; hasExit reports whether the
+	// process exited within the trace. prepare rejects any disk access by
+	// the process after it.
 	exit    trace.Time
 	hasExit bool
 	// last is the index into execution.accesses of the process's latest
@@ -28,9 +29,14 @@ type procInfo struct {
 // with its process's dense slot.
 //
 // Slots number the execution's processes 0, 1, … in order of first
-// sighting (a process's first access or exit; a pid that exits and is
-// forked again keeps its slot), so the per-access path indexes slices
-// instead of looking pids up in maps.
+// sighting (a process's first access or exit), so the per-access path
+// indexes slices instead of looking pids up in maps.
+//
+// prepare admits only executions whose events run forward in time and
+// whose processes reach the disk only before they exit (see
+// InvalidExecutionError), so accesses are in time order, each period
+// from one access to the next (or to end) has a non-negative length, and
+// a process stays live up to its last access.
 type execution struct {
 	app string
 	// index is the execution's position within the workload.
@@ -61,8 +67,9 @@ type execution struct {
 // count, and every runner draws from prepPool (prepare rebuilds the
 // cache for another configuration), so these execution-sized buffers
 // exist once per concurrent pass. Filtering copies events, so it never
-// holds a borrowed slice. The schedule is computed here for retained
-// executions too, so it never adds to what a retaining runner keeps.
+// holds a borrowed slice. The schedule, and the idle table beside it, are
+// computed here for retained executions too, so they never add to what a
+// retaining runner keeps.
 //
 // runState is a machine's pooled step working set: slot-indexed
 // predictors, their FutureAware views and decisions, and the slots with
@@ -78,6 +85,7 @@ type prepState struct {
 	slots      map[trace.PID]int32 // pid → slot of the execution in ex
 	serviceEnd []trace.Time        // when ex's access i finishes service (see schedule)
 	svc        []float64           // ex's access i's service time in seconds
+	idle       []float64           // seconds from serviceEnd[i] to the period's end (see schedule)
 }
 
 type runState struct {
@@ -119,22 +127,64 @@ func (r *Runner) putState(rs *runState) {
 
 // schedule computes ex's service schedule under cfg's service model:
 // accesses queue FIFO, and service i starts at max(arrival, previous
-// completion).
+// completion). Beside it, it tabulates each access's idle seconds: from
+// its service end to the next arrival (or to ex.end after the last
+// access), 0 when service spills past that arrival. The table depends on
+// the pass's PassConfig only, not on the disk, so every cell of the pass
+// prices a period that keeps spinning from it (see machine.step).
 func (ps *prepState) schedule(ex *execution, cfg *Config) {
-	ps.serviceEnd, ps.svc = ps.serviceEnd[:0], ps.svc[:0]
+	ps.serviceEnd, ps.svc, ps.idle = ps.serviceEnd[:0], ps.svc[:0], ps.idle[:0]
 	var prevEnd trace.Time
-	for _, a := range ex.accesses {
+	for i, a := range ex.accesses {
 		t := cfg.ServiceBase + trace.FromSeconds(float64(a.Size)/cfg.ServiceBandwidth)
 		prevEnd = max(a.Time, prevEnd) + t
 		ps.serviceEnd = append(ps.serviceEnd, prevEnd)
 		ps.svc = append(ps.svc, t.Seconds())
+		T1 := ex.end
+		if i+1 < len(ex.accesses) {
+			T1 = ex.accesses[i+1].Time
+		}
+		idle := 0.0
+		if prevEnd <= T1 {
+			idle = (T1 - prevEnd).Seconds()
+		}
+		ps.idle = append(ps.idle, idle)
 	}
+}
+
+// InvalidExecutionError rejects an execution that breaks the step path's
+// ordering assumptions: an event earlier than the one before it, or a
+// disk access by a process after its exit. trace.Validator forbids
+// forking an exited pid again, so such an access is never a new process.
+type InvalidExecutionError struct {
+	App  string
+	Exec int
+	// Time is the offending event's time.
+	Time trace.Time
+	// Reason says which assumption the event breaks.
+	Reason string
+}
+
+func (e *InvalidExecutionError) Error() string {
+	return fmt.Sprintf("sim: invalid execution %s/%d at %v: %s", e.App, e.Exec, e.Time, e.Reason)
 }
 
 // prepare filters one execution trace through the run's file cache and
 // indexes the resulting disk accesses for the runner, reusing every buffer
 // from the previous execution.
 func (ps *prepState) prepare(tr *trace.Trace, cacheCfg fscache.Config) (*execution, error) {
+	totalIOs := 0
+	var prev trace.Time
+	for _, e := range tr.Events {
+		if e.Time < prev {
+			return nil, &InvalidExecutionError{App: tr.App, Exec: tr.Execution, Time: e.Time,
+				Reason: fmt.Sprintf("time runs backwards from %v", prev)}
+		}
+		prev = e.Time
+		if e.IsIO() {
+			totalIOs++
+		}
+	}
 	if ps.cache == nil || ps.cacheCfg != cacheCfg {
 		cache, err := fscache.New(cacheCfg)
 		if err != nil {
@@ -163,15 +213,10 @@ func (ps *prepState) prepare(tr *trace.Trace, cacheCfg fscache.Config) (*executi
 	ex.nextLocal = ex.nextLocal[:0]
 	ex.procs = ex.procs[:0]
 	ex.exits = ex.exits[:0]
-	ex.totalIOs = 0
+	ex.totalIOs = totalIOs
 	ex.cacheStats = ps.cache.Stats()
 	ex.end = tr.Duration()
 
-	for _, e := range tr.Events {
-		if e.IsIO() {
-			ex.totalIOs++
-		}
-	}
 	slotOf := func(pid trace.PID) int32 {
 		s, ok := ps.slots[pid]
 		if !ok {
@@ -190,12 +235,16 @@ func (ps *prepState) prepare(tr *trace.Trace, cacheCfg fscache.Config) (*executi
 			ex.exits = append(ex.exits, e)
 		case trace.KindIO:
 			s := slotOf(e.Pid)
+			p := &ex.procs[s]
+			if p.hasExit {
+				return nil, &InvalidExecutionError{App: tr.App, Exec: tr.Execution, Time: e.Time,
+					Reason: fmt.Sprintf("disk access by pid %d after its exit at %v", e.Pid, p.exit)}
+			}
 			idx := len(ex.accesses)
 			ex.accesses = append(ex.accesses, e)
 			ex.slot = append(ex.slot, s)
 			ex.nextLocal = append(ex.nextLocal, -1)
 			// Link the process's previous access to this one.
-			p := &ex.procs[s]
 			if p.last >= 0 {
 				ex.nextLocal[p.last] = idx
 			}

@@ -271,7 +271,7 @@ func drive(src trace.Source, ms []*machine) {
 		}
 		ps.schedule(ex, cfg)
 		for _, m := range live {
-			m.openExecution(ex, ps.serviceEnd, ps.svc)
+			m.openExecution(ex, ps)
 			for m.i < len(ex.accesses) {
 				m.step()
 			}
@@ -340,6 +340,19 @@ func combine(ex *execution, dec []decisionState, decided []int32, eidx int, T0, 
 		segStart = segEnd
 		eidx++
 	}
+}
+
+// combineSkips reports that combine cannot shut down in [T0, T1) once
+// the process at slot, which accessed the disk at T0, stands ready at
+// ready; eidx is the index of the first exit after T0. It holds when no
+// exit lies in (T0, T1), so the window is one segment; the process is
+// live in it; and it is ready no earlier than T1. The latest ready time
+// of the segment's live processes is then at or past its end, or one of
+// them blocks (DESIGN.md §10).
+func combineSkips(ex *execution, slot int32, ready trace.Time, eidx int, T0, T1 trace.Time) bool {
+	pi := &ex.procs[slot]
+	return ready >= T1 && !(pi.hasExit && pi.exit <= T0) &&
+		(eidx == len(ex.exits) || ex.exits[eidx].Time >= T1)
 }
 
 // classify scores one idle period of length gap under a decision, per the

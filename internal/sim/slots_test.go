@@ -69,20 +69,6 @@ func TestCombineTieBreakFollowsPidOrder(t *testing.T) {
 				ev.io(40, lo)
 			},
 		},
-		{
-			// Pid 5 exits and is forked again by pid 2 before its last
-			// access; its final exit comes after the period.
-			name: "exit-and-refork",
-			events: func(ev *slotEvents) {
-				ev.io(0, hi)
-				ev.io(1, lo)
-				ev.exit(2, hi)
-				ev.fork(3, lo, hi)
-				ev.io(4, hi)
-				ev.io(40, lo)
-				ev.exit(41, hi)
-			},
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
