@@ -576,12 +576,16 @@ func BenchmarkDecodeV2(b *testing.B) {
 	benchmarkDecode(b, trace.WriteColumnar, func(r *bytes.Reader) trace.Source { return trace.NewBlockSource(r) })
 }
 
-// BenchmarkDecodeV2Parallel is the parallel block pipeline at one worker
-// per CPU — the same stream as BenchmarkDecodeV2, so the events/s ratio
-// between the two is the pipeline's scaling factor (≈1 minus the
-// coordination overhead on a single-CPU host).
+// BenchmarkDecodeV2Parallel is batched parallel decode at one worker per
+// CPU — the same stream as BenchmarkDecodeV2, so the events/s ratio
+// between the two is parallel decode's scaling factor (1 on a
+// single-CPU host, where it decodes sequentially).
 func BenchmarkDecodeV2Parallel(b *testing.B) {
-	benchmarkDecode(b, trace.WriteColumnar, func(r *bytes.Reader) trace.Source { return trace.NewParallelSource(r, 0) })
+	benchmarkDecode(b, trace.WriteColumnar, func(r *bytes.Reader) trace.Source {
+		s := trace.NewBlockSource(r)
+		s.SetWorkers(-1)
+		return s
+	})
 }
 
 // countingReaderAt wraps a bytes.Reader and counts bytes read, to report

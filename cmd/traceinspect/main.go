@@ -19,7 +19,7 @@
 // -from/-to/-pid restrict the inspection to matching events. On v2
 // files with an index footer the filter is pushed down to the block
 // index — non-matching blocks are skipped without being read — and
-// -workers N decodes the surviving blocks on a parallel pipeline.
+// -workers N decodes the surviving blocks on N goroutines.
 //
 // Usage:
 //

@@ -1,7 +1,6 @@
-// Differential tests for the parallel v2 decode pipeline at the
-// workload level: every synthetic application, encoded with the index
-// footer, must decode event-identically through the parallel pipeline
-// at any worker count, and predicate-pushdown replay must produce the
+// Differential tests for parallel v2 decode at the workload level: every
+// synthetic application, encoded with the index footer, must decode
+// event-identically in parallel batches at any worker count, and predicate-pushdown replay must produce the
 // same simulation results as the filtered sequential reference path.
 package pcapsim
 
@@ -10,8 +9,10 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"pcapsim/internal/experiments"
 	"pcapsim/internal/trace"
@@ -19,9 +20,10 @@ import (
 )
 
 // TestParallelDecodeAllApps encodes every execution of each application
-// into one indexed v2 stream and checks the parallel pipeline against
-// the sequential BlockSource at workers 1, 4 and 8: same executions,
-// same events, in the same order.
+// into one indexed v2 stream and checks parallel decode against the
+// sequential BlockSource at workers 2, 4 and 8: same executions, same
+// events, in the same order, and no goroutine left running after any
+// NextExec.
 func TestParallelDecodeAllApps(t *testing.T) {
 	for _, app := range workload.Apps() {
 		traces := app.Traces(experiments.DefaultSeed)
@@ -34,12 +36,10 @@ func TestParallelDecodeAllApps(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: sequential decode: %v", app.Name, err)
 		}
-		for _, workers := range []int{1, 4, 8} {
-			src := trace.NewParallelSource(bytes.NewReader(data), workers)
-			got, err := trace.Collect(src)
-			if cerr := src.Close(); cerr != nil {
-				t.Fatal(cerr)
-			}
+		for _, workers := range []int{2, 4, 8} {
+			src := trace.NewBlockSource(bytes.NewReader(data))
+			src.SetWorkers(workers)
+			got, err := trace.Collect(&leakCheckSource{Source: src, t: t, base: runtime.NumGoroutine()})
 			if err != nil {
 				t.Fatalf("%s workers=%d: parallel decode: %v", app.Name, workers, err)
 			}
@@ -62,6 +62,29 @@ func TestParallelDecodeAllApps(t *testing.T) {
 			}
 		}
 	}
+}
+
+// leakCheckSource fails its test when a NextExec returns with more
+// goroutines running than base: parallel decode joins its helpers before
+// NextExec returns.
+type leakCheckSource struct {
+	trace.Source
+	t    *testing.T
+	base int
+}
+
+func (s *leakCheckSource) NextExec() (string, int, bool) {
+	app, exec, ok := s.Source.NextExec()
+	deadline := time.Now().Add(time.Second)
+	n := runtime.NumGoroutine()
+	for n > s.base && time.Now().Before(deadline) {
+		runtime.Gosched()
+		n = runtime.NumGoroutine()
+	}
+	if n > s.base {
+		s.t.Fatalf("%d goroutines after NextExec, %d when the source was opened", n, s.base)
+	}
+	return app, exec, ok
 }
 
 // writeReplayFiles encodes one app's executions twice into a temp dir:

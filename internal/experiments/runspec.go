@@ -218,7 +218,7 @@ func (spec *RunSpec) Run(ctx context.Context, env RunEnv) (string, error) {
 		return "", err
 	}
 	// Output is identical at any worker count, so workers beyond the
-	// CPUs would only add decode channels and fleet goroutines.
+	// CPUs would only add decode and fleet goroutines.
 	clamped := *spec
 	clamped.Workers = min(spec.Workers, runtime.GOMAXPROCS(0))
 	spec = &clamped

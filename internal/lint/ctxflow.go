@@ -31,7 +31,7 @@ import (
 // ctx.Done/ctx.Err use, a select, a channel operation, a call to an
 // error-returning func-typed value, or a call to a same-package
 // function whose own body contains one of these (one level deep —
-// covers worker helpers like trace.ParallelSource's send).
+// covers helpers that wrap a channel send or a select).
 //
 // Approximations, documented in DESIGN.md §17: condition-less loops
 // whose body performs a CompareAndSwap are exempt (lock-free retry

@@ -5,14 +5,13 @@ import "testing"
 // TestResultAffectingScope pins the analyzer scope: every package on the
 // generation → simulation → rendering path (including the hypothesis
 // harness, which feeds verdicts from simulation results, and the
-// parallel decode pipeline in internal/trace, whose worker/reorder
-// pool handoffs poolsafe vets) is covered by detmap/nondet-source,
+// trace decoders in internal/trace) is covered by detmap/nondet-source,
 // while the sanctioned exceptions stay out. The pcapd server packages
 // are in scope too: a server job's output carries the same determinism
 // contract as a CLI run (byte-identical at any pool size), so handler
 // and counter code must not smuggle wall-clock or map-order state into
 // results, and poolsafe vets the pooled job-context ownership. The
-// decode pipeline's CLI consumers (tracegen, traceinspect, pcapsim)
+// decoders' CLI consumers (tracegen, traceinspect, pcapsim)
 // stay outside — they only render what the in-scope packages produce.
 func TestResultAffectingScope(t *testing.T) {
 	for _, p := range []string{

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sort"
 )
 
@@ -770,39 +771,42 @@ type blockHeader struct {
 // payload in d.payload. On any failure the decoder's error names the
 // block index.
 func (d *BlockDecoder) readBlock(h *blockHeader) bool {
-	return d.readBlockRaw(h) && d.verifyBlockCRC(h.storedCRC)
+	var ok bool
+	d.payload, ok = d.readBlockRaw(h, d.payload[:0])
+	return ok && d.verifyBlockCRC(h.storedCRC)
 }
 
 // readBlockRaw reads and structurally validates the next block's magic,
 // header and payload without verifying the CRC (h.storedCRC carries it
-// for a later verifyBlockCRC — the parallel pipeline's workers run the
-// CRC and column decode off the reading goroutine). Under a pushdown
-// plan it first seeks to the next kept block, ending the execution when
-// the plan is exhausted.
-func (d *BlockDecoder) readBlockRaw(h *blockHeader) bool {
+// for a later verifyBlockCRC — batched parallel decode runs the CRC and
+// column decode off the reading goroutine). The payload is appended to
+// buf, which is returned extended; the header's CRC-covered bytes are
+// left in d.hdr. Under a pushdown plan it first seeks to the next kept
+// block, ending the execution when the plan is exhausted.
+func (d *BlockDecoder) readBlockRaw(h *blockHeader, buf []byte) ([]byte, bool) {
 	if d.err != nil || !d.inExec {
-		return false
+		return buf, false
 	}
 	if d.plan != nil {
 		if d.planNext >= len(d.planBlocks) {
 			d.inExec = false
-			return false
+			return buf, false
 		}
 		pb := d.planBlocks[d.planNext]
 		d.planNext++
 		d.blockIdx = pb.ordinal
 		if !d.seekTo(pb.off) {
-			return false
+			return buf, false
 		}
 	}
 	magic := d.scratch[:4]
 	if _, err := io.ReadFull(d.br, magic); err != nil {
 		d.failBlock("%v", err)
-		return false
+		return buf, false
 	}
 	if string(magic) != blockMagic {
 		d.failBlock("bad block magic %q", magic)
-		return false
+		return buf, false
 	}
 	d.hdr = d.hdr[:0]
 	nEvents, ok1 := d.readUvarintTee()
@@ -810,55 +814,56 @@ func (d *BlockDecoder) readBlockRaw(h *blockHeader) bool {
 	nFork, ok3 := d.readUvarintTee()
 	base, ok4 := d.readUvarintTee()
 	if !ok1 || !ok2 || !ok3 || !ok4 {
-		return false
+		return buf, false
 	}
 	ncols, err := d.br.ReadByte()
 	if err != nil {
 		d.failBlock("%v", err)
-		return false
+		return buf, false
 	}
 	d.hdr = append(d.hdr, ncols)
 	switch {
 	case nEvents == 0 || nEvents > maxBlockEvents:
 		d.failBlock("event count %d out of range", nEvents)
-		return false
+		return buf, false
 	case nEvents > d.remaining:
 		d.failBlock("event count %d exceeds remaining %d", nEvents, d.remaining)
-		return false
+		return buf, false
 	case nIO > nEvents || nFork > nEvents:
 		d.failBlock("population counts %d/%d exceed events %d", nIO, nFork, nEvents)
-		return false
+		return buf, false
 	case int(ncols) != NumColumns:
 		d.failBlock("column count %d, want %d", ncols, NumColumns)
-		return false
+		return buf, false
 	}
 	total := 0
 	for i := range h.colLen {
 		n, ok := d.readUvarintTee()
 		if !ok {
-			return false
+			return buf, false
 		}
 		if n > maxColumnBytes {
 			d.failBlock("column %s length %d out of range", columnNames[i], n)
-			return false
+			return buf, false
 		}
 		h.colLen[i] = int(n)
 		total += int(n)
 	}
 	if _, err := io.ReadFull(d.br, d.scratch[4:8]); err != nil {
 		d.failBlock("%v", err)
-		return false
+		return buf, false
 	}
 	h.storedCRC = binary.LittleEndian.Uint32(d.scratch[4:8])
-	d.payload = growSlice(d.payload, total)
-	if _, err := io.ReadFull(d.br, d.payload); err != nil {
+	n := len(buf)
+	buf = slices.Grow(buf, total)[:n+total]
+	if _, err := io.ReadFull(d.br, buf[n:]); err != nil {
 		d.failBlock("%v", err)
-		return false
+		return buf[:n], false
 	}
 	h.events, h.ios, h.forks = int(nEvents), int(nIO), int(nFork)
 	h.base = Time(base)
 	h.total = total
-	return true
+	return buf, true
 }
 
 // verifyBlockCRC checks the stored block CRC against d.hdr + d.payload.
@@ -956,8 +961,8 @@ func varintAt(b []byte, p int) (int64, int) {
 }
 
 // decodeBlockInto parses the payload's columns straight into out (length
-// h.events). It is the one v2 column decoder: NextBlock, BlockSource and
-// the parallel pipeline's workers all decode through it.
+// h.events). It is the one v2 column decoder: NextBlock and BlockSource,
+// sequential or batched, all decode through it.
 func (d *BlockDecoder) decodeBlockInto(out []Event, h *blockHeader) bool {
 	n, nIO, nFork := h.events, h.ios, h.forks
 	var cols [NumColumns][]byte
@@ -1251,44 +1256,3 @@ func (d *BlockDecoder) Reset() error {
 	d.planBlocks, d.planNext = nil, 0
 	return nil
 }
-
-// BlockSource adapts a BlockDecoder to the Source contract: NextExec
-// decodes the whole execution, block by block, straight into one buffer
-// the source keeps across executions and Reset.
-type BlockSource struct {
-	d      *BlockDecoder
-	events []Event
-}
-
-// NewBlockSource returns a Source over the v2 columnar stream on r. If r
-// is also an io.Seeker, the source supports Reset.
-func NewBlockSource(r io.Reader) *BlockSource {
-	return &BlockSource{d: NewBlockDecoder(r)}
-}
-
-// SetPredicate arms index-backed predicate pushdown on the underlying
-// decoder (see BlockDecoder.SetPredicate); it reports whether pushdown
-// is active. Must be called before the first NextExec.
-func (s *BlockSource) SetPredicate(p Predicate) bool { return s.d.SetPredicate(p) }
-
-// NextExec implements Source. A corrupt block fails the execution whole.
-func (s *BlockSource) NextExec() (string, int, bool) {
-	s.events = s.events[:0]
-	app, exec, ok := s.d.NextExec()
-	for more := ok; more; {
-		s.events, more = s.d.appendBlock(s.events)
-	}
-	if !ok || s.d.Err() != nil {
-		return "", 0, false
-	}
-	return app, exec, true
-}
-
-// ExecEvents implements Source.
-func (s *BlockSource) ExecEvents() []Event { return s.events }
-
-// Err implements Source.
-func (s *BlockSource) Err() error { return s.d.Err() }
-
-// Reset implements Source.
-func (s *BlockSource) Reset() error { return s.d.Reset() }

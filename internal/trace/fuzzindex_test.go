@@ -44,7 +44,7 @@ func encodedIndexedSeed(f *testing.F) []byte {
 //     index-driven decode must agree with the sequential decode-then-
 //     drop reference on the same bytes: same events, or both error. A
 //     bad footer may cost the seeks, never correctness;
-//  3. the same holds through the parallel pipeline.
+//  3. the same holds through parallel decode.
 func FuzzIndexFooter(f *testing.F) {
 	valid := encodedIndexedSeed(f)
 	f.Add(valid)
@@ -86,12 +86,10 @@ func FuzzIndexFooter(f *testing.F) {
 			t.Fatal("unarmed pushdown diverged from plain sequential decode")
 		}
 
-		// (3) Parallel pipeline, with and without pushdown.
+		// (3) Parallel decode, with and without pushdown.
 		for _, pred := range []Predicate{{}, p} {
 			ref, refErr := drainAll(FilterEvents(NewBlockSource(bytes.NewReader(data)), pred))
-			ps := NewParallelSource(bytes.NewReader(data), 2)
-			ps.SetPredicate(pred)
-			pgot, perr := drainAll(FilterEvents(Source(ps), pred))
+			pgot, perr := drainAll(FilterEvents(parallelSource(t, bytes.NewReader(data), 2, pred), pred))
 			if pred.IsZero() {
 				// No pushdown: the parallel path must agree exactly,
 				// including on validity.
@@ -104,7 +102,6 @@ func FuzzIndexFooter(f *testing.F) {
 			} else if refErr == nil && perr == nil && pgot != ref {
 				t.Fatalf("parallel pushdown decoded different events\nwant:\n%s\ngot:\n%s", ref, pgot)
 			}
-			ps.Close()
 		}
 	})
 }

@@ -196,9 +196,7 @@ func TestIndexedConcatenation(t *testing.T) {
 		if len(got) != 2 {
 			t.Fatalf("%s: decoded %d executions, want 2", name, len(got))
 		}
-		ps := NewParallelSource(bytes.NewReader(data), 4)
-		pgot, err := Collect(ps)
-		ps.Close()
+		pgot, err := Collect(parallelSource(t, bytes.NewReader(data), 4, Predicate{}))
 		if err != nil {
 			t.Fatalf("%s: parallel: %v", name, err)
 		}

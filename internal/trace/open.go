@@ -10,10 +10,9 @@ import (
 
 // OpenOptions tune OpenTraceFileOpts.
 type OpenOptions struct {
-	// Workers > 0 selects the parallel decode pipeline (ParallelSource)
-	// for v2 columnar files, with that many decode workers; text files
-	// fall back to the sequential text decoder. Workers < 0 selects the
-	// pipeline with GOMAXPROCS workers.
+	// Workers > 1 decodes v2 columnar files in parallel batches on that
+	// many goroutines (BlockSource.SetWorkers); Workers < 0 uses one per
+	// GOMAXPROCS. Text files always decode sequentially.
 	Workers int
 	// Pred restricts the stream to matching events. On v2 files with an
 	// index footer, non-matching blocks are skipped without being read
@@ -26,17 +25,11 @@ type OpenOptions struct {
 // file handle.
 type FileSource struct {
 	Source
-	inner Source // unwrapped decoder, owning any pipeline resources
-	f     *os.File
+	f *os.File
 }
 
-// Close stops any decode pipeline and closes the underlying file.
-func (fs *FileSource) Close() error {
-	if c, ok := fs.inner.(io.Closer); ok {
-		_ = c.Close()
-	}
-	return fs.f.Close()
-}
+// Close closes the underlying file.
+func (fs *FileSource) Close() error { return fs.f.Close() }
 
 // Name returns the path the source was opened from.
 func (fs *FileSource) Name() string { return fs.f.Name() }
@@ -59,12 +52,12 @@ func OpenTraceFileOpts(path string, opts OpenOptions) (*FileSource, error) {
 		_ = f.Close()
 		return nil, err
 	}
-	return &FileSource{Source: FilterEvents(src, opts.Pred), inner: src, f: f}, nil
+	return &FileSource{Source: FilterEvents(src, opts.Pred), f: f}, nil
 }
 
 // newSourceOpts sniffs r's leading four bytes and builds the decoder
-// opts ask for: "PCT2" selects v2 (the parallel pipeline and/or
-// pushdown), anything else the text format. The reader is rewound to the
+// opts ask for: "PCT2" selects v2 (parallel decode and/or pushdown),
+// anything else the text format. The reader is rewound to the
 // start first. The returned source is unfiltered — callers compose
 // FilterEvents for exact predicate semantics.
 func newSourceOpts(r io.ReadSeeker, opts OpenOptions) (Source, error) {
@@ -79,12 +72,8 @@ func newSourceOpts(r io.ReadSeeker, opts OpenOptions) (Source, error) {
 	if n < len(magic) || string(magic[:]) != blockFileMagic {
 		return NewTextDecoder(r), nil
 	}
-	if opts.Workers != 0 {
-		ps := NewParallelSource(r, opts.Workers)
-		ps.SetPredicate(opts.Pred)
-		return ps, nil
-	}
 	bs := NewBlockSource(r)
 	bs.SetPredicate(opts.Pred)
+	bs.SetWorkers(opts.Workers)
 	return bs, nil
 }

@@ -3,9 +3,12 @@ package trace
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // encodeIndexed encodes traces as one v2 file with an index footer,
@@ -59,9 +62,63 @@ func drainAll(src Source) (string, error) {
 	return sb.String(), src.Err()
 }
 
-// TestParallelDifferential decodes the same streams through the
-// sequential BlockDecoder and the parallel pipeline at several worker
-// counts; the %+v-rendered event streams must match byte for byte.
+// parallelSource returns a BlockSource over r that decodes on workers
+// goroutines under pushdown predicate p, checked by noLeaks.
+func parallelSource(t testing.TB, r io.Reader, workers int, p Predicate) Source {
+	t.Helper()
+	bs := NewBlockSource(r)
+	bs.SetPredicate(p)
+	bs.SetWorkers(workers)
+	return noLeaks(t, bs)
+}
+
+// leakCheckSource fails its test when a NextExec or Reset returns with
+// more goroutines running than when the source was opened: a source that
+// decodes in parallel must join its helpers before it returns.
+type leakCheckSource struct {
+	Source
+	t    testing.TB
+	base int
+}
+
+// noLeaks wraps src in a leakCheckSource whose baseline is the goroutine
+// count now.
+func noLeaks(t testing.TB, src Source) Source {
+	return &leakCheckSource{Source: src, t: t, base: runtime.NumGoroutine()}
+}
+
+func (s *leakCheckSource) NextExec() (string, int, bool) {
+	app, exec, ok := s.Source.NextExec()
+	s.check("NextExec")
+	return app, exec, ok
+}
+
+func (s *leakCheckSource) Reset() error {
+	err := s.Source.Reset()
+	s.check("Reset")
+	return err
+}
+
+// check allows a helper that has already signalled its WaitGroup up to a
+// second to finish exiting, then compares the count with the baseline.
+func (s *leakCheckSource) check(op string) {
+	s.t.Helper()
+	deadline := time.Now().Add(time.Second)
+	n := runtime.NumGoroutine()
+	for n > s.base && time.Now().Before(deadline) {
+		runtime.Gosched()
+		n = runtime.NumGoroutine()
+	}
+	if n > s.base {
+		buf := make([]byte, 64<<10)
+		buf = buf[:runtime.Stack(buf, true)]
+		s.t.Fatalf("%d goroutines after %s, %d when the source was opened:\n%s", n, op, s.base, buf)
+	}
+}
+
+// TestParallelDifferential decodes the same streams sequentially and in
+// parallel batches at several worker counts; the %+v-rendered event
+// streams must match byte for byte.
 func TestParallelDifferential(t *testing.T) {
 	a := seedTraceV2()
 	b := seedTraceV2()
@@ -79,33 +136,27 @@ func TestParallelDifferential(t *testing.T) {
 		if wantErr != nil {
 			t.Fatalf("%s: sequential: %v", name, wantErr)
 		}
-		for _, workers := range []int{1, 4, 8} {
-			ps := NewParallelSource(bytes.NewReader(data), workers)
-			got, gotErr := drainAll(ps)
+		for _, workers := range []int{2, 4, 8} {
+			got, gotErr := drainAll(parallelSource(t, bytes.NewReader(data), workers, Predicate{}))
 			if gotErr != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, gotErr)
 			}
 			if got != want {
 				t.Fatalf("%s workers=%d: stream mismatch\nwant:\n%s\ngot:\n%s", name, workers, want, got)
 			}
-			if err := ps.Close(); err != nil {
-				t.Fatal(err)
-			}
 		}
 	}
 }
 
-// TestParallelAppendExec collects a multi-block file through the
-// parallel pipeline and checks it against the sequential BlockSource.
+// TestParallelAppendExec collects a multi-block file through parallel
+// decode and checks it against the sequential BlockSource.
 func TestParallelAppendExec(t *testing.T) {
 	data := encodeIndexed(t, 16, seedTraceV2())
 	want, err := Collect(NewBlockSource(bytes.NewReader(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps := NewParallelSource(bytes.NewReader(data), 4)
-	defer ps.Close()
-	got, err := Collect(ps)
+	got, err := Collect(parallelSource(t, bytes.NewReader(data), 4, Predicate{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,66 +165,119 @@ func TestParallelAppendExec(t *testing.T) {
 	}
 }
 
-// TestParallelReset replays the same stream twice through one source.
+// TestParallelReset replays the same stream through one source after a
+// full drain and after a Reset mid-stream, with a batch still unserved.
 func TestParallelReset(t *testing.T) {
-	data := encodeIndexed(t, 16, seedTraceV2())
-	ps := NewParallelSource(bytes.NewReader(data), 4)
-	defer ps.Close()
-	first, err := drainAll(ps)
+	b := seedTraceV2()
+	b.App, b.Execution = "other", 5
+	data := encodeIndexed(t, 1, seedTraceV2(), b, seedTraceV2())
+	src := parallelSource(t, bytes.NewReader(data), 4, Predicate{})
+	first, err := drainAll(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ps.Reset(); err != nil {
+	if err := src.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	second, err := drainAll(ps)
+	second, err := drainAll(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first != second || first == "" {
 		t.Fatal("Reset replay mismatch")
 	}
+	if err := src.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := src.NextExec(); !ok {
+		t.Fatalf("NextExec after Reset: %v", src.Err())
+	}
+	if err := src.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	third, err := drainAll(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if third != first {
+		t.Fatal("replay after a mid-stream Reset mismatch")
+	}
 }
 
-// TestParallelEarlyClose tears the pipeline down mid-stream, with
-// executions still in flight; the test passes if nothing deadlocks or
-// races.
-func TestParallelEarlyClose(t *testing.T) {
+// TestParallelAbandoned drops sources mid-stream, with executions of a
+// batch still unserved and no Close: no goroutine may outlive the
+// NextExec calls made, so there is nothing to stop.
+func TestParallelAbandoned(t *testing.T) {
 	b := seedTraceV2()
 	b.App, b.Execution = "other", 5
 	data := encodeIndexed(t, 1, seedTraceV2(), b, seedTraceV2())
+	base := runtime.NumGoroutine()
 	for _, steps := range []int{0, 1, 2} {
-		ps := NewParallelSource(bytes.NewReader(data), 4)
+		src := parallelSource(t, bytes.NewReader(data), 4, Predicate{})
 		for i := 0; i < steps; i++ {
-			if _, _, ok := ps.NextExec(); !ok {
-				t.Fatalf("NextExec %d failed", i)
+			if _, _, ok := src.NextExec(); !ok {
+				t.Fatalf("NextExec %d failed: %v", i, src.Err())
 			}
 		}
-		if err := ps.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after abandoning the sources, %d before", n, base)
 	}
 }
 
-// TestParallelErrorParity corrupts one byte of a block payload and
-// requires the parallel pipeline to fail with exactly the sequential
-// decoder's error.
+// TestParallelErrorParity corrupts streams and requires parallel decode,
+// at every worker count, to serve the same executions as the sequential
+// decoder and then fail with exactly its error.
 func TestParallelErrorParity(t *testing.T) {
+	b := seedTraceV2()
+	b.App, b.Execution = "other", 5
+	multi := encodeIndexed(t, 8, seedTraceV2(), b, seedTraceV2())
+	check := func(name string, bad []byte) {
+		t.Helper()
+		want, wantErr := drainAll(NewBlockSource(bytes.NewReader(bad)))
+		for _, workers := range []int{2, 4, 8} {
+			got, gotErr := drainAll(parallelSource(t, bytes.NewReader(bad), workers, Predicate{}))
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || got != want {
+				t.Fatalf("%s workers=%d: served %d bytes then %v; sequential served %d then %v",
+					name, workers, len(got), gotErr, len(want), wantErr)
+			}
+		}
+	}
+
+	// One payload flip: a CRC failure mid-execution.
 	data := encodeV2(t, seedTraceV2(), 16)
 	bad := append([]byte(nil), data...)
 	bad[len(bad)/2] ^= 0x40
-	_, wantErr := drainAll(NewBlockSource(bytes.NewReader(bad)))
-	if wantErr == nil {
-		t.Skip("flip did not corrupt the stream")
+	if _, err := drainAll(NewBlockSource(bytes.NewReader(bad))); err == nil {
+		t.Fatal("flip did not corrupt the stream")
 	}
-	for _, workers := range []int{1, 4} {
-		ps := NewParallelSource(bytes.NewReader(bad), workers)
-		_, gotErr := drainAll(ps)
-		if gotErr == nil || gotErr.Error() != wantErr.Error() {
-			t.Fatalf("workers=%d: error mismatch\nwant: %v\ngot:  %v", workers, wantErr, gotErr)
+	check("flip", bad)
+
+	// Every byte of a multi-execution file flipped in turn: decode
+	// errors, structural errors and index damage at every position. The
+	// executions served before the error are counted, not rendered.
+	for i := range multi {
+		bad := append([]byte(nil), multi...)
+		bad[i] ^= 0x40
+		wantExecs, wantErr := countExecs(NewBlockSource(bytes.NewReader(bad)))
+		for _, workers := range []int{2, 4, 8} {
+			gotExecs, gotErr := countExecs(parallelSource(t, bytes.NewReader(bad), workers, Predicate{}))
+			if gotExecs != wantExecs || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("flip %d workers=%d: served %d executions then %v; sequential served %d then %v",
+					i, workers, gotExecs, gotErr, wantExecs, wantErr)
+			}
 		}
-		ps.Close()
 	}
+
+	// A checksum failure in block 0 and a truncation later in the same
+	// execution, so in the same batch: the earlier block's error wins.
+	bad = append([]byte(nil), data[:3*len(data)/4]...)
+	bad[60] ^= 0x40
+	_, err := drainAll(NewBlockSource(bytes.NewReader(bad)))
+	if err == nil || !strings.Contains(err.Error(), "execution 2 block 0: checksum mismatch") {
+		t.Fatalf("the early flip no longer fails block 0's checksum: %v", err)
+	}
+	check("flip then truncation", bad)
 }
 
 // pushdownTrace spreads events over distinct time/pid/pc regions so
@@ -231,16 +335,15 @@ func TestPushdownEquivalence(t *testing.T) {
 			t.Fatalf("pred %d: sequential pushdown mismatch\nwant:\n%s\ngot:\n%s", i, want, got)
 		}
 
-		ps := NewParallelSource(bytes.NewReader(data), 4)
-		ps.SetPredicate(p)
-		got, err = drainAll(FilterEvents(ps, p))
-		if err != nil {
-			t.Fatalf("pred %d: parallel pushdown: %v", i, err)
+		for _, workers := range []int{2, 4, 8} {
+			got, err = drainAll(FilterEvents(parallelSource(t, bytes.NewReader(data), workers, p), p))
+			if err != nil {
+				t.Fatalf("pred %d workers=%d: parallel pushdown: %v", i, workers, err)
+			}
+			if got != want {
+				t.Fatalf("pred %d workers=%d: parallel pushdown mismatch\nwant:\n%s\ngot:\n%s", i, workers, want, got)
+			}
 		}
-		if got != want {
-			t.Fatalf("pred %d: parallel pushdown mismatch\nwant:\n%s\ngot:\n%s", i, want, got)
-		}
-		ps.Close()
 	}
 }
 
@@ -302,13 +405,10 @@ func TestPushdownReadsFewerBytes(t *testing.T) {
 	t.Logf("pushdown read %d of %d bytes (%.1f%%)", pushed.n, full.n, 100*float64(pushed.n)/float64(full.n))
 
 	par := &countingReader{r: bytes.NewReader(data)}
-	ps := NewParallelSource(par, 2)
-	ps.SetPredicate(p)
-	got, err = drainAll(FilterEvents(ps, p))
+	got, err = drainAll(FilterEvents(parallelSource(t, par, 2, p), p))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps.Close()
 	if got != want {
 		t.Fatal("parallel pushdown stream differs from filtered reference")
 	}
@@ -354,7 +454,7 @@ func TestOpenTraceFileOpts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 1, 4} {
+	for _, workers := range []int{0, 1, 4, -1} {
 		fs, err := OpenTraceFileOpts(path, OpenOptions{Workers: workers, Pred: p})
 		if err != nil {
 			t.Fatal(err)

@@ -5,7 +5,7 @@ package trace
 //
 // Predicates drive two layers that compose:
 //
-//   - Block pushdown (BlockDecoder.SetPredicate, ParallelSource,
+//   - Block pushdown (BlockDecoder.SetPredicate, BlockSource,
 //     OpenTraceFileOpts): MatchMeta is evaluated against per-block index
 //     entries, and blocks that cannot contain a matching event are
 //     skipped without being read. This is conservative — a surviving

@@ -430,8 +430,8 @@ func TestSourceContract(t *testing.T) {
 		{"SliceSource", func(*testing.T) Source { return NewSliceSource(ref...) }, ref, false},
 		{"TextDecoder", func(*testing.T) Source { return NewTextDecoder(bytes.NewReader(text.Bytes())) }, ref, false},
 		{"BlockSource", func(*testing.T) Source { return NewBlockSource(bytes.NewReader(v2)) }, ref, false},
-		{"ParallelSource-1", func(t *testing.T) Source { return parallelSource(t, v2, 1) }, ref, false},
-		{"ParallelSource-4", func(t *testing.T) Source { return parallelSource(t, v2, 4) }, ref, false},
+		{"BlockSource-workers2", func(t *testing.T) Source { return parallelSource(t, bytes.NewReader(v2), 2, Predicate{}) }, ref, false},
+		{"BlockSource-workers4", func(t *testing.T) Source { return parallelSource(t, bytes.NewReader(v2), 4, Predicate{}) }, ref, false},
 		{"FilterEvents", func(*testing.T) Source { return FilterEvents(NewBlockSource(bytes.NewReader(v2)), pred) }, filtered, false},
 		{"LimitExecs", func(*testing.T) Source { return LimitExecs(NewSliceSource(ref...), 2) }, ref[:2], false},
 		{"Scale", func(*testing.T) Source { return Scale(NewSliceSource(ref...), 2) }, scaled, false},
@@ -493,15 +493,15 @@ func TestSourceContract(t *testing.T) {
 	}
 
 	// Truncated v2 input fails at the same execution, with the same
-	// error, sequentially and on the pipeline.
+	// error, sequentially and in parallel.
 	for _, n := range []int{len(v2) / 3, len(v2) / 2, 3 * len(v2) / 4, len(v2) - 3} {
 		cut := v2[:n]
 		wantExecs, wantErr := countExecs(NewBlockSource(bytes.NewReader(cut)))
 		if wantErr == nil {
 			t.Fatalf("cut at %d: BlockSource decoded without error", n)
 		}
-		for _, workers := range []int{1, 4} {
-			gotExecs, gotErr := countExecs(parallelSource(t, cut, workers))
+		for _, workers := range []int{2, 4, 8} {
+			gotExecs, gotErr := countExecs(parallelSource(t, bytes.NewReader(cut), workers, Predicate{}))
 			if gotExecs != wantExecs || gotErr == nil || gotErr.Error() != wantErr.Error() {
 				t.Fatalf("cut at %d, %d workers: failed after %d executions with %v; BlockSource after %d with %v",
 					n, workers, gotExecs, gotErr, wantExecs, wantErr)
@@ -523,13 +523,6 @@ func (p pinnedSource) PinnedTrace() *Trace {
 		return nil
 	}
 	return p.traces[p.cur]
-}
-
-// parallelSource opens a ParallelSource the test closes on cleanup.
-func parallelSource(t *testing.T, data []byte, workers int) *ParallelSource {
-	ps := NewParallelSource(bytes.NewReader(data), workers)
-	t.Cleanup(func() { ps.Close() })
-	return ps
 }
 
 // countExecs pulls every execution of src and reports how many loaded
