@@ -48,7 +48,7 @@ type oracleProc struct {
 // [T0, T1): at the latest last access + timeout over the processes that
 // have accessed the disk and not yet exited. Exits inside the period
 // split it, each exit dropping its process from the constraint set; once
-// every such process has exited, the disk shuts down at that exit.
+// every such process has exited, all of their timers govern again.
 func tpShutdown(procs []oracleProc, exits []trace.Event, timeout, T0, T1 trace.Time) (trace.Time, bool) {
 	var bounds []trace.Time
 	for _, x := range exits {
@@ -67,7 +67,11 @@ func tpShutdown(procs []oracleProc, exits []trace.Event, timeout, T0, T1 trace.T
 			ready = max(ready, p.last+timeout)
 		}
 		if !live {
-			return start, true
+			for _, p := range procs {
+				if p.last >= 0 {
+					ready = max(ready, p.last+timeout)
+				}
+			}
 		}
 		if ready < end {
 			return max(ready, start), true

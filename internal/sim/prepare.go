@@ -15,7 +15,7 @@ import (
 type procInfo struct {
 	pid trace.PID
 	// exit is the time of the process's exit; hasExit reports whether the
-	// process exited within the trace. prepare rejects any disk access by
+	// process exited within the trace. prepare rejects any I/O by
 	// the process after it.
 	exit    trace.Time
 	hasExit bool
@@ -82,10 +82,11 @@ type prepState struct {
 	cache      *fscache.Cache
 	filtered   []trace.Event
 	ex         execution
-	slots      map[trace.PID]int32 // pid → slot of the execution in ex
-	serviceEnd []trace.Time        // when ex's access i finishes service (see schedule)
-	svc        []float64           // ex's access i's service time in seconds
-	idle       []float64           // seconds from serviceEnd[i] to the period's end (see schedule)
+	exited     map[trace.PID]trace.Time // pid → exit time of the input's exited processes
+	slots      map[trace.PID]int32      // pid → slot of the execution in ex
+	serviceEnd []trace.Time             // when ex's access i finishes service (see schedule)
+	svc        []float64                // ex's access i's service time in seconds
+	idle       []float64                // seconds from serviceEnd[i] to the period's end (see schedule)
 }
 
 type runState struct {
@@ -153,9 +154,10 @@ func (ps *prepState) schedule(ex *execution, cfg *Config) {
 }
 
 // InvalidExecutionError rejects an execution that breaks the step path's
-// ordering assumptions: an event earlier than the one before it, or a
-// disk access by a process after its exit. trace.Validator forbids
-// forking an exited pid again, so such an access is never a new process.
+// ordering assumptions: an event earlier than the one before it, an I/O
+// by a process after its exit, or an exit by the file cache's flush
+// daemon, which writes back after it. trace.Validator forbids forking an
+// exited pid again, so such an I/O is never a new process.
 type InvalidExecutionError struct {
 	App  string
 	Exec int
@@ -175,14 +177,38 @@ func (e *InvalidExecutionError) Error() string {
 func (ps *prepState) prepare(tr *trace.Trace, cacheCfg fscache.Config) (*execution, error) {
 	totalIOs := 0
 	var prev trace.Time
+	clear(ps.exited)
+	// checked is the last I/O pid found not to have exited, valid while
+	// checkedOK: the exit map is read only when the pid changes or after
+	// an exit, never per event.
+	var checked trace.PID
+	checkedOK := false
 	for _, e := range tr.Events {
 		if e.Time < prev {
 			return nil, &InvalidExecutionError{App: tr.App, Exec: tr.Execution, Time: e.Time,
 				Reason: fmt.Sprintf("time runs backwards from %v", prev)}
 		}
 		prev = e.Time
-		if e.IsIO() {
+		switch e.Kind {
+		case trace.KindIO:
 			totalIOs++
+			if len(ps.exited) > 0 && (!checkedOK || e.Pid != checked) {
+				if at, ok := ps.exited[e.Pid]; ok {
+					return nil, &InvalidExecutionError{App: tr.App, Exec: tr.Execution, Time: e.Time,
+						Reason: fmt.Sprintf("I/O by pid %d after its exit at %v", e.Pid, at)}
+				}
+				checked, checkedOK = e.Pid, true
+			}
+		case trace.KindExit:
+			if e.Pid == fscache.KernelFlushPID {
+				return nil, &InvalidExecutionError{App: tr.App, Exec: tr.Execution, Time: e.Time,
+					Reason: fmt.Sprintf("exit of pid %d, the file cache's flush daemon", e.Pid)}
+			}
+			if ps.exited == nil {
+				ps.exited = make(map[trace.PID]trace.Time)
+			}
+			ps.exited[e.Pid] = e.Time
+			checkedOK = false
 		}
 	}
 	if ps.cache == nil || ps.cacheCfg != cacheCfg {
@@ -236,10 +262,6 @@ func (ps *prepState) prepare(tr *trace.Trace, cacheCfg fscache.Config) (*executi
 		case trace.KindIO:
 			s := slotOf(e.Pid)
 			p := &ex.procs[s]
-			if p.hasExit {
-				return nil, &InvalidExecutionError{App: tr.App, Exec: tr.Execution, Time: e.Time,
-					Reason: fmt.Sprintf("disk access by pid %d after its exit at %v", e.Pid, p.exit)}
-			}
 			idx := len(ex.accesses)
 			ex.accesses = append(ex.accesses, e)
 			ex.slot = append(ex.slot, s)

@@ -289,11 +289,14 @@ type decisionState struct {
 // combine implements the Global Shutdown Predictor: the disk shuts down at
 // the earliest instant in [T0, T1) at which every live process that has
 // performed I/O is ready. Processes exiting during the window stop
-// constraining it from their exit on. dec is indexed by slot and decided
-// lists the slots with a standing decision in pid order; eidx is the
-// index of the first exit after T0. The returned source belongs to the
-// process that made the last (latest-ready) decision, the highest pid
-// among those ready at the same instant.
+// constraining it from their exit on; once none that performed I/O is
+// live, their last standing decisions govern instead, so an always-on
+// process still blocks and a timer still runs out (DESIGN.md §10). dec is
+// indexed by slot and decided lists the slots with a standing decision
+// in pid order; eidx is the index of the first exit after T0. The
+// returned source belongs to the process that made the last
+// (latest-ready) decision, the highest pid among those ready at the same
+// instant.
 func combine(ex *execution, dec []decisionState, decided []int32, eidx int, T0, T1 trace.Time) (trace.Time, predictor.Source, bool) {
 	// Exit events strictly inside the window split it into segments with
 	// a fixed constraint set each.
@@ -303,36 +306,12 @@ func combine(ex *execution, dec []decisionState, decided []int32, eidx int, T0, 
 		if eidx < len(ex.exits) && ex.exits[eidx].Time < T1 {
 			segEnd = ex.exits[eidx].Time
 		}
-		ready := trace.Time(math.MinInt64)
-		src := predictor.SourceBackup
-		blocked := false
-		any := false
-		for _, slot := range decided {
-			if pi := &ex.procs[slot]; pi.hasExit && pi.exit <= segStart {
-				continue
-			}
-			any = true
-			st := dec[slot]
-			if st.ready == infTime {
-				blocked = true
-				continue
-			}
-			if st.ready >= ready {
-				ready = st.ready
-				src = st.source
-			}
-		}
-		if !any {
-			// Every process that ever accessed the disk has exited: shut
-			// down as soon as the segment starts.
-			return segStart, predictor.SourceBackup, true
+		ready, src, blocked, live := standing(ex, dec, decided, segStart, false)
+		if !live {
+			ready, src, blocked, _ = standing(ex, dec, decided, segStart, true)
 		}
 		if !blocked && ready < segEnd {
-			s := ready
-			if s < segStart {
-				s = segStart
-			}
-			return s, src, true
+			return max(ready, segStart), src, true
 		}
 		if segEnd == T1 {
 			return 0, predictor.SourceNone, false
@@ -340,6 +319,30 @@ func combine(ex *execution, dec []decisionState, decided []int32, eidx int, T0, 
 		segStart = segEnd
 		eidx++
 	}
+}
+
+// standing folds the standing decisions of decided's processes that are
+// live at t, or of all of them when exited is set: the latest ready time
+// and its source, and whether any process blocks. some reports whether a
+// process was folded.
+func standing(ex *execution, dec []decisionState, decided []int32, t trace.Time, exited bool) (ready trace.Time, src predictor.Source, blocked, some bool) {
+	ready, src = trace.Time(math.MinInt64), predictor.SourceBackup
+	for _, slot := range decided {
+		if pi := &ex.procs[slot]; !exited && pi.hasExit && pi.exit <= t {
+			continue
+		}
+		some = true
+		st := dec[slot]
+		if st.ready == infTime {
+			blocked = true
+			continue
+		}
+		if st.ready >= ready {
+			ready = st.ready
+			src = st.source
+		}
+	}
+	return ready, src, blocked, some
 }
 
 // combineSkips reports that combine cannot shut down in [T0, T1) once

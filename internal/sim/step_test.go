@@ -7,16 +7,17 @@ import (
 	"slices"
 	"testing"
 
+	"pcapsim/internal/fscache"
 	"pcapsim/internal/predictor"
 	"pcapsim/internal/trace"
 )
 
 // TestPrepareRejectsInvalidExecution: an execution whose time runs
-// backwards, or in which a process reaches the disk after its exit, fails
-// every cell of its pass with one *InvalidExecutionError naming the
-// offending event's time. The two committed files are five-line text
-// traces on which Base used to report shutdowns (after an exit) or a
-// normal report (backwards time).
+// backwards, or in which a process issues I/O after its exit, fails every
+// cell of its pass with one *InvalidExecutionError naming the offending
+// event's time. The committed files are short text traces on which Base
+// used to report shutdowns (after an exit) or a normal report (backwards
+// time, or a re-read after the exit that the file cache absorbs).
 func TestPrepareRejectsInvalidExecution(t *testing.T) {
 	open := func(name string) func(t *testing.T) trace.Source {
 		return func(t *testing.T) trace.Source {
@@ -41,7 +42,15 @@ func TestPrepareRejectsInvalidExecution(t *testing.T) {
 		at   float64 // the offending event's time, seconds
 	}{
 		{"io-after-exit", open("io-after-exit.txt"), 30},
+		{"io-after-exit-cached", open("io-after-exit-cached.txt"), 30},
 		{"time-backwards", open("time-backwards.txt"), 0.001},
+		// The flush daemon's pid writes back after any exit, so an exit
+		// by it would be an access after its exit.
+		{"flush-daemon-exit", events(func(ev *slotEvents) {
+			ev.io(0, 1)
+			ev.write(1, fscache.KernelFlushPID, 7)
+			ev.exit(2, fscache.KernelFlushPID)
+		}), 2},
 		{"exit-at-T0-before-access", events(func(ev *slotEvents) {
 			ev.io(0, 1)
 			ev.exit(10, 1)
@@ -98,7 +107,8 @@ func TestCombineSkipEdges(t *testing.T) {
 	}{
 		{
 			// Pid 1 exits right after its access: no live process is left
-			// in the period, so the disk shuts down at once.
+			// in the period, so pid 1's last decision, never ready, still
+			// governs it and the disk keeps spinning.
 			name: "own-exit-at-T0-after-access",
 			events: func(ev *slotEvents) {
 				ev.io(10, a)
@@ -106,7 +116,19 @@ func TestCombineSkipEdges(t *testing.T) {
 				ev.io(40, b)
 			},
 			f:    fixedFactory{a: never, b: never},
-			want: want{true, 10, predictor.SourceBackup},
+			want: want{},
+		},
+		{
+			// As above, but pid 1 is ready 5 s after its access: the disk
+			// shuts down then, on pid 1's source, not at the exit.
+			name: "own-exit-at-T0-ready-later",
+			events: func(ev *slotEvents) {
+				ev.io(10, a)
+				ev.exit(10, a)
+				ev.io(40, b)
+			},
+			f:    fixedFactory{a: ready(5, predictor.SourcePrimary), b: never},
+			want: want{true, 15, predictor.SourcePrimary},
 		},
 		{
 			name: "other-exit-at-T0-before-access",
@@ -269,10 +291,12 @@ func TestCombineSkipsOnlyWhereCombineCannotShutDown(t *testing.T) {
 }
 
 // TestCombineEveryProcessExited pins combine's "every process exited"
-// branch: once the only decided process exits inside the window, the disk
-// shuts down at that exit, attributed to the backup source whatever the
-// exited process last decided. A valid trace reaches this branch (see
-// TestCombineSkipEdges' own-exit cases).
+// rule: once the only decided process exits inside the window, its last
+// standing decision still governs the rest of the window. A process
+// ready later shuts the disk down at its ready time, on its own source,
+// not at the exit; one that never becomes ready blocks the shutdown. A
+// valid trace reaches this rule (see TestCombineSkipEdges' own-exit
+// cases and TestExitedProcessesKeepTheirDecisions).
 func TestCombineEveryProcessExited(t *testing.T) {
 	ex := &execution{
 		procs: []procInfo{{pid: 3, exit: 20, hasExit: true}},
@@ -280,7 +304,46 @@ func TestCombineEveryProcessExited(t *testing.T) {
 	}
 	dec := []decisionState{{ready: 30, source: predictor.SourcePrimary}}
 	s, src, found := combine(ex, dec, []int32{0}, 0, 10, 40)
-	if !found || s != 20 || src != predictor.SourceBackup {
-		t.Fatalf("combine = (%v, %v, %v), want a backup shutdown at the exit, 20", s, src, found)
+	if !found || s != 30 || src != predictor.SourcePrimary {
+		t.Fatalf("combine = (%v, %v, %v), want a primary shutdown at the decision's ready time, 30", s, src, found)
+	}
+	dec[0].ready = infTime
+	if s, src, found := combine(ex, dec, []int32{0}, 0, 10, 40); found {
+		t.Fatalf("combine = (%v, %v, %v), want no shutdown under a never-ready decision", s, src, found)
+	}
+}
+
+// TestExitedProcessesKeepTheirDecisions replays the committed trace in
+// which pid 1 reads at 1 s and exits at 2 s, leaving no live process
+// until pid 2 reads at 60 s. Base, always on, must never cycle, and
+// TP(10 s) must shut down when pid 1's timer runs out at 11 s, not at
+// the exit; Ideal shows the period is long enough to cycle.
+func TestExitedProcessesKeepTheirDecisions(t *testing.T) {
+	fs, err := trace.OpenTraceFileOpts(filepath.Join("testdata", "exited-decisions.txt"), trace.OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	r := mustRunner(t)
+	var log trace.DecisionLog
+	res, errs := RunCells(fs, []Cell{
+		{Runner: r, Policy: basePolicy()},
+		{Runner: r, Policy: tpPolicy(10 * trace.Second), Trace: TraceOptions{Sink: &log}},
+		{Runner: r, Policy: idealPolicy(r.cfg.Disk.Breakeven)},
+	})
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("cell %d: %v", i, err)
+		}
+	}
+	if base := res[0]; base.Cycles != 0 || base.Wakeups != 0 {
+		t.Errorf("Base: %d cycles, %d wakeups, want 0", base.Cycles, base.Wakeups)
+	}
+	if tp, ideal := res[1], res[2]; tp.Cycles != 1 || ideal.Cycles != 1 {
+		t.Errorf("TP %d cycles, Ideal %d, want 1 each", tp.Cycles, ideal.Cycles)
+	}
+	i := slices.IndexFunc(log.Records, func(rec trace.DecisionRecord) bool { return rec.Start == trace.FromSeconds(1) })
+	if i < 0 || !log.Records[i].Shutdown() || log.Records[i].At != trace.FromSeconds(11) {
+		t.Fatalf("TP's 1 s period: want a shutdown at 11 s, got %+v", log.Records)
 	}
 }
