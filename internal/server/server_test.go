@@ -865,52 +865,59 @@ func TestMeterCountsEveryPolicy(t *testing.T) {
 }
 
 // TestCancelReplayMidPass cancels a four-policy replay while its one pass
-// is under way: the job ends canceled with the context's error and no
-// output, and the single worker serves the next job.
+// is under way, decoding sequentially and in parallel batches: the job
+// ends canceled with the context's error and no output, the single
+// worker serves the next job, and the server's goroutine-leak check
+// passes, so no decode goroutine outlives the canceled job.
 func TestCancelReplayMidPass(t *testing.T) {
-	dir := t.TempDir()
-	srv, hs := newTestServer(t, Config{Workers: 1, TraceDir: dir})
-	writeAppTraceFile(t, dir, "mplayer", 2)
-	v := submitAsync(t, hs.URL, JobSpec{Kind: KindReplay, Trace: "mplayer.pct2", Policies: []string{"base", "tp", "pcap", "ideal"}})
-	j, ok := srv.job(v.ID)
-	if !ok {
-		t.Fatalf("no job %s", v.ID)
-	}
-	// The meter has handed the pass its first execution: cancel now.
-	for j.work.execs.Load() == 0 {
-		select {
-		case <-j.Done():
-			t.Fatalf("job ended before its pass started: %+v", j.view())
-		case <-time.After(time.Millisecond):
-		}
-	}
-	cresp, err := http.Post(hs.URL+"/jobs/"+v.ID+"/cancel", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cresp.Body.Close()
-	select {
-	case <-j.Done():
-	case <-time.After(30 * time.Second):
-		t.Fatal("job did not wind down after cancel")
-	}
-	final := j.view()
-	if final.State != StateCanceled || !strings.Contains(final.Error, context.Canceled.Error()) {
-		t.Errorf("state = %q, error = %q; want canceled with a context error", final.State, final.Error)
-	}
-	if final.Output != "" {
-		t.Errorf("canceled job has output:\n%s", final.Output)
-	}
-	// Four policies × two copies of mplayer's 31 executions.
-	if total := int64(4 * 2 * 31); final.Execs >= total {
-		t.Errorf("the pass metered all %d executions before the cancel landed", total)
-	}
-	if final.PoliciesDone != 0 {
-		t.Errorf("policies_done = %d after a canceled pass, want 0", final.PoliciesDone)
-	}
-	next := submitWait(t, hs.URL, JobSpec{Kind: KindEval, App: "nedit", Policies: []string{"base"}, Execs: 2})
-	if next.State != StateDone {
-		t.Errorf("follow-up job state = %q, error = %q", next.State, next.Error)
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			dir := t.TempDir()
+			srv, hs := newTestServer(t, Config{Workers: 1, TraceDir: dir})
+			writeAppTraceFile(t, dir, "mplayer", 2)
+			v := submitAsync(t, hs.URL, JobSpec{Kind: KindReplay, Trace: "mplayer.pct2",
+				Policies: []string{"base", "tp", "pcap", "ideal"}, Workers: workers})
+			j, ok := srv.job(v.ID)
+			if !ok {
+				t.Fatalf("no job %s", v.ID)
+			}
+			// The meter has handed the pass its first execution: cancel now.
+			for j.work.execs.Load() == 0 {
+				select {
+				case <-j.Done():
+					t.Fatalf("job ended before its pass started: %+v", j.view())
+				case <-time.After(time.Millisecond):
+				}
+			}
+			cresp, err := http.Post(hs.URL+"/jobs/"+v.ID+"/cancel", "", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cresp.Body.Close()
+			select {
+			case <-j.Done():
+			case <-time.After(30 * time.Second):
+				t.Fatal("job did not wind down after cancel")
+			}
+			final := j.view()
+			if final.State != StateCanceled || !strings.Contains(final.Error, context.Canceled.Error()) {
+				t.Errorf("state = %q, error = %q; want canceled with a context error", final.State, final.Error)
+			}
+			if final.Output != "" {
+				t.Errorf("canceled job has output:\n%s", final.Output)
+			}
+			// Four policies × two copies of mplayer's 31 executions.
+			if total := int64(4 * 2 * 31); final.Execs >= total {
+				t.Errorf("the pass metered all %d executions before the cancel landed", total)
+			}
+			if final.PoliciesDone != 0 {
+				t.Errorf("policies_done = %d after a canceled pass, want 0", final.PoliciesDone)
+			}
+			next := submitWait(t, hs.URL, JobSpec{Kind: KindEval, App: "nedit", Policies: []string{"base"}, Execs: 2})
+			if next.State != StateDone {
+				t.Errorf("follow-up job state = %q, error = %q", next.State, next.Error)
+			}
+		})
 	}
 }
 
