@@ -166,6 +166,27 @@ for workers in 1 2; do
 		fi
 	done
 done
+# Blocking: the decode worker count never changes a report. mplayer's
+# executions 0-3, each written with its own index footer, concatenate into
+# one multi-block, multi-footer v2 file, so two workers decode real
+# batches; the mozilla file above is one block.
+echo "== pcapsim -replay -parallel 1 vs 2 on a multi-block file"
+mkdir "${smoke_dir}/multi"
+for exec in 0 1 2 3; do
+	"${smoke_dir}/tracegen" -app mplayer -exec "${exec}" -out "${smoke_dir}/multi" >/dev/null
+done
+cat "${smoke_dir}"/multi/mplayer-00[0-3].pct2 >"${smoke_dir}/multi.pct2"
+for pred in "" "-from 10s -pid 2"; do
+	for workers in 1 2; do
+		# pred stays unquoted: it is a list of flags.
+		"${smoke_dir}/pcapsim" -replay "${smoke_dir}/multi.pct2" ${pred} -parallel "${workers}" \
+			-policies base,tp,pcap >"${smoke_dir}/multi-${workers}.txt"
+	done
+	if ! cmp "${smoke_dir}/multi-1.txt" "${smoke_dir}/multi-2.txt"; then
+		echo "ci: pcapsim -replay ${pred} differs between -parallel 1 and 2" >&2
+		exit 1
+	fi
+done
 # pcapd's peak resident set (VmHWM), read while the process still lives.
 # It rides the bench artifact as peak-rss-MB for trend visibility and
 # stays out of the gate metric list; where /proc is unreadable it is
