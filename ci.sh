@@ -215,9 +215,12 @@ wait "${pcapd_pid}"
 # days (measured ~20% between the PR 5 and PR 6 recordings with
 # bit-identical code; see EXPERIMENTS.md), so on another machine the
 # gate compares hardware as well as code. BENCH_BASELINE=parent compares
-# code alone: it runs the same filter on the parent commit (HEAD~1) on
-# this machine, in a temporary git worktree removed on exit, writes that
-# report to bench_parent.json (gitignored) and gates against it. Point
+# code alone: it builds the root test binaries of the parent commit
+# (HEAD~1, unpacked into a temporary directory removed on exit) and of
+# the working tree, runs the same filter with each in three alternating
+# rounds on this machine, writes the parent's report to bench_parent.json
+# (gitignored) and gates the working tree's best round against the
+# parent's. Point
 # BENCH_BASELINE at another BENCH_PR*.json for a different comparison,
 # or disable with BENCH_GATE=off on a known-noisy runner. The default
 # filter is the allocation-sensitive hot path; BENCH_FILTER='.' sweeps
@@ -255,25 +258,44 @@ if go test -run '^$' -bench "${bench_filter}" -benchmem -benchtime "${BENCH_TIME
 	bench_baseline="${BENCH_BASELINE:-BENCH_PR10.json}"
 	if go run ./cmd/benchjson -o "${bench_json}" "${bench_artifact}"; then
 		echo "ci: wrote ${bench_json}"
+		gated_json="${bench_json}"
 		if [[ "${BENCH_GATE:-on}" != "off" && "${bench_baseline}" == parent ]]; then
 			parent_dir="$(mktemp -d)"
-			trap 'git worktree remove --force "${parent_dir}/tree" 2>/dev/null || true; rm -rf "${parent_dir}" "${smoke_dir}"' EXIT
-			echo "== go test -bench (hot path) on HEAD~1 (baseline: bench_parent.json)"
-			git worktree add --detach --quiet "${parent_dir}/tree" HEAD~1
-			if ! (cd "${parent_dir}/tree" && go test -run '^$' -bench "${bench_filter}" -benchmem \
-				-benchtime "${BENCH_TIME:-1s}" .) >"${parent_dir}/bench.txt" 2>&1; then
-				echo "ci: parent benchmarks failed; see below" >&2
-				cat "${parent_dir}/bench.txt" >&2
-				exit 1
-			fi
-			go run ./cmd/benchjson -o bench_parent.json "${parent_dir}/bench.txt"
+			trap 'rm -rf "${parent_dir}" "${smoke_dir}"' EXIT
+			# Both trees' root test binaries run alternately, three
+			# rounds, each side appending to its own artifact and the
+			# side that runs first alternating; the gate then compares
+			# each side's best round, so one disturbed run on either
+			# side cannot decide it.
+			echo "== go test -bench (hot path): HEAD~1 and the working tree, 3 interleaved rounds"
+			mkdir "${parent_dir}/tree"
+			git archive HEAD~1 | tar -x -C "${parent_dir}/tree"
+			(cd "${parent_dir}/tree" && go test -c -o "${parent_dir}/parent.test" .)
+			go test -c -o "${parent_dir}/head.test" .
+			for order in "parent head" "head parent" "parent head"; do
+				for side in ${order}; do
+					dir=.
+					if [[ "${side}" == parent ]]; then
+						dir="${parent_dir}/tree"
+					fi
+					if ! (cd "${dir}" && "${parent_dir}/${side}.test" -test.run '^$' -test.bench "${bench_filter}" \
+						-test.benchmem -test.benchtime "${BENCH_TIME:-1s}" -test.timeout 10m) >>"${parent_dir}/${side}.txt" 2>&1; then
+						echo "ci: ${side} benchmarks failed; see below" >&2
+						cat "${parent_dir}/${side}.txt" >&2
+						exit 1
+					fi
+				done
+			done
+			go run ./cmd/benchjson -o bench_parent.json "${parent_dir}/parent.txt"
+			go run ./cmd/benchjson -o "${parent_dir}/head.json" "${parent_dir}/head.txt"
 			bench_baseline=bench_parent.json
+			gated_json="${parent_dir}/head.json"
 		fi
 		if [[ "${BENCH_GATE:-on}" != "off" && -f "${bench_baseline}" ]]; then
 			echo "== benchjson -gate ${bench_baseline} (blocking)"
 			go run ./cmd/benchjson -gate "${bench_baseline}" \
 				-metrics "BenchmarkFullSimulation:ios/s,BenchmarkDecodeV2:events/s,BenchmarkDecodeV2Parallel:events/s,BenchmarkFleet1k:machines/s,BenchmarkPcapdSustained:jobs/s" \
-				-threshold 0.10 "${bench_json}"
+				-threshold 0.10 "${gated_json}"
 		fi
 	else
 		echo "ci: benchjson failed (non-blocking)" >&2

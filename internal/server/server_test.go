@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -299,21 +300,31 @@ func TestFarFutureReplayFinishes(t *testing.T) {
 	}
 }
 
-// TestInvalidTraceFailsJob: a replay job over a trace that the simulator
-// rejects (time running backwards, a disk access after its process's
-// exit) ends failed with sim's invalid-execution error, not done with a
-// report.
+// TestInvalidTraceFailsJob: a replay job over each trace that the
+// simulator rejects ends failed with sim's invalid-execution error, not
+// done with a report. Among them, time runs backwards, a process reaches
+// the disk after its exit, and one 2 GiB read would become half a million
+// disk accesses that the job could not cancel midway.
 func TestInvalidTraceFailsJob(t *testing.T) {
 	dir := t.TempDir()
-	names := []string{"io-after-exit.txt", "time-backwards.txt"}
-	for _, name := range names {
-		b, err := os.ReadFile(filepath.Join("..", "sim", "testdata", "invalid", name))
+	invalid := filepath.Join("..", "sim", "testdata", "invalid")
+	entries, err := os.ReadDir(invalid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(invalid, e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		names = append(names, e.Name())
+	}
+	if !slices.Contains(names, "oversize-io.txt") {
+		t.Fatalf("%s holds %v, without the oversize I/O", invalid, names)
 	}
 	_, hs := newTestServer(t, Config{Workers: 1, TraceDir: dir})
 	for _, name := range names {

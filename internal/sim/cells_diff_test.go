@@ -137,3 +137,99 @@ func TestRunCellsMatchesRunSource(t *testing.T) {
 		})
 	}
 }
+
+// TestRunCellsPositionIndependent pins that a machine's per-execution
+// loop keeps nothing of another machine's: each of ten mixed cells gives
+// the same result whether it runs alone, first or last in its pass. The
+// passes rotate the cells, so every cell runs first in one pass and last
+// in another, after cells of other policies, devices and tracing.
+func TestRunCellsPositionIndependent(t *testing.T) {
+	s := experiments.NewDefaultSuite()
+	cfg := sim.DefaultConfig()
+	cfg.Disk = disk.WirelessNIC()
+	nic, err := experiments.NewSuite(experiments.DefaultSeed, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, nicRunner := sim.MustNewRunner(sim.DefaultConfig()), sim.MustNewRunner(cfg)
+	cfg = sim.DefaultConfig()
+	cfg.Disk = cfg.Disk.WithLowPowerIdle(experiments.DefaultLowPowerIdleWatts)
+	cfg.LowPowerWaitWindow = true
+	lp := sim.MustNewRunner(cfg)
+	// cells returns fresh cells, so no two passes share a decision log.
+	cells := func() []sim.Cell {
+		return []sim.Cell{
+			{Runner: def, Policy: s.PolicyBase()},
+			{Runner: def, Policy: s.PolicyTP()},
+			{Runner: def, Policy: s.PolicyPCAP(core.VariantH)},
+			{Runner: def, Policy: s.PolicyLT()},
+			{Runner: def, Policy: s.PolicyIdeal()},
+			{Runner: def, Policy: s.PolicyPCAP(core.VariantBase), Trace: sim.TraceOptions{
+				Sink: &trace.DecisionLog{},
+				Flip: func(k int64, _ bool, _ trace.PC) bool { return k%5 == 2 },
+			}},
+			{Runner: lp, Policy: s.PolicyPCAP(core.VariantBase)},
+			{Runner: nicRunner, Policy: nic.PolicyPCAP(core.VariantBase)},
+			{Runner: nicRunner, Policy: nic.PolicyTP()},
+			{Runner: def, Policy: s.PolicyLTa()},
+		}
+	}
+	// A hand execution whose children exit inside idle periods, so the
+	// combiner's exit cursor moves mid-execution; generated executions
+	// exit only at their end.
+	io := func(sec float64, pid trace.PID) trace.Event {
+		return trace.Event{Time: trace.FromSeconds(sec), Pid: pid, Kind: trace.KindIO,
+			Access: trace.AccessRead, PC: 0x10 + trace.PC(sec), FD: 3, Block: int64(sec * 100), Size: 4096}
+	}
+	hand := &trace.Trace{App: "nedit", Execution: 1, Events: []trace.Event{
+		io(0, 1),
+		{Time: trace.FromSeconds(1), Pid: 1, Kind: trace.KindFork, Child: 2},
+		io(2, 2),
+		{Time: trace.FromSeconds(3), Pid: 2, Kind: trace.KindExit},
+		io(40, 1),
+		{Time: trace.FromSeconds(41), Pid: 1, Kind: trace.KindFork, Child: 3},
+		io(42, 3),
+		{Time: trace.FromSeconds(45), Pid: 3, Kind: trace.KindExit},
+		io(90, 1),
+		{Time: trace.FromSeconds(120), Pid: 1, Kind: trace.KindExit},
+	}}
+	nedit, _ := workload.ByName("nedit")
+	generated := nedit.Traces(experiments.DefaultSeed)
+	traces := []*trace.Trace{generated[0], hand, generated[1], generated[2]}
+	src := func() trace.Source { return trace.NewSliceSource(traces...) }
+
+	n := len(cells())
+	alone := make([]string, n)
+	for i := range n {
+		res, errs := sim.RunCells(src(), cells()[i:i+1])
+		if errs[0] != nil {
+			t.Fatalf("cell %d alone: %v", i, errs[0])
+		}
+		if res[0].Executions != len(traces) || res[0].DiskAccesses == 0 {
+			t.Fatalf("cell %d alone: %d executions, %d disk accesses", i, res[0].Executions, res[0].DiskAccesses)
+		}
+		alone[i] = fmt.Sprintf("%+v", res[0])
+	}
+	for k := range n {
+		// Pass k runs cell k first and cell k-1 last.
+		order := make([]int, n)
+		for j := range order {
+			order[j] = (k + j) % n
+		}
+		cs := cells()
+		pass := make([]sim.Cell, n)
+		for j, i := range order {
+			pass[j] = cs[i]
+		}
+		res, errs := sim.RunCells(src(), pass)
+		for _, j := range []int{0, n - 1} {
+			i := order[j]
+			if errs[j] != nil {
+				t.Fatalf("pass %d, cell %d: %v", k, i, errs[j])
+			}
+			if got := fmt.Sprintf("%+v", res[j]); got != alone[i] {
+				t.Errorf("pass %d: cell %d (%s) at position %d:\n got %s\nalone %s", k, i, pass[j].Policy.Name, j, got, alone[i])
+			}
+		}
+	}
+}

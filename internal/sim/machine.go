@@ -25,12 +25,12 @@ import (
 //
 // Per execution, drive calls advance (the policy's factory step),
 // prepares the borrowed execution and its service schedule once in the
-// pass's prepState, then calls openExecution and step once per access on
-// each machine. openExecution runs the execution's accounting prologue;
-// an execution with no disk accesses is accounted as pure idle there and
-// has nothing to step. step processes exactly one
-// access: the per-process predictor update, the global combiner decision
-// for the period the access opens, its classification and its energy
+// pass's prepState, then calls openExecution and run on each machine.
+// openExecution runs the execution's accounting prologue; an execution
+// with no disk accesses is accounted as pure idle there and has nothing
+// to run. run steps every access of the execution in one loop: the
+// per-process predictor update, the global combiner decision for the
+// period the access opens, its classification and its energy
 // accounting. finish validates the source, resolves StateEntries and
 // returns the pooled scratch state; it must be called exactly once,
 // after which the machine is dead.
@@ -44,12 +44,6 @@ type machine struct {
 
 	newFactory func() predictor.Factory
 	f          predictor.Factory
-
-	ex         *execution   // current open execution, nil before the first pull
-	i          int          // next access index within ex
-	serviceEnd []trace.Time // the pass's service schedule for ex (see prepState)
-	idle       []float64    // the pass's idle table for ex (see prepState.schedule)
-	exit       int          // index of ex's first exit after the last combined period's start
 
 	err error
 }
@@ -92,10 +86,10 @@ func (m *machine) advance(app string) {
 	}
 }
 
-// openExecution makes ex the current execution and runs its accounting
-// prologue: totals, the busy energy of the pass's service schedule in ps
-// (see prepState.schedule), the leading unmanaged idle, and the reset of
-// the slot-indexed predictor and decision working set.
+// openExecution runs ex's accounting prologue: totals, the busy energy
+// of the pass's service schedule in ps (see prepState.schedule), the
+// leading unmanaged idle, and the reset of the slot-indexed predictor and
+// decision working set.
 func (m *machine) openExecution(ex *execution, ps *prepState) {
 	r, rs, res := m.r, m.rs, m.res
 	res.Executions++
@@ -110,22 +104,18 @@ func (m *machine) openExecution(ex *execution, ps *prepState) {
 	res.Cache.FlushWrites += ex.cacheStats.FlushWrites
 	res.Cache.EvictionWrites += ex.cacheStats.EvictionWrites
 
-	m.ex = ex
-	m.i = 0
-	m.serviceEnd = ps.serviceEnd
-	m.idle = ps.idle
-	m.exit = 0
-
 	if len(ex.accesses) == 0 {
 		// A silent execution: the disk just idles; there is nothing to
-		// step.
+		// run.
 		r.accountPeriod(res, 0, ex.end, 0, false, ex.end >= d.Breakeven, predictor.SourceNone)
 		return
 	}
 
+	busy := res.Energy.Busy
 	for _, t := range ps.svc {
-		res.Energy.Busy += t * d.BusyPower
+		busy += t * d.BusyPower
 	}
+	res.Energy.Busy = busy
 
 	// Leading idle before the first access: the disk spins unmanaged.
 	first := ex.accesses[0].Time
@@ -142,112 +132,122 @@ func (m *machine) openExecution(ex *execution, ps *prepState) {
 	rs.decided = rs.decided[:0]
 }
 
-// step processes the machine's next access: it feeds the access to its
-// process's predictor, merges the standing decisions through the global
-// combiner over the idle period the access opens, classifies the period
-// and charges its energy. The current execution must have an access
-// left to step.
-func (m *machine) step() {
-	r, rs, res, ex, f, pol, d := m.r, m.rs, m.res, m.ex, m.f, m.pol, &m.r.cfg.Disk
-	i := m.i
-	m.i++
-	a := ex.accesses[i]
-	preds, dec := rs.preds, rs.dec
-
-	slot := ex.slot[i]
-	pred := preds[slot]
-	if pred == nil {
-		pred = f.NewProcess(a.Pid)
-		preds[slot] = pred
-		rs.fa[slot], _ = pred.(predictor.FutureAware)
-		// Insert slot at its pid's sorted position: combine walks
-		// decided in pid order, which fixes its tie-break.
-		decided := rs.decided
-		j := len(decided)
-		decided = append(decided, 0)
-		for j > 0 && ex.procs[decided[j-1]].pid > a.Pid {
-			decided[j] = decided[j-1]
-			j--
+// run steps every access of ex, opened by openExecution, in one loop:
+// each access feeds its process's predictor, the global combiner decides
+// the idle period it opens, and the period is classified and charged.
+// The loop keeps what it only reads, its counts and its idle sums in
+// locals. accountPeriod adds to res's idle sums, so they are written back
+// before it and reloaded after it: each float is summed in the order a
+// step per access through res would sum it.
+func (m *machine) run(ex *execution, ps *prepState) {
+	accesses, n, end, exits, procs := ex.accesses, len(ex.accesses), ex.end, ex.exits, ex.procs
+	slots, localGap, serviceEnd, idle := ex.slot[:n], ex.localGap[:n], ps.serviceEnd[:n], ps.idle[:n]
+	r, rs, res, f, tr, globalOracle := m.r, m.rs, m.res, m.f, m.tr, m.pol.GlobalOracle
+	breakeven, idlePower := r.cfg.Disk.Breakeven, r.cfg.Disk.IdlePower
+	preds, fa, dec, decided := rs.preds, rs.fa, rs.dec, rs.decided
+	local, global := res.Local, res.Global
+	idleLong, idleShort := res.Energy.IdleLong, res.Energy.IdleShort
+	exit := 0 // index of the first exit after the period's start
+	for i := range accesses {
+		a := &accesses[i]
+		slot := slots[i]
+		pred := preds[slot]
+		if pred == nil {
+			pred = f.NewProcess(a.Pid)
+			preds[slot] = pred
+			fa[slot], _ = pred.(predictor.FutureAware)
+			// Insert slot at its pid's sorted position: combine walks
+			// decided in pid order, which fixes its tie-break.
+			j := len(decided)
+			decided = append(decided, 0)
+			for j > 0 && procs[decided[j-1]].pid > a.Pid {
+				decided[j] = decided[j-1]
+				j--
+			}
+			decided[j] = slot
 		}
-		decided[j] = slot
-		rs.decided = decided
-	}
-	nextLocal := ex.nextLocal[i]
-	if fa := rs.fa[slot]; fa != nil {
-		if nextLocal >= 0 {
-			fa.SetNextGap(ex.accesses[nextLocal].Time-a.Time, true)
+		nextGap := localGap[i]
+		if fa := fa[slot]; fa != nil {
+			if nextGap >= 0 {
+				fa.SetNextGap(nextGap, true)
+			} else {
+				fa.SetNextGap(0, false)
+			}
+		}
+		decision := pred.OnAccess(predictor.Access{
+			Time:   a.Time,
+			PC:     a.PC,
+			FD:     a.FD,
+			Access: a.Access,
+			Block:  a.Block,
+		})
+
+		// Local (per-process) classification of the period that
+		// follows. The kernel flush daemon is not one of the
+		// application's processes, so it stays out of the per-process
+		// statistics (it still feeds the global combiner below).
+		if nextGap >= 0 && a.Pid != fscache.KernelFlushPID {
+			classify(&local, nextGap, decision, breakeven)
+		}
+
+		// Update the standing decision for the global combiner.
+		st := decisionState{ready: infTime, source: decision.Source}
+		if decision.Shutdown {
+			st.ready = a.Time + decision.Delay
+		}
+		dec[slot] = st
+
+		// Global period from this access to the next one in the merged
+		// stream (or the tail of the execution); prepare guarantees
+		// T1 ≥ T0.
+		T0 := a.Time
+		T1 := end
+		terminal := i+1 >= n
+		if !terminal {
+			T1 = accesses[i+1].Time
+		}
+		gap := T1 - T0
+		long := gap >= breakeven
+
+		var s trace.Time
+		var src predictor.Source
+		var found bool
+		if globalOracle {
+			if long {
+				s, src, found = T0, predictor.SourcePrimary, true
+			}
 		} else {
-			fa.SetNextGap(0, false)
+			for exit < len(exits) && exits[exit].Time <= T0 {
+				exit++
+			}
+			if !combineSkips(ex, slot, st.ready, exit, T0, T1) {
+				s, src, found = combine(ex, dec, decided, exit, T0, T1)
+			}
+		}
+		if tr != nil {
+			s, src, found = tr.decide(r, ex, *a, serviceEnd[i], T0, T1, s, src, found, terminal, long)
+		}
+
+		if !terminal {
+			globalDecision := predictor.Decision{Shutdown: found, Delay: s - T0, Source: src}
+			classify(&global, gap, globalDecision, breakeven)
+		}
+		switch {
+		case found && s < T1:
+			res.Energy.IdleLong, res.Energy.IdleShort = idleLong, idleShort
+			r.accountPeriod(res, serviceEnd[i], T1, s, found, long, src)
+			idleLong, idleShort = res.Energy.IdleLong, res.Energy.IdleShort
+		case long:
+			// The disk spins through the period: periodCost's
+			// no-shutdown price, read from the pass's idle table.
+			idleLong += idle[i] * idlePower
+		default:
+			idleShort += idle[i] * idlePower
 		}
 	}
-	decision := pred.OnAccess(predictor.Access{
-		Time:   a.Time,
-		PC:     a.PC,
-		FD:     a.FD,
-		Access: a.Access,
-		Block:  a.Block,
-	})
-
-	// Local (per-process) classification of the period that follows.
-	// The kernel flush daemon is not one of the application's
-	// processes, so it stays out of the per-process statistics (it
-	// still feeds the global combiner below).
-	if nextLocal >= 0 && a.Pid != fscache.KernelFlushPID {
-		gap := ex.accesses[nextLocal].Time - a.Time
-		classify(&res.Local, gap, decision, d.Breakeven)
-	}
-
-	// Update the standing decision for the global combiner.
-	st := decisionState{ready: infTime, source: decision.Source}
-	if decision.Shutdown {
-		st.ready = a.Time + decision.Delay
-	}
-	dec[slot] = st
-
-	// Global period from this access to the next one in the merged
-	// stream (or the tail of the execution); prepare guarantees T1 ≥ T0.
-	T0 := a.Time
-	T1 := ex.end
-	terminal := i+1 >= len(ex.accesses)
-	if !terminal {
-		T1 = ex.accesses[i+1].Time
-	}
-	gap := T1 - T0
-	long := gap >= d.Breakeven
-
-	var s trace.Time
-	var src predictor.Source
-	var found bool
-	if pol.GlobalOracle {
-		if long {
-			s, src, found = T0, predictor.SourcePrimary, true
-		}
-	} else {
-		for m.exit < len(ex.exits) && ex.exits[m.exit].Time <= T0 {
-			m.exit++
-		}
-		if !combineSkips(ex, slot, st.ready, m.exit, T0, T1) {
-			s, src, found = combine(ex, dec, rs.decided, m.exit, T0, T1)
-		}
-	}
-	if m.tr != nil {
-		s, src, found = m.tr.decide(r, ex, a, m.serviceEnd[i], T0, T1, s, src, found, terminal, long)
-	}
-
-	if !terminal {
-		globalDecision := predictor.Decision{Shutdown: found, Delay: s - T0, Source: src}
-		classify(&res.Global, gap, globalDecision, d.Breakeven)
-	}
-	switch {
-	case found && s < T1:
-		r.accountPeriod(res, m.serviceEnd[i], T1, s, found, long, src)
-	case long:
-		// The disk spins through the period: periodCost's no-shutdown
-		// price, read from the pass's idle table.
-		res.Energy.IdleLong += m.idle[i] * d.IdlePower
-	default:
-		res.Energy.IdleShort += m.idle[i] * d.IdlePower
-	}
+	res.Local, res.Global = local, global
+	res.Energy.IdleLong, res.Energy.IdleShort = idleLong, idleShort
+	rs.decided = decided
 }
 
 // finish closes the machine: it surfaces any latched or source error,
@@ -276,6 +276,5 @@ func (m *machine) release() {
 	if m.rs != nil {
 		m.r.putState(m.rs)
 		m.rs = nil
-		m.ex = nil
 	}
 }

@@ -20,7 +20,7 @@ type procInfo struct {
 	exit    trace.Time
 	hasExit bool
 	// last is the index into execution.accesses of the process's latest
-	// access so far, or -1; prepare uses it to link nextLocal.
+	// access so far, or -1; prepare uses it to fill localGap.
 	last int
 }
 
@@ -45,9 +45,9 @@ type execution struct {
 	accesses []trace.Event
 	// slot[i] is the slot of accesses[i]'s process.
 	slot []int32
-	// nextLocal[i] is the index (into accesses) of the next access by the
-	// same process after accesses[i], or -1.
-	nextLocal []int
+	// localGap[i] is the time from accesses[i] to the same process's
+	// next access, or -1 if it has none.
+	localGap []trace.Time
 	// procs is indexed by slot.
 	procs []procInfo
 	// exits lists processes' exit events sorted by time.
@@ -132,7 +132,7 @@ func (r *Runner) putState(rs *runState) {
 // its service end to the next arrival (or to ex.end after the last
 // access), 0 when service spills past that arrival. The table depends on
 // the pass's PassConfig only, not on the disk, so every cell of the pass
-// prices a period that keeps spinning from it (see machine.step).
+// prices a period that keeps spinning from it (see machine.run).
 func (ps *prepState) schedule(ex *execution, cfg *Config) {
 	ps.serviceEnd, ps.svc, ps.idle = ps.serviceEnd[:0], ps.svc[:0], ps.idle[:0]
 	var prevEnd trace.Time
@@ -153,11 +153,20 @@ func (ps *prepState) schedule(ex *execution, cfg *Config) {
 	}
 }
 
+// MaxIOBytes bounds the size of one input I/O. The file cache turns an
+// I/O into one disk access per block it misses, so without a bound one
+// event of int32 size becomes half a million accesses. The workload
+// generators emit 4 KiB I/Os.
+const MaxIOBytes = 16 << 20
+
 // InvalidExecutionError rejects an execution that breaks the step path's
-// ordering assumptions: an event earlier than the one before it, an I/O
-// by a process after its exit, or an exit by the file cache's flush
-// daemon, which writes back after it. trace.Validator forbids forking an
-// exited pid again, so such an I/O is never a new process.
+// assumptions: an event earlier than the one before it; an I/O or a
+// second exit by a process after its exit; an event naming the file
+// cache's flush daemon's pid, which the daemon's write-backs use (it
+// writes back after any exit, and its accesses stay out of the
+// per-process statistics); or an I/O with a zero PC, a negative size or
+// a size over MaxIOBytes. trace.Validator forbids forking an exited pid
+// again, so such an I/O is never a new process.
 type InvalidExecutionError struct {
 	App  string
 	Exec int
@@ -184,32 +193,42 @@ func (ps *prepState) prepare(tr *trace.Trace, cacheCfg fscache.Config) (*executi
 	var checked trace.PID
 	checkedOK := false
 	for _, e := range tr.Events {
-		if e.Time < prev {
-			return nil, &InvalidExecutionError{App: tr.App, Exec: tr.Execution, Time: e.Time,
-				Reason: fmt.Sprintf("time runs backwards from %v", prev)}
-		}
-		prev = e.Time
-		switch e.Kind {
-		case trace.KindIO:
-			totalIOs++
-			if len(ps.exited) > 0 && (!checkedOK || e.Pid != checked) {
-				if at, ok := ps.exited[e.Pid]; ok {
-					return nil, &InvalidExecutionError{App: tr.App, Exec: tr.Execution, Time: e.Time,
-						Reason: fmt.Sprintf("I/O by pid %d after its exit at %v", e.Pid, at)}
-				}
-				checked, checkedOK = e.Pid, true
-			}
-		case trace.KindExit:
-			if e.Pid == fscache.KernelFlushPID {
-				return nil, &InvalidExecutionError{App: tr.App, Exec: tr.Execution, Time: e.Time,
-					Reason: fmt.Sprintf("exit of pid %d, the file cache's flush daemon", e.Pid)}
+		var reason string
+		switch {
+		case e.Time < prev:
+			reason = fmt.Sprintf("time runs backwards from %v", prev)
+		case e.Pid == fscache.KernelFlushPID || e.Kind == trace.KindFork && e.Child == fscache.KernelFlushPID:
+			reason = fmt.Sprintf("%v event names pid %d, reserved for the file cache's flush daemon", e.Kind, fscache.KernelFlushPID)
+		case e.Kind == trace.KindExit:
+			if at, ok := ps.exited[e.Pid]; ok {
+				reason = fmt.Sprintf("second exit of pid %d, which exited at %v", e.Pid, at)
+				break
 			}
 			if ps.exited == nil {
 				ps.exited = make(map[trace.PID]trace.Time)
 			}
 			ps.exited[e.Pid] = e.Time
 			checkedOK = false
+		case e.Kind != trace.KindIO: // a fork: nothing more to check
+		case e.PC == 0:
+			reason = "I/O with a zero PC"
+		case e.Size < 0:
+			reason = fmt.Sprintf("I/O with negative size %d", e.Size)
+		case e.Size > MaxIOBytes:
+			reason = fmt.Sprintf("I/O of %d bytes, over the %d-byte bound", e.Size, MaxIOBytes)
+		default:
+			totalIOs++
+			if len(ps.exited) > 0 && (!checkedOK || e.Pid != checked) {
+				if at, ok := ps.exited[e.Pid]; ok {
+					reason = fmt.Sprintf("I/O by pid %d after its exit at %v", e.Pid, at)
+				}
+				checked, checkedOK = e.Pid, true
+			}
 		}
+		if reason != "" {
+			return nil, &InvalidExecutionError{App: tr.App, Exec: tr.Execution, Time: e.Time, Reason: reason}
+		}
+		prev = e.Time
 	}
 	if ps.cache == nil || ps.cacheCfg != cacheCfg {
 		cache, err := fscache.New(cacheCfg)
@@ -236,7 +255,7 @@ func (ps *prepState) prepare(tr *trace.Trace, cacheCfg fscache.Config) (*executi
 	ex.index = tr.Execution
 	ex.accesses = ex.accesses[:0]
 	ex.slot = ex.slot[:0]
-	ex.nextLocal = ex.nextLocal[:0]
+	ex.localGap = ex.localGap[:0]
 	ex.procs = ex.procs[:0]
 	ex.exits = ex.exits[:0]
 	ex.totalIOs = totalIOs
@@ -265,10 +284,10 @@ func (ps *prepState) prepare(tr *trace.Trace, cacheCfg fscache.Config) (*executi
 			idx := len(ex.accesses)
 			ex.accesses = append(ex.accesses, e)
 			ex.slot = append(ex.slot, s)
-			ex.nextLocal = append(ex.nextLocal, -1)
-			// Link the process's previous access to this one.
+			ex.localGap = append(ex.localGap, -1)
+			// Time the process's previous access's gap to this one.
 			if p.last >= 0 {
-				ex.nextLocal[p.last] = idx
+				ex.localGap[p.last] = e.Time - ex.accesses[p.last].Time
 			}
 			p.last = idx
 		}
@@ -343,7 +362,7 @@ func (ex *execution) clone() *execution {
 	c := *ex
 	c.accesses = slices.Clone(ex.accesses)
 	c.slot = slices.Clone(ex.slot)
-	c.nextLocal = slices.Clone(ex.nextLocal)
+	c.localGap = slices.Clone(ex.localGap)
 	c.procs = slices.Clone(ex.procs)
 	c.exits = slices.Clone(ex.exits)
 	return &c

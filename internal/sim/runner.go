@@ -272,9 +272,7 @@ func drive(src trace.Source, ms []*machine) {
 		ps.schedule(ex, cfg)
 		for _, m := range live {
 			m.openExecution(ex, ps)
-			for m.i < len(ex.accesses) {
-				m.step()
-			}
+			m.run(ex, ps)
 		}
 	}
 }

@@ -148,12 +148,12 @@ func TestRunCellsSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// checkPrepared compares a prepared execution's slot and nextLocal
-// indexes against brute force.
+// checkPrepared compares a prepared execution's slot and localGap
+// columns against brute force.
 func checkPrepared(t *testing.T, ex *execution) {
 	t.Helper()
-	if len(ex.slot) != len(ex.accesses) || len(ex.nextLocal) != len(ex.accesses) {
-		t.Fatalf("%d accesses, %d slots, %d nextLocal", len(ex.accesses), len(ex.slot), len(ex.nextLocal))
+	if len(ex.slot) != len(ex.accesses) || len(ex.localGap) != len(ex.accesses) {
+		t.Fatalf("%d accesses, %d slots, %d localGap", len(ex.accesses), len(ex.slot), len(ex.localGap))
 	}
 	seen := make(map[trace.PID]bool)
 	for _, p := range ex.procs {
@@ -166,20 +166,20 @@ func checkPrepared(t *testing.T, ex *execution) {
 		if got := ex.procs[ex.slot[i]].pid; got != a.Pid {
 			t.Fatalf("access %d: slot %d is pid %d, want %d", i, ex.slot[i], got, a.Pid)
 		}
-		want := -1
+		want := trace.Time(-1)
 		for j := i + 1; j < len(ex.accesses); j++ {
 			if ex.accesses[j].Pid == a.Pid {
-				want = j
+				want = ex.accesses[j].Time - a.Time
 				break
 			}
 		}
-		if ex.nextLocal[i] != want {
-			t.Fatalf("access %d (pid %d): nextLocal %d, want %d", i, a.Pid, ex.nextLocal[i], want)
+		if ex.localGap[i] != want {
+			t.Fatalf("access %d (pid %d): localGap %v, want %v", i, a.Pid, ex.localGap[i], want)
 		}
 	}
 }
 
-// TestPrepareMatchesBruteForce checks prepare's slot and nextLocal indexes
+// TestPrepareMatchesBruteForce checks prepare's slot and localGap columns
 // on a hand trace (fork, exit, flush-daemon writes, interleaved pids) and
 // on the first execution of every application, preparing each twice in
 // one prepState so the second pass reuses the first's buffers.

@@ -13,11 +13,14 @@ import (
 )
 
 // TestPrepareRejectsInvalidExecution: an execution whose time runs
-// backwards, or in which a process issues I/O after its exit, fails every
-// cell of its pass with one *InvalidExecutionError naming the offending
+// backwards, in which a process issues I/O or exits again after its
+// exit, which names the flush daemon's pid, or which holds an I/O with a
+// zero PC, a negative size or a size over MaxIOBytes, fails every cell
+// of its pass with one *InvalidExecutionError naming the offending
 // event's time. The committed files are short text traces on which Base
-// used to report shutdowns (after an exit) or a normal report (backwards
-// time, or a re-read after the exit that the file cache absorbs).
+// used to report shutdowns (after an exit) or a normal report (the
+// others); the oversize one became 524,289 disk accesses, and the second
+// exit moved its process's exit later, changing TP's energy.
 func TestPrepareRejectsInvalidExecution(t *testing.T) {
 	open := func(name string) func(t *testing.T) trace.Source {
 		return func(t *testing.T) trace.Source {
@@ -44,13 +47,28 @@ func TestPrepareRejectsInvalidExecution(t *testing.T) {
 		{"io-after-exit", open("io-after-exit.txt"), 30},
 		{"io-after-exit-cached", open("io-after-exit-cached.txt"), 30},
 		{"time-backwards", open("time-backwards.txt"), 0.001},
+		{"flush-pid-io", open("flush-pid-io.txt"), 1},
+		{"zero-pc", open("zero-pc.txt"), 30},
+		{"negative-size", open("negative-size.txt"), 30},
+		{"oversize-io", open("oversize-io.txt"), 1},
+		{"double-exit", open("double-exit.txt"), 50},
 		// The flush daemon's pid writes back after any exit, so an exit
 		// by it would be an access after its exit.
 		{"flush-daemon-exit", events(func(ev *slotEvents) {
 			ev.io(0, 1)
-			ev.write(1, fscache.KernelFlushPID, 7)
+			ev.write(1, 1, 7)
 			ev.exit(2, fscache.KernelFlushPID)
 		}), 2},
+		{"flush-pid-fork", events(func(ev *slotEvents) {
+			ev.io(0, 1)
+			ev.fork(1, 1, fscache.KernelFlushPID)
+		}), 1},
+		{"io-at-bound", events(func(ev *slotEvents) {
+			ev.io(0, 1)
+			(*ev)[0].Size = MaxIOBytes
+			ev.io(1, 1)
+			(*ev)[1].Size = MaxIOBytes + 1
+		}), 1},
 		{"exit-at-T0-before-access", events(func(ev *slotEvents) {
 			ev.io(0, 1)
 			ev.exit(10, 1)
